@@ -34,6 +34,7 @@ from .freealg import (
 from .growth import (
     GrowthClass,
     UfnarovskiGraph,
+    automaton_growth,
     build_ufnarovski,
     classify_growth,
     count_paths,

@@ -86,7 +86,7 @@ def _run(args) -> int:
         g = report.growth
         if g.exponential:
             print("growth: exponential")
-            c1, c2 = g.witness
+            c1, c2 = report.growth_witness
             shared = word_str(c1[0][0], alphabet)
             for k, cycle in enumerate((c1, c2), 1):
                 path = "->".join(

@@ -7,6 +7,10 @@ letter on the right is normal and ends in w.  The algebra grows exponentially
 iff two distinct cycles share a vertex; otherwise the Gelfand-Kirillov
 dimension is the largest number of cyclic strong components on one path of
 the condensation.
+
+The class and degree are decided by :func:`automaton_growth`, which applies
+the same rule to the Aho–Corasick automaton of the obstructions.  The
+Ufnarovski graph itself is built only to show it or its witness cycles.
 """
 
 from __future__ import annotations
@@ -59,9 +63,12 @@ def build_ufnarovski(omega: MonomialSet, alphabet: Alphabet) -> UfnarovskiGraph:
 class GrowthClass:
     """Either exponential, or polynomial of some degree m >= 0.
 
-    m = 0 means the algebra is finite-dimensional (no cycles at all).  For
-    the exponential case ``witness`` holds two distinct cycles through a
-    common vertex, each as a tuple of edges.
+    m = 0 means the algebra is finite-dimensional (no cycles at all).  A
+    class from :func:`classify_growth` on an exponential graph carries in
+    ``witness`` two distinct cycles of the Ufnarovski graph through a common
+    vertex, each as a tuple of edges.  A class from :func:`automaton_growth`
+    always carries ``witness=None``; a report's witness lives in
+    ``AnalysisReport.growth_witness``.
     """
 
     exponential: bool
@@ -186,41 +193,83 @@ def _check_witness(graph: UfnarovskiGraph, cycles) -> None:
         raise CrossCheckError("witness cycles do not share their base vertex")
 
 
-def classify_growth(graph: UfnarovskiGraph) -> GrowthClass:
-    """Exponential/polynomial classification of the growth graph."""
-    adjacency: dict[Word, list[Word]] = defaultdict(list)
-    for src, dst, _ in graph.edges:
+def _classify(vertices, edges):
+    """(branching component or None, degree) of a digraph.
+
+    ``edges`` are (source, target) pairs; parallel pairs count as separate
+    edges.  A strong component is one simple cycle iff every vertex has
+    exactly one internal out-edge, i.e. #internal edges == #vertices; the
+    first component with more internal edges is returned.  Otherwise the
+    degree is the longest condensation path, counting cyclic components.
+    """
+    adjacency: dict = defaultdict(list)
+    for src, dst in edges:
         adjacency[src].append(dst)
-    sccs = _tarjan_sccs(graph.vertices, adjacency)
+    sccs = _tarjan_sccs(vertices, adjacency)
     comp_of = {v: i for i, comp in enumerate(sccs) for v in comp}
     internal = [0] * len(sccs)
-    for src, dst, _ in graph.edges:
+    for src, dst in edges:
         if comp_of[src] == comp_of[dst]:
             internal[comp_of[src]] += 1
     for ci, comp in enumerate(sccs):
-        # a strong component is one simple cycle iff every vertex has exactly
-        # one internal out-edge, i.e. #internal edges == #vertices
         if internal[ci] > len(comp):
-            witness = _two_cycles_witness(graph, set(comp))
-            return GrowthClass(True, None, witness)
-    # condensation longest path, counting cyclic components; components were
-    # emitted successors-first so one pass suffices
+            return comp, None
+    # components were emitted successors-first so one pass suffices
     best = [0] * len(sccs)
     for ci, comp in enumerate(sccs):
         succ = 0
-        members = set(comp)
         for v in comp:
             for dst in adjacency.get(v, ()):
-                if dst not in members:
+                if comp_of[dst] != ci:
                     succ = max(succ, best[comp_of[dst]])
         best[ci] = (1 if internal[ci] else 0) + succ
-    degree = max(best, default=0)
+    return None, max(best, default=0)
+
+
+def classify_growth(graph: UfnarovskiGraph) -> GrowthClass:
+    """Exponential/polynomial classification of the growth graph, with the
+    two-cycle witness in the exponential case."""
+    branching, degree = _classify(graph.vertices, [e[:2] for e in graph.edges])
+    if branching is not None:
+        return GrowthClass(True, None, _two_cycles_witness(graph, set(branching)))
     return GrowthClass(False, degree, None)
+
+
+def automaton_growth(omega: MonomialSet, alphabet: Alphabet) -> GrowthClass:
+    """Class and degree read off the Aho–Corasick automaton of ``omega``.
+
+    Normal words are exactly the letter paths from the root through
+    non-terminal states, and every non-terminal state is a proper prefix of
+    an obstruction, so it is reached from the root.  This graph counts the
+    normal words of each length by paths from the root, the Ufnarovski
+    graph by paths from every vertex (lengths >= ell - 1), so the same
+    component rule decides both.  The automaton has at most 1 + sum |w|
+    states instead of up to n^(ell-1) vertices; it gives no witness (see
+    ``AnalysisReport.growth_witness``).
+    """
+    automaton = omega.automaton
+    letters = range(alphabet.n)
+    states = [0]
+    edges = []
+    seen = {0}
+    for state in states:
+        for a in letters:
+            nxt = automaton.step(state, a)
+            if automaton.is_terminal(nxt):
+                continue
+            edges.append((state, nxt))
+            if nxt not in seen:
+                seen.add(nxt)
+                states.append(nxt)
+    branching, degree = _classify(states, edges)
+    if branching is not None:
+        return GrowthClass(True)
+    return GrowthClass(False, degree)
 
 
 def gk_dimension(omega: MonomialSet, alphabet: Alphabet) -> int | None:
     """Gelfand-Kirillov dimension of the monomial algebra; None = infinite."""
-    growth = classify_growth(build_ufnarovski(omega, alphabet))
+    growth = automaton_growth(omega, alphabet)
     return None if growth.exponential else growth.degree
 
 

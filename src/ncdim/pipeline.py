@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from . import chains as chains_mod
@@ -34,7 +35,13 @@ from .freealg import (
     leading_homogeneous,
     parse_polynomial,
 )
-from .growth import GrowthClass, UfnarovskiGraph, build_ufnarovski, classify_growth
+from .growth import (
+    GrowthClass,
+    UfnarovskiGraph,
+    automaton_growth,
+    build_ufnarovski,
+    classify_growth,
+)
 from .render import denominator_str, poly_str, word_str
 from .rewrite import GroebnerBasis, MonomialSet, ensure_verified, overlap_ambiguities
 from .rees import ReesInvariants, extend_order, rees_invariants
@@ -149,8 +156,28 @@ class AnalysisReport:
     sets: ChainSets
     pbw: bool
     warnings: tuple[str, ...]
-    growth_graph: UfnarovskiGraph
     chain_graph: ChainGraph
+
+    @cached_property
+    def growth_graph(self) -> UfnarovskiGraph:
+        """The Ufnarovski graph, built on first use (it has up to n^(ell-1)
+        vertices; the class and degree never need it)."""
+        return build_ufnarovski(self.omega, self.presentation.alphabet)
+
+    @cached_property
+    def growth_witness(self):
+        """Two cycles of the Ufnarovski graph through one vertex, or None
+        for polynomial growth.  The graph's own classification must agree
+        with ``growth``, which the automaton decided."""
+        graph_growth = classify_growth(self.growth_graph)
+        if (graph_growth.exponential, graph_growth.degree) != (
+            self.growth.exponential, self.growth.degree
+        ):
+            raise CrossCheckError(
+                "the Ufnarovski graph and the factor automaton classify the "
+                "growth differently"
+            )
+        return graph_growth.witness
 
 
 def analyze(
@@ -165,8 +192,7 @@ def analyze(
     checked = len(overlap_ambiguities(basis))
     omega = MonomialSet.interreduce(basis.leading_words)
 
-    growth_graph = build_ufnarovski(omega, alphabet)
-    growth = classify_growth(growth_graph)
+    growth = automaton_growth(omega, alphabet)
 
     chain_graph = build_chain_graph(omega, alphabet)
     sets = chain_sets(chain_graph, max_level)
@@ -221,7 +247,6 @@ def analyze(
         sets=sets,
         pbw=pbw,
         warnings=warnings,
-        growth_graph=growth_graph,
         chain_graph=chain_graph,
     )
 
@@ -313,8 +338,8 @@ def _text_report(report: AnalysisReport) -> str:
     )
     lines.append("")
     lines.append("(1) growth of the monomial algebra: " + _fmt_growth(report.growth))
-    if report.growth.exponential and report.growth.witness is not None:
-        c1, c2 = report.growth.witness
+    if report.growth.exponential:
+        c1, c2 = report.growth_witness
         shared = c1[0][0]
         lines.append(
             "    witness: two cycles through "

@@ -26,7 +26,7 @@ from .chains import (
 )
 from .errors import CrossCheckError
 from .freealg import Alphabet, MonomialOrder, Poly, Word, leading_data
-from .growth import GrowthClass, build_ufnarovski, classify_growth
+from .growth import GrowthClass, automaton_growth
 from .render import word_str
 from .rewrite import GroebnerBasis, MonomialSet, ensure_verified, verify_groebner
 
@@ -245,7 +245,7 @@ def rees_invariants(
     presentation = tilde_basis(basis)
     ext = presentation.ext
     omega = MonomialSet.interreduce(presentation.basis.leading_words)
-    growth = classify_growth(build_ufnarovski(omega, ext.alphabet))
+    growth = automaton_growth(omega, ext.alphabet)
     graph = build_chain_graph(omega, ext.alphabet)
     sets = chain_sets(graph, max_level)
     gldim = len(sets.levels) if sets.finite else None
@@ -262,9 +262,7 @@ def rees_invariants(
         raise CrossCheckError("Rees chain finiteness differs from the base")
     if sets.finite and gldim != len(base_sets.levels) + 1:
         raise CrossCheckError("Rees global dimension is not base + 1")
-    base_growth = classify_growth(
-        build_ufnarovski(base_omega, base_alphabet)
-    )
+    base_growth = automaton_growth(base_omega, base_alphabet)
     if base_growth.is_polynomial:
         if growth.exponential or growth.degree != base_growth.degree + 1:
             raise CrossCheckError("Rees growth degree is not base + 1")

@@ -79,6 +79,10 @@ class FactorAutomaton:
                 return 0
             state = self._fail[state]
 
+    def is_terminal(self, state: int) -> bool:
+        """True iff some pattern ends where ``state`` is reached."""
+        return self._terminal[state]
+
     def is_normal(self, word: Word) -> bool:
         """True iff no pattern occurs in ``word`` as a factor."""
         state = 0

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from ncdim import analyze, load_presentation, report_to_dict
+import ncdim.pipeline
+from ncdim import GrowthClass, analyze, load_presentation, report_to_dict
 from ncdim.cli import main
 
 SAMPLES = Path(__file__).resolve().parent.parent / "presentations"
@@ -108,6 +109,41 @@ class TestGrowth:
             "  cycle 1 through 1: 1->1\n"
             "  cycle 2 through 1: 1->1\n"
         )
+
+
+class TestWitnessCrossCheck:
+    @pytest.fixture
+    def graph_says_polynomial(self, monkeypatch):
+        monkeypatch.setattr(
+            ncdim.pipeline, "classify_growth", lambda graph: GrowthClass(False, 1)
+        )
+
+    @pytest.mark.parametrize(
+        "argv", [["growth"], ["report", "--format", "text"]]
+    )
+    def test_disagreement_exits_4(self, graph_says_polynomial, argv, tmp_path, capsys):
+        assert main(argv[:1] + [free2(tmp_path)] + argv[1:]) == 4
+        captured = capsys.readouterr()
+        assert "internal cross-check violated" in captured.err
+        assert "classify the growth differently" in captured.err
+
+    def test_outputs_without_the_witness_skip_it(self, graph_says_polynomial, tmp_path):
+        path = free2(tmp_path)
+        for argv in (["report", path], ["gldim", path], ["graph", path]):
+            assert main(argv) == 0
+
+
+class TestLongObstructions:
+    def test_x1_twenty_check_gb_and_json_report(self, tmp_path, capsys):
+        path = write(
+            tmp_path,
+            {"variables": [{"name": "x1"}, {"name": "x2"}], "relations": ["x1^20"]},
+        )
+        assert main(["check-gb", path]) == 0
+        assert main(["report", "--format", "json", path]) == 0
+        payload = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+        assert payload["growth"] == {"class": "exponential", "degree": None}
+        assert payload["gldim_monomial"] == "infinity"
 
 
 class TestGldim:

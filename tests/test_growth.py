@@ -1,11 +1,16 @@
 import itertools
+import random
+
+import pytest
 
 from ncdim import (
     Alphabet,
     MonomialSet,
+    automaton_growth,
     build_ufnarovski,
     classify_growth,
     count_paths,
+    extend_alphabet,
     gk_dimension,
 )
 from ncdim.growth import emit_dot
@@ -72,37 +77,48 @@ class TestBuildGraph:
         assert out[(0, 1)] == [((0, 1), (1, 0), 0)]
 
 
+def classify_both(omega, alphabet):
+    """The graph classification, after checking the automaton agrees."""
+    graph_growth = classify_growth(build_ufnarovski(omega, alphabet))
+    fast = automaton_growth(omega, alphabet)
+    assert fast.witness is None
+    assert (fast.exponential, fast.degree) == (
+        graph_growth.exponential, graph_growth.degree
+    )
+    return graph_growth
+
+
 class TestClassification:
     def test_down_up_polynomial_of_degree_three(self):
-        growth = classify_growth(build_ufnarovski(DOWN_UP, AB))
+        growth = classify_both(DOWN_UP, AB)
         assert growth.is_polynomial and growth.degree == 3
         assert growth.witness is None
 
     def test_power_two_exponential(self):
-        growth = classify_growth(build_ufnarovski(POWER2, AB))
+        growth = classify_both(POWER2, AB)
         assert growth.exponential
 
     def test_free_on_two_letters_exponential_with_loop_witness(self):
-        growth = classify_growth(build_ufnarovski(MonomialSet.interreduce([]), AB))
+        growth = classify_both(MonomialSet.interreduce([]), AB)
         assert growth.exponential
         assert growth.witness == ((((), (), 0),), (((), (), 1),))
 
     def test_free_on_one_letter_linear(self):
-        growth = classify_growth(build_ufnarovski(MonomialSet.interreduce([]), ONE))
+        growth = classify_both(MonomialSet.interreduce([]), ONE)
         assert growth.is_polynomial and growth.degree == 1
 
     def test_nilpotent_is_degree_zero(self):
-        growth = classify_growth(build_ufnarovski(MonomialSet(((0, 0),)), ONE))
+        growth = classify_both(MonomialSet(((0, 0),)), ONE)
         assert growth.is_polynomial and growth.degree == 0
 
     def test_commutation_degree_equals_letter_count(self):
         omega = MonomialSet(((1, 0), (2, 0), (2, 1)))
-        growth = classify_growth(build_ufnarovski(omega, AB3))
+        growth = classify_both(omega, AB3)
         assert growth.is_polynomial and growth.degree == 3
 
     def test_witness_cycles_share_a_vertex_and_differ(self):
         graph = build_ufnarovski(MonomialSet(((0, 0),)), AB3)
-        growth = classify_growth(graph)
+        growth = classify_both(MonomialSet(((0, 0),)), AB3)
         assert growth.exponential
         first, second = growth.witness
         assert first != second
@@ -149,3 +165,64 @@ class TestDot:
     def test_letter_names_in_vertices(self):
         dot = emit_dot(build_ufnarovski(DOWN_UP, AB))
         assert '"x1*x2"' in dot
+
+
+def _random_case(rng):
+    n = rng.randint(1, 3)
+    weights = tuple(rng.choice((1, 1, 2, 3)) for _ in range(n))
+    alphabet = Alphabet(tuple(f"x{i + 1}" for i in range(n)), weights)
+    words = [
+        tuple(rng.randrange(n) for _ in range(rng.choice((1, 2, 3, 4, 5, 6, 6))))
+        for _ in range(rng.randint(0, 4))
+    ]
+    return alphabet, MonomialSet.interreduce(words)
+
+
+def _rees_case(omega, alphabet):
+    """Omega plus x_i T for every letter, over the alphabet extended by T."""
+    ext = extend_alphabet(alphabet)
+    t = ext.t_index
+    words = list(omega.words) + [(i, t) for i in range(alphabet.n)]
+    return MonomialSet.interreduce(words), ext.alphabet
+
+
+DIFFERENTIAL = [_random_case(random.Random(9000 + k)) for k in range(300)]
+
+
+class TestAutomatonAgainstGraph:
+    """The automaton classifier against the Ufnarovski graph it replaces."""
+
+    def test_corpus_covers_the_edge_cases(self):
+        assert {a.n for a, _ in DIFFERENTIAL} == {1, 2, 3}
+        assert max(omega.ell for _, omega in DIFFERENTIAL) == 6
+        assert any(not omega.words for _, omega in DIFFERENTIAL)
+        assert any(
+            any(len(w) == 1 for w in omega.words) for _, omega in DIFFERENTIAL
+        )
+        assert any(set(a.weights) != {1} for a, _ in DIFFERENTIAL)
+        classes = [automaton_growth(omega, a) for a, omega in DIFFERENTIAL]
+        assert any(g.exponential for g in classes)
+        assert {g.degree for g in classes} >= {0, 1, 2}
+        rees = [automaton_growth(*_rees_case(omega, a)) for a, omega in DIFFERENTIAL]
+        assert {g.degree for g in rees} >= {1, 2, 3}
+
+    @pytest.mark.parametrize("index", range(len(DIFFERENTIAL)))
+    def test_base_and_rees_sets_agree(self, index):
+        alphabet, omega = DIFFERENTIAL[index]
+        classify_both(omega, alphabet)
+        classify_both(*_rees_case(omega, alphabet))
+
+    @pytest.mark.parametrize("alphabet", [ONE, AB, AB3])
+    def test_empty_set(self, alphabet):
+        growth = classify_both(MonomialSet.interreduce([]), alphabet)
+        assert growth.exponential == (alphabet.n > 1)
+
+    def test_dead_letters(self):
+        assert classify_both(MonomialSet(((0,),)), AB).degree == 1
+        assert classify_both(MonomialSet(((0,), (1,))), AB).degree == 0
+        assert classify_both(MonomialSet(((0,), (2, 1))), AB3).degree == 2
+
+    def test_weights_do_not_change_the_class(self):
+        weighted = Alphabet(("x1", "x2"), (1, 3))
+        for omega in (DOWN_UP, POWER2, MonomialSet(((1, 0),))):
+            assert classify_both(omega, weighted) == classify_both(omega, AB)

@@ -6,11 +6,13 @@ from pathlib import Path
 
 import pytest
 
+import ncdim.pipeline
 from ncdim import (
     GroebnerVerificationError,
     InputError,
     Poly,
     analyze,
+    count_normal_words,
     load_presentation,
     load_presentation_data,
     pbw_check,
@@ -321,6 +323,43 @@ class TestAnalyzeFrozen:
         )
         assert r.gldim_monomial == 1
         assert r.growth.degree == 1
+
+
+def power_of_x1(k: int):
+    return load_presentation_data(
+        {"variables": [{"name": "x1"}, {"name": "x2"}], "relations": [f"x1^{k}"]}
+    )
+
+
+class TestLongObstructions:
+    """Inputs whose Ufnarovski graph has 2^19 or 2^40 vertices."""
+
+    @pytest.fixture(autouse=True)
+    def no_growth_graph(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("analyze built the Ufnarovski graph")
+
+        monkeypatch.setattr(ncdim.pipeline, "build_ufnarovski", refuse)
+
+    def test_x1_twenty(self):
+        r = analyze(power_of_x1(20))
+        assert r.growth.exponential and r.growth.degree is None
+        assert r.gldim_monomial is None
+        assert r.rees.gldim is None
+        assert list(r.hilbert.coefficients) == count_normal_words(
+            r.omega, r.presentation.alphabet, len(r.hilbert.coefficients) - 1
+        )
+        render_report(r, "json")
+
+    def test_power_family_forty(self):
+        r = analyze(power_family(40))
+        assert r.omega.words == ((1,) * 40 + (0,),)
+        assert r.growth.exponential and r.rees.growth.exponential
+
+    def test_polynomial_text_report_needs_no_graph(self):
+        r = analyze(down_up())
+        assert r.growth.degree == 3
+        assert b"witness" not in render_report(r, "text")
 
 
 class TestHilbertAgainstBinomials:
