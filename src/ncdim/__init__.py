@@ -9,7 +9,6 @@ from .chains import (
     HilbertSeries,
     build_chain_graph,
     chain_sets,
-    global_dimension_monomial,
     hilbert_series,
     product_form_decomposition,
 )
@@ -29,7 +28,6 @@ from .freealg import (
     leading_homogeneous,
     leading_word,
     parse_polynomial,
-    weighted_degree,
 )
 from .growth import (
     GrowthClass,
@@ -38,7 +36,6 @@ from .growth import (
     build_ufnarovski,
     classify_growth,
     count_paths,
-    gk_dimension,
 )
 from .pipeline import (
     AnalysisReport,
@@ -54,6 +51,7 @@ from .rees import (
     ExtendedAlphabet,
     ReesInvariants,
     ReesPresentation,
+    check_transfer,
     dehomogenize,
     extend_alphabet,
     extend_order,
@@ -68,8 +66,6 @@ from .rewrite import (
     VerificationResult,
     count_normal_words,
     ensure_verified,
-    interreduce_monomials,
-    is_normal,
     normal_form,
     overlap_ambiguities,
     s_element,

@@ -109,6 +109,12 @@ class ChainSets:
             return self.levels[n]
         return ()
 
+    @property
+    def gldim(self) -> int | None:
+        """Global dimension: the first level at which the chain sets vanish;
+        None = infinite."""
+        return len(self.levels) if self.finite else None
+
 
 def _cycle_reachable(graph: ChainGraph) -> bool:
     # iterative DFS with colors, restricted to the part reachable from the root
@@ -148,14 +154,6 @@ def chain_sets(graph: ChainGraph, max_level: int = DEFAULT_MAX_LEVEL) -> ChainSe
             f"chain enumeration exceeded max_level={max_level}; raise the cap"
         )
     return ChainSets(tuple(levels), finite)
-
-
-def global_dimension_monomial(
-    omega: MonomialSet, alphabet: Alphabet, max_level: int = DEFAULT_MAX_LEVEL
-) -> int | None:
-    """First level at which the chain sets vanish; None = infinite."""
-    sets = chain_sets(build_chain_graph(omega, alphabet), max_level)
-    return len(sets.levels) if sets.finite else None
 
 
 @dataclass(frozen=True)
@@ -207,17 +205,14 @@ def chain_denominator(sets: ChainSets, alphabet: Alphabet) -> tuple[int, ...]:
 
 
 def hilbert_series(
-    omega: MonomialSet,
-    alphabet: Alphabet,
-    truncation: int = 16,
-    max_level: int = DEFAULT_MAX_LEVEL,
+    sets: ChainSets, omega: MonomialSet, alphabet: Alphabet, truncation: int = 16
 ) -> HilbertSeries:
-    """Hilbert series of the monomial algebra defined by ``omega``.
+    """Hilbert series of the monomial algebra defined by ``omega``, whose
+    chain sets are ``sets``.
 
     With finite chain sets the closed form 1/D(t) is produced and expanded;
     otherwise the coefficients fall back to direct normal-word counting.
     """
-    sets = chain_sets(build_chain_graph(omega, alphabet), max_level)
     if sets.finite:
         den = chain_denominator(sets, alphabet)
         coeffs = expand_reciprocal(den, truncation)

@@ -12,16 +12,20 @@ import sys
 
 from . import chains as chains_mod
 from . import growth as growth_mod
-from .chains import DEFAULT_MAX_LEVEL
 from .errors import CrossCheckError, GroebnerVerificationError, InputError
 from .pipeline import (
     DEFAULT_TRUNCATION,
     analyze,
+    fmt_cycle,
+    fmt_dim,
+    fmt_growth,
+    fmt_hilbert,
+    fmt_rees_relations,
     load_presentation,
     render_report,
 )
-from .render import denominator_str, poly_str, word_str
-from .rees import extend_order
+from .render import word_str
+from .rewrite import ensure_verified
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -34,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, **extra):
+    def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="presentation file (JSON)")
         return p
@@ -68,40 +72,30 @@ def _run(args) -> int:
     presentation = load_presentation(args.file)
     alphabet = presentation.alphabet
 
-    if args.command == "hilbert":
-        if args.terms < 0:
-            raise InputError("--terms must be nonnegative")
-        report = analyze(presentation, truncation=args.terms)
-    else:
-        report = analyze(presentation)
-
     if args.command == "check-gb":
+        result = ensure_verified(presentation.basis)
         print(
             f"ok: {len(presentation.basis)} relations verified "
-            f"({report.overlaps_checked} overlap ambiguities reduce to zero)"
+            f"({result.checked} overlap ambiguities reduce to zero)"
         )
         return 0
 
+    terms = getattr(args, "terms", DEFAULT_TRUNCATION)
+    if terms < 0:
+        raise InputError("--terms must be nonnegative")
+    report = analyze(presentation, truncation=terms)
+
     if args.command == "growth":
-        g = report.growth
-        if g.exponential:
-            print("growth: exponential")
+        print("growth: " + fmt_growth(report.growth))
+        if report.growth.exponential:
             c1, c2 = report.growth_witness
             shared = word_str(c1[0][0], alphabet)
             for k, cycle in enumerate((c1, c2), 1):
-                path = "->".join(
-                    [word_str(cycle[0][0], alphabet)]
-                    + [word_str(e[1], alphabet) for e in cycle]
-                )
-                print(f"  cycle {k} through {shared}: {path}")
-        else:
-            print(f"growth: polynomial of degree {g.degree}")
+                print(f"  cycle {k} through {shared}: {fmt_cycle(cycle, alphabet)}")
         return 0
 
     if args.command == "gldim":
-        def fmt(v):
-            return "infinite" if v is None else str(v)
-        print(f"gl.dim of the monomial algebra: {fmt(report.gldim_monomial)}")
+        print("gl.dim of the monomial algebra: " + fmt_dim(report.gldim_monomial))
         if report.applicable:
             print(f"gl.dim of the associated graded algebra: {report.gldim_assoc_graded}")
             print(f"gl.dim of the Rees algebra: {report.rees.gldim}")
@@ -111,28 +105,21 @@ def _run(args) -> int:
         return 0
 
     if args.command == "hilbert":
-        h = report.hilbert
-        if h.closed_form:
-            print(f"closed form: 1/({denominator_str(h.denominator)})")
-        else:
-            print("closed form: none (chain sets do not vanish)")
-        print("coefficients:", ", ".join(str(c) for c in h.coefficients))
+        closed, coefficients = fmt_hilbert(report.hilbert)
+        print(f"closed form: {closed}")
+        print(f"coefficients: {coefficients}")
         return 0
 
     if args.command == "rees":
-        ext = report.rees.presentation.ext
-        ext_order = extend_order(presentation.order, ext)
         print("relations:")
-        for g in report.rees.presentation.basis.elements:
-            print("  " + poly_str(g, ext_order))
-        rg = report.rees.growth
-        print("growth:", "exponential" if rg.exponential
-              else f"polynomial of degree {rg.degree}")
-        print("gl.dim:", "infinite" if report.rees.gldim is None else report.rees.gldim)
-        h = report.rees.hilbert
-        if h.closed_form:
-            print(f"hilbert: 1/({denominator_str(h.denominator)})")
-        print("coefficients:", ", ".join(str(c) for c in h.coefficients))
+        for g in fmt_rees_relations(report):
+            print("  " + g)
+        print("growth: " + fmt_growth(report.rees.growth))
+        print("gl.dim: " + fmt_dim(report.rees.gldim))
+        closed, coefficients = fmt_hilbert(report.rees.hilbert)
+        if report.rees.hilbert.closed_form:
+            print(f"hilbert: {closed}")
+        print(f"coefficients: {coefficients}")
         return 0
 
     if args.command == "pbw":

@@ -61,10 +61,6 @@ class Alphabet:
         return sum(weights[i] for i in word)
 
 
-def weighted_degree(word: Word, alphabet: Alphabet) -> int:
-    return alphabet.degree(word)
-
-
 @dataclass(frozen=True)
 class MonomialOrder:
     """Weighted-degree-first word order; ties broken (reverse) lexicographically.

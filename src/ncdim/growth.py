@@ -267,12 +267,6 @@ def automaton_growth(omega: MonomialSet, alphabet: Alphabet) -> GrowthClass:
     return GrowthClass(False, degree)
 
 
-def gk_dimension(omega: MonomialSet, alphabet: Alphabet) -> int | None:
-    """Gelfand-Kirillov dimension of the monomial algebra; None = infinite."""
-    growth = automaton_growth(omega, alphabet)
-    return None if growth.exponential else growth.degree
-
-
 def count_paths(graph: UfnarovskiGraph, num_edges: int) -> int:
     """Number of directed paths with exactly ``num_edges`` edges."""
     counts = {v: 1 for v in graph.vertices}

@@ -43,8 +43,8 @@ from .growth import (
     classify_growth,
 )
 from .render import denominator_str, poly_str, word_str
-from .rewrite import GroebnerBasis, MonomialSet, ensure_verified, overlap_ambiguities
-from .rees import ReesInvariants, extend_order, rees_invariants
+from .rewrite import GroebnerBasis, MonomialSet, ensure_verified
+from .rees import ReesInvariants, check_transfer, extend_order, rees_invariants
 
 DEFAULT_TRUNCATION = 16
 
@@ -133,10 +133,9 @@ def pbw_check(basis: GroebnerBasis) -> bool:
     """True iff the obstructions are exactly {X_j X_i : i < j} (declaration order),
     so the normal words are the ordered monomials X_1^a1 ... X_n^an."""
     ensure_verified(basis)
-    omega = MonomialSet.interreduce(basis.leading_words)
     n = basis.order.alphabet.n
     expected = {(j, i) for j in range(n) for i in range(j)}
-    return set(omega.words) == expected
+    return set(basis.omega.words) == expected
 
 
 @dataclass
@@ -185,36 +184,35 @@ def analyze(
     truncation: int = DEFAULT_TRUNCATION,
     max_level: int = DEFAULT_MAX_LEVEL,
 ) -> AnalysisReport:
-    """Run the whole procedure; raises on verification or cross-check failure."""
+    """Run the whole procedure once, each stage on the results of the
+    earlier ones; raises on verification or cross-check failure."""
     basis = presentation.basis
     alphabet = presentation.alphabet
-    ensure_verified(basis)
-    checked = len(overlap_ambiguities(basis))
-    omega = MonomialSet.interreduce(basis.leading_words)
+    checked = ensure_verified(basis).checked
+    omega = basis.omega
 
     growth = automaton_growth(omega, alphabet)
 
     chain_graph = build_chain_graph(omega, alphabet)
     sets = chain_sets(chain_graph, max_level)
-    gldim_monomial = len(sets.levels) if sets.finite else None
+    gldim_monomial = sets.gldim
 
-    hilbert = hilbert_series(omega, alphabet, truncation, max_level)
+    hilbert = hilbert_series(sets, omega, alphabet, truncation)
 
     lh_basis = tuple(leading_homogeneous(g, alphabet) for g in basis.elements)
     rees = rees_invariants(basis, truncation, max_level)
+    check_transfer(rees, sets, growth)
 
     applicable = growth.is_polynomial and gldim_monomial is not None
     gldim_assoc_graded = None
     if applicable:
-        # exactness transfers; the equalities below are theorems, so a
+        # exactness transfers; the equality below is a theorem, so a
         # mismatch means a computation bug
         if growth.degree != gldim_monomial:
             raise CrossCheckError(
                 f"polynomial growth degree {growth.degree} differs from the "
                 f"monomial global dimension {gldim_monomial}"
             )
-        if rees.gldim != gldim_monomial + 1:
-            raise CrossCheckError("Rees global dimension is not base + 1")
         gldim_assoc_graded = gldim_monomial
 
     pbw = pbw_check(basis)
@@ -299,34 +297,47 @@ def report_to_dict(report: AnalysisReport) -> dict:
     }
 
 
-def _fmt_dim(value: int | None) -> str:
+# Line helpers shared by the text report and the CLI subcommands.
+
+def fmt_dim(value: int | None) -> str:
     return "infinite" if value is None else str(value)
 
 
-def _fmt_growth(growth: GrowthClass) -> str:
+def fmt_growth(growth: GrowthClass) -> str:
     if growth.exponential:
         return "exponential"
     return f"polynomial of degree {growth.degree}"
 
 
-def _fmt_hilbert(h: HilbertSeries) -> list[str]:
-    lines = []
+def fmt_hilbert(h: HilbertSeries) -> tuple[str, str]:
+    """The closed form (or why there is none) and the coefficient list."""
     if h.closed_form:
-        lines.append(f"  closed form: 1/({denominator_str(h.denominator)})")
+        closed = f"1/({denominator_str(h.denominator)})"
     else:
-        lines.append("  closed form: none (chain sets do not vanish)")
-    lines.append(
-        "  coefficients: " + ", ".join(str(c) for c in h.coefficients)
+        closed = "none (chain sets do not vanish)"
+    return closed, ", ".join(str(c) for c in h.coefficients)
+
+
+def fmt_cycle(cycle, alphabet: Alphabet) -> str:
+    """A witness cycle as its vertex path, e.g. ``x1->x2->x1``."""
+    return "->".join(
+        [word_str(cycle[0][0], alphabet)] + [word_str(e[1], alphabet) for e in cycle]
     )
-    return lines
+
+
+def fmt_rees_relations(report: AnalysisReport) -> list[str]:
+    ext_order = extend_order(report.presentation.order, report.rees.presentation.ext)
+    return [poly_str(g, ext_order) for g in report.rees.presentation.basis.elements]
+
+
+def _hilbert_lines(h: HilbertSeries) -> list[str]:
+    closed, coefficients = fmt_hilbert(h)
+    return [f"  closed form: {closed}", f"  coefficients: {coefficients}"]
 
 
 def _text_report(report: AnalysisReport) -> str:
     pres = report.presentation
     alphabet = pres.alphabet
-    order = pres.order
-    ext = report.rees.presentation.ext
-    ext_order = extend_order(order, ext)
     lines: list[str] = []
     lines.append(
         "Groebner basis: verified "
@@ -337,22 +348,16 @@ def _text_report(report: AnalysisReport) -> str:
         + (", ".join(word_str(w, alphabet) for w in report.omega.words) or "none")
     )
     lines.append("")
-    lines.append("(1) growth of the monomial algebra: " + _fmt_growth(report.growth))
+    lines.append("(1) growth of the monomial algebra: " + fmt_growth(report.growth))
     if report.growth.exponential:
         c1, c2 = report.growth_witness
-        shared = c1[0][0]
         lines.append(
-            "    witness: two cycles through "
-            + word_str(shared, alphabet)
-            + ": "
-            + " / ".join(
-                "->".join([word_str(c[0][0], alphabet)] + [word_str(e[1], alphabet) for e in c])
-                for c in (c1, c2)
-            )
+            f"    witness: two cycles through {word_str(c1[0][0], alphabet)}: "
+            f"{fmt_cycle(c1, alphabet)} / {fmt_cycle(c2, alphabet)}"
         )
     lines.append(
         "(2) global dimension of the monomial algebra: "
-        + _fmt_dim(report.gldim_monomial)
+        + fmt_dim(report.gldim_monomial)
     )
     for i, level in enumerate(report.sets.levels):
         lines.append(
@@ -392,7 +397,7 @@ def _text_report(report: AnalysisReport) -> str:
             )
     lines.append("")
     lines.append("Hilbert series of the monomial algebra:")
-    lines.extend(_fmt_hilbert(report.hilbert))
+    lines.extend(_hilbert_lines(report.hilbert))
     if report.product_form is not None:
         lines.append(
             "  product form: "
@@ -403,14 +408,13 @@ def _text_report(report: AnalysisReport) -> str:
     lines.append("")
     lines.append("associated graded relations (leading homogeneous parts):")
     for g in report.lh_basis:
-        lines.append("  " + poly_str(g, order))
+        lines.append("  " + poly_str(g, pres.order))
     lines.append("")
     lines.append("Rees algebra (homogenized presentation, T central of weight 1):")
-    for g in report.rees.presentation.basis.elements:
-        lines.append("  " + poly_str(g, ext_order))
-    lines.append("  growth: " + _fmt_growth(report.rees.growth))
-    lines.append("  global dimension: " + _fmt_dim(report.rees.gldim))
-    lines.extend(_fmt_hilbert(report.rees.hilbert))
+    lines.extend("  " + g for g in fmt_rees_relations(report))
+    lines.append("  growth: " + fmt_growth(report.rees.growth))
+    lines.append("  global dimension: " + fmt_dim(report.rees.gldim))
+    lines.extend(_hilbert_lines(report.rees.hilbert))
     lines.append("")
     lines.append(
         "ordered-monomial (PBW) normal words: " + ("yes" if report.pbw else "no")

@@ -8,7 +8,8 @@ all, so homogenizing never moves the leading word: the leading words are
 exactly LM(G) u {X_i T}, the homogenized set is again a Groebner basis, and
 the chain sets decompose level by level as C~_i = C_i u C_{i-1}T — all
 three facts are re-verified at runtime and a violation raises
-CrossCheckError.
+CrossCheckError.  :func:`rees_invariants` computes the Rees side only;
+:func:`check_transfer` compares it with base invariants computed elsewhere.
 """
 
 from __future__ import annotations
@@ -154,8 +155,8 @@ def tilde_basis(basis: GroebnerBasis) -> ReesPresentation:
     for i in live:
         elements.append(Poly({(i, t): 1, (t, i): -1}))
     tilded = GroebnerBasis(elements, ext_order)
-    expected = set(basis.leading_words) | {(i, t) for i in live}
-    if set(tilded.leading_words) != expected:
+    expected = set(basis.omega.words) | {(i, t) for i in live}
+    if set(tilded.omega.words) != expected:
         raise CrossCheckError(
             "homogenized leading words differ from LM(G) plus the commutators"
         )
@@ -174,11 +175,14 @@ class ReesInvariants:
     presentation: ReesPresentation
     omega: MonomialSet
     growth: GrowthClass
-    gldim: int | None
     hilbert: HilbertSeries
     sets: ChainSets
     graph: ChainGraph
     warnings: tuple[str, ...]
+
+    @property
+    def gldim(self) -> int | None:
+        return self.sets.gldim
 
 
 def _check_graph_embedding(graph: ChainGraph, ext: ExtendedAlphabet) -> None:
@@ -238,36 +242,32 @@ def rees_invariants(
 ) -> ReesInvariants:
     """Growth, global dimension, and Hilbert data of the Rees algebra.
 
-    Everything is recomputed from scratch on the extended alphabet; the
-    expected relations to the base invariants (degree + 1, dimension + 1,
-    chain-level decomposition) are asserted as cross-checks.
+    Only the Rees side is computed, on the extended alphabet, with the
+    Rees-only check that the T vertex embeds in the chain graph as a sink.
     """
     presentation = tilde_basis(basis)
     ext = presentation.ext
-    omega = MonomialSet.interreduce(presentation.basis.leading_words)
+    omega = presentation.basis.omega
     growth = automaton_growth(omega, ext.alphabet)
     graph = build_chain_graph(omega, ext.alphabet)
-    sets = chain_sets(graph, max_level)
-    gldim = len(sets.levels) if sets.finite else None
-    hilbert = hilbert_series(omega, ext.alphabet, truncation, max_level)
-
-    base_omega = MonomialSet.interreduce(basis.leading_words)
-    base_alphabet = basis.order.alphabet
-    base_sets = chain_sets(build_chain_graph(base_omega, base_alphabet), max_level)
-
     _check_graph_embedding(graph, ext)
-    _check_level_decomposition(sets, base_sets, ext)
-    _check_top_level(sets, base_sets, ext)
-    if base_sets.finite != sets.finite:
-        raise CrossCheckError("Rees chain finiteness differs from the base")
-    if sets.finite and gldim != len(base_sets.levels) + 1:
-        raise CrossCheckError("Rees global dimension is not base + 1")
-    base_growth = automaton_growth(base_omega, base_alphabet)
-    if base_growth.is_polynomial:
-        if growth.exponential or growth.degree != base_growth.degree + 1:
-            raise CrossCheckError("Rees growth degree is not base + 1")
-
+    sets = chain_sets(graph, max_level)
+    hilbert = hilbert_series(sets, omega, ext.alphabet, truncation)
     warnings = presentation.warnings + graph.warnings
-    return ReesInvariants(
-        presentation, omega, growth, gldim, hilbert, sets, graph, warnings
-    )
+    return ReesInvariants(presentation, omega, growth, hilbert, sets, graph, warnings)
+
+
+def check_transfer(rees: ReesInvariants, sets: ChainSets, growth: GrowthClass) -> None:
+    """Assert the Rees invariants against the base chain sets and growth:
+    C~_i = C_i u C_{i-1}T, maximal chains end in T, equal finiteness,
+    global dimension + 1 and GK degree + 1 (for polynomial growth)."""
+    ext = rees.presentation.ext
+    _check_level_decomposition(rees.sets, sets, ext)
+    _check_top_level(rees.sets, sets, ext)
+    if sets.finite != rees.sets.finite:
+        raise CrossCheckError("Rees chain finiteness differs from the base")
+    if sets.finite and rees.gldim != sets.gldim + 1:
+        raise CrossCheckError("Rees global dimension is not base + 1")
+    if growth.is_polynomial:
+        if rees.growth.exponential or rees.growth.degree != growth.degree + 1:
+            raise CrossCheckError("Rees growth degree is not base + 1")

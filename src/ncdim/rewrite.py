@@ -180,14 +180,6 @@ class MonomialSet:
         return f"MonomialSet({list(self.words)!r})"
 
 
-def interreduce_monomials(words: Iterable[Word]) -> MonomialSet:
-    return MonomialSet.interreduce(words)
-
-
-def is_normal(word: Word, omega: MonomialSet) -> bool:
-    return omega.is_normal(word)
-
-
 def count_normal_words(omega: MonomialSet, alphabet: Alphabet, up_to: int) -> list[int]:
     """Dimensions of the monomial algebra per weighted degree 0..up_to."""
     if up_to < 0:
@@ -208,12 +200,15 @@ def _count_all_words(alphabet: Alphabet, up_to: int) -> list[int]:
 class GroebnerBasis:
     """Monic, LM-reduced relation list plus the graded order selecting the LMs.
 
-    ``verified`` starts false and is set by :func:`verify_groebner`; operations
-    whose meaning depends on the Groebner property call :func:`ensure_verified`.
+    ``omega`` is the obstruction set LM(G); LM-reduction makes the leading
+    words an antichain already, so it is never interreduced again.
+    ``verification`` starts as None and holds the successful result of
+    :func:`verify_groebner`; operations whose meaning depends on the Groebner
+    property call :func:`ensure_verified`.
     """
 
-    __slots__ = ("elements", "order", "leading_words", "verified",
-                 "_lm_automaton", "_reduction_order")
+    __slots__ = ("elements", "order", "leading_words", "omega", "verification",
+                 "_reduction_order")
 
     def __init__(self, relations: Iterable[Poly], order: MonomialOrder):
         elements: list[Poly] = []
@@ -240,8 +235,8 @@ class GroebnerBasis:
         self.elements = tuple(elements)
         self.order = order
         self.leading_words = tuple(leading)
-        self.verified = False
-        self._lm_automaton = FactorAutomaton(leading) if leading else None
+        self.omega = MonomialSet(leading)
+        self.verification: VerificationResult | None = None
         # reduction strategy: longest leading word first, then lowest index
         self._reduction_order = sorted(
             range(len(leading)), key=lambda i: (-len(leading[i]), i)
@@ -250,10 +245,12 @@ class GroebnerBasis:
     def __len__(self):
         return len(self.elements)
 
+    @property
+    def verified(self) -> bool:
+        return self.verification is not None
+
     def reducible(self, word: Word) -> bool:
-        if self._lm_automaton is None:
-            return False
-        return not self._lm_automaton.is_normal(word)
+        return not self.omega.is_normal(word)
 
     def find_reduction(self, word: Word) -> tuple[int, int] | None:
         """(relation index, position) per the strategy; None when normal."""
@@ -349,22 +346,24 @@ class VerificationResult:
 def verify_groebner(basis: GroebnerBasis) -> VerificationResult:
     """Diamond-lemma check: every S-element must reduce to zero.
 
-    On success the basis is flagged verified; on failure the result carries
-    the first failing ambiguity (fixed enumeration order) and its remainder.
+    On success the result is kept as ``basis.verification``; on failure it
+    carries the first failing ambiguity (fixed enumeration order) and its
+    remainder.
     """
     ambiguities = overlap_ambiguities(basis)
     for amb in ambiguities:
         remainder = normal_form(s_element(basis, amb), basis)
         if not remainder.is_zero:
             return VerificationResult(False, len(ambiguities), amb, remainder)
-    basis.verified = True
-    return VerificationResult(True, len(ambiguities))
+    basis.verification = VerificationResult(True, len(ambiguities))
+    return basis.verification
 
 
-def ensure_verified(basis: GroebnerBasis) -> None:
-    """Verify on first use; raise with a printable witness on failure."""
-    if basis.verified:
-        return
+def ensure_verified(basis: GroebnerBasis) -> VerificationResult:
+    """Verify on first use and return the successful result; raise with a
+    printable witness on failure."""
+    if basis.verification is not None:
+        return basis.verification
     result = verify_groebner(basis)
     if not result.ok:
         amb = result.ambiguity
@@ -377,3 +376,4 @@ def ensure_verified(basis: GroebnerBasis) -> None:
             ambiguity=amb,
             remainder=result.remainder,
         )
+    return result

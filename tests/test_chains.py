@@ -7,7 +7,6 @@ from ncdim import (
     build_chain_graph,
     chain_sets,
     count_normal_words,
-    global_dimension_monomial,
     hilbert_series,
     product_form_decomposition,
 )
@@ -23,6 +22,14 @@ SKEW = MonomialSet(((1, 0),))
 
 def commutation_omega(n):
     return MonomialSet(tuple((j, i) for j in range(n) for i in range(j)))
+
+
+def sets_of(omega, alphabet):
+    return chain_sets(build_chain_graph(omega, alphabet))
+
+
+def series(omega, alphabet, truncation=16):
+    return hilbert_series(sets_of(omega, alphabet), omega, alphabet, truncation)
 
 
 class TestBuildChainGraph:
@@ -91,19 +98,19 @@ class TestChainSets:
 
 class TestGlobalDimension:
     def test_worked_examples(self):
-        assert global_dimension_monomial(DOWN_UP, AB) == 3
-        assert global_dimension_monomial(SKEW, AB) == 2
-        assert global_dimension_monomial(MonomialSet(((1, 1, 0),)), AB) == 2
-        assert global_dimension_monomial(commutation_omega(4), Alphabet(tuple("abcd"), (1,) * 4)) == 4
+        assert sets_of(DOWN_UP, AB).gldim == 3
+        assert sets_of(SKEW, AB).gldim == 2
+        assert sets_of(MonomialSet(((1, 1, 0),)), AB).gldim == 2
+        assert sets_of(commutation_omega(4), Alphabet(tuple("abcd"), (1,) * 4)).gldim == 4
 
     def test_free_algebra_has_dimension_one(self):
-        assert global_dimension_monomial(MonomialSet.interreduce([]), AB) == 1
+        assert sets_of(MonomialSet.interreduce([]), AB).gldim == 1
 
     def test_scalars_have_dimension_zero(self):
-        assert global_dimension_monomial(MonomialSet(((0,), (1,))), AB) == 0
+        assert sets_of(MonomialSet(((0,), (1,))), AB).gldim == 0
 
     def test_infinite_dimension(self):
-        assert global_dimension_monomial(MonomialSet(((0, 0),)), ONE) is None
+        assert sets_of(MonomialSet(((0, 0),)), ONE).gldim is None
 
 
 class TestExpandReciprocal:
@@ -123,7 +130,7 @@ class TestExpandReciprocal:
 
 class TestHilbertSeries:
     def test_down_up_series(self):
-        h = hilbert_series(DOWN_UP, AB)
+        h = series(DOWN_UP, AB)
         assert h.closed_form
         assert h.denominator == (1, -2, 0, 2, -1)
         assert h.coefficients == (1, 2, 4, 6, 9, 12, 16, 20, 25, 30, 36, 42, 49, 56, 64, 72, 81)
@@ -131,20 +138,20 @@ class TestHilbertSeries:
     def test_power_family_denominators(self):
         for n in (1, 2, 3):
             omega = MonomialSet(((1,) * n + (0,),))
-            h = hilbert_series(omega, AB)
+            h = series(omega, AB)
             assert h.denominator == (1, -2) + (0,) * (n - 1) + (1,)
 
     def test_weighted_denominator(self):
-        h = hilbert_series(SKEW, AB_W)
+        h = series(SKEW, AB_W)
         assert h.denominator == (1, -1, 0, -1, 1)
         assert product_form_decomposition(h.denominator, 2) == [1, 3]
 
     def test_truncation_length(self):
-        h = hilbert_series(DOWN_UP, AB, truncation=5)
+        h = series(DOWN_UP, AB, truncation=5)
         assert len(h.coefficients) == 6
 
     def test_infinite_chains_fall_back_to_counting(self):
-        h = hilbert_series(MonomialSet(((0, 0),)), ONE, truncation=6)
+        h = series(MonomialSet(((0, 0),)), ONE, truncation=6)
         assert not h.closed_form
         assert h.denominator is None
         assert h.coefficients == (1, 1, 0, 0, 0, 0, 0)
@@ -159,11 +166,11 @@ class TestHilbertSeries:
             (MonomialSet(((0,),)), AB),
         ]
         for omega, alphabet in cases:
-            h = hilbert_series(omega, alphabet, truncation=12)
+            h = series(omega, alphabet, truncation=12)
             assert list(h.coefficients) == count_normal_words(omega, alphabet, 12)
 
     def test_dead_letter_series(self):
-        h = hilbert_series(MonomialSet(((0,),)), AB)
+        h = series(MonomialSet(((0,),)), AB)
         assert h.denominator == (1, -1)
         assert set(h.coefficients) == {1}
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import ncdim.pipeline
-from ncdim import GrowthClass, analyze, load_presentation, report_to_dict
+from ncdim import GrowthClass, InputError, analyze, load_presentation, report_to_dict
 from ncdim.cli import main
 
 SAMPLES = Path(__file__).resolve().parent.parent / "presentations"
@@ -82,6 +82,15 @@ class TestExitCodes:
         assert err.startswith("verification failed:")
         assert "not zero" in err
 
+    def test_chain_cap_fails_only_the_analysis(self, monkeypatch, capsys):
+        def over_cap(graph, max_level):
+            raise InputError(f"chain enumeration exceeded max_level={max_level}")
+
+        monkeypatch.setattr(ncdim.pipeline, "chain_sets", over_cap)
+        assert main(["check-gb", DOWN_UP]) == 0
+        assert main(["gldim", DOWN_UP]) == 2
+        assert "exceeded max_level" in capsys.readouterr().err
+
     def test_negative_terms(self, capsys):
         assert main(["hilbert", "--terms", "-1", DOWN_UP]) == 2
         assert "--terms must be nonnegative" in capsys.readouterr().err
@@ -144,6 +153,30 @@ class TestLongObstructions:
         payload = json.loads(capsys.readouterr().out.split("\n", 1)[1])
         assert payload["growth"] == {"class": "exponential", "degree": None}
         assert payload["gldim_monomial"] == "infinity"
+
+
+class TestCheckGbVerifiesOnly:
+    """check-gb stops after verification and never enumerates chains."""
+
+    @pytest.fixture(autouse=True)
+    def no_chain_graph(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("check-gb built a chain graph")
+
+        monkeypatch.setattr(ncdim.pipeline, "build_chain_graph", refuse)
+
+    def test_all_squares(self, tmp_path, capsys):
+        path = write(
+            tmp_path,
+            {
+                "variables": [{"name": "x1"}, {"name": "x2"}],
+                "relations": ["x1^2", "x1*x2", "x2*x1", "x2^2"],
+            },
+        )
+        assert main(["check-gb", path]) == 0
+        assert capsys.readouterr().out == (
+            "ok: 4 relations verified (8 overlap ambiguities reduce to zero)\n"
+        )
 
 
 class TestGldim:

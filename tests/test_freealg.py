@@ -13,7 +13,6 @@ from ncdim import (
     leading_homogeneous,
     leading_word,
     parse_polynomial,
-    weighted_degree,
 )
 
 AB = Alphabet(("x1", "x2"), (1, 1))
@@ -28,7 +27,7 @@ class TestAlphabet:
         assert AB.degree(()) == 0
         assert AB.degree((1, 0)) == 2
         assert AB_W.degree((1, 0)) == 4
-        assert weighted_degree((1,), AB_W) == 3
+        assert AB_W.degree((1,)) == 3
 
     def test_unknown_name(self):
         with pytest.raises(InputError):

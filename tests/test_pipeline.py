@@ -1,7 +1,9 @@
 """End-to-end pipeline: loading, analysis, report rendering."""
 
+import collections
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ import ncdim.pipeline
 from ncdim import (
     GroebnerVerificationError,
     InputError,
+    MonomialSet,
     Poly,
     analyze,
     count_normal_words,
@@ -360,6 +363,46 @@ class TestLongObstructions:
         r = analyze(down_up())
         assert r.growth.degree == 3
         assert b"witness" not in render_report(r, "text")
+
+
+class TestEachStageRunsOnce:
+    """One analyze() call runs every stage once for the base algebra and
+    once for its Rees algebra, and never interreduces LM(G)."""
+
+    STAGES = ("build_chain_graph", "chain_sets", "overlap_ambiguities",
+              "automaton_growth")
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = collections.Counter()
+        modules = [m for name, m in sys.modules.items()
+                   if name == "ncdim" or name.startswith("ncdim.")]
+        for name in self.STAGES:
+            original = getattr(ncdim, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in modules:
+                if module.__dict__.get(name) is original:
+                    monkeypatch.setattr(module, name, counted)
+        interreduce = MonomialSet.interreduce.__func__
+
+        def counted_interreduce(cls, words):
+            counts["interreduce"] += 1
+            return interreduce(cls, words)
+
+        monkeypatch.setattr(MonomialSet, "interreduce", classmethod(counted_interreduce))
+        return counts
+
+    @pytest.mark.parametrize("build", [lambda: commutation(4), lambda: power_family(3)],
+                             ids=["pbw", "exponential"])
+    def test_counts(self, counts, build):
+        pres = build()
+        analyze(pres)
+        assert [counts[name] for name in self.STAGES] == [2, 2, 2, 2]
+        assert counts["interreduce"] == 0
 
 
 class TestHilbertAgainstBinomials:

@@ -1,9 +1,18 @@
+import re
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
+import ncdim.pipeline
+import ncdim.rees
 from ncdim import (
     Alphabet,
+    ChainSets,
+    CrossCheckError,
     GroebnerBasis,
     GroebnerVerificationError,
+    GrowthClass,
     MonomialOrder,
     MonomialSet,
     Poly,
@@ -16,10 +25,12 @@ from ncdim import (
     hilbert_series,
     homogenize,
     leading_word,
+    load_presentation,
     parse_polynomial,
     rees_invariants,
     tilde_basis,
 )
+from ncdim.cli import main
 
 from presets import (
     commutation,
@@ -285,6 +296,75 @@ class TestReesInvariants:
         for pres in (down_up(), ore_case_a(), ore_case_b(), commutation(3),
                       power_family(1), power_family(2), power_family(3)):
             inv = rees_invariants(pres.basis)
-            omega = MonomialSet.interreduce(pres.basis.leading_words)
-            base = hilbert_series(omega, pres.alphabet)
+            omega = pres.basis.omega
+            sets = chain_sets(build_chain_graph(omega, pres.alphabet))
+            base = hilbert_series(sets, omega, pres.alphabet)
             assert list(inv.hilbert.denominator) == poly_mul([1, -1], list(base.denominator))
+
+
+DOWN_UP_FILE = str(Path(__file__).resolve().parent.parent / "presentations" / "down_up.json")
+
+
+def with_sets(inv, levels, finite=True):
+    return replace(inv, sets=ChainSets(tuple(levels), finite))
+
+
+# One corruption per cross-check on the Rees side of down_up (base gl.dim 3,
+# GK degree 3, four Rees chain levels); each leaves the earlier checks intact.
+CORRUPTIONS = {
+    "level decomposition": (
+        lambda inv: with_sets(inv, (inv.sets.levels[0], inv.sets.levels[1][1:])
+                              + inv.sets.levels[2:]),
+        "Rees chain level 1 is not C_1 plus C_0",
+    ),
+    "maximal chains end in T": (
+        lambda inv: with_sets(inv, inv.sets.levels[:-1]),
+        "a maximal Rees chain does not extend a maximal base chain by T",
+    ),
+    "equal finiteness": (
+        lambda inv: with_sets(inv, inv.sets.levels, finite=False),
+        "Rees chain finiteness differs from the base",
+    ),
+    "global dimension + 1": (
+        lambda inv: with_sets(inv, inv.sets.levels + ((),)),
+        "Rees global dimension is not base + 1",
+    ),
+    "GK degree + 1": (
+        lambda inv: replace(inv, growth=GrowthClass(False, inv.growth.degree + 1)),
+        "Rees growth degree is not base + 1",
+    ),
+}
+
+
+class TestTransferCrossChecks:
+    """Every base-vs-Rees identity that analyze() asserts fails loudly."""
+
+    @pytest.fixture(params=sorted(CORRUPTIONS))
+    def corrupted(self, request, monkeypatch):
+        corrupt, message = CORRUPTIONS[request.param]
+        original = ncdim.pipeline.rees_invariants
+        monkeypatch.setattr(ncdim.pipeline, "rees_invariants",
+                            lambda *args: corrupt(original(*args)))
+        return message
+
+    def test_analyze_raises(self, corrupted):
+        with pytest.raises(CrossCheckError, match=re.escape(corrupted)):
+            ncdim.pipeline.analyze(load_presentation(DOWN_UP_FILE))
+
+    def test_report_exits_4(self, corrupted, capsys):
+        assert main(["report", DOWN_UP_FILE]) == 4
+        assert corrupted in capsys.readouterr().err
+
+    def test_t_vertex_with_out_edges_is_caught(self, monkeypatch):
+        original = ncdim.rees.build_chain_graph
+
+        def t_not_a_sink(omega, alphabet):
+            graph = original(omega, alphabet)
+            t_word = (alphabet.n - 1,)
+            return replace(graph, edges={**graph.edges, t_word: ((0,),)})
+
+        monkeypatch.setattr(ncdim.rees, "build_chain_graph", t_not_a_sink)
+        with pytest.raises(CrossCheckError, match="T vertex of the Rees chain graph"):
+            rees_invariants(down_up().basis)
+        assert main(["report", DOWN_UP_FILE]) == 4
+

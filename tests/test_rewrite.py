@@ -12,8 +12,6 @@ from ncdim import (
     Poly,
     count_normal_words,
     ensure_verified,
-    interreduce_monomials,
-    is_normal,
     normal_form,
     overlap_ambiguities,
     parse_polynomial,
@@ -85,7 +83,7 @@ class TestMonomialSet:
     def test_interreduce(self):
         omega = MonomialSet.interreduce([(0, 1), (0, 1, 1), (0, 1), (1, 1)])
         assert set(omega) == {(0, 1), (1, 1)}
-        assert interreduce_monomials([(0, 0), (0, 0, 0)]).words == ((0, 0),)
+        assert MonomialSet.interreduce([(0, 0), (0, 0, 0)]).words == ((0, 0),)
 
     def test_ell_is_longest_member(self):
         assert MonomialSet(((0, 1), (1, 1, 1))).ell == 3
@@ -102,7 +100,7 @@ class TestMonomialSet:
         assert omega.is_normal(())
         assert omega.is_normal((0, 1, 0))
         assert not omega.is_normal((1, 0, 0))
-        assert is_normal((0, 1), omega)
+        assert omega.is_normal((0, 1))
 
 
 class TestCountNormalWords:
@@ -280,3 +278,25 @@ class TestVerification:
         ensure_verified(basis)
         assert basis.verified
         ensure_verified(basis)
+
+    def test_ensure_verified_returns_the_stored_result(self):
+        basis = commutation(3).basis
+        first = ensure_verified(basis)
+        assert first.ok and first.checked == 1
+        assert ensure_verified(basis) is first is basis.verification
+
+
+class TestObstructionSet:
+    def test_omega_is_the_leading_words(self):
+        basis = down_up().basis
+        assert basis.omega == MonomialSet(basis.leading_words)
+        assert basis.reducible((0, 0, 1)) and not basis.reducible((1, 0, 0))
+
+    def test_empty_basis_reduces_nothing(self):
+        basis = GroebnerBasis([], MonomialOrder(AB))
+        assert len(basis.omega) == 0
+        assert not basis.reducible((0, 1, 0))
+
+    def test_constant_relation_is_an_input_error(self):
+        with pytest.raises(InputError):
+            GroebnerBasis([Poly.monomial(())], MonomialOrder(AB))
