@@ -54,7 +54,6 @@ from .rees import (
     check_transfer,
     dehomogenize,
     extend_alphabet,
-    extend_order,
     homogenize,
     rees_invariants,
     tilde_basis,

@@ -14,10 +14,11 @@ from typing import Iterable
 
 from .errors import InputError
 from .freealg import Alphabet, Word
-from .render import dot_digraph, word_str
+from .render import dot_digraph
 from .rewrite import MonomialSet, count_normal_words
 
 DEFAULT_MAX_LEVEL = 64
+DEFAULT_TRUNCATION = 16
 ROOT: Word = ()
 
 
@@ -30,6 +31,14 @@ class ChainGraph:
     the algebra they present is the monomial algebra on the remaining
     letters).  For non-root u, v there is an edge u -> v iff exactly one
     obstruction w is a suffix of uv and uv minus its last letter is normal.
+
+    Such a w overlaps u: no obstruction divides the vertex v, so w = u[-k:] v
+    with 1 <= k <= |u| and k < |w|.  The edges are therefore read off these
+    overlaps, v = w[k:] whenever u ends with w[:k] and u w[k:-1] is normal.
+    The obstructions form an antichain, so two of them cannot both be
+    suffixes of uv (the shorter would divide the longer): the match is
+    unique whenever it exists, and uv minus its last letter is normal
+    whenever uv = w.
     """
 
     alphabet: Alphabet
@@ -41,15 +50,8 @@ class ChainGraph:
         return self.edges.get(v, ())
 
 
-def _edge_matches(u: Word, v: Word, omega: MonomialSet) -> list[Word]:
-    z = u + v
-    prefix_normal = omega.is_normal(z[:-1])
-    matches = []
-    for w in omega.words:
-        if len(w) <= len(z) and z[len(z) - len(w):] == w:
-            if len(w) == len(z) or prefix_normal:
-                matches.append(w)
-    return matches
+def _by_length(w: Word):
+    return (len(w), w)
 
 
 def build_chain_graph(omega: MonomialSet, alphabet: Alphabet) -> ChainGraph:
@@ -67,26 +69,17 @@ def build_chain_graph(omega: MonomialSet, alphabet: Alphabet) -> ChainGraph:
     for w in omega.words:
         for k in range(1, len(w)):
             vertices.add(w[k:])
-    ordered = sorted(vertices, key=lambda w: (len(w), w))
+    ordered = sorted(vertices, key=_by_length)
     edges: dict[Word, tuple[Word, ...]] = {ROOT: tuple(sorted((i,) for i in live))}
-    nonroot = [v for v in ordered if v != ROOT]
-    for u in nonroot:
-        targets = []
-        for v in nonroot:
-            matches = _edge_matches(u, v, omega)
-            if len(matches) == 1:
-                targets.append(v)
-            elif len(matches) > 1:
-                warnings.append(
-                    "no edge {} -> {}: {} ends in more than one obstruction ({})".format(
-                        word_str(u, alphabet),
-                        word_str(v, alphabet),
-                        word_str(u + v, alphabet),
-                        ", ".join(word_str(w, alphabet) for w in matches),
-                    )
-                )
+    for u in ordered[1:]:
+        targets = [
+            w[k:]
+            for w in omega.words
+            for k in range(1, min(len(u), len(w) - 1) + 1)
+            if u[-k:] == w[:k] and omega.is_normal(u + w[k:-1])
+        ]
         if targets:
-            edges[u] = tuple(sorted(targets, key=lambda w: (len(w), w)))
+            edges[u] = tuple(sorted(targets, key=_by_length))
     return ChainGraph(alphabet, tuple(ordered), edges, tuple(warnings))
 
 
@@ -144,8 +137,7 @@ def chain_sets(graph: ChainGraph, max_level: int = DEFAULT_MAX_LEVEL) -> ChainSe
     levels: list[tuple[Word, ...]] = []
     current = [(v, v) for v in graph.successors(ROOT)]  # (tail vertex, chain word)
     while current and len(levels) < max_level:
-        levels.append(tuple(sorted((word for _, word in current),
-                                   key=lambda w: (len(w), w))))
+        levels.append(tuple(sorted((word for _, word in current), key=_by_length)))
         current = [
             (s, word + s) for tail, word in current for s in graph.successors(tail)
         ]
@@ -205,7 +197,10 @@ def chain_denominator(sets: ChainSets, alphabet: Alphabet) -> tuple[int, ...]:
 
 
 def hilbert_series(
-    sets: ChainSets, omega: MonomialSet, alphabet: Alphabet, truncation: int = 16
+    sets: ChainSets,
+    omega: MonomialSet,
+    alphabet: Alphabet,
+    truncation: int = DEFAULT_TRUNCATION,
 ) -> HilbertSeries:
     """Hilbert series of the monomial algebra defined by ``omega``, whose
     chain sets are ``sets``.

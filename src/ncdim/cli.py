@@ -13,8 +13,8 @@ import sys
 from . import chains as chains_mod
 from . import growth as growth_mod
 from .errors import CrossCheckError, GroebnerVerificationError, InputError
+from .chains import DEFAULT_TRUNCATION
 from .pipeline import (
-    DEFAULT_TRUNCATION,
     analyze,
     fmt_cycle,
     fmt_dim,

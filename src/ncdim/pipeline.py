@@ -19,6 +19,7 @@ from . import chains as chains_mod
 from . import growth as growth_mod
 from .chains import (
     DEFAULT_MAX_LEVEL,
+    DEFAULT_TRUNCATION,
     ChainGraph,
     ChainSets,
     HilbertSeries,
@@ -44,9 +45,7 @@ from .growth import (
 )
 from .render import denominator_str, poly_str, word_str
 from .rewrite import GroebnerBasis, MonomialSet, ensure_verified
-from .rees import ReesInvariants, check_transfer, extend_order, rees_invariants
-
-DEFAULT_TRUNCATION = 16
+from .rees import ReesInvariants, check_transfer, rees_invariants
 
 
 @dataclass(frozen=True)
@@ -180,9 +179,7 @@ class AnalysisReport:
 
 
 def analyze(
-    presentation: Presentation,
-    truncation: int = DEFAULT_TRUNCATION,
-    max_level: int = DEFAULT_MAX_LEVEL,
+    presentation: Presentation, truncation: int = DEFAULT_TRUNCATION
 ) -> AnalysisReport:
     """Run the whole procedure once, each stage on the results of the
     earlier ones; raises on verification or cross-check failure."""
@@ -194,13 +191,13 @@ def analyze(
     growth = automaton_growth(omega, alphabet)
 
     chain_graph = build_chain_graph(omega, alphabet)
-    sets = chain_sets(chain_graph, max_level)
+    sets = chain_sets(chain_graph, DEFAULT_MAX_LEVEL)
     gldim_monomial = sets.gldim
 
     hilbert = hilbert_series(sets, omega, alphabet, truncation)
 
     lh_basis = tuple(leading_homogeneous(g, alphabet) for g in basis.elements)
-    rees = rees_invariants(basis, truncation, max_level)
+    rees = rees_invariants(basis, truncation)
     check_transfer(rees, sets, growth)
 
     applicable = growth.is_polynomial and gldim_monomial is not None
@@ -326,8 +323,8 @@ def fmt_cycle(cycle, alphabet: Alphabet) -> str:
 
 
 def fmt_rees_relations(report: AnalysisReport) -> list[str]:
-    ext_order = extend_order(report.presentation.order, report.rees.presentation.ext)
-    return [poly_str(g, ext_order) for g in report.rees.presentation.basis.elements]
+    basis = report.rees.presentation.basis
+    return [poly_str(g, basis.order) for g in basis.elements]
 
 
 def _hilbert_lines(h: HilbertSeries) -> list[str]:

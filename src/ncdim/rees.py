@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .chains import (
     DEFAULT_MAX_LEVEL,
+    DEFAULT_TRUNCATION,
     ChainGraph,
     ChainSets,
     HilbertSeries,
@@ -93,10 +94,6 @@ class HomogenizationOrder:
         return (ku > kv) - (ku < kv)
 
 
-def extend_order(order: MonomialOrder, ext: ExtendedAlphabet) -> HomogenizationOrder:
-    return HomogenizationOrder(order, ext)
-
-
 def homogenize(f: Poly, order: MonomialOrder, ext: ExtendedAlphabet) -> Poly:
     """Left-pad every term with T up to the leading weighted degree."""
     alphabet = order.alphabet
@@ -132,7 +129,6 @@ class ReesPresentation:
 
     ext: ExtendedAlphabet
     basis: GroebnerBasis
-    source: GroebnerBasis
     warnings: tuple[str, ...]
 
 
@@ -140,7 +136,7 @@ def tilde_basis(basis: GroebnerBasis) -> ReesPresentation:
     """Homogenized basis plus commutators, re-verified on the extended alphabet."""
     ensure_verified(basis)
     ext = extend_alphabet(basis.order.alphabet)
-    ext_order = extend_order(basis.order, ext)
+    ext_order = HomogenizationOrder(basis.order, ext)
     t = ext.t_index
     elements = [homogenize(g, basis.order, ext) for g in basis.elements]
     warnings: list[str] = []
@@ -167,7 +163,7 @@ def tilde_basis(basis: GroebnerBasis) -> ReesPresentation:
             "homogenized basis failed verification on the overlap "
             f"{word_str(amb.word, ext.alphabet)}"
         )
-    return ReesPresentation(ext, tilded, basis, tuple(warnings))
+    return ReesPresentation(ext, tilded, tuple(warnings))
 
 
 @dataclass(frozen=True)
@@ -237,7 +233,7 @@ def _check_top_level(
 
 def rees_invariants(
     basis: GroebnerBasis,
-    truncation: int = 16,
+    truncation: int = DEFAULT_TRUNCATION,
     max_level: int = DEFAULT_MAX_LEVEL,
 ) -> ReesInvariants:
     """Growth, global dimension, and Hilbert data of the Rees algebra.

@@ -158,8 +158,6 @@ class MonomialSet:
         return max((len(w) for w in self.words), default=0)
 
     def is_normal(self, word: Word) -> bool:
-        if not self.words:
-            return True
         return self.automaton.is_normal(word)
 
     def __iter__(self):
@@ -184,17 +182,7 @@ def count_normal_words(omega: MonomialSet, alphabet: Alphabet, up_to: int) -> li
     """Dimensions of the monomial algebra per weighted degree 0..up_to."""
     if up_to < 0:
         raise ValueError("up_to must be nonnegative")
-    if not omega.words:
-        return _count_all_words(alphabet, up_to)
     return omega.automaton.count_normal(alphabet.weights, up_to)
-
-
-def _count_all_words(alphabet: Alphabet, up_to: int) -> list[int]:
-    counts = [0] * (up_to + 1)
-    counts[0] = 1
-    for d in range(1, up_to + 1):
-        counts[d] = sum(counts[d - w] for w in alphabet.weights if d - w >= 0)
-    return counts
 
 
 class GroebnerBasis:

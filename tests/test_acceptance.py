@@ -23,7 +23,6 @@ from ncdim import (
     count_normal_words,
     dehomogenize,
     extend_alphabet,
-    extend_order,
     homogenize,
     leading_word,
     normal_form,
@@ -39,6 +38,7 @@ from ncdim.chains import (
 from ncdim.cli import main as cli_main
 from ncdim.errors import InputError
 from ncdim.growth import count_paths
+from ncdim.rees import HomogenizationOrder
 from presets import commutation, down_up, nilpotent, ore_case_a, ore_case_b, power_family
 from test_oracles import CASES, MAX_LEN, brute_counts, capped_sets
 
@@ -300,6 +300,6 @@ class TestAcceptance:
                 ext = extend_alphabet(order.alphabet)
                 h = homogenize(f, order, ext)
                 assert dehomogenize(h, ext) == f
-                assert leading_word(h, extend_order(order, ext)) == leading_word(
+                assert leading_word(h, HomogenizationOrder(order, ext)) == leading_word(
                     f, order
                 )

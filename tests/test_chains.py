@@ -9,8 +9,10 @@ from ncdim import (
     count_normal_words,
     hilbert_series,
     product_form_decomposition,
+    tilde_basis,
 )
 from ncdim.chains import ROOT, chain_denominator, emit_dot, expand_reciprocal
+from presets import power_family
 
 AB = Alphabet(("x1", "x2"), (1, 1))
 AB_W = Alphabet(("x1", "x2"), (1, 3))
@@ -59,6 +61,28 @@ class TestBuildChainGraph:
     def test_no_live_letters(self):
         graph = build_chain_graph(MonomialSet(((0,), (1,))), AB)
         assert graph.edges == {(): ()}
+
+    def test_normality_queries_only_on_overlaps(self, monkeypatch):
+        # one query per overlap of a vertex with an obstruction prefix;
+        # testing every vertex pair would make V^2 queries (1681 and 1764)
+        calls = 0
+        original = MonomialSet.is_normal
+
+        def counted(self, word):
+            nonlocal calls
+            calls += 1
+            return original(self, word)
+
+        monkeypatch.setattr(MonomialSet, "is_normal", counted)
+        basis = power_family(40).basis
+        rees = tilde_basis(basis).basis
+        for omega, alphabet, limit in (
+            (basis.omega, basis.order.alphabet, 1),
+            (rees.omega, rees.order.alphabet, 42),
+        ):
+            calls = 0
+            build_chain_graph(omega, alphabet)
+            assert calls <= limit
 
 
 class TestChainSets:

@@ -20,6 +20,7 @@ from ncdim import (
     build_ufnarovski,
     count_normal_words,
     count_paths,
+    extend_alphabet,
     rees_invariants,
 )
 from ncdim.chains import (
@@ -120,6 +121,44 @@ def test_growth_graph_path_counts_match_enumeration(index):
     start = graph.ell - 1
     for length in range(start, MAX_LEN + 1):
         assert count_paths(graph, length - start) == by_length[length]
+
+
+def brute_chain_edges(omega, alphabet):
+    """Chain-graph edges from the definition: u -> v iff exactly one
+    obstruction is a suffix of uv and uv minus its last letter contains none."""
+    live = [(i,) for i in range(alphabet.n) if (i,) not in omega]
+    suffixes = {w[k:] for w in omega.words for k in range(1, len(w))}
+    vertices = sorted(set(live) | suffixes, key=lambda w: (len(w), w))
+    edges = {(): tuple(live)}
+    for u in vertices:
+        targets = []
+        for v in vertices:
+            z = u + v
+            ends = [w for w in omega.words if z[len(z) - len(w):] == w]
+            if len(ends) == 1 and not any(
+                contains_factor(z[:-1], w) for w in omega.words
+            ):
+                targets.append(v)
+        if targets:
+            edges[u] = tuple(targets)
+    return edges
+
+
+@pytest.mark.parametrize("index", range(50))
+def test_chain_graph_edges_match_definition(index):
+    alphabet, omega = CASES[index]
+    assert build_chain_graph(omega, alphabet).edges == brute_chain_edges(
+        omega, alphabet
+    )
+    # the Rees set: Omega plus X_i T for every live letter
+    ext = extend_alphabet(alphabet)
+    rees_omega = MonomialSet(
+        list(omega.words)
+        + [(i, ext.t_index) for i in range(alphabet.n) if (i,) not in omega]
+    )
+    assert build_chain_graph(rees_omega, ext.alphabet).edges == brute_chain_edges(
+        rees_omega, ext.alphabet
+    )
 
 
 @pytest.mark.parametrize("index", range(50))

@@ -10,12 +10,12 @@ from ncdim import (
     Poly,
     dehomogenize,
     extend_alphabet,
-    extend_order,
     homogenize,
     leading_word,
     normal_form,
     verify_groebner,
 )
+from ncdim.rees import HomogenizationOrder
 from ncdim.rewrite import FactorAutomaton, contains_factor
 from presets import commutation, down_up, ore_case_a
 
@@ -157,7 +157,7 @@ class TestHomogenizationLaws:
         n = order.alphabet.n
         f = data.draw(nonzero_polys(n))
         ext = extend_alphabet(order.alphabet)
-        ext_order = extend_order(order, ext)
+        ext_order = HomogenizationOrder(order, ext)
         h = homogenize(f, order, ext)
         assert dehomogenize(h, ext) == f
         degrees = {ext.alphabet.degree(w) for w in h.terms}
@@ -170,7 +170,7 @@ class TestHomogenizationLaws:
         order = data.draw(orders())
         n = order.alphabet.n
         u, v = data.draw(words(n)), data.draw(words(n))
-        ext_order = extend_order(order, extend_alphabet(order.alphabet))
+        ext_order = HomogenizationOrder(order, extend_alphabet(order.alphabet))
         assert ext_order.compare(u, v) == order.compare(u, v)
 
 

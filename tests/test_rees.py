@@ -21,7 +21,6 @@ from ncdim import (
     count_normal_words,
     dehomogenize,
     extend_alphabet,
-    extend_order,
     hilbert_series,
     homogenize,
     leading_word,
@@ -31,6 +30,7 @@ from ncdim import (
     tilde_basis,
 )
 from ncdim.cli import main
+from ncdim.rees import HomogenizationOrder
 
 from presets import (
     commutation,
@@ -74,13 +74,13 @@ class TestExtendedOrder:
     def test_restricts_to_base_order(self):
         for kind in ("grlex", "grevlex"):
             base = MonomialOrder(AB, kind)
-            ext_order = extend_order(base, extend_alphabet(AB))
+            ext_order = HomogenizationOrder(base, extend_alphabet(AB))
             for u, v in [((0, 1), (1, 0)), ((0,), (1,)), ((), (0, 0))]:
                 assert ext_order.compare(u, v) == base.compare(u, v)
 
     def test_t_below_every_letter(self):
         ext = extend_alphabet(AB_W)
-        ext_order = extend_order(MonomialOrder(AB_W), ext)
+        ext_order = HomogenizationOrder(MonomialOrder(AB_W), ext)
         t = ext.t_word
         assert ext_order.compare(t, (0,)) < 0
         assert ext_order.compare(t, (1,)) < 0
@@ -89,7 +89,7 @@ class TestExtendedOrder:
     def test_commutator_leading_word(self):
         for kind in ("grlex", "grevlex"):
             ext = extend_alphabet(AB)
-            ext_order = extend_order(MonomialOrder(AB, kind), ext)
+            ext_order = HomogenizationOrder(MonomialOrder(AB, kind), ext)
             t = ext.t_index
             assert ext_order.compare((0, t), (t, 0)) > 0
 
@@ -104,14 +104,14 @@ class TestExtendedOrder:
         for alphabet, kind, text in cases:
             order = MonomialOrder(alphabet, kind)
             ext = extend_alphabet(alphabet)
-            ext_order = extend_order(order, ext)
+            ext_order = HomogenizationOrder(order, ext)
             f = parse_polynomial(text, alphabet)
             hom = homogenize(f, order, ext)
             assert leading_word(hom, ext_order) == leading_word(f, order)
 
     def test_multiplicative_spot_checks(self):
         ext = extend_alphabet(AB)
-        ext_order = extend_order(MonomialOrder(AB), ext)
+        ext_order = HomogenizationOrder(MonomialOrder(AB), ext)
         t = ext.t_index
         pairs = [((t, 0), (0, t)), ((t,), (0,)), ((0, 1), (1, 0))]
         contexts = [((), ()), ((1,), ()), ((), (t,)), ((t, 1), (0,))]
