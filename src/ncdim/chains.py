@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import InputError
+from .errors import CrossCheckError, InputError
 from .freealg import Alphabet, Word
 from .render import dot_digraph
 from .rewrite import MonomialSet, count_normal_words
@@ -205,41 +205,28 @@ def hilbert_series(
     """Hilbert series of the monomial algebra defined by ``omega``, whose
     chain sets are ``sets``.
 
-    With finite chain sets the closed form 1/D(t) is produced and expanded;
-    otherwise the coefficients fall back to direct normal-word counting.
+    The coefficients always come from normal-word counting.  With finite
+    chain sets the closed form 1/D(t) is formed too, and its expansion must
+    equal those coefficients (CrossCheckError otherwise).
     """
-    if sets.finite:
-        den = chain_denominator(sets, alphabet)
-        coeffs = expand_reciprocal(den, truncation)
-        return HilbertSeries(den, tuple(coeffs), True)
     coeffs = count_normal_words(omega, alphabet, truncation)
-    return HilbertSeries(None, tuple(coeffs), False)
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _partitions(total: int, parts: int, minimum: int = 1):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(minimum, total - (parts - 1) * minimum + 1):
-        for rest in _partitions(total - first, parts - 1, first):
-            yield (first,) + rest
+    if not sets.finite:
+        return HilbertSeries(None, tuple(coeffs), False)
+    den = chain_denominator(sets, alphabet)
+    if expand_reciprocal(den, truncation) != coeffs:
+        raise CrossCheckError(
+            "the chain denominator D(t) does not invert to the normal-word counts"
+        )
+    return HilbertSeries(den, tuple(coeffs), True)
 
 
 def product_form_decomposition(denominator: Iterable[int], m: int) -> list[int] | None:
     """Exponents e_1 <= ... <= e_m with D(t) = prod (1 - t^{e_i}), or None.
 
-    The search is exhaustive over partitions of deg D into m positive parts
-    (the degrees must add up), so a None return is a proof of nonexistence.
+    Greedy exact division: the smallest e with a nonzero coefficient d_e in
+    D - 1 must be the smallest exponent, so d_e < 0 and (1 - t^e) divides D
+    exactly.  The exponents are unique when they exist, so a None return is
+    a proof of nonexistence.
     """
     den = list(denominator)
     while len(den) > 1 and den[-1] == 0:
@@ -252,14 +239,19 @@ def product_form_decomposition(denominator: Iterable[int], m: int) -> list[int] 
         if den == [1]:
             return []
         raise ValueError("m = 0 requires the trivial denominator 1")
-    degree = len(den) - 1
-    for exponents in _partitions(degree, m):
-        prod = [1]
-        for e in exponents:
-            prod = _poly_mul(prod, [1] + [0] * (e - 1) + [-1])
-        if prod == den:
-            return list(exponents)
-    return None
+    exponents: list[int] = []
+    while len(den) > 1 and len(exponents) < m:
+        e = next(k for k, d in enumerate(den) if k and d)
+        if den[e] > 0:
+            return None
+        # quotient by (1 - t^e): q_k = d_k + q_{k-e}; the top e must vanish
+        for k in range(e, len(den)):
+            den[k] += den[k - e]
+        if any(den[len(den) - e :]):
+            return None
+        del den[len(den) - e :]
+        exponents.append(e)
+    return exponents if den == [1] and len(exponents) == m else None
 
 
 def emit_dot(graph: ChainGraph, name: str = "chains") -> str:

@@ -1,9 +1,10 @@
 """Normal forms, reduced obstruction sets, and diamond-lemma verification.
 
-One Aho–Corasick automaton per obstruction set does all factor-avoidance
-work: normality queries and the normal-word counting DP share the machine.
-Verification is by checking that the S-element of every overlap ambiguity
-reduces to zero; no completion is ever attempted.
+One Aho–Corasick automaton per obstruction set does all factor search:
+normality queries, the normal-word counting DP, the antichain and
+LM-reduction checks and the choice of each reduction step share the
+machine.  Verification is by checking that the S-element of every overlap
+ambiguity reduces to zero; no completion is ever attempted.
 """
 
 from __future__ import annotations
@@ -19,28 +20,22 @@ from .render import poly_str, word_str
 
 
 def contains_factor(word: Word, factor: Word) -> bool:
+    """Brute-force factor test, the reference the automaton is tested against."""
     lf = len(factor)
     if lf == 0:
         return True
     return any(word[i : i + lf] == factor for i in range(len(word) - lf + 1))
 
 
-def find_factor(word: Word, factor: Word) -> int:
-    """Leftmost occurrence position, or -1."""
-    lf = len(factor)
-    for i in range(len(word) - lf + 1):
-        if word[i : i + lf] == factor:
-            return i
-    return -1
-
-
 class FactorAutomaton:
-    """Aho–Corasick matcher over a set of nonempty forbidden factors."""
+    """Aho–Corasick matcher over a list of nonempty forbidden factors; each
+    state keeps the indices of all patterns that end where it is reached."""
 
     def __init__(self, patterns: Iterable[Word]):
         goto: list[dict[int, int]] = [{}]
-        terminal = [False]
-        for pat in patterns:
+        out: list[tuple[int, ...]] = [()]
+        lengths: list[int] = []
+        for k, pat in enumerate(patterns):
             if not pat:
                 raise ValueError("empty pattern not allowed")
             state = 0
@@ -50,14 +45,15 @@ class FactorAutomaton:
                     nxt = len(goto)
                     goto[state][letter] = nxt
                     goto.append({})
-                    terminal.append(False)
+                    out.append(())
                 state = nxt
-            terminal[state] = True
+            out[state] += (k,)
+            lengths.append(len(pat))
         fail = [0] * len(goto)
         queue = deque(goto[0].values())
         while queue:
             s = queue.popleft()
-            terminal[s] = terminal[s] or terminal[fail[s]]
+            out[s] += out[fail[s]]
             for letter, t in goto[s].items():
                 f = fail[s]
                 while f and letter not in goto[f]:
@@ -67,7 +63,8 @@ class FactorAutomaton:
                 queue.append(t)
         self._goto = goto
         self._fail = fail
-        self._terminal = terminal
+        self._out = out
+        self._lengths = lengths
 
     def step(self, state: int, letter: int) -> int:
         goto = self._goto
@@ -81,24 +78,35 @@ class FactorAutomaton:
 
     def is_terminal(self, state: int) -> bool:
         """True iff some pattern ends where ``state`` is reached."""
-        return self._terminal[state]
+        return bool(self._out[state])
 
     def is_normal(self, word: Word) -> bool:
         """True iff no pattern occurs in ``word`` as a factor."""
         state = 0
-        terminal = self._terminal
+        out = self._out
         for letter in word:
             state = self.step(state, letter)
-            if terminal[state]:
+            if out[state]:
                 return False
         return True
+
+    def matches(self, word: Word) -> list[tuple[int, int]]:
+        """Every occurrence of a pattern in ``word`` as (pattern index, start)."""
+        found = []
+        state = 0
+        out, lengths = self._out, self._lengths
+        for end, letter in enumerate(word, 1):
+            state = self.step(state, letter)
+            for k in out[state]:
+                found.append((k, end - lengths[k]))
+        return found
 
     def count_normal(self, weights: tuple[int, ...], up_to: int) -> list[int]:
         """Number of pattern-avoiding words per weighted degree 0..up_to."""
         n_states = len(self._goto)
         table = [[0] * n_states for _ in range(up_to + 1)]
         table[0][0] = 1
-        terminal = self._terminal
+        out = self._out
         letters = list(enumerate(weights))
         counts = []
         for d in range(up_to + 1):
@@ -112,9 +120,14 @@ class FactorAutomaton:
                     if nd > up_to:
                         continue
                     t = self.step(state, a)
-                    if not terminal[t]:
+                    if not out[t]:
                         table[nd][t] += c
         return counts
+
+
+def _divisions(automaton: FactorAutomaton, words: list[Word]) -> list[tuple[int, int]]:
+    """Every (a, b), a != b, with pattern a of ``automaton`` a factor of words[b]."""
+    return [(a, b) for b, w in enumerate(words) for a, _ in automaton.matches(w) if a != b]
 
 
 class MonomialSet:
@@ -124,33 +137,30 @@ class MonomialSet:
     :meth:`interreduce` to build one from an arbitrary collection.
     """
 
-    __slots__ = ("words", "_automaton")
+    __slots__ = ("words", "automaton")
 
     def __init__(self, words: Iterable[Word]):
         ws = sorted({tuple(w) for w in words}, key=lambda w: (len(w), w))
         if any(not w for w in ws):
             raise InputError("obstruction sets must not contain the identity word")
-        for u in ws:
-            for v in ws:
-                if u != v and contains_factor(v, u):
-                    raise InputError(
-                        f"not an antichain: word {u} divides word {v}; interreduce first"
-                    )
+        automaton = FactorAutomaton(ws)
+        divisions = _divisions(automaton, ws)
+        if divisions:
+            a, b = min(divisions)
+            raise InputError(
+                f"not an antichain: word {ws[a]} divides word {ws[b]}; interreduce first"
+            )
         self.words = tuple(ws)
-        self._automaton: FactorAutomaton | None = None
+        self.automaton = automaton
 
     @classmethod
     def interreduce(cls, words: Iterable[Word]) -> "MonomialSet":
         """Drop every word that has a different input word as a factor."""
-        ws = {tuple(w) for w in words}
-        keep = [u for u in ws if not any(v != u and contains_factor(u, v) for v in ws)]
-        return cls(keep)
-
-    @property
-    def automaton(self) -> FactorAutomaton:
-        if self._automaton is None:
-            self._automaton = FactorAutomaton(self.words)
-        return self._automaton
+        ws = list({tuple(w) for w in words})
+        if not all(ws):
+            return cls(ws)  # rejects the identity word
+        divided = {b for _, b in _divisions(FactorAutomaton(ws), ws)}
+        return cls(w for b, w in enumerate(ws) if b not in divided)
 
     @property
     def ell(self) -> int:
@@ -193,10 +203,14 @@ class GroebnerBasis:
     ``verification`` starts as None and holds the successful result of
     :func:`verify_groebner`; operations whose meaning depends on the Groebner
     property call :func:`ensure_verified`.
+
+    Reduction strategy: a reducible word is rewritten with the relation of
+    longest leading word, ties going to the lowest relation index, at the
+    leftmost occurrence of that leading word.
     """
 
     __slots__ = ("elements", "order", "leading_words", "omega", "verification",
-                 "_reduction_order")
+                 "_matcher")
 
     def __init__(self, relations: Iterable[Poly], order: MonomialOrder):
         elements: list[Poly] = []
@@ -211,24 +225,25 @@ class GroebnerBasis:
                 f = (Fraction(1) / lc) * f
             elements.append(f)
             leading.append(lw)
-        alphabet = order.alphabet
-        for a in range(len(leading)):
-            for b in range(len(leading)):
-                if a != b and contains_factor(leading[b], leading[a]):
-                    raise InputError(
-                        "relations are not LM-reduced: leading word "
-                        f"{word_str(leading[a], alphabet)} of relation {a + 1} divides "
-                        f"leading word {word_str(leading[b], alphabet)} of relation {b + 1}"
-                    )
+        ids = [k for k, w in enumerate(leading) if w]
+        matcher = FactorAutomaton(leading[k] for k in ids)
+        empty = {k for k, w in enumerate(leading) if not w}  # divides every word
+        divisions = [(a, b) for b, w in enumerate(leading)
+                     for a in empty | {ids[i] for i, _ in matcher.matches(w)} if a != b]
+        if divisions:
+            a, b = min(divisions)
+            alphabet = order.alphabet
+            raise InputError(
+                "relations are not LM-reduced: leading word "
+                f"{word_str(leading[a], alphabet)} of relation {a + 1} divides "
+                f"leading word {word_str(leading[b], alphabet)} of relation {b + 1}"
+            )
         self.elements = tuple(elements)
         self.order = order
         self.leading_words = tuple(leading)
         self.omega = MonomialSet(leading)
         self.verification: VerificationResult | None = None
-        # reduction strategy: longest leading word first, then lowest index
-        self._reduction_order = sorted(
-            range(len(leading)), key=lambda i: (-len(leading[i]), i)
-        )
+        self._matcher = matcher
 
     def __len__(self):
         return len(self.elements)
@@ -242,32 +257,24 @@ class GroebnerBasis:
 
     def find_reduction(self, word: Word) -> tuple[int, int] | None:
         """(relation index, position) per the strategy; None when normal."""
-        for idx in self._reduction_order:
-            pos = find_factor(word, self.leading_words[idx])
-            if pos >= 0:
-                return idx, pos
-        return None
+        lws = self.leading_words
+        return min(self._matcher.matches(word),
+                   key=lambda m: (-len(lws[m[0]]), m[0], m[1]), default=None)
 
 
 def normal_form(f: Poly, basis: GroebnerBasis) -> Poly:
     """Rewrite ``f`` until no term contains a leading word.
 
-    Deterministic strategy: always rewrite the largest reducible term in the
-    monomial order, at the leftmost occurrence, using the relation with the
-    longest leading word (ties go to the lowest relation index).
+    Deterministic: always rewrite the largest reducible term in the monomial
+    order, by the reduction strategy of :class:`GroebnerBasis`.
     """
     work = dict(f.terms)
     key = basis.order.sort_key
     while True:
-        target = None
-        tkey = None
-        for w in work:
-            if basis.reducible(w):
-                k = key(w)
-                if tkey is None or k > tkey:
-                    target, tkey = w, k
-        if target is None:
+        reducible = [w for w in work if basis.reducible(w)]
+        if not reducible:
             return Poly(work)
+        target = max(reducible, key=key)
         coeff = work[target]
         idx, pos = basis.find_reduction(target)
         g = basis.elements[idx]

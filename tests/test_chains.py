@@ -1,7 +1,12 @@
+import itertools
+from pathlib import Path
+
 import pytest
 
+import ncdim.chains
 from ncdim import (
     Alphabet,
+    CrossCheckError,
     InputError,
     MonomialSet,
     build_chain_graph,
@@ -12,7 +17,10 @@ from ncdim import (
     tilde_basis,
 )
 from ncdim.chains import ROOT, chain_denominator, emit_dot, expand_reciprocal
+from ncdim.cli import main
 from presets import power_family
+
+DOWN_UP_FILE = str(Path(__file__).resolve().parent.parent / "presentations" / "down_up.json")
 
 AB = Alphabet(("x1", "x2"), (1, 1))
 AB_W = Alphabet(("x1", "x2"), (1, 3))
@@ -198,6 +206,19 @@ class TestHilbertSeries:
         assert h.denominator == (1, -1)
         assert set(h.coefficients) == {1}
 
+    def test_corrupt_denominator_is_caught(self, monkeypatch, capsys):
+        original = ncdim.chains.chain_denominator
+
+        def off_by_one(sets, alphabet):
+            den = original(sets, alphabet)
+            return (1, den[1] - 1) + den[2:]
+
+        monkeypatch.setattr(ncdim.chains, "chain_denominator", off_by_one)
+        with pytest.raises(CrossCheckError, match="does not invert"):
+            series(DOWN_UP, AB)
+        assert main(["report", DOWN_UP_FILE]) == 4
+        assert "does not invert to the normal-word counts" in capsys.readouterr().err
+
 
 class TestChainDenominator:
     def test_signs_alternate_starting_negative(self):
@@ -210,7 +231,62 @@ class TestChainDenominator:
         assert chain_denominator(sets, AB) == (1, -2)
 
 
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def partitions(total, parts, minimum=1):
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(minimum, total - (parts - 1) * minimum + 1):
+        for rest in partitions(total - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def partition_search(den, m):
+    """Reference product form: try every partition of deg D into m parts."""
+    den = list(den)
+    while len(den) > 1 and den[-1] == 0:
+        den.pop()
+    for exponents in partitions(len(den) - 1, m):
+        prod = [1]
+        for e in exponents:
+            prod = poly_mul(prod, [1] + [0] * (e - 1) + [-1])
+        if prod == den:
+            return list(exponents)
+    return None
+
+
 class TestProductForm:
+    def test_agrees_with_partition_search(self):
+        # every product of up to four factors (1 - t^e), e <= 4, each with
+        # every single coefficient moved by one, for m around the true count
+        outcomes = []
+        for k in range(1, 5):
+            for exponents in itertools.combinations_with_replacement(range(1, 5), k):
+                den = [1]
+                for e in exponents:
+                    den = poly_mul(den, [1] + [0] * (e - 1) + [-1])
+                variants = [den] + [
+                    den[:i] + [den[i] + delta] + den[i + 1 :]
+                    for i in range(1, len(den))
+                    for delta in (-1, 1)
+                ]
+                for variant in variants:
+                    for m in (k - 1, k, k + 1):
+                        if m > 0:
+                            expected = partition_search(variant, m)
+                            assert product_form_decomposition(variant, m) == expected
+                            outcomes.append(expected is not None)
+        # the 69 unperturbed products are found at m = k
+        assert len(outcomes) > 3000 and sum(outcomes) >= 69
+
     def test_positive_cases(self):
         assert product_form_decomposition((1, -2, 1), 2) == [1, 1]
         assert product_form_decomposition((1, -3, 3, -1), 3) == [1, 1, 1]

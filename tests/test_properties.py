@@ -1,10 +1,15 @@
 """Property-based checks of the algebraic laws the package relies on."""
 
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ncdim import (
     Alphabet,
+    GroebnerBasis,
+    InputError,
     MonomialOrder,
     MonomialSet,
     Poly,
@@ -196,3 +201,59 @@ class TestFactorLaws:
         w = data.draw(words(n, 8))
         expected = not any(contains_factor(w, p) for p in raw)
         assert omega.is_normal(w) == expected
+
+
+def slicing_find_reduction(basis, word):
+    """Reference reduction search: try the leading words longest first, ties
+    to the lowest relation index, each at its leftmost slice of ``word``."""
+    lws = basis.leading_words
+    for idx in sorted(range(len(lws)), key=lambda i: (-len(lws[i]), i)):
+        lw = lws[idx]
+        for pos in range(len(word) - len(lw) + 1):
+            if word[pos : pos + len(lw)] == lw:
+                return idx, pos
+    return None
+
+
+def seeded_bases(count):
+    """LM-reduced random bases on 1-3 letters, leading words of length 1-4;
+    most of them fail verification."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        n = rng.randint(1, 3)
+        alphabet = Alphabet(tuple(f"x{i + 1}" for i in range(n)),
+                            tuple(rng.randint(1, 2) for _ in range(n)))
+        precedence = list(range(n))
+        rng.shuffle(precedence)
+        order = MonomialOrder(alphabet, rng.choice(["grlex", "grevlex"]), tuple(precedence))
+        relations = [
+            Poly({
+                tuple(rng.randrange(n) for _ in range(rng.randint(1, 4))):
+                    Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3))
+                for _ in range(rng.randint(1, 4))
+            })
+            for _ in range(rng.randint(1, 4))
+        ]
+        try:
+            yield GroebnerBasis(relations, order)
+        except InputError:
+            continue
+
+
+class TestReductionSearch:
+    """The automaton's reduction choice against the slicing search it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(BASES))
+    @MANY
+    @given(data=st.data())
+    def test_agrees_with_slicing(self, name, data):
+        basis = BASES[name]
+        w = data.draw(words(basis.order.alphabet.n, 10))
+        assert basis.find_reduction(w) == slicing_find_reduction(basis, w)
+
+    def test_verification_unchanged_on_seeded_bases(self, monkeypatch):
+        results = [verify_groebner(b) for b in seeded_bases(400)]
+        monkeypatch.setattr(GroebnerBasis, "find_reduction", slicing_find_reduction)
+        assert [verify_groebner(b) for b in seeded_bases(400)] == results
+        assert sum(not r.ok for r in results) >= 50
+        assert sum(r.ok and r.checked > 0 for r in results) >= 20

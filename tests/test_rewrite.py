@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import ncdim.rewrite
 from ncdim import (
     Alphabet,
     GroebnerBasis,
@@ -16,9 +17,10 @@ from ncdim import (
     overlap_ambiguities,
     parse_polynomial,
     s_element,
+    tilde_basis,
     verify_groebner,
 )
-from ncdim.rewrite import FactorAutomaton, contains_factor, find_factor
+from ncdim.rewrite import FactorAutomaton, contains_factor
 
 from presets import commutation, down_up, ore_case_a
 
@@ -43,20 +45,23 @@ class TestFactorSearch:
         assert contains_factor((0,), ())
         assert contains_factor((), ())
 
-    def test_find_factor_leftmost(self):
-        assert find_factor((0, 1, 0, 1), (0, 1)) == 0
-        assert find_factor((1, 0, 1), (0, 1)) == 1
-        assert find_factor((1, 1), (0,)) == -1
-
 
 class TestFactorAutomaton:
     def test_matches_naive_search(self):
-        patterns = ((0, 0), (1, 0, 1))
-        auto = FactorAutomaton(patterns)
-        for length in range(7):
-            for word in itertools.product(range(2), repeat=length):
-                naive = not any(contains_factor(word, p) for p in patterns)
-                assert auto.is_normal(word) == naive
+        # an antichain, then patterns that nest and repeat
+        for patterns in (((0, 0), (1, 0, 1)), ((0, 1), (1, 0, 1, 1), (1,), (0, 1))):
+            auto = FactorAutomaton(patterns)
+            for length in range(7):
+                for word in itertools.product(range(2), repeat=length):
+                    naive = not any(contains_factor(word, p) for p in patterns)
+                    assert auto.is_normal(word) == naive
+                    sliced = [
+                        (k, i)
+                        for k, p in enumerate(patterns)
+                        for i in range(len(word) - len(p) + 1)
+                        if word[i : i + len(p)] == p
+                    ]
+                    assert sorted(auto.matches(word)) == sorted(sliced)
 
     def test_suffix_terminal_propagation(self):
         # matching (0, 1) must also be caught while scanning for (0, 0, 1)
@@ -300,3 +305,24 @@ class TestObstructionSet:
     def test_constant_relation_is_an_input_error(self):
         with pytest.raises(InputError):
             GroebnerBasis([Poly.monomial(())], MonomialOrder(AB))
+
+    def test_constant_relation_among_others_names_the_least_pair(self):
+        relations = [parse_polynomial(s, AB) for s in ("x1*x2", "x1*x2*x1", "1")]
+        with pytest.raises(InputError, match="x1\\*x2 of relation 1 divides .* of relation 2"):
+            GroebnerBasis(relations, MonomialOrder(AB))
+        with pytest.raises(InputError, match="leading word 1 of relation 1 divides"):
+            GroebnerBasis(relations[::-1], MonomialOrder(AB))
+
+
+class TestOneFactorSearch:
+    def test_no_pairwise_scan_on_pbw_bases(self, monkeypatch):
+        # every factor question is answered by the automaton; the brute-force
+        # contains_factor is only a reference for the tests
+        def pairwise_scan(word, factor):
+            raise AssertionError("contains_factor called from ncdim")
+
+        monkeypatch.setattr(ncdim.rewrite, "contains_factor", pairwise_scan)
+        basis = commutation(13).basis
+        assert verify_groebner(basis).ok
+        rees = tilde_basis(basis)
+        assert rees.basis.verified and len(rees.basis) == 78 + 13
