@@ -143,7 +143,8 @@ def chain_sets(graph: ChainGraph, max_level: int = DEFAULT_MAX_LEVEL) -> ChainSe
         ]
     if current and finite:
         raise InputError(
-            f"chain enumeration exceeded max_level={max_level}; raise the cap"
+            f"chain enumeration stopped at its fixed depth of {max_level} "
+            "levels, but the chain sets are finite and go deeper"
         )
     return ChainSets(tuple(levels), finite)
 

@@ -88,7 +88,7 @@ def _run(args) -> int:
     if args.command == "growth":
         print("growth: " + fmt_growth(report.growth))
         if report.growth.exponential:
-            c1, c2 = report.growth_witness
+            c1, c2 = report.growth.witness
             shared = word_str(c1[0][0], alphabet)
             for k, cycle in enumerate((c1, c2), 1):
                 print(f"  cycle {k} through {shared}: {fmt_cycle(cycle, alphabet)}")
@@ -133,7 +133,7 @@ def _run(args) -> int:
 
     if args.command == "graph":
         if args.which == "uf":
-            g = report.growth_graph
+            g = growth_mod.build_ufnarovski(report.omega, alphabet)
             if args.dot:
                 print(growth_mod.emit_dot(g, "growth"), end="")
             else:

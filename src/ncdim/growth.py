@@ -8,18 +8,19 @@ iff two distinct cycles share a vertex; otherwise the Gelfand-Kirillov
 dimension is the largest number of cyclic strong components on one path of
 the condensation.
 
-The class and degree are decided by :func:`automaton_growth`, which applies
-the same rule to the Aho–Corasick automaton of the obstructions.  The
-Ufnarovski graph itself is built only to show it or its witness cycles.
+The class, the degree and the witness cycles come from
+:func:`automaton_growth`, which applies the same rule to the Aho–Corasick
+automaton of the obstructions.  The Ufnarovski graph itself is built only to
+show it, and only up to :data:`MAX_WINDOWS` candidate vertices.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, cycle, product
 
-from .errors import CrossCheckError
+from .errors import CrossCheckError, InputError
 from .freealg import Alphabet, Word
 from .render import dot_digraph
 from .rewrite import MonomialSet
@@ -27,6 +28,9 @@ from .rewrite import MonomialSet
 # An edge is (source word, target word, appended letter); the letter keeps
 # parallel edges distinct (they occur only in the ell = 1 convention).
 Edge = tuple
+
+# Words of length ell-1 that build_ufnarovski may enumerate (about 1 s).
+MAX_WINDOWS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -36,15 +40,13 @@ class UfnarovskiGraph:
     vertices: tuple[Word, ...]
     edges: tuple[Edge, ...]
 
-    def out_edges(self) -> dict[Word, list[Edge]]:
-        adj: dict[Word, list[Edge]] = defaultdict(list)
-        for e in self.edges:
-            adj[e[0]].append(e)
-        return adj
-
 
 def build_ufnarovski(omega: MonomialSet, alphabet: Alphabet) -> UfnarovskiGraph:
     ell = max(omega.ell, 1)
+    windows = alphabet.n ** (ell - 1)
+    if windows > MAX_WINDOWS:
+        raise InputError(f"the Ufnarovski graph has {windows} candidate vertices "
+                         f"({alphabet.n}^{ell - 1}), over the limit of {MAX_WINDOWS}")
     vertices = [
         w for w in product(range(alphabet.n), repeat=ell - 1) if omega.is_normal(w)
     ]
@@ -63,12 +65,11 @@ def build_ufnarovski(omega: MonomialSet, alphabet: Alphabet) -> UfnarovskiGraph:
 class GrowthClass:
     """Either exponential, or polynomial of some degree m >= 0.
 
-    m = 0 means the algebra is finite-dimensional (no cycles at all).  A
-    class from :func:`classify_growth` on an exponential graph carries in
-    ``witness`` two distinct cycles of the Ufnarovski graph through a common
-    vertex, each as a tuple of edges.  A class from :func:`automaton_growth`
-    always carries ``witness=None``; a report's witness lives in
-    ``AnalysisReport.growth_witness``.
+    m = 0 means the algebra is finite-dimensional (no cycles at all).  An
+    exponential class from :func:`automaton_growth` carries in ``witness``
+    two cycles of the Ufnarovski graph from a common vertex that leave it by
+    different letters, each as a tuple of edges; :func:`classify_growth`
+    gives no witness.
     """
 
     exponential: bool
@@ -128,71 +129,6 @@ def _tarjan_sccs(vertices, adjacency) -> list[list]:
     return sccs
 
 
-def _two_cycles_witness(graph: UfnarovskiGraph, component: set):
-    """Two distinct cycles through a vertex with >= 2 internal out-edges."""
-    out = graph.out_edges()
-    pivot = None
-    for v in sorted(component, key=lambda w: (len(w), w)):
-        internal = sorted(e for e in out[v] if e[1] in component)
-        if len(internal) >= 2:
-            pivot = v
-            first, second = internal[0], internal[1]
-            break
-    if pivot is None:
-        raise CrossCheckError("no branching vertex in an over-full strong component")
-
-    def path_back(start: Word) -> tuple[Edge, ...]:
-        if start == pivot:
-            return ()
-        parents: dict[Word, Edge] = {}
-        frontier = [start]
-        seen = {start}
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for e in out[u]:
-                    if e[1] in component and e[1] not in seen:
-                        parents[e[1]] = e
-                        seen.add(e[1])
-                        nxt.append(e[1])
-            frontier = nxt
-            if pivot in seen:
-                break
-        path = []
-        node = pivot
-        while node != start:
-            e = parents[node]
-            path.append(e)
-            node = e[0]
-        return tuple(reversed(path))
-
-    cycles = (
-        (first,) + path_back(first[1]),
-        (second,) + path_back(second[1]),
-    )
-    _check_witness(graph, cycles)
-    return cycles
-
-
-def _check_witness(graph: UfnarovskiGraph, cycles) -> None:
-    edge_set = set(graph.edges)
-    for cycle in cycles:
-        if not cycle:
-            raise CrossCheckError("witness cycle is empty")
-        for e in cycle:
-            if e not in edge_set:
-                raise CrossCheckError("witness uses a non-edge")
-        for e, f in zip(cycle, cycle[1:]):
-            if e[1] != f[0]:
-                raise CrossCheckError("witness cycle is not connected")
-        if cycle[-1][1] != cycle[0][0]:
-            raise CrossCheckError("witness cycle is not closed")
-    if cycles[0] == cycles[1]:
-        raise CrossCheckError("witness cycles are not distinct")
-    if cycles[0][0][0] != cycles[1][0][0]:
-        raise CrossCheckError("witness cycles do not share their base vertex")
-
-
 def _classify(vertices, edges):
     """(branching component or None, degree) of a digraph.
 
@@ -227,16 +163,14 @@ def _classify(vertices, edges):
 
 
 def classify_growth(graph: UfnarovskiGraph) -> GrowthClass:
-    """Exponential/polynomial classification of the growth graph, with the
-    two-cycle witness in the exponential case."""
+    """Class and degree of the growth graph itself, without a witness: the
+    tests' reference for :func:`automaton_growth`."""
     branching, degree = _classify(graph.vertices, [e[:2] for e in graph.edges])
-    if branching is not None:
-        return GrowthClass(True, None, _two_cycles_witness(graph, set(branching)))
-    return GrowthClass(False, degree, None)
+    return GrowthClass(True) if branching is not None else GrowthClass(False, degree)
 
 
 def automaton_growth(omega: MonomialSet, alphabet: Alphabet) -> GrowthClass:
-    """Class and degree read off the Aho–Corasick automaton of ``omega``.
+    """Class, degree and witness read off the Aho–Corasick automaton of ``omega``.
 
     Normal words are exactly the letter paths from the root through
     non-terminal states, and every non-terminal state is a proper prefix of
@@ -244,27 +178,98 @@ def automaton_growth(omega: MonomialSet, alphabet: Alphabet) -> GrowthClass:
     normal words of each length by paths from the root, the Ufnarovski
     graph by paths from every vertex (lengths >= ell - 1), so the same
     component rule decides both.  The automaton has at most 1 + sum |w|
-    states instead of up to n^(ell-1) vertices; it gives no witness (see
-    ``AnalysisReport.growth_witness``).
+    states instead of up to n^(ell-1) vertices.
     """
     automaton = omega.automaton
     letters = range(alphabet.n)
     states = [0]
-    edges = []
+    edges = []  # (state, next state, letter)
     seen = {0}
     for state in states:
         for a in letters:
             nxt = automaton.step(state, a)
             if automaton.is_terminal(nxt):
                 continue
-            edges.append((state, nxt))
+            edges.append((state, nxt, a))
             if nxt not in seen:
                 seen.add(nxt)
                 states.append(nxt)
-    branching, degree = _classify(states, edges)
-    if branching is not None:
-        return GrowthClass(True)
-    return GrowthClass(False, degree)
+    branching, degree = _classify(states, [e[:2] for e in edges])
+    if branching is None:
+        return GrowthClass(False, degree)
+    ell = max(omega.ell, 1)
+    cycles = _two_cycles(edges, set(branching), ell)
+    _check_witness(omega, ell, cycles)
+    return GrowthClass(True, None, cycles)
+
+
+def _two_cycles(edges, component: set, ell: int):
+    """Two cycles of the Ufnarovski graph from one window, read off a
+    branching strong component of the automaton.
+
+    The pivot is the smallest state with two internal out-letters a < b;
+    p is a then a shortest path back to the pivot, q likewise from b.  From
+    the window W = the last ell-1 letters of p^k (k |p| >= ell-1) the first
+    cycle reads p's, the second q and then p's, each until it is back at W.
+    Every word read is a factor of the normal word (root path) p^k q p^m.
+    """
+    out: dict = defaultdict(list)  # internal (letter, target), by letter
+    for src, dst, a in edges:
+        if src in component and dst in component:
+            out[src].append((a, dst))
+    pivot = min((s for s in component if len(out[s]) >= 2), default=None)
+    if pivot is None:
+        raise CrossCheckError("no branching state in an over-full strong component")
+
+    def loop(letter: int, start: int) -> tuple[int, ...]:
+        parent = {start: None}
+        order = [start]
+        for s in order:  # breadth first, letters in order
+            for c, t in out[s]:
+                if t not in parent:
+                    parent[t] = (s, c)
+                    order.append(t)
+        path = []
+        s = pivot
+        while parent[s] is not None:
+            s, c = parent[s]
+            path.append(c)
+        return (letter,) + tuple(reversed(path))
+
+    (a, first), (b, second) = out[pivot][:2]
+    p, q = loop(a, first), loop(b, second)
+    k = -(-(ell - 1) // len(p))
+    start = (p * k)[len(p) * k - (ell - 1):]
+
+    def walk(head: tuple[int, ...]) -> tuple[Edge, ...]:
+        steps = []
+        v = start
+        for i, c in enumerate(chain(head, cycle(p)), 1):
+            w = (v + (c,))[1:]
+            steps.append((v, w, c))
+            v = w
+            if v == start and i >= max(len(head), 1):
+                return tuple(steps)
+
+    return walk(()), walk(q)
+
+
+def _check_witness(omega: MonomialSet, ell: int, cycles) -> None:
+    """Certify a witness without the graph: every step is an edge, each
+    cycle is closed, and both leave one vertex by different letters, so its
+    strong component is not a single cycle."""
+    for steps in cycles:
+        for v, w, letter in steps:
+            word = v + (letter,)
+            if len(v) != ell - 1 or not omega.is_normal(word) or w != word[1:]:
+                raise CrossCheckError("witness step is not an edge of the growth graph")
+        if not steps or any(e[1] != f[0] for e, f in zip(steps, steps[1:] + steps[:1])):
+            raise CrossCheckError("witness cycle is not a closed walk")
+    first, second = cycles
+    if first[0][0] != second[0][0]:
+        raise CrossCheckError("witness cycles do not share their base vertex")
+    if first[0][2] == second[0][2]:
+        raise CrossCheckError("witness cycles leave their base vertex by one letter")
 
 
 def count_paths(graph: UfnarovskiGraph, num_edges: int) -> int:

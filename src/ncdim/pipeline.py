@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 from . import chains as chains_mod
@@ -36,13 +35,7 @@ from .freealg import (
     leading_homogeneous,
     parse_polynomial,
 )
-from .growth import (
-    GrowthClass,
-    UfnarovskiGraph,
-    automaton_growth,
-    build_ufnarovski,
-    classify_growth,
-)
+from .growth import GrowthClass, automaton_growth, build_ufnarovski
 from .render import denominator_str, poly_str, word_str
 from .rewrite import GroebnerBasis, MonomialSet, ensure_verified
 from .rees import ReesInvariants, check_transfer, rees_invariants
@@ -155,27 +148,6 @@ class AnalysisReport:
     pbw: bool
     warnings: tuple[str, ...]
     chain_graph: ChainGraph
-
-    @cached_property
-    def growth_graph(self) -> UfnarovskiGraph:
-        """The Ufnarovski graph, built on first use (it has up to n^(ell-1)
-        vertices; the class and degree never need it)."""
-        return build_ufnarovski(self.omega, self.presentation.alphabet)
-
-    @cached_property
-    def growth_witness(self):
-        """Two cycles of the Ufnarovski graph through one vertex, or None
-        for polynomial growth.  The graph's own classification must agree
-        with ``growth``, which the automaton decided."""
-        graph_growth = classify_growth(self.growth_graph)
-        if (graph_growth.exponential, graph_growth.degree) != (
-            self.growth.exponential, self.growth.degree
-        ):
-            raise CrossCheckError(
-                "the Ufnarovski graph and the factor automaton classify the "
-                "growth differently"
-            )
-        return graph_growth.witness
 
 
 def analyze(
@@ -347,7 +319,7 @@ def _text_report(report: AnalysisReport) -> str:
     lines.append("")
     lines.append("(1) growth of the monomial algebra: " + fmt_growth(report.growth))
     if report.growth.exponential:
-        c1, c2 = report.growth_witness
+        c1, c2 = report.growth.witness
         lines.append(
             f"    witness: two cycles through {word_str(c1[0][0], alphabet)}: "
             f"{fmt_cycle(c1, alphabet)} / {fmt_cycle(c2, alphabet)}"
@@ -425,8 +397,9 @@ def _text_report(report: AnalysisReport) -> str:
 
 
 def _dot_bundle(report: AnalysisReport) -> str:
+    graph = build_ufnarovski(report.omega, report.presentation.alphabet)
     parts = [
-        growth_mod.emit_dot(report.growth_graph, "growth"),
+        growth_mod.emit_dot(graph, "growth"),
         chains_mod.emit_dot(report.chain_graph, "chains"),
         chains_mod.emit_dot(report.rees.graph, "rees_chains"),
     ]

@@ -320,14 +320,21 @@ def overlap_ambiguities(basis: GroebnerBasis) -> list[OverlapAmbiguity]:
 
 
 def s_element(basis: GroebnerBasis, amb: OverlapAmbiguity) -> Poly:
-    """Difference of the two one-step rewrites of the superposition word."""
+    """Difference of the two one-step rewrites of the superposition word,
+    prefix * g_right - g_left * suffix, built in one dict."""
     u = basis.leading_words[amb.left_index]
     v = basis.leading_words[amb.right_index]
     prefix = u[: len(u) - amb.overlap]
     suffix = v[amb.overlap :]
-    g_left = basis.elements[amb.left_index]
-    g_right = basis.elements[amb.right_index]
-    return Poly.monomial(prefix) * g_right - g_left * Poly.monomial(suffix)
+    terms = {prefix + w: c for w, c in basis.elements[amb.right_index].terms.items()}
+    for w, c in basis.elements[amb.left_index].terms.items():
+        word = w + suffix
+        nc = terms.get(word, 0) - c
+        if nc:
+            terms[word] = nc
+        else:
+            terms.pop(word, None)
+    return Poly(terms)
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ from ncdim import (
     MonomialSet,
     Poly,
     analyze,
+    automaton_growth,
     build_ufnarovski,
-    classify_growth,
     count_normal_words,
     dehomogenize,
     extend_alphabet,
@@ -71,9 +71,11 @@ def one_minus_t_power(n):
 
 
 def assert_valid_witness(graph, witness):
-    """Two structurally distinct cycles through a shared vertex, edge by edge."""
+    """Two cycles of ``graph`` from a shared vertex, edge by edge, that leave
+    it by different letters."""
     c1, c2 = witness
     assert c1 != c2
+    assert c1[0][2] != c2[0][2]
     edge_set = set(graph.edges)
     for cycle in (c1, c2):
         assert cycle
@@ -219,17 +221,15 @@ class TestAcceptance:
         with criterion(7, "exponential growth witnesses"):
             three = MonomialSet(((0, 0),))
             alphabet3 = Alphabet(("x1", "x2", "x3"), (1, 1, 1))
-            graph = build_ufnarovski(three, alphabet3)
-            growth = classify_growth(graph)
+            growth = automaton_growth(three, alphabet3)
             assert growth.exponential
-            assert_valid_witness(graph, growth.witness)
+            assert_valid_witness(build_ufnarovski(three, alphabet3), growth.witness)
 
             two = MonomialSet(())
             alphabet2 = Alphabet(("x1", "x2"), (1, 1))
-            graph2 = build_ufnarovski(two, alphabet2)
-            growth2 = classify_growth(graph2)
+            growth2 = automaton_growth(two, alphabet2)
             assert growth2.exponential
-            assert_valid_witness(graph2, growth2.witness)
+            assert_valid_witness(build_ufnarovski(two, alphabet2), growth2.witness)
 
     def test_criterion_8_order_and_reduction_laws(self):
         with criterion(8, "order and reduction laws"):

@@ -123,7 +123,7 @@ class TestChainSets:
 
     def test_finite_enumeration_over_cap_raises(self):
         graph = build_chain_graph(commutation_omega(5), Alphabet(tuple("abcde"), (1,) * 5))
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="fixed depth of 3 levels"):
             chain_sets(graph, max_level=3)
         assert len(chain_sets(graph).levels) == 5
 

@@ -1,13 +1,17 @@
 """Command-line interface: subcommands, output, and exit codes."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+import ncdim.growth
 import ncdim.pipeline
-from ncdim import GrowthClass, InputError, analyze, load_presentation, report_to_dict
+from ncdim import InputError, analyze, load_presentation, report_to_dict
 from ncdim.cli import main
+from ncdim.pipeline import fmt_cycle
+from ncdim.render import word_str
 
 SAMPLES = Path(__file__).resolve().parent.parent / "presentations"
 DOWN_UP = str(SAMPLES / "down_up.json")
@@ -26,6 +30,17 @@ def free2(tmp_path) -> str:
         tmp_path,
         {"variables": [{"name": "x1"}, {"name": "x2"}], "relations": []},
     )
+
+
+def two_letters(tmp_path, relation: str) -> str:
+    return write(
+        tmp_path,
+        {"variables": [{"name": "x1"}, {"name": "x2"}], "relations": [relation]},
+    )
+
+
+# x1^20 and the power family at n = 40 have 2^19 and 2^40 windows.
+LONG_OBSTRUCTIONS = ["x1^20", "x2^40*x1 - 2*x1*x2^40 - x1"]
 
 
 class TestExitCodes:
@@ -120,26 +135,54 @@ class TestGrowth:
         )
 
 
-class TestWitnessCrossCheck:
-    @pytest.fixture
-    def graph_says_polynomial(self, monkeypatch):
+def _no_pivot(monkeypatch):
+    monkeypatch.setattr(ncdim.growth, "_classify", lambda vertices, edges: ([], None))
+
+
+def _corrupt(change):
+    def patch(monkeypatch):
+        build = ncdim.growth._two_cycles
         monkeypatch.setattr(
-            ncdim.pipeline, "classify_growth", lambda graph: GrowthClass(False, 1)
+            ncdim.growth, "_two_cycles", lambda *args: change(build(*args))
         )
+    return patch
 
-    @pytest.mark.parametrize(
-        "argv", [["growth"], ["report", "--format", "text"]]
-    )
-    def test_disagreement_exits_4(self, graph_says_polynomial, argv, tmp_path, capsys):
-        assert main(argv[:1] + [free2(tmp_path)] + argv[1:]) == 4
-        captured = capsys.readouterr()
-        assert "internal cross-check violated" in captured.err
-        assert "classify the growth differently" in captured.err
 
-    def test_outputs_without_the_witness_skip_it(self, graph_says_polynomial, tmp_path):
-        path = free2(tmp_path)
-        for argv in (["report", path], ["gldim", path], ["graph", path]):
-            assert main(argv) == 0
+# x1^3 over two letters: the witness is x1*x2->x2*x1->x1*x2 and
+# x1*x2->x2*x2->x2*x1->x1*x2.
+CERTIFICATE_FAULTS = {
+    "no pivot": (_no_pivot, "no branching state"),
+    "non-normal edge": (
+        _corrupt(lambda c: ((((0, 0), (0, 0), 0),), c[1])), "not an edge"
+    ),
+    "open cycle": (_corrupt(lambda c: (c[0][:-1], c[1])), "not a closed walk"),
+    "same first letter": (_corrupt(lambda c: (c[0], c[0])), "by one letter"),
+}
+
+
+class TestWitnessCertificate:
+    """Each way the automaton's witness can fail its check exits 4."""
+
+    @pytest.mark.parametrize("fault", sorted(CERTIFICATE_FAULTS))
+    @pytest.mark.parametrize("argv", [["growth"], ["report", "--format", "text"]])
+    def test_fault_exits_4(self, fault, argv, monkeypatch, tmp_path, capsys):
+        patch, message = CERTIFICATE_FAULTS[fault]
+        patch(monkeypatch)
+        assert main(argv[:1] + [two_letters(tmp_path, "x1^3")] + argv[1:]) == 4
+        err = capsys.readouterr().err
+        assert "internal cross-check violated" in err
+        assert message in err
+
+
+@pytest.fixture
+def no_growth_graph(monkeypatch):
+    """build_ufnarovski raises in every ncdim namespace that binds it."""
+    def refuse(*args):
+        raise AssertionError("built the Ufnarovski graph")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ncdim" and hasattr(module, "build_ufnarovski"):
+            monkeypatch.setattr(module, "build_ufnarovski", refuse)
 
 
 class TestLongObstructions:
@@ -153,6 +196,66 @@ class TestLongObstructions:
         payload = json.loads(capsys.readouterr().out.split("\n", 1)[1])
         assert payload["growth"] == {"class": "exponential", "degree": None}
         assert payload["gldim_monomial"] == "infinity"
+
+    @pytest.mark.parametrize("relation", LONG_OBSTRUCTIONS)
+    def test_witness_without_the_graph(self, no_growth_graph, relation, tmp_path,
+                                       capsys):
+        path = two_letters(tmp_path, relation)
+        report = analyze(load_presentation(path))
+        omega, alphabet = report.omega, report.presentation.alphabet
+        c1, c2 = report.growth.witness
+        ncdim.growth._check_witness(omega, omega.ell, (c1, c2))
+        shared = word_str(c1[0][0], alphabet)
+        assert main(["growth", path]) == 0
+        assert capsys.readouterr().out == (
+            "growth: exponential\n"
+            f"  cycle 1 through {shared}: {fmt_cycle(c1, alphabet)}\n"
+            f"  cycle 2 through {shared}: {fmt_cycle(c2, alphabet)}\n"
+        )
+        assert main(["report", path, "--format", "text"]) == 0
+        assert (
+            f"    witness: two cycles through {shared}: "
+            f"{fmt_cycle(c1, alphabet)} / {fmt_cycle(c2, alphabet)}\n"
+        ) in capsys.readouterr().out
+
+    @pytest.mark.parametrize("relation", LONG_OBSTRUCTIONS)
+    @pytest.mark.parametrize(
+        "argv", [["graph", "--which", "uf"], ["report", "--format", "dot-bundle"]]
+    )
+    def test_graph_outputs_exit_2(self, relation, argv, tmp_path, capsys):
+        path = two_letters(tmp_path, relation)
+        assert main(argv[:1] + [path] + argv[1:]) == 2
+        err = capsys.readouterr().err
+        assert f"over the limit of {ncdim.growth.MAX_WINDOWS}" in err
+        assert "candidate vertices (2^" in err
+
+
+class TestWindowLimit:
+    """n^(ell-1) at the limit builds the graph, one word longer exits 2."""
+
+    @pytest.fixture(autouse=True)
+    def limit_four(self, monkeypatch):
+        monkeypatch.setattr(ncdim.growth, "MAX_WINDOWS", 4)
+
+    @pytest.mark.parametrize(
+        "argv", [["graph", "--which", "uf"], ["report", "--format", "dot-bundle"]]
+    )
+    def test_both_sides(self, argv, tmp_path, capsys):
+        at_limit = two_letters(tmp_path, "x1^3")
+        over = write(tmp_path, {"variables": [{"name": "x1"}, {"name": "x2"}],
+                                "relations": ["x1^4"]}, "over.json")
+        assert main(argv[:1] + [at_limit] + argv[1:]) == 0
+        assert main(argv[:1] + [over] + argv[1:]) == 2
+        assert capsys.readouterr().err == (
+            "error: the Ufnarovski graph has 8 candidate vertices (2^3), "
+            "over the limit of 4\n"
+        )
+
+    def test_other_outputs_need_no_graph(self, tmp_path):
+        over = two_letters(tmp_path, "x1^4")
+        for argv in (["growth", over], ["report", over, "--format", "text"],
+                     ["graph", over, "--which", "chains"]):
+            assert main(argv) == 0
 
 
 class TestCheckGbVerifiesOnly:

@@ -13,6 +13,7 @@ from ncdim import (
     extend_alphabet,
 )
 from ncdim.growth import emit_dot
+from test_acceptance import assert_valid_witness
 
 AB = Alphabet(("x1", "x2"), (1, 1))
 AB3 = Alphabet(("x1", "x2", "x3"), (1, 1, 1))
@@ -69,22 +70,21 @@ class TestBuildGraph:
         assert graph.vertices == ((),)
         assert graph.edges == (((), (), 1),)
 
-    def test_out_edges(self):
-        graph = build_ufnarovski(DOWN_UP, AB)
-        out = graph.out_edges()
-        assert [e[2] for e in out[(1, 1)]] == [0, 1]
-        assert out[(0, 1)] == [((0, 1), (1, 0), 0)]
-
 
 def classify_both(omega, alphabet):
-    """The graph classification, after checking the automaton agrees."""
-    graph_growth = classify_growth(build_ufnarovski(omega, alphabet))
+    """The automaton's class, after checking that the graph classifies the
+    same and that an exponential witness is made of the graph's edges."""
+    graph = build_ufnarovski(omega, alphabet)
+    graph_growth = classify_growth(graph)
     fast = automaton_growth(omega, alphabet)
-    assert fast.witness is None
     assert (fast.exponential, fast.degree) == (
         graph_growth.exponential, graph_growth.degree
     )
-    return graph_growth
+    if fast.exponential:
+        assert_valid_witness(graph, fast.witness)
+    else:
+        assert fast.witness is None
+    return fast
 
 
 class TestClassification:

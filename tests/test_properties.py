@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import ncdim.rewrite
 from ncdim import (
     Alphabet,
     GroebnerBasis,
@@ -21,7 +22,12 @@ from ncdim import (
     verify_groebner,
 )
 from ncdim.rees import HomogenizationOrder
-from ncdim.rewrite import FactorAutomaton, contains_factor
+from ncdim.rewrite import (
+    FactorAutomaton,
+    contains_factor,
+    overlap_ambiguities,
+    s_element,
+)
 from presets import commutation, down_up, ore_case_a
 
 MANY = settings(max_examples=1000, derandomize=True, deadline=None)
@@ -257,3 +263,28 @@ class TestReductionSearch:
         assert [verify_groebner(b) for b in seeded_bases(400)] == results
         assert sum(not r.ok for r in results) >= 50
         assert sum(r.ok and r.checked > 0 for r in results) >= 20
+
+
+def product_s_element(basis, amb):
+    """Reference S-element by general products: prefix*g_right - g_left*suffix."""
+    u = basis.leading_words[amb.left_index]
+    v = basis.leading_words[amb.right_index]
+    prefix = Poly.monomial(u[: len(u) - amb.overlap])
+    suffix = Poly.monomial(v[amb.overlap :])
+    return prefix * basis.elements[amb.right_index] - basis.elements[amb.left_index] * suffix
+
+
+class TestSElement:
+    """S-elements built in one dict against the products they replaced."""
+
+    def test_same_s_elements_and_verification_on_seeded_bases(self, monkeypatch):
+        pairs = [(b, amb) for b in seeded_bases(400) for amb in overlap_ambiguities(b)]
+        assert len(pairs) >= 200
+        for basis, amb in pairs:
+            direct, product = s_element(basis, amb), product_s_element(basis, amb)
+            assert direct == product
+            assert list(direct.terms) == list(product.terms)
+        results = [verify_groebner(b) for b in seeded_bases(400)]
+        monkeypatch.setattr(ncdim.rewrite, "s_element", product_s_element)
+        assert [verify_groebner(b) for b in seeded_bases(400)] == results
+        assert sum(not r.ok for r in results) >= 50
