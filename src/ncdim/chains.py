@@ -4,21 +4,28 @@ Chains are built from routes out of the root vertex 1 of the chain graph:
 a route 1 -> v1 -> ... -> v_{n+1} concatenates to an n-chain word.  The
 global dimension of the monomial algebra is the first level at which the
 chain sets vanish, and the Hilbert series denominator is the alternating
-sum of the chain-level generating polynomials.
+sum of the chain-level generating polynomials.  Both need only the number
+of routes per level and degree, which a DP over the graph counts; words are
+listed for display only, under a budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable
 
-from .errors import CrossCheckError, InputError
+from .errors import CrossCheckError
 from .freealg import Alphabet, Word
 from .render import dot_digraph
 from .rewrite import MonomialSet, count_normal_words
 
 DEFAULT_MAX_LEVEL = 64
 DEFAULT_TRUNCATION = 16
+# Chain words listed per chain set, for the report and the Rees set check.
+# Branching sets double per level; at this size a `report` process on them
+# peaks near 21 MB (Python 3.11).
+MAX_LISTED_CHAINS = 4096
 ROOT: Word = ()
 
 
@@ -85,28 +92,45 @@ def build_chain_graph(omega: MonomialSet, alphabet: Alphabet) -> ChainGraph:
 
 @dataclass(frozen=True)
 class ChainSets:
-    """Chain words per level: ``levels[i]`` is C_i, starting at C_0.
+    """Chain counts per level, and the chain words of the leading levels.
 
-    C_{-1} = {1} is implicit.  ``finite`` reports whether the chain sets
-    vanish at some level (no cycle is reachable from the root); when false
-    the enumeration stops at the configured depth instead.
+    ``counts[i]`` is the generating polynomial C_i(t) of level i, as
+    ascending coefficients by weighted degree with trailing zeros trimmed,
+    starting at C_0; C_{-1} = 1 is implicit.  ``finite`` reports whether the
+    chain sets vanish at some level (no cycle is reachable from the root).
+    Finite sets are counted exactly, through their last nonempty level.
+    Infinite ones are counted in degrees up to ``truncation`` only (None
+    when the sets are finite); a chain of C_i has degree at least i + 1, so
+    the levels past ``truncation`` have no chain there.
+
+    ``levels[i]`` lists the words of C_i for the first ``len(levels)``
+    levels.  The listing stops at the depth cap, and before the level that
+    would take it over MAX_LISTED_CHAINS words.  ``truncated`` reports that
+    it stopped short of a nonempty level of finite sets, or short of the
+    depth cap for infinite ones.
     """
 
     levels: tuple[tuple[Word, ...], ...]
     finite: bool
+    counts: tuple[tuple[int, ...], ...]
+    truncation: int | None
+    truncated: bool
 
-    def level(self, n: int) -> tuple[Word, ...]:
+    def level(self, n: int) -> tuple[Word, ...] | None:
+        """The words of C_n, or None when C_n is nonempty but not listed."""
         if n == -1:
             return (ROOT,)
         if 0 <= n < len(self.levels):
             return self.levels[n]
-        return ()
+        if n < 0 or (self.finite and n >= len(self.counts)):
+            return ()
+        return None
 
     @property
     def gldim(self) -> int | None:
         """Global dimension: the first level at which the chain sets vanish;
         None = infinite."""
-        return len(self.levels) if self.finite else None
+        return len(self.counts) if self.finite else None
 
 
 def _cycle_reachable(graph: ChainGraph) -> bool:
@@ -132,21 +156,67 @@ def _cycle_reachable(graph: ChainGraph) -> bool:
     return False
 
 
-def chain_sets(graph: ChainGraph, max_level: int = DEFAULT_MAX_LEVEL) -> ChainSets:
+def _count_levels(graph: ChainGraph, truncation: int | None) -> list[tuple[int, ...]]:
+    """C_0(t), C_1(t), ... through the last level with a chain of degree at
+    most ``truncation`` (None = any degree, for finite chain sets).
+
+    A DP over routes from the root grouped by (tail vertex, weighted
+    degree): next[s][d + deg s] += cur[t][d] for every edge t -> s.  Each
+    level costs O(E * D) for E edges and D distinct degrees, however many
+    chains it has.
+    """
+    degree = {v: graph.alphabet.degree(v) for v in graph.vertices}
+    current = {
+        s: {degree[s]: 1}
+        for s in graph.successors(ROOT)
+        if truncation is None or degree[s] <= truncation
+    }
+    counts: list[tuple[int, ...]] = []
+    while current:
+        poly = [0] * (1 + max(d for by_degree in current.values() for d in by_degree))
+        for by_degree in current.values():
+            for d, c in by_degree.items():
+                poly[d] += c
+        counts.append(tuple(poly))
+        following: dict[Word, dict[int, int]] = {}
+        for tail, by_degree in current.items():
+            for s in graph.successors(tail):
+                row = following.setdefault(s, {})
+                for d, c in by_degree.items():
+                    e = d + degree[s]
+                    if truncation is None or e <= truncation:
+                        row[e] = row.get(e, 0) + c
+        current = {s: row for s, row in following.items() if row}
+    return counts
+
+
+def chain_sets(
+    graph: ChainGraph,
+    max_level: int = DEFAULT_MAX_LEVEL,
+    truncation: int = DEFAULT_TRUNCATION,
+) -> ChainSets:
+    """Count the chains of every level (to degree ``truncation`` when the
+    sets are infinite) and list the words of the leading levels that fit in
+    MAX_LISTED_CHAINS words together, to depth at most ``max_level``.  A
+    level that would not fit is dropped as soon as it passes the budget, so
+    a listing builds at most MAX_LISTED_CHAINS + 1 words."""
     finite = not _cycle_reachable(graph)
+    counts = _count_levels(graph, None if finite else truncation)
     levels: list[tuple[Word, ...]] = []
-    current = [(v, v) for v in graph.successors(ROOT)]  # (tail vertex, chain word)
-    while current and len(levels) < max_level:
-        levels.append(tuple(sorted((word for _, word in current), key=_by_length)))
-        current = [
-            (s, word + s) for tail, word in current for s in graph.successors(tail)
-        ]
-    if current and finite:
-        raise InputError(
-            f"chain enumeration stopped at its fixed depth of {max_level} "
-            "levels, but the chain sets are finite and go deeper"
+    routes = [(v, v) for v in graph.successors(ROOT)]  # (tail vertex, chain word)
+    room = MAX_LISTED_CHAINS - len(routes)
+    while routes and room >= 0 and len(levels) < max_level:
+        levels.append(tuple(sorted((word for _, word in routes), key=_by_length)))
+        # build the next level lazily, one route past the room left at most
+        following = (
+            (s, word + s) for tail, word in routes for s in graph.successors(tail)
         )
-    return ChainSets(tuple(levels), finite)
+        routes = list(islice(following, room + 1))
+        room -= len(routes)
+    truncated = len(levels) < (len(counts) if finite else max_level)
+    return ChainSets(
+        tuple(levels), finite, tuple(counts), None if finite else truncation, truncated
+    )
 
 
 @dataclass(frozen=True)
@@ -177,21 +247,15 @@ def expand_reciprocal(denominator: Iterable[int], up_to: int) -> list[int]:
     return coeffs
 
 
-def chain_denominator(sets: ChainSets, alphabet: Alphabet) -> tuple[int, ...]:
-    """D(t) = 1 - sum_i (-1)^i H_{C_i}(t) over the (finite) chain levels."""
-    degree_of = alphabet.degree
-    size = 1
-    contrib: dict[int, int] = {}
-    for i, level in enumerate(sets.levels):
-        sign = -1 if i % 2 == 0 else 1
-        for word in level:
-            d = degree_of(word)
-            contrib[d] = contrib.get(d, 0) + sign
-            size = max(size, d + 1)
-    den = [0] * size
+def chain_denominator(sets: ChainSets) -> tuple[int, ...]:
+    """D(t) = 1 - sum_i (-1)^i C_i(t) from the chain counts: exact when the
+    chain sets are finite, modulo t^(truncation + 1) when they are not."""
+    den = [0] * max([1] + [len(poly) for poly in sets.counts])
     den[0] = 1
-    for d, c in contrib.items():
-        den[d] += c
+    for i, poly in enumerate(sets.counts):
+        sign = -1 if i % 2 == 0 else 1
+        for d, c in enumerate(poly):
+            den[d] += sign * c
     while len(den) > 1 and den[-1] == 0:
         den.pop()
     return tuple(den)
@@ -206,18 +270,23 @@ def hilbert_series(
     """Hilbert series of the monomial algebra defined by ``omega``, whose
     chain sets are ``sets``.
 
-    The coefficients always come from normal-word counting.  With finite
-    chain sets the closed form 1/D(t) is formed too, and its expansion must
-    equal those coefficients (CrossCheckError otherwise).
+    The coefficients always come from normal-word counting, and 1/D(t) must
+    expand to them (CrossCheckError otherwise).  With finite chain sets D(t)
+    is exact and becomes the closed form.  Otherwise the counts give D(t)
+    only modulo t^(N+1), N the truncation of the counts, and the identity is
+    checked through degree N.
     """
     coeffs = count_normal_words(omega, alphabet, truncation)
+    den = chain_denominator(sets)
+    top = truncation if sets.finite else min(truncation, sets.truncation)
+    if expand_reciprocal(den, top) != coeffs[: top + 1]:
+        modulo = "" if sets.finite else f" mod t^{top + 1}"
+        raise CrossCheckError(
+            f"the chain denominator D(t){modulo} does not invert to the "
+            "normal-word counts"
+        )
     if not sets.finite:
         return HilbertSeries(None, tuple(coeffs), False)
-    den = chain_denominator(sets, alphabet)
-    if expand_reciprocal(den, truncation) != coeffs:
-        raise CrossCheckError(
-            "the chain denominator D(t) does not invert to the normal-word counts"
-        )
     return HilbertSeries(den, tuple(coeffs), True)
 
 

@@ -163,7 +163,7 @@ def analyze(
     growth = automaton_growth(omega, alphabet)
 
     chain_graph = build_chain_graph(omega, alphabet)
-    sets = chain_sets(chain_graph, DEFAULT_MAX_LEVEL)
+    sets = chain_sets(chain_graph, DEFAULT_MAX_LEVEL, truncation)
     gldim_monomial = sets.gldim
 
     hilbert = hilbert_series(sets, omega, alphabet, truncation)
@@ -240,6 +240,16 @@ def _hilbert_json(h: HilbertSeries) -> dict:
     }
 
 
+def _chains_json(sets: ChainSets, alphabet: Alphabet) -> dict:
+    chains = {
+        "levels": [[word_str(w, alphabet) for w in level] for level in sets.levels],
+        "finite": sets.finite,
+    }
+    if sets.truncated:
+        chains["truncated"] = True
+    return chains
+
+
 def report_to_dict(report: AnalysisReport) -> dict:
     alphabet = report.presentation.alphabet
     return {
@@ -256,12 +266,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
         },
         "hilbert": _hilbert_json(report.hilbert),
         "product_form": report.product_form,
-        "chains": {
-            "levels": [
-                [word_str(w, alphabet) for w in level] for level in report.sets.levels
-            ],
-            "finite": report.sets.finite,
-        },
+        "chains": _chains_json(report.sets, alphabet),
         "warnings": list(report.warnings),
     }
 
@@ -328,16 +333,22 @@ def _text_report(report: AnalysisReport) -> str:
         "(2) global dimension of the monomial algebra: "
         + fmt_dim(report.gldim_monomial)
     )
-    for i, level in enumerate(report.sets.levels):
+    sets = report.sets
+    for i, level in enumerate(sets.levels):
         lines.append(
             f"    C_{i} = {{" + ", ".join(word_str(w, alphabet) for w in level) + "}"
         )
-    if report.sets.finite:
-        lines.append(f"    C_{len(report.sets.levels)} = {{}}")
+    if sets.truncated:
+        lines.append(
+            f"    ... listing stopped after {len(sets.levels)} levels, at "
+            f"{sum(map(len, sets.levels))} chain words"
+        )
+    elif sets.finite:
+        lines.append(f"    C_{len(sets.levels)} = {{}}")
     else:
         lines.append(
             f"    ... not vanishing (enumeration stopped after "
-            f"{len(report.sets.levels)} levels)"
+            f"{len(sets.levels)} levels)"
         )
     lines.append("(3) conclusions:")
     if report.applicable:

@@ -6,9 +6,10 @@ the left), and the commutators X_i T - T X_i are adjoined.  The extended
 order compares T-stripped words by the base order before looking at T at
 all, so homogenizing never moves the leading word: the leading words are
 exactly LM(G) u {X_i T}, the homogenized set is again a Groebner basis, and
-the chain sets decompose level by level as C~_i = C_i u C_{i-1}T — all
-three facts are re-verified at runtime and a violation raises
-CrossCheckError.  :func:`rees_invariants` computes the Rees side only;
+the chain sets decompose level by level as C~_i = C_i u C_{i-1}T, so their
+counts as C~_i(t) = C_i(t) + t*C_{i-1}(t) — all of these are re-verified at
+runtime (the set identity on the levels both sides listed) and a violation
+raises CrossCheckError.  :func:`rees_invariants` computes the Rees side only;
 :func:`check_transfer` compares it with base invariants computed elsewhere.
 """
 
@@ -197,37 +198,59 @@ def _check_level_decomposition(
     tilde_sets: ChainSets, base_sets: ChainSets, ext: ExtendedAlphabet
 ) -> None:
     t = ext.t_word
-
-    def base_level(i: int):
-        if i == -1:
-            return {()}
-        if i < len(base_sets.levels):
-            return set(base_sets.levels[i])
-        return set() if base_sets.finite else None  # unknown beyond the cap
-
+    lower = base_sets.level(-1)
     for i, level in enumerate(tilde_sets.levels):
-        lower = base_level(i - 1)
-        same = base_level(i)
-        if lower is None or same is None:
-            break
-        expected = same | {c + t for c in lower}
-        if set(level) != expected:
+        same = base_sets.level(i)
+        if same is None:
+            break  # the base listing stopped before this level
+        if set(level) != set(same) | {c + t for c in lower}:
             raise CrossCheckError(
                 f"Rees chain level {i} is not C_{i} plus C_{i - 1}*T"
             )
+        lower = same
 
 
 def _check_top_level(
     tilde_sets: ChainSets, base_sets: ChainSets, ext: ExtendedAlphabet
 ) -> None:
-    if not (tilde_sets.finite and base_sets.finite and tilde_sets.levels):
+    if not (tilde_sets.finite and base_sets.finite and tilde_sets.counts):
         return
-    top = tilde_sets.levels[-1]
-    base_top = set(base_sets.level(len(tilde_sets.levels) - 2))
+    top_index = len(tilde_sets.counts) - 1
+    top, base_top = tilde_sets.level(top_index), base_sets.level(top_index - 1)
+    if top is None or base_top is None:
+        return
+    base_top = set(base_top)
     for word in top:
         if word[-1] != ext.t_index or word[:-1] not in base_top:
             raise CrossCheckError(
                 "a maximal Rees chain does not extend a maximal base chain by T"
+            )
+
+
+def _check_level_counts(tilde_sets: ChainSets, base_sets: ChainSets) -> None:
+    """C~_i(t) = C_i(t) + t*C_{i-1}(t) on every counted level (T has weight
+    1), through the degree both sides were counted to."""
+
+    def count(sets: ChainSets, i: int) -> tuple[int, ...]:
+        if i == -1:
+            return (1,)
+        return sets.counts[i] if i < len(sets.counts) else ()
+
+    top = tilde_sets.truncation
+    for i in range(max(len(tilde_sets.counts), len(base_sets.counts) + 1)):
+        same, lower = count(base_sets, i), count(base_sets, i - 1)
+        expected = [0] * max(len(same), len(lower) + 1)
+        for d, c in enumerate(same):
+            expected[d] += c
+        for d, c in enumerate(lower):
+            expected[d + 1] += c
+        if top is not None:
+            del expected[top + 1 :]
+        while expected and expected[-1] == 0:
+            expected.pop()
+        if tuple(expected) != count(tilde_sets, i):
+            raise CrossCheckError(
+                f"Rees chain count C~_{i}(t) is not C_{i}(t) + t*C_{i - 1}(t)"
             )
 
 
@@ -247,7 +270,7 @@ def rees_invariants(
     growth = automaton_growth(omega, ext.alphabet)
     graph = build_chain_graph(omega, ext.alphabet)
     _check_graph_embedding(graph, ext)
-    sets = chain_sets(graph, max_level)
+    sets = chain_sets(graph, max_level, truncation)
     hilbert = hilbert_series(sets, omega, ext.alphabet, truncation)
     warnings = presentation.warnings + graph.warnings
     return ReesInvariants(presentation, omega, growth, hilbert, sets, graph, warnings)
@@ -255,8 +278,10 @@ def rees_invariants(
 
 def check_transfer(rees: ReesInvariants, sets: ChainSets, growth: GrowthClass) -> None:
     """Assert the Rees invariants against the base chain sets and growth:
-    C~_i = C_i u C_{i-1}T, maximal chains end in T, equal finiteness,
-    global dimension + 1 and GK degree + 1 (for polynomial growth)."""
+    C~_i = C_i u C_{i-1}T on the listed levels, maximal chains end in T,
+    equal finiteness, global dimension + 1, C~_i(t) = C_i(t) + t*C_{i-1}(t)
+    on the counted levels and GK degree + 1 (for polynomial growth).  Both
+    chain sets must be counted to the same truncation."""
     ext = rees.presentation.ext
     _check_level_decomposition(rees.sets, sets, ext)
     _check_top_level(rees.sets, sets, ext)
@@ -264,6 +289,7 @@ def check_transfer(rees: ReesInvariants, sets: ChainSets, growth: GrowthClass) -
         raise CrossCheckError("Rees chain finiteness differs from the base")
     if sets.finite and rees.gldim != sets.gldim + 1:
         raise CrossCheckError("Rees global dimension is not base + 1")
+    _check_level_counts(rees.sets, sets)
     if growth.is_polynomial:
         if rees.growth.exponential or rees.growth.degree != growth.degree + 1:
             raise CrossCheckError("Rees growth degree is not base + 1")

@@ -1,22 +1,35 @@
 import itertools
+import json
+import re
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import ncdim.chains
+import ncdim.pipeline
 from ncdim import (
     Alphabet,
+    ChainGraph,
     CrossCheckError,
-    InputError,
     MonomialSet,
+    analyze,
     build_chain_graph,
     chain_sets,
     count_normal_words,
     hilbert_series,
+    load_presentation,
     product_form_decomposition,
     tilde_basis,
 )
-from ncdim.chains import ROOT, chain_denominator, emit_dot, expand_reciprocal
+from ncdim.chains import (
+    MAX_LISTED_CHAINS,
+    ROOT,
+    chain_denominator,
+    emit_dot,
+    expand_reciprocal,
+)
 from ncdim.cli import main
 from presets import power_family
 
@@ -28,6 +41,7 @@ ONE = Alphabet(("x",), (1,))
 
 DOWN_UP = MonomialSet(((0, 0, 1), (0, 1, 1)))
 SKEW = MonomialSet(((1, 0),))
+ALL_SQUARES = MonomialSet(((0, 0), (0, 1), (1, 0), (1, 1)))
 
 
 def commutation_omega(n):
@@ -121,11 +135,73 @@ class TestChainSets:
         assert len(sets.levels) == 5
         assert sets.levels[3] == ((0, 0, 0, 0),)
 
-    def test_finite_enumeration_over_cap_raises(self):
+    def test_finite_sets_deeper_than_the_cap_are_counted(self):
         graph = build_chain_graph(commutation_omega(5), Alphabet(tuple("abcde"), (1,) * 5))
-        with pytest.raises(InputError, match="fixed depth of 3 levels"):
-            chain_sets(graph, max_level=3)
-        assert len(chain_sets(graph).levels) == 5
+        capped = chain_sets(graph, max_level=3)
+        assert capped.gldim == 5
+        assert capped.truncated
+        assert len(capped.levels) == 3
+        assert capped.level(3) is None and capped.level(5) == ()
+        full = chain_sets(graph)
+        assert not full.truncated
+        assert len(full.levels) == 5
+        assert capped.counts == full.counts
+
+
+class TestChainCounts:
+    def test_down_up_counts(self):
+        sets = chain_sets(build_chain_graph(DOWN_UP, AB))
+        assert sets.counts == ((0, 2), (0, 0, 0, 2), (0, 0, 0, 0, 1))
+        assert sets.truncation is None
+
+    def test_weighted_counts(self):
+        # C_0 = {x1, x2} of degrees 1 and 3, C_1 = {x2*x1} of degree 4
+        sets = chain_sets(build_chain_graph(SKEW, AB_W))
+        assert sets.counts == ((0, 1, 0, 1), (0, 0, 0, 0, 1))
+
+    def test_infinite_sets_are_counted_to_the_truncation(self):
+        # x^2: C_i = {x^(i+1)}, so degrees 1..6 fill levels 0..5
+        graph = build_chain_graph(MonomialSet(((0, 0),)), ONE)
+        sets = chain_sets(graph, truncation=6)
+        assert sets.truncation == 6
+        assert sets.counts == tuple((0,) * (i + 1) + (1,) for i in range(6))
+        assert len(sets.levels) == 64 and not sets.truncated
+        assert chain_sets(graph, truncation=0).counts == ()
+
+    def test_budget_cuts_the_listing_of_branching_sets(self):
+        # all-squares: C_i is every word of length i + 1, 2^(i+1) chains
+        sets = chain_sets(build_chain_graph(ALL_SQUARES, AB))
+        assert not sets.finite and sets.truncated
+        assert sets.counts == tuple(
+            (0,) * (i + 1) + (2 ** (i + 1),) for i in range(16)
+        )
+        listed = sum(map(len, sets.levels))
+        assert listed <= MAX_LISTED_CHAINS < listed + 2 ** (len(sets.levels) + 1)
+        assert [len(level) for level in sets.levels] == [2 ** (i + 1) for i in range(11)]
+        assert sets.level(11) is None
+
+    def test_commutation_20_is_counted_without_listing_it(self, monkeypatch):
+        # 2^20 - 1 chains: the DP takes one step per (level, vertex) pair and
+        # the listing one per listed chain, never one per chain
+        alphabet = Alphabet(tuple(f"x{i + 1}" for i in range(20)), (1,) * 20)
+        graph = build_chain_graph(commutation_omega(20), alphabet)
+        steps = 0
+        original = ChainGraph.successors
+
+        def counted(self, v):
+            nonlocal steps
+            steps += 1
+            return original(self, v)
+
+        monkeypatch.setattr(ChainGraph, "successors", counted)
+        sets = chain_sets(graph)
+        assert sets.gldim == 20
+        assert sets.counts == tuple(
+            (0,) * (i + 1) + (math.comb(20, i + 1),) for i in range(20)
+        )
+        assert sets.truncated
+        assert sum(map(len, sets.levels)) <= MAX_LISTED_CHAINS
+        assert steps <= MAX_LISTED_CHAINS + 3 * 21 * len(graph.vertices)
 
 
 class TestGlobalDimension:
@@ -209,8 +285,8 @@ class TestHilbertSeries:
     def test_corrupt_denominator_is_caught(self, monkeypatch, capsys):
         original = ncdim.chains.chain_denominator
 
-        def off_by_one(sets, alphabet):
-            den = original(sets, alphabet)
+        def off_by_one(sets):
+            den = original(sets)
             return (1, den[1] - 1) + den[2:]
 
         monkeypatch.setattr(ncdim.chains, "chain_denominator", off_by_one)
@@ -224,11 +300,54 @@ class TestChainDenominator:
     def test_signs_alternate_starting_negative(self):
         # D = 1 - (H_{C_0} - H_{C_1} + H_{C_2}) for the three down-up levels
         sets = chain_sets(build_chain_graph(DOWN_UP, AB))
-        assert chain_denominator(sets, AB) == (1, -2, 0, 2, -1)
+        assert chain_denominator(sets) == (1, -2, 0, 2, -1)
 
     def test_trailing_zeros_trimmed(self):
         sets = chain_sets(build_chain_graph(MonomialSet.interreduce([]), AB))
-        assert chain_denominator(sets, AB) == (1, -2)
+        assert chain_denominator(sets) == (1, -2)
+
+    def test_reads_counts_not_words(self):
+        sets = chain_sets(build_chain_graph(DOWN_UP, AB))
+        assert chain_denominator(replace(sets, levels=())) == (1, -2, 0, 2, -1)
+
+    def test_infinite_sets_give_d_modulo_the_truncation(self):
+        # all-squares: D = 1 - 2t + 4t^2 - ... = 1/(1 + 2t) mod t^6
+        sets = chain_sets(build_chain_graph(ALL_SQUARES, AB), truncation=5)
+        assert chain_denominator(sets) == (1, -2, 4, -8, 16, -32)
+
+
+def write_presentation(tmp_path, relations):
+    path = tmp_path / "presentation.json"
+    variables = [{"name": "x1"}, {"name": "x2"}]
+    path.write_text(json.dumps({"variables": variables, "relations": relations}))
+    return str(path)
+
+
+class TestTruncatedIdentity:
+    """With infinite chain sets, 1/D(t) mod t^(N+1) must still give the
+    normal-word counts: a changed chain count stops the run with exit 4."""
+
+    @pytest.mark.parametrize(
+        "relations", [["x1^3"], ["x1^2", "x1*x2", "x2*x1", "x2^2"]],
+        ids=["x1^3", "all-squares"],
+    )
+    def test_changed_count_is_caught(self, relations, tmp_path, monkeypatch, capsys):
+        path = write_presentation(tmp_path, relations)
+        original = ncdim.pipeline.chain_sets
+
+        def one_more_chain(graph, max_level, truncation):
+            sets = original(graph, max_level, truncation)
+            level = sets.counts[1]
+            counts = list(sets.counts)
+            counts[1] = level[:-1] + (level[-1] + 1,)
+            return replace(sets, counts=tuple(counts))
+
+        monkeypatch.setattr(ncdim.pipeline, "chain_sets", one_more_chain)
+        message = "the chain denominator D(t) mod t^17 does not invert"
+        with pytest.raises(CrossCheckError, match=re.escape(message)):
+            analyze(load_presentation(path))
+        assert main(["report", path]) == 4
+        assert message in capsys.readouterr().err
 
 
 def poly_mul(a, b):

@@ -9,6 +9,7 @@ import pytest
 import ncdim.growth
 import ncdim.pipeline
 from ncdim import InputError, analyze, load_presentation, report_to_dict
+from ncdim.chains import MAX_LISTED_CHAINS
 from ncdim.cli import main
 from ncdim.pipeline import fmt_cycle
 from ncdim.render import word_str
@@ -98,7 +99,7 @@ class TestExitCodes:
         assert "not zero" in err
 
     def test_chain_cap_fails_only_the_analysis(self, monkeypatch, capsys):
-        def over_cap(graph, max_level):
+        def over_cap(graph, max_level, truncation):
             raise InputError(f"chain enumeration exceeded max_level={max_level}")
 
         monkeypatch.setattr(ncdim.pipeline, "chain_sets", over_cap)
@@ -280,6 +281,47 @@ class TestCheckGbVerifiesOnly:
         assert capsys.readouterr().out == (
             "ok: 4 relations verified (8 overlap ambiguities reduce to zero)\n"
         )
+
+
+# Chain sets whose levels grow geometrically: all-squares (2^(i+1) chains on
+# level i) and a branching antichain on which `report` used to list chains
+# to depth 64.
+BRANCHING = {
+    "all-squares": (["x1^2", "x1*x2", "x2*x1", "x2^2"], 11, 4094),
+    "antichain": (["x1*x1*x2*x1", "x1*x2*x1*x1*x1", "x1*x2*x2*x2"], 9, 2378),
+}
+
+
+class TestBranchingChainSets:
+    """Reports list chain words only up to the budget, and say so."""
+
+    @pytest.fixture(params=sorted(BRANCHING))
+    def case(self, request, tmp_path):
+        relations, levels, words = BRANCHING[request.param]
+        variables = [{"name": "x1"}, {"name": "x2"}]
+        path = write(tmp_path, {"variables": variables, "relations": relations})
+        return path, levels, words
+
+    def test_json_report(self, case, capsys):
+        path, levels, words = case
+        assert main(["report", path, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["gldim_monomial"] == "infinity"
+        assert payload["rees"]["gldim"] == "infinity"
+        chains = payload["chains"]
+        assert chains["finite"] is False and chains["truncated"] is True
+        assert len(chains["levels"]) == levels
+        assert sum(map(len, chains["levels"])) == words <= MAX_LISTED_CHAINS
+
+    def test_text_report(self, case, capsys):
+        path, levels, words = case
+        assert main(["report", path, "--format", "text"]) == 0
+        out = capsys.readouterr().out
+        assert "(2) global dimension of the monomial algebra: infinite\n" in out
+        assert f"\n    C_{levels - 1} = {{" in out
+        stopped = f"    ... listing stopped after {levels} levels, at {words} chain words"
+        assert f"\n{stopped}\n" in out
+        assert "not vanishing" not in out
 
 
 class TestGldim:

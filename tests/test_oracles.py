@@ -1,9 +1,10 @@
 """Randomized monomial-set corpus: chain formulas versus direct enumeration.
 
 Every case is an interreduced obstruction set over 2 or 3 weighted letters.
-The counting formulas under test (normal-word automaton, chain denominator,
-growth-graph path counts, Rees level decomposition) are compared against a
-plain brute-force search that knows nothing about any of them.
+The counting formulas under test (normal-word automaton, chain counts and
+denominator, growth-graph path counts, Rees level decomposition) are
+compared against a plain brute-force search that knows nothing about any of
+them.
 """
 
 import random
@@ -29,7 +30,6 @@ from ncdim.chains import (
     chain_sets,
     expand_reciprocal,
 )
-from ncdim.errors import InputError
 from ncdim.rewrite import contains_factor
 
 MAX_LEN = 8
@@ -79,12 +79,8 @@ def brute_counts(index):
 
 
 def capped_sets(graph):
-    # a small cap keeps never-vanishing chain enumerations cheap; retry with
-    # room to spare when the sets are finite but deep
-    try:
-        return chain_sets(graph, 8)
-    except InputError:
-        return chain_sets(graph, 32)
+    # a small cap keeps never-vanishing chain listings cheap
+    return chain_sets(graph, 8)
 
 
 def test_corpus_is_mixed():
@@ -105,12 +101,11 @@ def test_normal_word_counter_matches_enumeration(index):
 
 @pytest.mark.parametrize("index", range(50))
 def test_chain_denominator_expands_to_normal_word_counts(index):
+    # exact D(t) for finite chain sets, D(t) mod t^(MAX_DEG + 1) otherwise
     alphabet, omega = CASES[index]
-    sets = capped_sets(build_chain_graph(omega, alphabet))
-    if not sets.finite:
-        pytest.skip("chain sets do not vanish; no closed form to test")
+    sets = chain_sets(build_chain_graph(omega, alphabet), truncation=MAX_DEG)
     _, by_degree = brute_counts(index)
-    assert expand_reciprocal(chain_denominator(sets, alphabet), MAX_DEG) == by_degree
+    assert expand_reciprocal(chain_denominator(sets), MAX_DEG) == by_degree
 
 
 @pytest.mark.parametrize("index", range(50))
@@ -144,21 +139,58 @@ def brute_chain_edges(omega, alphabet):
     return edges
 
 
+def rees_omega(omega, alphabet):
+    """The Rees set: Omega plus X_i T for every live letter."""
+    ext = extend_alphabet(alphabet)
+    return ext.alphabet, MonomialSet(
+        list(omega.words)
+        + [(i, ext.t_index) for i in range(alphabet.n) if (i,) not in omega]
+    )
+
+
 @pytest.mark.parametrize("index", range(50))
 def test_chain_graph_edges_match_definition(index):
     alphabet, omega = CASES[index]
     assert build_chain_graph(omega, alphabet).edges == brute_chain_edges(
         omega, alphabet
     )
-    # the Rees set: Omega plus X_i T for every live letter
-    ext = extend_alphabet(alphabet)
-    rees_omega = MonomialSet(
-        list(omega.words)
-        + [(i, ext.t_index) for i in range(alphabet.n) if (i,) not in omega]
+    ext_alphabet, ext_omega = rees_omega(omega, alphabet)
+    assert build_chain_graph(ext_omega, ext_alphabet).edges == brute_chain_edges(
+        ext_omega, ext_alphabet
     )
-    assert build_chain_graph(rees_omega, ext.alphabet).edges == brute_chain_edges(
-        rees_omega, ext.alphabet
-    )
+
+
+def brute_chain_counts(omega, alphabet, top, levels):
+    """Chains per level and weighted degree on at most ``levels`` levels, by
+    listing every chain word of degree at most ``top`` (None = any) as a
+    route over the edges of the definition."""
+    edges = brute_chain_edges(omega, alphabet)
+    routes = [(v, v) for v in edges[()]]
+    counts = []
+    while len(counts) < levels:
+        routes = [
+            (tail, word) for tail, word in routes
+            if top is None or alphabet.degree(word) <= top
+        ]
+        if not routes:
+            return tuple(counts)
+        level = [0] * (1 + max(alphabet.degree(word) for _, word in routes))
+        for _, word in routes:
+            level[alphabet.degree(word)] += 1
+        counts.append(tuple(level))
+        routes = [(s, word + s) for tail, word in routes for s in edges.get(tail, ())]
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("index", range(50))
+def test_chain_counts_match_enumeration(index):
+    alphabet, omega = CASES[index]
+    for letters, words in ((alphabet, omega), rees_omega(omega, alphabet)):
+        sets = chain_sets(build_chain_graph(words, letters), truncation=MAX_DEG)
+        # one level more than counted shows a finite set that goes deeper
+        top = None if sets.finite else MAX_DEG
+        levels = len(sets.counts) + 1
+        assert sets.counts == brute_chain_counts(words, letters, top, levels)
 
 
 @pytest.mark.parametrize("index", range(50))
@@ -167,10 +199,7 @@ def test_rees_invariants_and_level_decomposition(index):
     basis = GroebnerBasis(
         [Poly.monomial(w) for w in omega.words], MonomialOrder(alphabet)
     )
-    try:
-        inv = rees_invariants(basis, truncation=MAX_DEG, max_level=8)
-    except InputError:
-        inv = rees_invariants(basis, truncation=MAX_DEG, max_level=32)
+    inv = rees_invariants(basis, truncation=MAX_DEG, max_level=8)
     ext = inv.presentation.ext
     sets = capped_sets(build_chain_graph(omega, alphabet))
 

@@ -8,7 +8,6 @@ import ncdim.pipeline
 import ncdim.rees
 from ncdim import (
     Alphabet,
-    ChainSets,
     CrossCheckError,
     GroebnerBasis,
     GroebnerVerificationError,
@@ -305,29 +304,38 @@ class TestReesInvariants:
 DOWN_UP_FILE = str(Path(__file__).resolve().parent.parent / "presentations" / "down_up.json")
 
 
-def with_sets(inv, levels, finite=True):
-    return replace(inv, sets=ChainSets(tuple(levels), finite))
+def with_sets(inv, **changes):
+    return replace(inv, sets=replace(inv.sets, **changes))
+
+
+def one_more_top_chain(counts, i):
+    return counts[:i] + (counts[i][:-1] + (counts[i][-1] + 1,),) + counts[i + 1 :]
 
 
 # One corruption per cross-check on the Rees side of down_up (base gl.dim 3,
 # GK degree 3, four Rees chain levels); each leaves the earlier checks intact.
 CORRUPTIONS = {
     "level decomposition": (
-        lambda inv: with_sets(inv, (inv.sets.levels[0], inv.sets.levels[1][1:])
+        lambda inv: with_sets(inv, levels=(inv.sets.levels[0], inv.sets.levels[1][1:])
                               + inv.sets.levels[2:]),
         "Rees chain level 1 is not C_1 plus C_0",
     ),
     "maximal chains end in T": (
-        lambda inv: with_sets(inv, inv.sets.levels[:-1]),
+        lambda inv: with_sets(inv, levels=inv.sets.levels[:-1],
+                              counts=inv.sets.counts[:-1]),
         "a maximal Rees chain does not extend a maximal base chain by T",
     ),
     "equal finiteness": (
-        lambda inv: with_sets(inv, inv.sets.levels, finite=False),
+        lambda inv: with_sets(inv, finite=False),
         "Rees chain finiteness differs from the base",
     ),
     "global dimension + 1": (
-        lambda inv: with_sets(inv, inv.sets.levels + ((),)),
+        lambda inv: with_sets(inv, counts=inv.sets.counts + ((0, 0, 0, 0, 0, 1),)),
         "Rees global dimension is not base + 1",
+    ),
+    "level counts": (
+        lambda inv: with_sets(inv, counts=one_more_top_chain(inv.sets.counts, 2)),
+        "Rees chain count C~_2(t) is not C_2(t) + t*C_1(t)",
     ),
     "GK degree + 1": (
         lambda inv: replace(inv, growth=GrowthClass(False, inv.growth.degree + 1)),
