@@ -84,11 +84,9 @@ class HomogenizationOrder:
         t = self.ext.t_index
         stripped = tuple(i for i in word if i != t)
         placement = tuple(0 if i == t else 1 for i in word)
-        return (
-            self.alphabet.degree(word),
-            self.base.sort_key(stripped),
-            placement,
-        )
+        base_key = self.base.sort_key(stripped)
+        # T has weight 1: the total degree is the stripped one plus the T count
+        return (base_key[0] + len(word) - len(stripped), base_key, placement)
 
     def compare(self, u: Word, v: Word) -> int:
         ku, kv = self.sort_key(u), self.sort_key(v)

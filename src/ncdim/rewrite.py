@@ -9,9 +9,11 @@ ambiguity reduces to zero; no completion is ever attempted.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import GroebnerVerificationError, InputError
@@ -29,7 +31,11 @@ def contains_factor(word: Word, factor: Word) -> bool:
 
 class FactorAutomaton:
     """Aho–Corasick matcher over a list of nonempty forbidden factors; each
-    state keeps the indices of all patterns that end where it is reached."""
+    state keeps the indices of all patterns that end where it is reached.
+
+    The failure links are folded into the transitions, so every step is one
+    dict lookup; a letter with no transition leads back to the root.
+    """
 
     def __init__(self, patterns: Iterable[Word]):
         goto: list[dict[int, int]] = [{}]
@@ -53,28 +59,19 @@ class FactorAutomaton:
         queue = deque(goto[0].values())
         while queue:
             s = queue.popleft()
-            out[s] += out[fail[s]]
+            f = fail[s]  # shallower, so its transitions are complete already
+            out[s] += out[f]
             for letter, t in goto[s].items():
-                f = fail[s]
-                while f and letter not in goto[f]:
-                    f = fail[f]
-                nxt = goto[f].get(letter, 0)
-                fail[t] = nxt if nxt != t else 0
+                fail[t] = goto[f].get(letter, 0)
                 queue.append(t)
+            for letter, t in goto[f].items():
+                goto[s].setdefault(letter, t)
         self._goto = goto
-        self._fail = fail
         self._out = out
         self._lengths = lengths
 
     def step(self, state: int, letter: int) -> int:
-        goto = self._goto
-        while True:
-            nxt = goto[state].get(letter)
-            if nxt is not None:
-                return nxt
-            if state == 0:
-                return 0
-            state = self._fail[state]
+        return self._goto[state].get(letter, 0)
 
     def is_terminal(self, state: int) -> bool:
         """True iff some pattern ends where ``state`` is reached."""
@@ -83,9 +80,9 @@ class FactorAutomaton:
     def is_normal(self, word: Word) -> bool:
         """True iff no pattern occurs in ``word`` as a factor."""
         state = 0
-        out = self._out
+        goto, out = self._goto, self._out
         for letter in word:
-            state = self.step(state, letter)
+            state = goto[state].get(letter, 0)
             if out[state]:
                 return False
         return True
@@ -94,9 +91,9 @@ class FactorAutomaton:
         """Every occurrence of a pattern in ``word`` as (pattern index, start)."""
         found = []
         state = 0
-        out, lengths = self._out, self._lengths
+        goto, out, lengths = self._goto, self._out, self._lengths
         for end, letter in enumerate(word, 1):
-            state = self.step(state, letter)
+            state = goto[state].get(letter, 0)
             for k in out[state]:
                 found.append((k, end - lengths[k]))
         return found
@@ -106,7 +103,7 @@ class FactorAutomaton:
         n_states = len(self._goto)
         table = [[0] * n_states for _ in range(up_to + 1)]
         table[0][0] = 1
-        out = self._out
+        goto, out = self._goto, self._out
         letters = list(enumerate(weights))
         counts = []
         for d in range(up_to + 1):
@@ -119,7 +116,7 @@ class FactorAutomaton:
                     nd = d + w
                     if nd > up_to:
                         continue
-                    t = self.step(state, a)
+                    t = goto[state].get(a, 0)
                     if not out[t]:
                         table[nd][t] += c
         return counts
@@ -195,6 +192,11 @@ def count_normal_words(omega: MonomialSet, alphabet: Alphabet, up_to: int) -> li
     return omega.automaton.count_normal(alphabet.weights, up_to)
 
 
+def _exact(c: Fraction) -> int | Fraction:
+    """``c`` as an int when its denominator is 1, else unchanged."""
+    return c.numerator if c.denominator == 1 else c
+
+
 class GroebnerBasis:
     """Monic, LM-reduced relation list plus the graded order selecting the LMs.
 
@@ -210,7 +212,7 @@ class GroebnerBasis:
     """
 
     __slots__ = ("elements", "order", "leading_words", "omega", "verification",
-                 "_matcher")
+                 "_matcher", "_choice", "_rules")
 
     def __init__(self, relations: Iterable[Poly], order: MonomialOrder):
         elements: list[Poly] = []
@@ -244,6 +246,15 @@ class GroebnerBasis:
         self.omega = MonomialSet(leading)
         self.verification: VerificationResult | None = None
         self._matcher = matcher
+        # per matcher state: the best (-len(LM), relation) of the leading words
+        # ending there, by the strategy; None where none ends
+        self._choice = [min(((-len(leading[ids[i]]), ids[i]) for i in hits), default=None)
+                        for hits in matcher._out]
+        # per relation: (len(LM), its terms with exact int-or-Fraction coefficients)
+        self._rules = tuple(
+            (len(lw), tuple((w, _exact(c)) for w, c in f.terms.items()))
+            for f, lw in zip(elements, leading)
+        )
 
     def __len__(self):
         return len(self.elements)
@@ -256,38 +267,70 @@ class GroebnerBasis:
         return not self.omega.is_normal(word)
 
     def find_reduction(self, word: Word) -> tuple[int, int] | None:
-        """(relation index, position) per the strategy; None when normal."""
-        lws = self.leading_words
-        return min(self._matcher.matches(word),
-                   key=lambda m: (-len(lws[m[0]]), m[0], m[1]), default=None)
+        """(relation index, position) per the strategy; None when normal.
+
+        One automaton pass; a later match replaces the best so far only if
+        it ranks strictly better, so equal ranks keep the leftmost."""
+        goto, choice = self._matcher._goto, self._choice
+        state, best, end = 0, None, 0
+        for i, letter in enumerate(word, 1):
+            state = goto[state].get(letter, 0)
+            rank = choice[state]
+            if rank is not None and (best is None or rank < best):
+                best, end = rank, i
+        if best is None:
+            return None
+        neg_len, idx = best
+        return idx, end + neg_len
+
+
+_KEY = itemgetter(0)
 
 
 def normal_form(f: Poly, basis: GroebnerBasis) -> Poly:
     """Rewrite ``f`` until no term contains a leading word.
 
     Deterministic: always rewrite the largest reducible term in the monomial
-    order, by the reduction strategy of :class:`GroebnerBasis`.
+    order, by the reduction strategy of :class:`GroebnerBasis`.  Each word
+    is scanned once, when it enters the work set; only a reducible word
+    gets a sort key and a place in ``pending``, ascending, so ``pop()``
+    yields the largest one.  Rewriting a word only creates smaller words,
+    so a popped word never returns.  Coefficients are ints where the
+    denominator is 1 and Fractions otherwise; ``Poly`` turns them all back
+    into Fractions.
     """
-    work = dict(f.terms)
-    key = basis.order.sort_key
-    while True:
-        reducible = [w for w in work if basis.reducible(w)]
-        if not reducible:
-            return Poly(work)
-        target = max(reducible, key=key)
-        coeff = work[target]
-        idx, pos = basis.find_reduction(target)
-        g = basis.elements[idx]
-        left = target[:pos]
-        right = target[pos + len(basis.leading_words[idx]):]
+    find, key, rules = basis.find_reduction, basis.order.sort_key, basis._rules
+    work: dict[Word, int | Fraction] = {}
+    pending: list[tuple] = []  # (sort key, word, (relation, position))
+    for word, c in f.terms.items():
+        work[word] = _exact(c)
+        found = find(word)
+        if found is not None:
+            insort(pending, (key(word), word, found), key=_KEY)
+    while pending:
+        _, target, (idx, pos) = pending.pop()
+        coeff = work.get(target)
+        if coeff is None:  # cancelled after it was queued
+            continue
+        length, terms = rules[idx]
+        left, right = target[:pos], target[pos + length:]
         # work -= coeff * left * g * right  (g is monic: the target cancels)
-        for u, c in g.terms.items():
+        for u, c in terms:
             word = left + u + right
-            nc = work.get(word, 0) - coeff * c
-            if nc:
+            old = work.get(word)
+            nc = -coeff * c if old is None else old - coeff * c
+            if nc.__class__ is Fraction and nc.denominator == 1:
+                nc = nc.numerator
+            if old is None:
+                work[word] = nc
+                found = find(word)
+                if found is not None:
+                    insort(pending, (key(word), word, found), key=_KEY)
+            elif nc:
                 work[word] = nc
             else:
-                work.pop(word, None)
+                del work[word]
+    return Poly(work)
 
 
 @dataclass(frozen=True)
@@ -309,25 +352,28 @@ def overlap_ambiguities(basis: GroebnerBasis) -> list[OverlapAmbiguity]:
 
     Inclusion ambiguities cannot occur for an LM-reduced basis.
     """
-    out: list[OverlapAmbiguity] = []
     lws = basis.leading_words
+    starts: dict[Word, list[int]] = {}  # proper prefix -> leading words it starts
+    for j, v in enumerate(lws):
+        for o in range(1, len(v)):
+            starts.setdefault(v[:o], []).append(j)
+    out: list[OverlapAmbiguity] = []
     for i, u in enumerate(lws):
-        for j, v in enumerate(lws):
-            for o in range(1, min(len(u), len(v))):
-                if u[len(u) - o :] == v[:o]:
-                    out.append(OverlapAmbiguity(i, j, o, u + v[o:]))
+        hits = sorted((j, o) for o in range(1, len(u)) for j in starts.get(u[-o:], ()))
+        out.extend(OverlapAmbiguity(i, j, o, u + lws[j][o:]) for j, o in hits)
     return out
 
 
 def s_element(basis: GroebnerBasis, amb: OverlapAmbiguity) -> Poly:
     """Difference of the two one-step rewrites of the superposition word,
-    prefix * g_right - g_left * suffix, built in one dict."""
+    prefix * g_right - g_left * suffix, built in one dict in exact
+    int-or-Fraction arithmetic."""
     u = basis.leading_words[amb.left_index]
     v = basis.leading_words[amb.right_index]
     prefix = u[: len(u) - amb.overlap]
     suffix = v[amb.overlap :]
-    terms = {prefix + w: c for w, c in basis.elements[amb.right_index].terms.items()}
-    for w, c in basis.elements[amb.left_index].terms.items():
+    terms = {prefix + w: c for w, c in basis._rules[amb.right_index][1]}
+    for w, c in basis._rules[amb.left_index][1]:
         word = w + suffix
         nc = terms.get(word, 0) - c
         if nc:

@@ -19,6 +19,7 @@ from ncdim import (
     homogenize,
     leading_word,
     normal_form,
+    tilde_basis,
     verify_groebner,
 )
 from ncdim.rees import HomogenizationOrder
@@ -184,6 +185,20 @@ class TestHomogenizationLaws:
         ext_order = HomogenizationOrder(order, extend_alphabet(order.alphabet))
         assert ext_order.compare(u, v) == order.compare(u, v)
 
+    @MANY
+    @given(data=st.data())
+    def test_extended_key_leads_with_the_total_degree(self, data):
+        # the key counts T's instead of weighing the word a second time
+        order = data.draw(orders())
+        ext = extend_alphabet(order.alphabet)
+        ext_order = HomogenizationOrder(order, ext)
+        w = data.draw(words(ext.alphabet.n, 6))
+        stripped = tuple(i for i in w if i != ext.t_index)
+        placement = tuple(0 if i == ext.t_index else 1 for i in w)
+        assert ext_order.sort_key(w) == (
+            ext.alphabet.degree(w), order.sort_key(stripped), placement
+        )
+
 
 class TestFactorLaws:
     @MANY
@@ -288,3 +303,149 @@ class TestSElement:
         monkeypatch.setattr(ncdim.rewrite, "s_element", product_s_element)
         assert [verify_groebner(b) for b in seeded_bases(400)] == results
         assert sum(not r.ok for r in results) >= 50
+
+
+def scan_normal_form(f, basis, tally=None):
+    """Reference normal form: before every step, test each term for
+    reducibility and take the largest reducible one by its sort key.
+    ``tally`` counts the words that enter the work set and the reducible
+    ones among them."""
+    work = dict(f.terms)
+    if tally is not None:
+        tally["entered"] += len(work)
+        tally["reducible"] += sum(basis.reducible(w) for w in work)
+    key = basis.order.sort_key
+    while True:
+        reducible = [w for w in work if basis.reducible(w)]
+        if not reducible:
+            return Poly(work)
+        target = max(reducible, key=key)
+        coeff = work[target]
+        idx, pos = basis.find_reduction(target)
+        g = basis.elements[idx]
+        left = target[:pos]
+        right = target[pos + len(basis.leading_words[idx]):]
+        for u, c in g.terms.items():
+            word = left + u + right
+            if tally is not None and word not in work:
+                tally["entered"] += 1
+                tally["reducible"] += basis.reducible(word)
+            nc = work.get(word, 0) - coeff * c
+            if nc:
+                work[word] = nc
+            else:
+                work.pop(word, None)
+
+
+def assert_same_remainder(fast, slow):
+    assert fast == slow
+    assert list(fast.terms) == list(slow.terms)
+    assert all(type(c) is Fraction for c in fast.terms.values())
+
+
+class TestNormalFormEngine:
+    """The worklist engine against the scan-every-term engine it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(BASES))
+    @MANY
+    @given(data=st.data())
+    def test_agrees_with_scanning(self, name, data):
+        basis = BASES[name]
+        f = data.draw(polys(basis.order.alphabet.n, max_terms=6))
+        assert_same_remainder(normal_form(f, basis), scan_normal_form(f, basis))
+
+    def test_same_remainders_and_verification_on_seeded_bases(self, monkeypatch):
+        pairs = [(b, amb) for b in seeded_bases(400) for amb in overlap_ambiguities(b)]
+        nonzero = 0
+        for basis, amb in pairs:
+            s = s_element(basis, amb)
+            fast = normal_form(s, basis)
+            assert_same_remainder(fast, scan_normal_form(s, basis))
+            nonzero += not fast.is_zero
+        assert nonzero >= 50
+        results = [verify_groebner(b) for b in seeded_bases(400)]
+        monkeypatch.setattr(ncdim.rewrite, "normal_form", scan_normal_form)
+        assert [verify_groebner(b) for b in seeded_bases(400)] == results
+        for r in results:
+            if not r.ok:
+                assert all(type(c) is Fraction for c in r.remainder.terms.values())
+
+    def test_integer_coefficients_come_back_as_fractions(self):
+        basis = BASES["ore_a"]
+        f = Poly({(1, 0, 0): 3, (1, 1): Fraction(1, 2)})
+        nf = normal_form(f, basis)
+        assert nf.terms and all(type(c) is Fraction for c in nf.terms.values())
+        assert_same_remainder(nf, scan_normal_form(f, basis))
+
+
+def pair_loop_overlaps(basis):
+    """Reference overlap list: every ordered pair of leading words, every
+    overlap length."""
+    out = []
+    lws = basis.leading_words
+    for i, u in enumerate(lws):
+        for j, v in enumerate(lws):
+            for o in range(1, min(len(u), len(v))):
+                if u[len(u) - o :] == v[:o]:
+                    out.append(ncdim.rewrite.OverlapAmbiguity(i, j, o, u + v[o:]))
+    return out
+
+
+class TestOverlapIndex:
+    """Overlaps looked up by prefix against the pair loop they replaced."""
+
+    def test_same_list_on_seeded_and_rees_bases(self):
+        bases = list(seeded_bases(400))
+        bases += [tilde_basis(commutation(n).basis).basis for n in range(2, 9)]
+        total = 0
+        for basis in bases:
+            found = overlap_ambiguities(basis)
+            assert found == pair_loop_overlaps(basis)
+            total += len(found)
+        assert total >= 500
+
+
+class TestNormalFormCounts:
+    """Counted, not timed: verifying the Rees basis of commutation(13)."""
+
+    @staticmethod
+    def counted_verify(monkeypatch, basis):
+        calls = {"is_normal": 0, "find_reduction": 0, "sort_key": 0}
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(MonomialSet, "is_normal")
+        count(GroebnerBasis, "find_reduction")
+        count(HomogenizationOrder, "sort_key")
+        assert verify_groebner(basis).ok
+        return calls
+
+    @staticmethod
+    def entered(basis):
+        tally = {"entered": 0, "reducible": 0}
+        for amb in overlap_ambiguities(basis):
+            assert scan_normal_form(s_element(basis, amb), basis, tally).is_zero
+        return tally
+
+    def test_each_term_scanned_once_and_keyed_only_if_reducible(self, monkeypatch):
+        basis = tilde_basis(commutation(13).basis).basis
+        tally = self.entered(basis)
+        calls = self.counted_verify(monkeypatch, basis)
+        assert calls["is_normal"] == 0
+        assert 0 < calls["find_reduction"] <= tally["entered"]
+        assert 0 < calls["sort_key"] <= tally["reducible"]
+
+    def test_the_scan_engine_breaks_the_bounds(self, monkeypatch):
+        basis = tilde_basis(commutation(13).basis).basis
+        tally = self.entered(basis)
+        monkeypatch.setattr(ncdim.rewrite, "normal_form", scan_normal_form)
+        calls = self.counted_verify(monkeypatch, basis)
+        assert calls["is_normal"] > 0
+        assert calls["sort_key"] > tally["reducible"]
