@@ -17,15 +17,15 @@ from typing import Iterable
 
 from .errors import CrossCheckError
 from .freealg import Alphabet, Word
-from .render import dot_digraph
+from .growth import strong_components
 from .rewrite import MonomialSet, count_normal_words
 
-DEFAULT_MAX_LEVEL = 64
 DEFAULT_TRUNCATION = 16
-# Chain words listed per chain set, for the report and the Rees set check.
-# Branching sets double per level; at this size a `report` process on them
-# peaks near 21 MB (Python 3.11).
+# Chain words and levels listed per chain set, for the report and the Rees
+# set check.  Branching sets double per level; at 4096 words a `report`
+# process on them peaks near 21 MB (Python 3.11).
 MAX_LISTED_CHAINS = 4096
+MAX_LISTED_LEVELS = 64
 ROOT: Word = ()
 
 
@@ -55,6 +55,11 @@ class ChainGraph:
 
     def successors(self, v: Word) -> tuple[Word, ...]:
         return self.edges.get(v, ())
+
+    @property
+    def pairs(self) -> tuple[tuple[Word, Word], ...]:
+        """(source, target) of every edge."""
+        return tuple((src, dst) for src, targets in self.edges.items() for dst in targets)
 
 
 def _by_length(w: Word):
@@ -104,10 +109,10 @@ class ChainSets:
     the levels past ``truncation`` have no chain there.
 
     ``levels[i]`` lists the words of C_i for the first ``len(levels)``
-    levels.  The listing stops at the depth cap, and before the level that
-    would take it over MAX_LISTED_CHAINS words.  ``truncated`` reports that
-    it stopped short of a nonempty level of finite sets, or short of the
-    depth cap for infinite ones.
+    levels.  The listing stops after MAX_LISTED_LEVELS levels, and before
+    the level that would take it over MAX_LISTED_CHAINS words.
+    ``truncated`` reports that it stopped short of a nonempty level of
+    finite sets, or short of MAX_LISTED_LEVELS for infinite ones.
     """
 
     levels: tuple[tuple[Word, ...], ...]
@@ -134,26 +139,12 @@ class ChainSets:
 
 
 def _cycle_reachable(graph: ChainGraph) -> bool:
-    # iterative DFS with colors, restricted to the part reachable from the root
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in graph.vertices}
-    stack = [(ROOT, iter(graph.successors(ROOT)))]
-    color[ROOT] = GRAY
-    while stack:
-        v, it = stack[-1]
-        advanced = False
-        for w in it:
-            if color[w] == GRAY:
-                return True
-            if color[w] == WHITE:
-                color[w] = GRAY
-                stack.append((w, iter(graph.successors(w))))
-                advanced = True
-                break
-        if not advanced:
-            color[v] = BLACK
-            stack.pop()
-    return False
+    """Some strong component reachable from the root has an internal edge
+    (a self-loop counts)."""
+    return any(
+        len(comp) > 1 or comp[0] in graph.successors(comp[0])
+        for comp in strong_components([ROOT], graph.edges)
+    )
 
 
 def _count_levels(graph: ChainGraph, truncation: int | None) -> list[tuple[int, ...]]:
@@ -190,14 +181,10 @@ def _count_levels(graph: ChainGraph, truncation: int | None) -> list[tuple[int, 
     return counts
 
 
-def chain_sets(
-    graph: ChainGraph,
-    max_level: int = DEFAULT_MAX_LEVEL,
-    truncation: int = DEFAULT_TRUNCATION,
-) -> ChainSets:
+def chain_sets(graph: ChainGraph, truncation: int = DEFAULT_TRUNCATION) -> ChainSets:
     """Count the chains of every level (to degree ``truncation`` when the
     sets are infinite) and list the words of the leading levels that fit in
-    MAX_LISTED_CHAINS words together, to depth at most ``max_level``.  A
+    MAX_LISTED_CHAINS words together, to depth at most MAX_LISTED_LEVELS.  A
     level that would not fit is dropped as soon as it passes the budget, so
     a listing builds at most MAX_LISTED_CHAINS + 1 words."""
     finite = not _cycle_reachable(graph)
@@ -205,7 +192,7 @@ def chain_sets(
     levels: list[tuple[Word, ...]] = []
     routes = [(v, v) for v in graph.successors(ROOT)]  # (tail vertex, chain word)
     room = MAX_LISTED_CHAINS - len(routes)
-    while routes and room >= 0 and len(levels) < max_level:
+    while routes and room >= 0 and len(levels) < MAX_LISTED_LEVELS:
         levels.append(tuple(sorted((word for _, word in routes), key=_by_length)))
         # build the next level lazily, one route past the room left at most
         following = (
@@ -213,7 +200,7 @@ def chain_sets(
         )
         routes = list(islice(following, room + 1))
         room -= len(routes)
-    truncated = len(levels) < (len(counts) if finite else max_level)
+    truncated = len(levels) < (len(counts) if finite else MAX_LISTED_LEVELS)
     return ChainSets(
         tuple(levels), finite, tuple(counts), None if finite else truncation, truncated
     )
@@ -323,7 +310,3 @@ def product_form_decomposition(denominator: Iterable[int], m: int) -> list[int] 
         exponents.append(e)
     return exponents if den == [1] and len(exponents) == m else None
 
-
-def emit_dot(graph: ChainGraph, name: str = "chains") -> str:
-    pairs = [(src, dst) for src, targets in graph.edges.items() for dst in targets]
-    return dot_digraph(name, graph.vertices, pairs, graph.alphabet)

@@ -10,11 +10,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import chains as chains_mod
-from . import growth as growth_mod
 from .errors import CrossCheckError, GroebnerVerificationError, InputError
 from .chains import DEFAULT_TRUNCATION
 from .pipeline import (
+    DOT_NAMES,
     analyze,
     fmt_cycle,
     fmt_dim,
@@ -23,8 +22,9 @@ from .pipeline import (
     fmt_rees_relations,
     load_presentation,
     render_report,
+    report_graph,
 )
-from .render import word_str
+from .render import dot_digraph, word_str
 from .rewrite import ensure_verified
 
 
@@ -52,19 +52,20 @@ def _build_parser() -> argparse.ArgumentParser:
     add("rees", "Rees algebra presentation and invariants")
     add("pbw", "test for ordered-monomial (PBW) normal words")
     p = add("graph", "emit one of the graphs")
-    p.add_argument("--which", choices=["uf", "chains", "rees-chains"], default="uf")
+    p.add_argument("--which", choices=list(DOT_NAMES), default="uf")
     p.add_argument("--dot", action="store_true", help="DOT output instead of a listing")
     p = add("report", "full analysis report")
     p.add_argument("--format", choices=["json", "text", "dot-bundle"], default="json")
     return parser
 
 
-def _print_graph(vertices, edges, alphabet) -> None:
-    print(f"vertices ({len(vertices)}):")
-    for v in vertices:
+def _print_graph(graph) -> None:
+    alphabet, pairs = graph.alphabet, graph.pairs
+    print(f"vertices ({len(graph.vertices)}):")
+    for v in graph.vertices:
         print("  " + word_str(v, alphabet))
-    print(f"edges ({len(edges)}):")
-    for src, dst in edges:
+    print(f"edges ({len(pairs)}):")
+    for src, dst in pairs:
         print(f"  {word_str(src, alphabet)} -> {word_str(dst, alphabet)}")
 
 
@@ -132,26 +133,11 @@ def _run(args) -> int:
         return 0
 
     if args.command == "graph":
-        if args.which == "uf":
-            g = growth_mod.build_ufnarovski(report.omega, alphabet)
-            if args.dot:
-                print(growth_mod.emit_dot(g, "growth"), end="")
-            else:
-                _print_graph(g.vertices, [(e[0], e[1]) for e in g.edges], alphabet)
+        graph = report_graph(report, args.which)
+        if args.dot:
+            print(dot_digraph(DOT_NAMES[args.which], graph), end="")
         else:
-            cg = report.chain_graph if args.which == "chains" else report.rees.graph
-            label_alphabet = (
-                alphabet if args.which == "chains"
-                else report.rees.presentation.ext.alphabet
-            )
-            if args.dot:
-                name = "chains" if args.which == "chains" else "rees_chains"
-                print(chains_mod.emit_dot(cg, name), end="")
-            else:
-                pairs = [
-                    (src, dst) for src, targets in cg.edges.items() for dst in targets
-                ]
-                _print_graph(cg.vertices, pairs, label_alphabet)
+            _print_graph(graph)
         return 0
 
     if args.command == "report":

@@ -18,6 +18,9 @@ from .errors import InputError, ParseError
 # A word is a tuple of letter indices.
 Word = tuple
 
+# A variable name: the parser's name token, so every word prints unambiguously.
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
 GRLEX = "grlex"
 GREVLEX = "grevlex"
 ORDER_KINDS = (GRLEX, GREVLEX)
@@ -37,8 +40,9 @@ class Alphabet:
             raise InputError("alphabet must declare at least one variable")
         if len(self.weights) != len(self.names):
             raise InputError("need exactly one weight per variable")
-        if any(not name for name in self.names):
-            raise InputError("variable names must be nonempty")
+        for name in self.names:
+            if not (isinstance(name, str) and _NAME.fullmatch(name)):
+                raise InputError(f"variable name {name!r} is not of the form {_NAME.pattern}")
         if len(set(self.names)) != len(self.names):
             raise InputError("variable names must be distinct")
         for name, w in zip(self.names, self.weights):
@@ -218,7 +222,7 @@ def homogeneous_components(f: Poly, alphabet: Alphabet) -> list[tuple[int, Poly]
 # parsing
 
 _TOKEN = re.compile(
-    r"(?P<ws>\s+)|(?P<nat>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[+\-*/^])"
+    rf"(?P<ws>\s+)|(?P<nat>\d+)|(?P<name>{_NAME.pattern})|(?P<op>[+\-*/^])"
 )
 
 

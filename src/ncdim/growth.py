@@ -22,7 +22,6 @@ from itertools import chain, cycle, product
 
 from .errors import CrossCheckError, InputError
 from .freealg import Alphabet, Word
-from .render import dot_digraph
 from .rewrite import MonomialSet
 
 # An edge is (source word, target word, appended letter); the letter keeps
@@ -40,6 +39,11 @@ class UfnarovskiGraph:
     vertices: tuple[Word, ...]
     edges: tuple[Edge, ...]
 
+    @property
+    def pairs(self) -> tuple[tuple[Word, Word], ...]:
+        """(source, target) of every edge, parallel edges repeated."""
+        return tuple(e[:2] for e in self.edges)
+
 
 def build_ufnarovski(omega: MonomialSet, alphabet: Alphabet) -> UfnarovskiGraph:
     ell = max(omega.ell, 1)
@@ -47,6 +51,7 @@ def build_ufnarovski(omega: MonomialSet, alphabet: Alphabet) -> UfnarovskiGraph:
     if windows > MAX_WINDOWS:
         raise InputError(f"the Ufnarovski graph has {windows} candidate vertices "
                          f"({alphabet.n}^{ell - 1}), over the limit of {MAX_WINDOWS}")
+    # product() yields (len, w) order and the loop appends in (v, w, a) order
     vertices = [
         w for w in product(range(alphabet.n), repeat=ell - 1) if omega.is_normal(w)
     ]
@@ -56,8 +61,6 @@ def build_ufnarovski(omega: MonomialSet, alphabet: Alphabet) -> UfnarovskiGraph:
             w = v + (a,)
             if omega.is_normal(w):
                 edges.append((v, w[1:], a))
-    vertices.sort(key=lambda w: (len(w), w))
-    edges.sort()
     return UfnarovskiGraph(alphabet, ell, tuple(vertices), tuple(edges))
 
 
@@ -81,15 +84,16 @@ class GrowthClass:
         return not self.exponential
 
 
-def _tarjan_sccs(vertices, adjacency) -> list[list]:
-    """Iterative Tarjan; components are emitted successors-first."""
+def strong_components(roots, adjacency) -> list[list]:
+    """Iterative Tarjan on the part reachable from ``roots`` (``adjacency``
+    maps a vertex to its successors); components are emitted successors-first."""
     index: dict = {}
     low: dict = {}
     onstack: set = set()
     stack: list = []
     sccs: list[list] = []
     counter = 0
-    for root in vertices:
+    for root in roots:
         if root in index:
             continue
         index[root] = low[root] = counter
@@ -141,7 +145,7 @@ def _classify(vertices, edges):
     adjacency: dict = defaultdict(list)
     for src, dst in edges:
         adjacency[src].append(dst)
-    sccs = _tarjan_sccs(vertices, adjacency)
+    sccs = strong_components(vertices, adjacency)
     comp_of = {v: i for i, comp in enumerate(sccs) for v in comp}
     internal = [0] * len(sccs)
     for src, dst in edges:
@@ -165,7 +169,7 @@ def _classify(vertices, edges):
 def classify_growth(graph: UfnarovskiGraph) -> GrowthClass:
     """Class and degree of the growth graph itself, without a witness: the
     tests' reference for :func:`automaton_growth`."""
-    branching, degree = _classify(graph.vertices, [e[:2] for e in graph.edges])
+    branching, degree = _classify(graph.vertices, graph.pairs)
     return GrowthClass(True) if branching is not None else GrowthClass(False, degree)
 
 
@@ -282,7 +286,3 @@ def count_paths(graph: UfnarovskiGraph, num_edges: int) -> int:
         counts = nxt
     return sum(counts.values())
 
-
-def emit_dot(graph: UfnarovskiGraph, name: str = "growth") -> str:
-    return dot_digraph(name, graph.vertices, [(e[0], e[1]) for e in graph.edges],
-                       graph.alphabet)

@@ -14,10 +14,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import chains as chains_mod
-from . import growth as growth_mod
 from .chains import (
-    DEFAULT_MAX_LEVEL,
     DEFAULT_TRUNCATION,
     ChainGraph,
     ChainSets,
@@ -35,8 +32,8 @@ from .freealg import (
     leading_homogeneous,
     parse_polynomial,
 )
-from .growth import GrowthClass, automaton_growth, build_ufnarovski
-from .render import denominator_str, poly_str, word_str
+from .growth import GrowthClass, UfnarovskiGraph, automaton_growth, build_ufnarovski
+from .render import denominator_str, dot_digraph, poly_str, word_str
 from .rewrite import GroebnerBasis, MonomialSet, ensure_verified
 from .rees import ReesInvariants, check_transfer, rees_invariants
 
@@ -46,10 +43,9 @@ class Presentation:
     alphabet: Alphabet
     order: MonomialOrder
     basis: GroebnerBasis
-    source_path: str | None = None
 
 
-def load_presentation_data(data, source_path: str | None = None) -> Presentation:
+def load_presentation_data(data) -> Presentation:
     """Build a presentation from decoded JSON; raises InputError with details."""
     if not isinstance(data, dict):
         raise InputError("presentation must be a JSON object")
@@ -106,7 +102,7 @@ def load_presentation_data(data, source_path: str | None = None) -> Presentation
         except InputError as exc:
             raise InputError(f"relation {k + 1}: {exc}") from None
     basis = GroebnerBasis(relations, order)
-    return Presentation(alphabet, order, basis, source_path)
+    return Presentation(alphabet, order, basis)
 
 
 def load_presentation(path) -> Presentation:
@@ -118,7 +114,7 @@ def load_presentation(path) -> Presentation:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
-    return load_presentation_data(data, source_path=str(path))
+    return load_presentation_data(data)
 
 
 def pbw_check(basis: GroebnerBasis) -> bool:
@@ -133,7 +129,6 @@ def pbw_check(basis: GroebnerBasis) -> bool:
 @dataclass
 class AnalysisReport:
     presentation: Presentation
-    gb_verified: bool
     overlaps_checked: int
     omega: MonomialSet
     growth: GrowthClass
@@ -163,7 +158,7 @@ def analyze(
     growth = automaton_growth(omega, alphabet)
 
     chain_graph = build_chain_graph(omega, alphabet)
-    sets = chain_sets(chain_graph, DEFAULT_MAX_LEVEL, truncation)
+    sets = chain_sets(chain_graph, truncation)
     gldim_monomial = sets.gldim
 
     hilbert = hilbert_series(sets, omega, alphabet, truncation)
@@ -200,7 +195,6 @@ def analyze(
     warnings = tuple(dict.fromkeys(chain_graph.warnings + rees.warnings))
     return AnalysisReport(
         presentation=presentation,
-        gb_verified=True,
         overlaps_checked=checked,
         omega=omega,
         growth=growth,
@@ -253,7 +247,7 @@ def _chains_json(sets: ChainSets, alphabet: Alphabet) -> dict:
 def report_to_dict(report: AnalysisReport) -> dict:
     alphabet = report.presentation.alphabet
     return {
-        "gb_verified": report.gb_verified,
+        "gb_verified": True,  # analyze() raises on an unverified basis
         "omega": [word_str(w, alphabet) for w in report.omega.words],
         "growth": _growth_json(report.growth),
         "gldim_monomial": _dim_json(report.gldim_monomial),
@@ -407,14 +401,16 @@ def _text_report(report: AnalysisReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dot_bundle(report: AnalysisReport) -> str:
-    graph = build_ufnarovski(report.omega, report.presentation.alphabet)
-    parts = [
-        growth_mod.emit_dot(graph, "growth"),
-        chains_mod.emit_dot(report.chain_graph, "chains"),
-        chains_mod.emit_dot(report.rees.graph, "rees_chains"),
-    ]
-    return "\n".join(parts)
+# The graphs a report can show, each with its DOT name.
+DOT_NAMES = {"uf": "growth", "chains": "chains", "rees-chains": "rees_chains"}
+
+
+def report_graph(report: AnalysisReport, which: str) -> UfnarovskiGraph | ChainGraph:
+    """The graph ``which`` (a key of DOT_NAMES); the Ufnarovski graph is
+    built here, on demand, since no invariant needs it."""
+    if which == "uf":
+        return build_ufnarovski(report.omega, report.presentation.alphabet)
+    return {"chains": report.chain_graph, "rees-chains": report.rees.graph}[which]
 
 
 def render_report(report: AnalysisReport, fmt: str = "json") -> bytes:
@@ -423,5 +419,6 @@ def render_report(report: AnalysisReport, fmt: str = "json") -> bytes:
     if fmt == "text":
         return _text_report(report).encode("utf-8")
     if fmt == "dot-bundle":
-        return _dot_bundle(report).encode("utf-8")
+        dots = (dot_digraph(name, report_graph(report, w)) for w, name in DOT_NAMES.items())
+        return "\n".join(dots).encode("utf-8")
     raise ValueError(f"unknown report format {fmt!r}")

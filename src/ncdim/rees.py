@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chains import (
-    DEFAULT_MAX_LEVEL,
     DEFAULT_TRUNCATION,
     ChainGraph,
     ChainSets,
@@ -253,9 +252,7 @@ def _check_level_counts(tilde_sets: ChainSets, base_sets: ChainSets) -> None:
 
 
 def rees_invariants(
-    basis: GroebnerBasis,
-    truncation: int = DEFAULT_TRUNCATION,
-    max_level: int = DEFAULT_MAX_LEVEL,
+    basis: GroebnerBasis, truncation: int = DEFAULT_TRUNCATION
 ) -> ReesInvariants:
     """Growth, global dimension, and Hilbert data of the Rees algebra.
 
@@ -268,7 +265,7 @@ def rees_invariants(
     growth = automaton_growth(omega, ext.alphabet)
     graph = build_chain_graph(omega, ext.alphabet)
     _check_graph_embedding(graph, ext)
-    sets = chain_sets(graph, max_level, truncation)
+    sets = chain_sets(graph, truncation)
     hilbert = hilbert_series(sets, omega, ext.alphabet, truncation)
     warnings = presentation.warnings + graph.warnings
     return ReesInvariants(presentation, omega, growth, hilbert, sets, graph, warnings)

@@ -73,12 +73,14 @@ def denominator_str(coeffs) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def dot_digraph(name: str, vertices, edge_pairs, alphabet: Alphabet) -> str:
-    """DOT text with vertices and edges in sorted order (deterministic bytes)."""
+def dot_digraph(name: str, graph) -> str:
+    """DOT text of a graph with ``alphabet``, ``vertices`` and ``pairs``,
+    vertices and edges in sorted order (deterministic bytes)."""
+    alphabet = graph.alphabet
     lines = [f"digraph {name} {{"]
-    for v in sorted(vertices, key=lambda w: (len(w), w)):
+    for v in sorted(graph.vertices, key=lambda w: (len(w), w)):
         lines.append(f'  "{word_str(v, alphabet)}";')
-    for src, dst in sorted(edge_pairs, key=lambda e: ((len(e[0]), e[0]), (len(e[1]), e[1]))):
+    for src, dst in sorted(graph.pairs, key=lambda e: ((len(e[0]), e[0]), (len(e[1]), e[1]))):
         lines.append(f'  "{word_str(src, alphabet)}" -> "{word_str(dst, alphabet)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -2,6 +2,7 @@ import itertools
 import json
 import re
 import math
+import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,10 +28,10 @@ from ncdim.chains import (
     MAX_LISTED_CHAINS,
     ROOT,
     chain_denominator,
-    emit_dot,
     expand_reciprocal,
 )
 from ncdim.cli import main
+from ncdim.render import dot_digraph
 from presets import power_family
 
 DOWN_UP_FILE = str(Path(__file__).resolve().parent.parent / "presentations" / "down_up.json")
@@ -107,6 +108,14 @@ class TestBuildChainGraph:
             assert calls <= limit
 
 
+class TestPairs:
+    def test_pairs_flatten_the_successor_lists(self):
+        graph = build_chain_graph(DOWN_UP, AB)
+        assert graph.pairs == (
+            (ROOT, (0,)), (ROOT, (1,)), ((0,), (0, 1)), ((0,), (1, 1)), ((0, 1), (1,))
+        )
+
+
 class TestChainSets:
     def test_down_up_levels(self):
         sets = chain_sets(build_chain_graph(DOWN_UP, AB))
@@ -129,15 +138,18 @@ class TestChainSets:
         assert sets.level(-1) == (ROOT,)
         assert sets.level(99) == ()
 
-    def test_infinite_chains_reported(self):
-        sets = chain_sets(build_chain_graph(MonomialSet(((0, 0),)), ONE), max_level=5)
+    def test_infinite_chains_reported(self, monkeypatch):
+        monkeypatch.setattr(ncdim.chains, "MAX_LISTED_LEVELS", 5)
+        sets = chain_sets(build_chain_graph(MonomialSet(((0, 0),)), ONE))
         assert not sets.finite
         assert len(sets.levels) == 5
         assert sets.levels[3] == ((0, 0, 0, 0),)
 
-    def test_finite_sets_deeper_than_the_cap_are_counted(self):
+    def test_finite_sets_deeper_than_the_cap_are_counted(self, monkeypatch):
         graph = build_chain_graph(commutation_omega(5), Alphabet(tuple("abcde"), (1,) * 5))
-        capped = chain_sets(graph, max_level=3)
+        with monkeypatch.context() as patch:
+            patch.setattr(ncdim.chains, "MAX_LISTED_LEVELS", 3)
+            capped = chain_sets(graph)
         assert capped.gldim == 5
         assert capped.truncated
         assert len(capped.levels) == 3
@@ -146,6 +158,74 @@ class TestChainSets:
         assert not full.truncated
         assert len(full.levels) == 5
         assert capped.counts == full.counts
+
+
+def dfs_cycle_reachable(graph):
+    """Reference for chain finiteness: a 3-colour DFS from the root that
+    reports a cycle as soon as it meets a vertex still on its path."""
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {v: WHITE for v in graph.vertices}
+    stack = [(ROOT, iter(graph.successors(ROOT)))]
+    color[ROOT] = GRAY
+    while stack:
+        v, it = stack[-1]
+        advanced = False
+        for w in it:
+            if color[w] == GRAY:
+                return True
+            if color[w] == WHITE:
+                color[w] = GRAY
+                stack.append((w, iter(graph.successors(w))))
+                advanced = True
+                break
+        if not advanced:
+            color[v] = BLACK
+            stack.pop()
+    return False
+
+
+def _random_obstructions(rng):
+    n = rng.randint(1, 3)
+    alphabet = Alphabet(tuple(f"x{i + 1}" for i in range(n)), (1,) * n)
+    words = [
+        tuple(rng.randrange(n) for _ in range(rng.randint(1, 5)))
+        for _ in range(rng.randint(1, 5))
+    ]
+    if rng.random() < 0.3:
+        words.append((rng.randrange(n),) * 2)  # a square: a self-loop at its letter
+    return alphabet, MonomialSet.interreduce(words)
+
+
+class TestFinitenessAgainstDfs:
+    """Chain finiteness read off the strong components equals the verdict of
+    the depth-first search it replaced."""
+
+    @staticmethod
+    def agree(omega, alphabet):
+        graph = build_chain_graph(omega, alphabet)
+        cyclic = dfs_cycle_reachable(graph)
+        assert ncdim.chains._cycle_reachable(graph) == cyclic
+        assert chain_sets(graph, truncation=4).finite == (not cyclic)
+        return graph
+
+    def test_oracle_cases_and_their_rees_sets(self):
+        from test_oracles import CASES, rees_omega
+
+        for alphabet, omega in CASES:
+            self.agree(omega, alphabet)
+            ext_alphabet, ext_omega = rees_omega(omega, alphabet)
+            self.agree(ext_omega, ext_alphabet)
+
+    def test_seeded_random_sets(self):
+        rng = random.Random(61417)
+        finite = self_loops = 0
+        for _ in range(300):
+            alphabet, omega = _random_obstructions(rng)
+            graph = self.agree(omega, alphabet)
+            finite += not dfs_cycle_reachable(graph)
+            self_loops += any(v in graph.successors(v) for v in graph.vertices[1:])
+        assert 30 <= finite <= 270
+        assert self_loops >= 30
 
 
 class TestChainCounts:
@@ -335,8 +415,8 @@ class TestTruncatedIdentity:
         path = write_presentation(tmp_path, relations)
         original = ncdim.pipeline.chain_sets
 
-        def one_more_chain(graph, max_level, truncation):
-            sets = original(graph, max_level, truncation)
+        def one_more_chain(graph, truncation):
+            sets = original(graph, truncation)
             level = sets.counts[1]
             counts = list(sets.counts)
             counts[1] = level[:-1] + (level[-1] + 1,)
@@ -432,7 +512,7 @@ class TestProductForm:
 
 class TestDot:
     def test_chain_graph_dot(self):
-        dot = emit_dot(build_chain_graph(DOWN_UP, AB))
+        dot = dot_digraph("chains", build_chain_graph(DOWN_UP, AB))
         assert dot.splitlines()[0] == "digraph chains {"
         assert '"1" -> "x1";' in dot
         assert '"x1" -> "x1*x2";' in dot

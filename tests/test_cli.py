@@ -11,8 +11,8 @@ import ncdim.pipeline
 from ncdim import InputError, analyze, load_presentation, report_to_dict
 from ncdim.chains import MAX_LISTED_CHAINS
 from ncdim.cli import main
-from ncdim.pipeline import fmt_cycle
-from ncdim.render import word_str
+from ncdim.pipeline import DOT_NAMES, fmt_cycle, report_graph
+from ncdim.render import dot_digraph, word_str
 
 SAMPLES = Path(__file__).resolve().parent.parent / "presentations"
 DOWN_UP = str(SAMPLES / "down_up.json")
@@ -67,6 +67,12 @@ class TestExitCodes:
         assert main(["growth", path]) == 2
         assert "unknown top-level keys: extra" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["x*x", 'a"b'])
+    def test_variable_name_the_parser_cannot_read(self, name, tmp_path, capsys):
+        path = write(tmp_path, {"variables": [{"name": "x"}, {"name": name}]})
+        assert main(["report", "--format", "dot-bundle", path]) == 2
+        assert f"variable name {name!r}" in capsys.readouterr().err
+
     def test_relation_parse_error(self, tmp_path, capsys):
         path = write(
             tmp_path, {"variables": [{"name": "x"}], "relations": ["x +"]}
@@ -99,13 +105,13 @@ class TestExitCodes:
         assert "not zero" in err
 
     def test_chain_cap_fails_only_the_analysis(self, monkeypatch, capsys):
-        def over_cap(graph, max_level, truncation):
-            raise InputError(f"chain enumeration exceeded max_level={max_level}")
+        def over_cap(graph, truncation):
+            raise InputError("chain enumeration exceeded the level cap")
 
         monkeypatch.setattr(ncdim.pipeline, "chain_sets", over_cap)
         assert main(["check-gb", DOWN_UP]) == 0
         assert main(["gldim", DOWN_UP]) == 2
-        assert "exceeded max_level" in capsys.readouterr().err
+        assert "exceeded the level cap" in capsys.readouterr().err
 
     def test_negative_terms(self, capsys):
         assert main(["hilbert", "--terms", "-1", DOWN_UP]) == 2
@@ -443,6 +449,17 @@ class TestGraph:
         out = capsys.readouterr().out
         assert out.startswith(header)
         assert out.endswith("}\n")
+
+    def test_graph_and_dot_bundle_share_one_path(self, capsys):
+        assert list(DOT_NAMES) == ["uf", "chains", "rees-chains"]
+        report = analyze(load_presentation(DOWN_UP))
+        dots = []
+        for which, name in DOT_NAMES.items():
+            assert main(["graph", "--which", which, "--dot", DOWN_UP]) == 0
+            dots.append(capsys.readouterr().out)
+            assert dots[-1] == dot_digraph(name, report_graph(report, which))
+        assert main(["report", "--format", "dot-bundle", DOWN_UP]) == 0
+        assert capsys.readouterr().out == "\n".join(dots)
 
     def test_rees_chains_listing_uses_extended_names(self, capsys):
         assert main(["graph", "--which", "rees-chains", DOWN_UP]) == 0

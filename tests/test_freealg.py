@@ -41,6 +41,16 @@ class TestAlphabet:
         with pytest.raises(InputError):
             Alphabet(("",), (1,))
 
+    @pytest.mark.parametrize("name", ["x*x", 'a"b', "1x", "x y", "x-1", "x'", 1])
+    def test_names_the_parser_cannot_read_rejected(self, name):
+        with pytest.raises(InputError, match="is not of the form"):
+            Alphabet(("x", name), (1, 1))
+
+    def test_every_name_parses_back_to_its_letter(self):
+        abc = Alphabet(("_", "x_1", "Ab9"), (1, 1, 1))
+        for i, name in enumerate(abc.names):
+            assert parse_polynomial(name, abc) == Poly.monomial((i,))
+
     def test_no_variables_rejected(self):
         with pytest.raises(InputError):
             Alphabet((), ())

@@ -12,7 +12,7 @@ from ncdim import (
     count_paths,
     extend_alphabet,
 )
-from ncdim.growth import emit_dot
+from ncdim.render import dot_digraph
 from test_acceptance import assert_valid_witness
 
 AB = Alphabet(("x1", "x2"), (1, 1))
@@ -162,13 +162,13 @@ class TestPathCounts:
 class TestDot:
     def test_deterministic_and_keeps_parallel_edges(self):
         graph = build_ufnarovski(MonomialSet.interreduce([]), AB)
-        dot = emit_dot(graph)
-        assert dot == emit_dot(graph)
+        dot = dot_digraph("growth", graph)
+        assert dot == dot_digraph("growth", graph)
         assert dot.splitlines()[0] == "digraph growth {"
         assert dot.count('"1" -> "1";') == 2
 
     def test_letter_names_in_vertices(self):
-        dot = emit_dot(build_ufnarovski(DOWN_UP, AB))
+        dot = dot_digraph("growth", build_ufnarovski(DOWN_UP, AB))
         assert '"x1*x2"' in dot
 
 

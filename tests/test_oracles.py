@@ -12,6 +12,7 @@ from functools import lru_cache
 
 import pytest
 
+import ncdim.chains
 from ncdim import (
     Alphabet,
     GroebnerBasis,
@@ -80,7 +81,9 @@ def brute_counts(index):
 
 def capped_sets(graph):
     # a small cap keeps never-vanishing chain listings cheap
-    return chain_sets(graph, 8)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ncdim.chains, "MAX_LISTED_LEVELS", 8)
+        return chain_sets(graph)
 
 
 def test_corpus_is_mixed():
@@ -194,12 +197,14 @@ def test_chain_counts_match_enumeration(index):
 
 
 @pytest.mark.parametrize("index", range(50))
-def test_rees_invariants_and_level_decomposition(index):
+def test_rees_invariants_and_level_decomposition(index, monkeypatch):
     alphabet, omega = CASES[index]
     basis = GroebnerBasis(
         [Poly.monomial(w) for w in omega.words], MonomialOrder(alphabet)
     )
-    inv = rees_invariants(basis, truncation=MAX_DEG, max_level=8)
+    with monkeypatch.context() as patch:
+        patch.setattr(ncdim.chains, "MAX_LISTED_LEVELS", 8)
+        inv = rees_invariants(basis, truncation=MAX_DEG)
     ext = inv.presentation.ext
     sets = capped_sets(build_chain_graph(omega, alphabet))
 

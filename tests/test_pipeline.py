@@ -141,7 +141,6 @@ class TestLoadData:
         assert pres.order.kind == "grlex"
         assert pres.order.precedence == (0,)
         assert pres.basis.elements == ()
-        assert pres.source_path is None
 
     def test_weights_and_precedence_applied(self):
         pres = load_presentation_data(
@@ -166,11 +165,10 @@ class TestLoadFile:
         with pytest.raises(InputError, match="not valid JSON"):
             load_presentation(path)
 
-    def test_load_records_source_path(self, tmp_path):
+    def test_load_reads_the_file(self, tmp_path):
         path = tmp_path / "pres.json"
         path.write_text(json.dumps(minimal()), encoding="utf-8")
         pres = load_presentation(path)
-        assert pres.source_path == str(path)
         assert pres.alphabet.names == ("x1", "x2")
 
     @pytest.mark.parametrize(
@@ -179,7 +177,7 @@ class TestLoadFile:
     )
     def test_shipped_samples_load_and_analyze(self, name):
         report = analyze(load_presentation(SAMPLES / f"{name}.json"))
-        assert report.gb_verified
+        assert report.presentation.basis.verified
 
 
 class TestPbwCheck:
@@ -210,7 +208,7 @@ class TestPbwCheck:
 class TestAnalyzeFrozen:
     def test_down_up(self):
         r = analyze(down_up())
-        assert r.gb_verified
+        assert r.presentation.basis.verified
         assert r.overlaps_checked == 1
         assert r.omega.words == ((0, 0, 1), (0, 1, 1))
         assert not r.growth.exponential and r.growth.degree == 3

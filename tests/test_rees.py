@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import ncdim.chains
 import ncdim.pipeline
 import ncdim.rees
 from ncdim import (
@@ -244,8 +245,9 @@ class TestReesInvariants:
         assert inv.growth.degree == 4
         assert inv.hilbert.denominator == (1, -4, 6, -4, 1)
 
-    def test_infinite_base_dimension(self):
-        inv = rees_invariants(nilpotent().basis, max_level=8)
+    def test_infinite_base_dimension(self, monkeypatch):
+        monkeypatch.setattr(ncdim.chains, "MAX_LISTED_LEVELS", 8)
+        inv = rees_invariants(nilpotent().basis)
         assert inv.gldim is None
         assert not inv.sets.finite
         assert inv.growth.is_polynomial and inv.growth.degree == 1
