@@ -12,6 +12,7 @@ listed for display only, under a budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from typing import Iterable
 
@@ -21,9 +22,9 @@ from .growth import strong_components
 from .rewrite import MonomialSet, count_normal_words
 
 DEFAULT_TRUNCATION = 16
-# Chain words and levels listed per chain set, for the report and the Rees
-# set check.  Branching sets double per level; at 4096 words a `report`
-# process on them peaks near 21 MB (Python 3.11).
+# Chain words and levels listed per chain set, for the report.  Branching
+# sets double per level; at 4096 words a `report` process on them peaks near
+# 21 MB (Python 3.11).
 MAX_LISTED_CHAINS = 4096
 MAX_LISTED_LEVELS = 64
 ROOT: Word = ()
@@ -109,17 +110,37 @@ class ChainSets:
     the levels past ``truncation`` have no chain there.
 
     ``levels[i]`` lists the words of C_i for the first ``len(levels)``
-    levels.  The listing stops after MAX_LISTED_LEVELS levels, and before
-    the level that would take it over MAX_LISTED_CHAINS words.
+    levels, read off ``graph`` on first access only.  The listing stops
+    after MAX_LISTED_LEVELS levels, and before the level that would take it
+    over MAX_LISTED_CHAINS words (building at most one word more).
     ``truncated`` reports that it stopped short of a nonempty level of
     finite sets, or short of MAX_LISTED_LEVELS for infinite ones.
     """
 
-    levels: tuple[tuple[Word, ...], ...]
+    graph: ChainGraph
     finite: bool
     counts: tuple[tuple[int, ...], ...]
     truncation: int | None
-    truncated: bool
+
+    @cached_property
+    def levels(self) -> tuple[tuple[Word, ...], ...]:
+        graph = self.graph
+        levels: list[tuple[Word, ...]] = []
+        routes = [(v, v) for v in graph.successors(ROOT)]  # (tail vertex, chain word)
+        room = MAX_LISTED_CHAINS - len(routes)
+        while routes and room >= 0 and len(levels) < MAX_LISTED_LEVELS:
+            levels.append(tuple(sorted((word for _, word in routes), key=_by_length)))
+            # build the next level lazily, one route past the room left at most
+            following = (
+                (s, word + s) for tail, word in routes for s in graph.successors(tail)
+            )
+            routes = list(islice(following, room + 1))
+            room -= len(routes)
+        return tuple(levels)
+
+    @property
+    def truncated(self) -> bool:
+        return len(self.levels) < (len(self.counts) if self.finite else MAX_LISTED_LEVELS)
 
     def level(self, n: int) -> tuple[Word, ...] | None:
         """The words of C_n, or None when C_n is nonempty but not listed."""
@@ -154,7 +175,8 @@ def _count_levels(graph: ChainGraph, truncation: int | None) -> list[tuple[int, 
     A DP over routes from the root grouped by (tail vertex, weighted
     degree): next[s][d + deg s] += cur[t][d] for every edge t -> s.  Each
     level costs O(E * D) for E edges and D distinct degrees, however many
-    chains it has.
+    chains it has.  Finite sets repeat no vertex on a route, so reaching as
+    many levels as vertices means a missed cycle: CrossCheckError, no hang.
     """
     degree = {v: graph.alphabet.degree(v) for v in graph.vertices}
     current = {
@@ -169,6 +191,11 @@ def _count_levels(graph: ChainGraph, truncation: int | None) -> list[tuple[int, 
             for d, c in by_degree.items():
                 poly[d] += c
         counts.append(tuple(poly))
+        if truncation is None and len(counts) == len(graph.vertices):
+            raise CrossCheckError(
+                "chain sets judged finite have as many levels as the chain "
+                "graph has vertices"
+            )
         following: dict[Word, dict[int, int]] = {}
         for tail, by_degree in current.items():
             for s in graph.successors(tail):
@@ -183,27 +210,10 @@ def _count_levels(graph: ChainGraph, truncation: int | None) -> list[tuple[int, 
 
 def chain_sets(graph: ChainGraph, truncation: int = DEFAULT_TRUNCATION) -> ChainSets:
     """Count the chains of every level (to degree ``truncation`` when the
-    sets are infinite) and list the words of the leading levels that fit in
-    MAX_LISTED_CHAINS words together, to depth at most MAX_LISTED_LEVELS.  A
-    level that would not fit is dropped as soon as it passes the budget, so
-    a listing builds at most MAX_LISTED_CHAINS + 1 words."""
+    sets are infinite); the words are listed only when ``levels`` is read."""
     finite = not _cycle_reachable(graph)
     counts = _count_levels(graph, None if finite else truncation)
-    levels: list[tuple[Word, ...]] = []
-    routes = [(v, v) for v in graph.successors(ROOT)]  # (tail vertex, chain word)
-    room = MAX_LISTED_CHAINS - len(routes)
-    while routes and room >= 0 and len(levels) < MAX_LISTED_LEVELS:
-        levels.append(tuple(sorted((word for _, word in routes), key=_by_length)))
-        # build the next level lazily, one route past the room left at most
-        following = (
-            (s, word + s) for tail, word in routes for s in graph.successors(tail)
-        )
-        routes = list(islice(following, room + 1))
-        room -= len(routes)
-    truncated = len(levels) < (len(counts) if finite else MAX_LISTED_LEVELS)
-    return ChainSets(
-        tuple(levels), finite, tuple(counts), None if finite else truncation, truncated
-    )
+    return ChainSets(graph, finite, tuple(counts), None if finite else truncation)
 
 
 @dataclass(frozen=True)

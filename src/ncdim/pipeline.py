@@ -142,7 +142,10 @@ class AnalysisReport:
     sets: ChainSets
     pbw: bool
     warnings: tuple[str, ...]
-    chain_graph: ChainGraph
+
+    @property
+    def chain_graph(self) -> ChainGraph:
+        return self.sets.graph
 
 
 def analyze(
@@ -157,8 +160,7 @@ def analyze(
 
     growth = automaton_growth(omega, alphabet)
 
-    chain_graph = build_chain_graph(omega, alphabet)
-    sets = chain_sets(chain_graph, truncation)
+    sets = chain_sets(build_chain_graph(omega, alphabet), truncation)
     gldim_monomial = sets.gldim
 
     hilbert = hilbert_series(sets, omega, alphabet, truncation)
@@ -192,7 +194,7 @@ def analyze(
     if applicable and hilbert.closed_form:
         product_form = product_form_decomposition(hilbert.denominator, growth.degree)
 
-    warnings = tuple(dict.fromkeys(chain_graph.warnings + rees.warnings))
+    warnings = tuple(dict.fromkeys(sets.graph.warnings + rees.warnings))
     return AnalysisReport(
         presentation=presentation,
         overlaps_checked=checked,
@@ -208,7 +210,6 @@ def analyze(
         sets=sets,
         pbw=pbw,
         warnings=warnings,
-        chain_graph=chain_graph,
     )
 
 

@@ -6,11 +6,11 @@ the left), and the commutators X_i T - T X_i are adjoined.  The extended
 order compares T-stripped words by the base order before looking at T at
 all, so homogenizing never moves the leading word: the leading words are
 exactly LM(G) u {X_i T}, the homogenized set is again a Groebner basis, and
-the chain sets decompose level by level as C~_i = C_i u C_{i-1}T, so their
-counts as C~_i(t) = C_i(t) + t*C_{i-1}(t) — all of these are re-verified at
-runtime (the set identity on the levels both sides listed) and a violation
-raises CrossCheckError.  :func:`rees_invariants` computes the Rees side only;
-:func:`check_transfer` compares it with base invariants computed elsewhere.
+the chain graph is the base one plus a sink T that every base vertex steps
+to, so C~_i = C_i u C_{i-1}T and C~_i(t) = C_i(t) + t*C_{i-1}(t) — all of
+these are re-verified at runtime and a violation raises CrossCheckError.
+:func:`rees_invariants` computes the Rees side only; :func:`check_transfer`
+compares it with base invariants computed elsewhere.
 """
 
 from __future__ import annotations
@@ -171,56 +171,34 @@ class ReesInvariants:
     growth: GrowthClass
     hilbert: HilbertSeries
     sets: ChainSets
-    graph: ChainGraph
     warnings: tuple[str, ...]
+
+    @property
+    def graph(self) -> ChainGraph:
+        return self.sets.graph
 
     @property
     def gldim(self) -> int | None:
         return self.sets.gldim
 
 
-def _check_graph_embedding(graph: ChainGraph, ext: ExtendedAlphabet) -> None:
+def _check_graph_embedding(
+    graph: ChainGraph, base: ChainGraph, ext: ExtendedAlphabet
+) -> None:
+    """The Rees chain graph is the base one plus a sink T that every base
+    vertex, the root included, steps to: C~_i = C_i u C_{i-1}T on all levels."""
     t_vertex = ext.t_word
+    if set(graph.vertices) != set(base.vertices) | {t_vertex}:
+        raise CrossCheckError("the Rees chain vertices are not the base ones plus T")
     if graph.successors(t_vertex):
         raise CrossCheckError("the T vertex of the Rees chain graph has out-edges")
-    for v in graph.vertices:
-        if v and v != t_vertex and v[-1] != ext.t_index:
-            if t_vertex not in graph.successors(v):
-                raise CrossCheckError(
-                    f"Rees chain vertex {word_str(v, ext.alphabet)} has no edge to T"
-                )
-
-
-def _check_level_decomposition(
-    tilde_sets: ChainSets, base_sets: ChainSets, ext: ExtendedAlphabet
-) -> None:
-    t = ext.t_word
-    lower = base_sets.level(-1)
-    for i, level in enumerate(tilde_sets.levels):
-        same = base_sets.level(i)
-        if same is None:
-            break  # the base listing stopped before this level
-        if set(level) != set(same) | {c + t for c in lower}:
+    for v in base.vertices:
+        targets, name = set(graph.successors(v)), word_str(v, ext.alphabet)
+        if t_vertex not in targets:
+            raise CrossCheckError(f"Rees chain vertex {name} has no edge to T")
+        if targets != set(base.successors(v)) | {t_vertex}:
             raise CrossCheckError(
-                f"Rees chain level {i} is not C_{i} plus C_{i - 1}*T"
-            )
-        lower = same
-
-
-def _check_top_level(
-    tilde_sets: ChainSets, base_sets: ChainSets, ext: ExtendedAlphabet
-) -> None:
-    if not (tilde_sets.finite and base_sets.finite and tilde_sets.counts):
-        return
-    top_index = len(tilde_sets.counts) - 1
-    top, base_top = tilde_sets.level(top_index), base_sets.level(top_index - 1)
-    if top is None or base_top is None:
-        return
-    base_top = set(base_top)
-    for word in top:
-        if word[-1] != ext.t_index or word[:-1] not in base_top:
-            raise CrossCheckError(
-                "a maximal Rees chain does not extend a maximal base chain by T"
+                f"Rees chain vertex {name} does not step to its base successors"
             )
 
 
@@ -254,32 +232,26 @@ def _check_level_counts(tilde_sets: ChainSets, base_sets: ChainSets) -> None:
 def rees_invariants(
     basis: GroebnerBasis, truncation: int = DEFAULT_TRUNCATION
 ) -> ReesInvariants:
-    """Growth, global dimension, and Hilbert data of the Rees algebra.
-
-    Only the Rees side is computed, on the extended alphabet, with the
-    Rees-only check that the T vertex embeds in the chain graph as a sink.
-    """
+    """Growth, global dimension, and Hilbert data of the Rees algebra,
+    computed on the extended alphabet alone; :func:`check_transfer` compares
+    them with the base."""
     presentation = tilde_basis(basis)
     ext = presentation.ext
     omega = presentation.basis.omega
     growth = automaton_growth(omega, ext.alphabet)
-    graph = build_chain_graph(omega, ext.alphabet)
-    _check_graph_embedding(graph, ext)
-    sets = chain_sets(graph, truncation)
+    sets = chain_sets(build_chain_graph(omega, ext.alphabet), truncation)
     hilbert = hilbert_series(sets, omega, ext.alphabet, truncation)
-    warnings = presentation.warnings + graph.warnings
-    return ReesInvariants(presentation, omega, growth, hilbert, sets, graph, warnings)
+    warnings = presentation.warnings + sets.graph.warnings
+    return ReesInvariants(presentation, omega, growth, hilbert, sets, warnings)
 
 
 def check_transfer(rees: ReesInvariants, sets: ChainSets, growth: GrowthClass) -> None:
     """Assert the Rees invariants against the base chain sets and growth:
-    C~_i = C_i u C_{i-1}T on the listed levels, maximal chains end in T,
-    equal finiteness, global dimension + 1, C~_i(t) = C_i(t) + t*C_{i-1}(t)
-    on the counted levels and GK degree + 1 (for polynomial growth).  Both
-    chain sets must be counted to the same truncation."""
-    ext = rees.presentation.ext
-    _check_level_decomposition(rees.sets, sets, ext)
-    _check_top_level(rees.sets, sets, ext)
+    the base chain graph plus a sink T is the Rees one, equal finiteness,
+    global dimension + 1, C~_i(t) = C_i(t) + t*C_{i-1}(t) on the counted
+    levels and GK degree + 1 (for polynomial growth).  Both chain sets must
+    be counted to the same truncation."""
+    _check_graph_embedding(rees.sets.graph, sets.graph, rees.presentation.ext)
     if sets.finite != rees.sets.finite:
         raise CrossCheckError("Rees chain finiteness differs from the base")
     if sets.finite and rees.gldim != sets.gldim + 1:

@@ -1,4 +1,5 @@
-"""The functions and methods the benchmark's tracer wraps must exist.
+"""The functions and methods the benchmark's tracer wraps must exist, and
+its size functions must fit what they return.
 
 ``bench/spans.py`` names them by string, so a rename in ``src/`` would only
 show when the benchmark runs traced.  The file is loaded, never edited.
@@ -10,6 +11,10 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import ncdim.cli  # the tracer wraps cli.main, so the module must be loaded
+import ncdim.pipeline
+from presets import down_up
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -41,3 +46,20 @@ def test_counted_methods_resolve(spans):
         cls = getattr(importlib.import_module(module_name), cls_name)
         # the tracer replaces the entry in the class dictionary itself
         assert attr in cls.__dict__, f"{module_name}.{cls_name}.{attr}"
+
+
+def test_span_sizes_fit_the_return_types(spans):
+    # a size function that no longer fits what its function returns would
+    # only fail inside a traced benchmark run
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        report = ncdim.pipeline.analyze(down_up())
+        for fmt in ("json", "text", "dot-bundle"):
+            ncdim.pipeline.render_report(report, fmt)
+    finally:
+        tracer.uninstall()
+    sized = {name for *_, name, size in spans.SPANNED if size is not None}
+    recorded = [(name, size) for name, *_, size in tracer.spans if name in sized]
+    assert {name for name, _ in recorded} == sized
+    assert all(size is not None for _, size in recorded)

@@ -150,6 +150,7 @@ class TestChainSets:
         with monkeypatch.context() as patch:
             patch.setattr(ncdim.chains, "MAX_LISTED_LEVELS", 3)
             capped = chain_sets(graph)
+            capped.levels  # the listing reads the cap when it is first built
         assert capped.gldim == 5
         assert capped.truncated
         assert len(capped.levels) == 3
@@ -284,6 +285,26 @@ class TestChainCounts:
         assert steps <= MAX_LISTED_CHAINS + 3 * 21 * len(graph.vertices)
 
 
+class TestWrongFinitenessVerdict:
+    """Finite chain sets have fewer levels than the chain graph has
+    vertices, so a missed cycle stops the count instead of looping."""
+
+    @pytest.fixture(autouse=True)
+    def no_cycle_seen(self, monkeypatch):
+        monkeypatch.setattr(ncdim.chains, "_cycle_reachable", lambda graph: False)
+
+    MESSAGE = "chain sets judged finite have as many levels as the chain graph has vertices"
+
+    def test_chain_sets_raise(self):
+        with pytest.raises(CrossCheckError, match=self.MESSAGE):
+            chain_sets(build_chain_graph(ALL_SQUARES, AB))
+
+    def test_report_exits_4(self, tmp_path, capsys):
+        path = write_presentation(tmp_path, ["x1^2", "x1*x2", "x2*x1", "x2^2"])
+        assert main(["report", path]) == 4
+        assert self.MESSAGE in capsys.readouterr().err
+
+
 class TestGlobalDimension:
     def test_worked_examples(self):
         assert sets_of(DOWN_UP, AB).gldim == 3
@@ -388,7 +409,8 @@ class TestChainDenominator:
 
     def test_reads_counts_not_words(self):
         sets = chain_sets(build_chain_graph(DOWN_UP, AB))
-        assert chain_denominator(replace(sets, levels=())) == (1, -2, 0, 2, -1)
+        assert chain_denominator(sets) == (1, -2, 0, 2, -1)
+        assert "levels" not in vars(sets)
 
     def test_infinite_sets_give_d_modulo_the_truncation(self):
         # all-squares: D = 1 - 2t + 4t^2 - ... = 1/(1 + 2t) mod t^6

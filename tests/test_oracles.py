@@ -80,10 +80,13 @@ def brute_counts(index):
 
 
 def capped_sets(graph):
-    # a small cap keeps never-vanishing chain listings cheap
+    # a small cap keeps never-vanishing chain listings cheap; the listing
+    # reads it when first built
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ncdim.chains, "MAX_LISTED_LEVELS", 8)
-        return chain_sets(graph)
+        sets = chain_sets(graph)
+        sets.levels
+        return sets
 
 
 def test_corpus_is_mixed():
@@ -205,6 +208,7 @@ def test_rees_invariants_and_level_decomposition(index, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(ncdim.chains, "MAX_LISTED_LEVELS", 8)
         inv = rees_invariants(basis, truncation=MAX_DEG)
+        inv.sets.levels
     ext = inv.presentation.ext
     sets = capped_sets(build_chain_graph(omega, alphabet))
 

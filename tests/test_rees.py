@@ -1,5 +1,7 @@
+import random
 import re
 from dataclasses import replace
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -29,8 +31,9 @@ from ncdim import (
     rees_invariants,
     tilde_basis,
 )
+from ncdim.chains import ChainSets
 from ncdim.cli import main
-from ncdim.rees import HomogenizationOrder
+from ncdim.rees import ExtendedAlphabet, HomogenizationOrder
 
 from presets import (
     commutation,
@@ -41,6 +44,7 @@ from presets import (
     ore_case_b,
     power_family,
 )
+from test_oracles import CASES
 
 AB = Alphabet(("x1", "x2"), (1, 1))
 AB_W = Alphabet(("x1", "x2"), (1, 3))
@@ -310,22 +314,41 @@ def with_sets(inv, **changes):
     return replace(inv, sets=replace(inv.sets, **changes))
 
 
+def with_graph(inv, vertices=(), edges=None):
+    """The Rees invariants with chain sets on a changed chain graph: extra
+    vertices, and successor lists replaced per source vertex."""
+    graph = inv.graph
+    return with_sets(inv, graph=replace(
+        graph, vertices=graph.vertices + vertices, edges={**graph.edges, **(edges or {})}
+    ))
+
+
 def one_more_top_chain(counts, i):
     return counts[:i] + (counts[i][:-1] + (counts[i][-1] + 1,),) + counts[i + 1 :]
 
 
+# The Rees chain graph of down_up has the base vertices 1, x1, x2, x1*x2 and
+# x2*x2, plus T; x1*x2 steps to x2 and T, x2*x2 to T only.
+T = (2,)
+
 # One corruption per cross-check on the Rees side of down_up (base gl.dim 3,
 # GK degree 3, four Rees chain levels); each leaves the earlier checks intact.
 CORRUPTIONS = {
-    "level decomposition": (
-        lambda inv: with_sets(inv, levels=(inv.sets.levels[0], inv.sets.levels[1][1:])
-                              + inv.sets.levels[2:]),
-        "Rees chain level 1 is not C_1 plus C_0",
+    "extra vertex": (
+        lambda inv: with_graph(inv, vertices=((0, 0),)),
+        "the Rees chain vertices are not the base ones plus T",
     ),
-    "maximal chains end in T": (
-        lambda inv: with_sets(inv, levels=inv.sets.levels[:-1],
-                              counts=inv.sets.counts[:-1]),
-        "a maximal Rees chain does not extend a maximal base chain by T",
+    "T has an out-edge": (
+        lambda inv: with_graph(inv, edges={T: ((0,),)}),
+        "the T vertex of the Rees chain graph has out-edges",
+    ),
+    "no edge to T": (
+        lambda inv: with_graph(inv, edges={(0, 1): ((1,),)}),
+        "Rees chain vertex x1*x2 has no edge to T",
+    ),
+    "extra base edge": (
+        lambda inv: with_graph(inv, edges={(1, 1): ((1,), T)}),
+        "Rees chain vertex x2*x2 does not step to its base successors",
     ),
     "equal finiteness": (
         lambda inv: with_sets(inv, finite=False),
@@ -365,16 +388,116 @@ class TestTransferCrossChecks:
         assert main(["report", DOWN_UP_FILE]) == 4
         assert corrupted in capsys.readouterr().err
 
-    def test_t_vertex_with_out_edges_is_caught(self, monkeypatch):
-        original = ncdim.rees.build_chain_graph
 
-        def t_not_a_sink(omega, alphabet):
-            graph = original(omega, alphabet)
-            t_word = (alphabet.n - 1,)
-            return replace(graph, edges={**graph.edges, t_word: ((0,),)})
+# The word-level checks that the graph embedding check replaced, kept as
+# references: on every listed level they must agree with it.
 
-        monkeypatch.setattr(ncdim.rees, "build_chain_graph", t_not_a_sink)
-        with pytest.raises(CrossCheckError, match="T vertex of the Rees chain graph"):
-            rees_invariants(down_up().basis)
-        assert main(["report", DOWN_UP_FILE]) == 4
+def _check_level_decomposition(
+    tilde_sets: ChainSets, base_sets: ChainSets, ext: ExtendedAlphabet
+) -> None:
+    t = ext.t_word
+    lower = base_sets.level(-1)
+    for i, level in enumerate(tilde_sets.levels):
+        same = base_sets.level(i)
+        if same is None:
+            break  # the base listing stopped before this level
+        if set(level) != set(same) | {c + t for c in lower}:
+            raise CrossCheckError(
+                f"Rees chain level {i} is not C_{i} plus C_{i - 1}*T"
+            )
+        lower = same
 
+
+def _check_top_level(
+    tilde_sets: ChainSets, base_sets: ChainSets, ext: ExtendedAlphabet
+) -> None:
+    if not (tilde_sets.finite and base_sets.finite and tilde_sets.counts):
+        return
+    top_index = len(tilde_sets.counts) - 1
+    top, base_top = tilde_sets.level(top_index), base_sets.level(top_index - 1)
+    if top is None or base_top is None:
+        return
+    base_top = set(base_top)
+    for word in top:
+        if word[-1] != ext.t_index or word[:-1] not in base_top:
+            raise CrossCheckError(
+                "a maximal Rees chain does not extend a maximal base chain by T"
+            )
+
+
+def random_antichains(count, seed=31337):
+    """Interreduced obstruction sets on 1-3 letters of weights 1-3; a
+    length-1 word makes a dead letter."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        n = rng.randint(1, 3)
+        alphabet = Alphabet(
+            tuple(f"x{i + 1}" for i in range(n)), tuple(rng.randint(1, 3) for _ in range(n))
+        )
+        words = [
+            tuple(rng.randrange(n) for _ in range(rng.randint(1, 4)))
+            for _ in range(rng.randint(1, 4))
+        ]
+        cases.append((alphabet, MonomialSet.interreduce(words)))
+    return cases
+
+
+class TestEmbeddingAgainstWordChecks:
+    """The graph embedding holds wherever the word-level checks it replaced
+    hold on the listed levels, and they do on every case."""
+
+    @staticmethod
+    def check(alphabet, omega):
+        basis = GroebnerBasis([Poly.monomial(w) for w in omega.words], MonomialOrder(alphabet))
+        inv = rees_invariants(basis, truncation=8)
+        base = chain_sets(build_chain_graph(omega, alphabet), truncation=8)
+        ext = inv.presentation.ext
+        ncdim.rees._check_graph_embedding(inv.graph, base.graph, ext)
+        _check_level_decomposition(inv.sets, base, ext)
+        _check_top_level(inv.sets, base, ext)
+        assert inv.sets.levels[0][-1] == ext.t_word
+
+    def test_oracle_corpus(self):
+        assert len(CASES) == 50
+        for alphabet, omega in CASES:
+            self.check(alphabet, omega)
+
+    def test_random_antichains(self):
+        cases = random_antichains(300)
+        dead = sum(any(len(w) == 1 for w in omega.words) for _, omega in cases)
+        assert 50 <= dead <= 250
+        for alphabet, omega in cases:
+            self.check(alphabet, omega)
+
+
+@pytest.fixture
+def listings(monkeypatch):
+    """Every chain set whose words get listed, in listing order."""
+    listed = []
+    listing = ChainSets.levels.func
+
+    def counted(sets):
+        listed.append(sets)
+        return listing(sets)
+
+    levels = cached_property(counted)
+    levels.__set_name__(ChainSets, "levels")
+    monkeypatch.setattr(ChainSets, "levels", levels)
+    return listed
+
+
+class TestChainWordsListedForTheReportOnly:
+    @pytest.mark.parametrize("fmt", ["json", "text", "dot-bundle"])
+    def test_render_lists_the_base_once_and_the_rees_never(self, fmt, listings):
+        report = ncdim.pipeline.analyze(down_up())
+        assert listings == []
+        for _ in range(2):
+            ncdim.pipeline.render_report(report, fmt)
+        assert "levels" not in vars(report.rees.sets)
+        assert listings == ([] if fmt == "dot-bundle" else [report.sets])
+
+    @pytest.mark.parametrize("command", ["growth", "gldim", "hilbert", "rees", "pbw"])
+    def test_subcommands_list_no_chain_word(self, command, listings, capsys):
+        assert main([command, DOWN_UP_FILE]) == 0
+        assert listings == []
