@@ -10,7 +10,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import InputError, ParseError
@@ -88,24 +87,31 @@ class MonomialOrder:
         if sorted(prec) != list(range(self.alphabet.n)):
             raise InputError("order precedence must be a permutation of the variables")
         object.__setattr__(self, "precedence", prec)
-
-    @cached_property
-    def _rank(self) -> tuple[int, ...]:
         rank = [0] * self.alphabet.n
-        for pos, letter in enumerate(self.precedence):
+        for pos, letter in enumerate(prec):
             rank[letter] = pos
-        return tuple(rank)
+        # the key's shortcuts, read off the order's own data: identity
+        # precedence makes the tie the word itself, unit weights make the
+        # degree the length
+        object.__setattr__(self, "_rank", tuple(rank))
+        object.__setattr__(self, "_identity", prec == tuple(range(self.alphabet.n)))
+        object.__setattr__(self, "_unit", set(self.alphabet.weights) == {1})
 
     def sort_key(self, word: Word):
         """Total-order key: ascending in the monomial order."""
-        rank = self._rank
+        if self._unit:
+            degree = len(word)
+        else:
+            degree = sum(map(self.alphabet.weights.__getitem__, word))
         if self.kind == GRLEX:
-            tie = tuple(rank[i] for i in word)
+            tie = word
         else:
             # grevlex: the rightmost difference decides, larger letter wins;
             # on sorted words this restricts to commutative grevlex
-            tie = tuple(rank[i] for i in reversed(word))
-        return (self.alphabet.degree(word), tie)
+            tie = word[::-1]
+        if not self._identity:
+            tie = tuple(map(self._rank.__getitem__, tie))
+        return (degree, tie)
 
     def compare(self, u: Word, v: Word) -> int:
         ku, kv = self.sort_key(u), self.sort_key(v)

@@ -35,7 +35,12 @@ from .freealg import (
 from .growth import GrowthClass, UfnarovskiGraph, automaton_growth, build_ufnarovski
 from .render import denominator_str, dot_digraph, poly_str, word_str
 from .rewrite import GroebnerBasis, MonomialSet, ensure_verified
-from .rees import ReesInvariants, check_transfer, rees_invariants
+from .rees import (
+    ReesInvariants,
+    check_associated_graded,
+    check_transfer,
+    rees_invariants,
+)
 
 
 @dataclass(frozen=True)
@@ -168,6 +173,7 @@ def analyze(
     lh_basis = tuple(leading_homogeneous(g, alphabet) for g in basis.elements)
     rees = rees_invariants(basis, truncation)
     check_transfer(rees, sets, growth)
+    check_associated_graded(rees.presentation, lh_basis)
 
     applicable = growth.is_polynomial and gldim_monomial is not None
     gldim_assoc_graded = None

@@ -10,7 +10,8 @@ the chain graph is the base one plus a sink T that every base vertex steps
 to, so C~_i = C_i u C_{i-1}T and C~_i(t) = C_i(t) + t*C_{i-1}(t) — all of
 these are re-verified at runtime and a violation raises CrossCheckError.
 :func:`rees_invariants` computes the Rees side only; :func:`check_transfer`
-compares it with base invariants computed elsewhere.
+compares it with base invariants computed elsewhere, and
+:func:`check_associated_graded` checks that setting T = 0 in G~ gives lh(G).
 """
 
 from __future__ import annotations
@@ -61,9 +62,10 @@ class HomogenizationOrder:
     Words are compared by total weighted degree, then by the base order on
     the words with all T's deleted, and finally by T placement (an earlier T
     is smaller).  Equal-degree words with equal T-stripped parts have the
-    same length, so the last tie-break is total.  This is multiplicative,
-    restricts to the base order on T-free words, puts T below every base
-    letter, and — unlike reusing the base kind on the extended alphabet —
+    same length, so the last tie-break is total; a T-free word ties only
+    with itself and is keyed without stripping or placement.  This is
+    multiplicative, restricts to the base order on T-free words, puts T
+    below every base letter, and — unlike reusing the base kind on the extended alphabet —
     guarantees for any base kind that homogenizing preserves leading words
     and that X_i*T - T*X_i has leading word X_i*T.
     """
@@ -81,6 +83,11 @@ class HomogenizationOrder:
 
     def sort_key(self, word: Word):
         t = self.ext.t_index
+        if t not in word:
+            # equal (degree, base key) means equal stripped words and so
+            # equal T counts, so a T-free word needs no placement
+            base_key = self.base.sort_key(word)
+            return (base_key[0], base_key, ())
         stripped = tuple(i for i in word if i != t)
         placement = tuple(0 if i == t else 1 for i in word)
         base_key = self.base.sort_key(stripped)
@@ -243,6 +250,22 @@ def rees_invariants(
     hilbert = hilbert_series(sets, omega, ext.alphabet, truncation)
     warnings = presentation.warnings + sets.graph.warnings
     return ReesInvariants(presentation, omega, growth, hilbert, sets, warnings)
+
+
+def check_associated_graded(
+    presentation: ReesPresentation, lh_basis: tuple[Poly, ...]
+) -> None:
+    """Setting T = 0 in the verified Rees basis G~ gives lh(G): each
+    homogenized relation keeps exactly its top-degree terms, and each
+    commutator X_i*T - T*X_i vanishes."""
+    t = presentation.ext.t_index
+    for k, g in enumerate(presentation.basis.elements):
+        at_zero = Poly({w: c for w, c in g.terms.items() if t not in w})
+        if at_zero != (lh_basis[k] if k < len(lh_basis) else Poly()):
+            raise CrossCheckError(
+                f"setting T = 0 in Rees relation {k + 1} does not give "
+                "the leading homogeneous part of G"
+            )
 
 
 def check_transfer(rees: ReesInvariants, sets: ChainSets, growth: GrowthClass) -> None:

@@ -11,7 +11,8 @@ def word_str(word: Word, alphabet: Alphabet) -> str:
     """Serialized form: '*'-joined letter names; the identity is "1"."""
     if not word:
         return "1"
-    return "*".join(alphabet.names[i] for i in word)
+    names = alphabet.names
+    return "*".join([names[i] for i in word])
 
 
 def word_pretty(word: Word, alphabet: Alphabet) -> str:

@@ -291,19 +291,24 @@ def normal_form(f: Poly, basis: GroebnerBasis) -> Poly:
     """Rewrite ``f`` until no term contains a leading word.
 
     Deterministic: always rewrite the largest reducible term in the monomial
-    order, by the reduction strategy of :class:`GroebnerBasis`.  Each word
-    is scanned once, when it enters the work set; only a reducible word
-    gets a sort key and a place in ``pending``, ascending, so ``pop()``
-    yields the largest one.  Rewriting a word only creates smaller words,
-    so a popped word never returns.  Coefficients are ints where the
-    denominator is 1 and Fractions otherwise; ``Poly`` turns them all back
-    into Fractions.
+    order, by the reduction strategy of :class:`GroebnerBasis`.
+    """
+    return Poly(_reduce_terms({w: _exact(c) for w, c in f.terms.items()}, basis))
+
+
+def _reduce_terms(work: dict[Word, int | Fraction], basis: GroebnerBasis) -> dict:
+    """The engine of :func:`normal_form`: reduce the exact term dict ``work``
+    in place and return it.
+
+    Each word is scanned once, when it enters the work set; only a reducible
+    word gets a sort key and a place in ``pending``, ascending, so ``pop()``
+    yields the largest one.  Rewriting a word only creates smaller words, so
+    a popped word never returns.  Coefficients are ints where the denominator
+    is 1 and Fractions otherwise; ``Poly`` turns them all back into Fractions.
     """
     find, key, rules = basis.find_reduction, basis.order.sort_key, basis._rules
-    work: dict[Word, int | Fraction] = {}
     pending: list[tuple] = []  # (sort key, word, (relation, position))
-    for word, c in f.terms.items():
-        work[word] = _exact(c)
+    for word in work:
         found = find(word)
         if found is not None:
             insort(pending, (key(word), word, found), key=_KEY)
@@ -330,7 +335,7 @@ def normal_form(f: Poly, basis: GroebnerBasis) -> Poly:
                 work[word] = nc
             else:
                 del work[word]
-    return Poly(work)
+    return work
 
 
 @dataclass(frozen=True)
@@ -366,8 +371,13 @@ def overlap_ambiguities(basis: GroebnerBasis) -> list[OverlapAmbiguity]:
 
 def s_element(basis: GroebnerBasis, amb: OverlapAmbiguity) -> Poly:
     """Difference of the two one-step rewrites of the superposition word,
-    prefix * g_right - g_left * suffix, built in one dict in exact
-    int-or-Fraction arithmetic."""
+    prefix * g_right - g_left * suffix."""
+    return Poly(_s_terms(basis, amb))
+
+
+def _s_terms(basis: GroebnerBasis, amb: OverlapAmbiguity) -> dict:
+    """The S-element of ``amb`` as the engine's exact int-or-Fraction term
+    dict, built in one pass over the two relations."""
     u = basis.leading_words[amb.left_index]
     v = basis.leading_words[amb.right_index]
     prefix = u[: len(u) - amb.overlap]
@@ -376,11 +386,13 @@ def s_element(basis: GroebnerBasis, amb: OverlapAmbiguity) -> Poly:
     for w, c in basis._rules[amb.left_index][1]:
         word = w + suffix
         nc = terms.get(word, 0) - c
+        if nc.__class__ is Fraction and nc.denominator == 1:
+            nc = nc.numerator
         if nc:
             terms[word] = nc
         else:
             terms.pop(word, None)
-    return Poly(terms)
+    return terms
 
 
 @dataclass(frozen=True)
@@ -394,15 +406,18 @@ class VerificationResult:
 def verify_groebner(basis: GroebnerBasis) -> VerificationResult:
     """Diamond-lemma check: every S-element must reduce to zero.
 
+    Each S-element is built and reduced as the engine's exact term dict; a
+    ``Poly`` is built only for a nonzero remainder.
+
     On success the result is kept as ``basis.verification``; on failure it
     carries the first failing ambiguity (fixed enumeration order) and its
     remainder.
     """
     ambiguities = overlap_ambiguities(basis)
     for amb in ambiguities:
-        remainder = normal_form(s_element(basis, amb), basis)
-        if not remainder.is_zero:
-            return VerificationResult(False, len(ambiguities), amb, remainder)
+        remainder = _reduce_terms(_s_terms(basis, amb), basis)
+        if remainder:
+            return VerificationResult(False, len(ambiguities), amb, Poly(remainder))
     basis.verification = VerificationResult(True, len(ambiguities))
     return basis.verification
 

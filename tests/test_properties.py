@@ -10,11 +10,13 @@ import ncdim.rewrite
 from ncdim import (
     Alphabet,
     GroebnerBasis,
+    GroebnerVerificationError,
     InputError,
     MonomialOrder,
     MonomialSet,
     Poly,
     dehomogenize,
+    ensure_verified,
     extend_alphabet,
     homogenize,
     leading_word,
@@ -195,9 +197,128 @@ class TestHomogenizationLaws:
         w = data.draw(words(ext.alphabet.n, 6))
         stripped = tuple(i for i in w if i != ext.t_index)
         placement = tuple(0 if i == ext.t_index else 1 for i in w)
+        if ext.t_index not in w:
+            placement = ()  # a T-free word is keyed by its base key alone
         assert ext_order.sort_key(w) == (
             ext.alphabet.degree(w), order.sort_key(stripped), placement
         )
+
+
+def reference_sort_key(order, word):
+    """The monomial order key before its shortcuts: every letter mapped
+    through its rank, the weights summed."""
+    rank = [0] * order.alphabet.n
+    for pos, letter in enumerate(order.precedence):
+        rank[letter] = pos
+    letters = word if order.kind == "grlex" else reversed(word)
+    return (order.alphabet.degree(word), tuple(rank[i] for i in letters))
+
+
+def reference_rees_sort_key(ext_order, word):
+    """The Rees order key before its shortcut: every word stripped of T and
+    given a placement tuple."""
+    t = ext_order.ext.t_index
+    stripped = tuple(i for i in word if i != t)
+    placement = tuple(0 if i == t else 1 for i in word)
+    base_key = reference_sort_key(ext_order.base, stripped)
+    return (base_key[0] + len(word) - len(stripped), base_key, placement)
+
+
+def sign(a, b):
+    return (a > b) - (a < b)
+
+
+@st.composite
+def shortcut_orders(draw):
+    """Orders on or off each key shortcut: unit weights or not, identity
+    precedence or not."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        weights = (1,) * n
+    else:
+        weights = tuple(draw(st.integers(1, 3)) for _ in range(n))
+    if draw(st.booleans()):
+        precedence = tuple(range(n))
+    else:
+        precedence = tuple(draw(st.permutations(range(n))))
+    alphabet = Alphabet(tuple(f"x{i + 1}" for i in range(n)), weights)
+    return MonomialOrder(alphabet, draw(st.sampled_from(["grlex", "grevlex"])), precedence)
+
+
+class TestOrderKeys:
+    """The order keys against the ones they replaced: the same sign on every
+    pair, so the same order."""
+
+    @MANY
+    @given(data=st.data())
+    def test_base_keys_agree_with_reference(self, data):
+        order = data.draw(shortcut_orders())
+        n = order.alphabet.n
+        u, v = data.draw(words(n, 6)), data.draw(words(n, 6))
+        assert order.sort_key(u) == reference_sort_key(order, u)
+        assert order.compare(u, v) == sign(
+            reference_sort_key(order, u), reference_sort_key(order, v)
+        )
+
+    @MANY
+    @given(data=st.data())
+    def test_rees_keys_agree_with_reference(self, data):
+        order = data.draw(shortcut_orders())
+        ext = extend_alphabet(order.alphabet)
+        ext_order = HomogenizationOrder(order, ext)
+        n, t = order.alphabet.n, ext.t_index
+        free = data.draw(words(n, 6))
+        left, right = data.draw(words(n + 1, 3)), data.draw(words(n + 1, 3))
+        with_t = left + (t,) + right
+        other = data.draw(words(n + 1, 6))
+        assert ext_order.sort_key(with_t) == reference_rees_sort_key(ext_order, with_t)
+        for u, v in ((free, with_t), (with_t, free), (free, other), (other, with_t)):
+            assert ext_order.compare(u, v) == sign(
+                reference_rees_sort_key(ext_order, u), reference_rees_sort_key(ext_order, v)
+            )
+
+    @staticmethod
+    def recorded_words(monkeypatch, owner):
+        seen = set()
+        original = owner.sort_key
+
+        def recording(self, word):
+            seen.add(word)
+            return original(self, word)
+
+        monkeypatch.setattr(owner, "sort_key", recording)
+        return seen
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_same_order_on_words_keyed_verifying_rees_commutation(self, n, monkeypatch):
+        base = commutation(n).basis
+        base_words = self.recorded_words(monkeypatch, MonomialOrder)
+        rees_words = self.recorded_words(monkeypatch, HomogenizationOrder)
+        rees = tilde_basis(base).basis
+        monkeypatch.undo()
+        assert any(rees.order.ext.t_index in w for w in rees_words)
+        assert any(rees.order.ext.t_index not in w for w in rees_words)
+        assert sorted(base_words, key=base.order.sort_key) == sorted(
+            base_words, key=lambda w: reference_sort_key(base.order, w)
+        )
+        assert sorted(rees_words, key=rees.order.sort_key) == sorted(
+            rees_words, key=lambda w: reference_rees_sort_key(rees.order, w)
+        )
+
+    def test_same_witnesses_and_remainders_on_seeded_bases(self, monkeypatch):
+        def outcomes():
+            out = []
+            for basis in seeded_bases(400):
+                try:
+                    out.append(ensure_verified(basis))
+                except GroebnerVerificationError as exc:
+                    out.append((str(exc), exc.ambiguity, list(exc.remainder.terms.items())))
+            return out
+
+        found = outcomes()
+        monkeypatch.setattr(MonomialOrder, "sort_key", reference_sort_key)
+        assert outcomes() == found
+        assert sum(isinstance(o, tuple) for o in found) >= 50
 
 
 class TestFactorLaws:
@@ -300,7 +421,8 @@ class TestSElement:
             assert direct == product
             assert list(direct.terms) == list(product.terms)
         results = [verify_groebner(b) for b in seeded_bases(400)]
-        monkeypatch.setattr(ncdim.rewrite, "s_element", product_s_element)
+        monkeypatch.setattr(ncdim.rewrite, "_s_terms",
+                            lambda basis, amb: dict(product_s_element(basis, amb).terms))
         assert [verify_groebner(b) for b in seeded_bases(400)] == results
         assert sum(not r.ok for r in results) >= 50
 
@@ -337,6 +459,12 @@ def scan_normal_form(f, basis, tally=None):
                 work.pop(word, None)
 
 
+def scan_reduce_terms(work, basis):
+    """:func:`scan_normal_form` on the engine's term dicts, to stand in for
+    the engine inside verification."""
+    return scan_normal_form(Poly(work), basis).terms
+
+
 def assert_same_remainder(fast, slow):
     assert fast == slow
     assert list(fast.terms) == list(slow.terms)
@@ -364,7 +492,7 @@ class TestNormalFormEngine:
             nonzero += not fast.is_zero
         assert nonzero >= 50
         results = [verify_groebner(b) for b in seeded_bases(400)]
-        monkeypatch.setattr(ncdim.rewrite, "normal_form", scan_normal_form)
+        monkeypatch.setattr(ncdim.rewrite, "_reduce_terms", scan_reduce_terms)
         assert [verify_groebner(b) for b in seeded_bases(400)] == results
         for r in results:
             if not r.ok:
@@ -445,7 +573,7 @@ class TestNormalFormCounts:
     def test_the_scan_engine_breaks_the_bounds(self, monkeypatch):
         basis = tilde_basis(commutation(13).basis).basis
         tally = self.entered(basis)
-        monkeypatch.setattr(ncdim.rewrite, "normal_form", scan_normal_form)
+        monkeypatch.setattr(ncdim.rewrite, "_reduce_terms", scan_reduce_terms)
         calls = self.counted_verify(monkeypatch, basis)
         assert calls["is_normal"] > 0
         assert calls["sort_key"] > tally["reducible"]

@@ -389,6 +389,24 @@ class TestTransferCrossChecks:
         assert corrupted in capsys.readouterr().err
 
 
+class TestAssociatedGradedCrossCheck:
+    """Setting T = 0 in the verified Rees basis must give the reported lh(G)."""
+
+    @pytest.fixture
+    def wrong_lh(self, monkeypatch):
+        # the whole relation instead of its top-degree part: down_up has a
+        # term of lower degree, so the two sides differ
+        monkeypatch.setattr(ncdim.pipeline, "leading_homogeneous", lambda f, alphabet: f)
+
+    def test_analyze_raises(self, wrong_lh):
+        with pytest.raises(CrossCheckError, match="setting T = 0 in Rees relation 1"):
+            ncdim.pipeline.analyze(load_presentation(DOWN_UP_FILE))
+
+    def test_report_exits_4(self, wrong_lh, capsys):
+        assert main(["report", DOWN_UP_FILE]) == 4
+        assert "leading homogeneous part of G" in capsys.readouterr().err
+
+
 # The word-level checks that the graph embedding check replaced, kept as
 # references: on every listed level they must agree with it.
 
