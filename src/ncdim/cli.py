@@ -8,6 +8,7 @@ cross-check was violated.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import CrossCheckError, GroebnerVerificationError, InputError
@@ -28,7 +29,10 @@ from .render import dot_digraph, word_str
 from .rewrite import ensure_verified
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process: parsing leaves no state in the parser, and
+    help, usage and errors go to the ``sys.stdout``/``sys.stderr`` of the call."""
     parser = argparse.ArgumentParser(
         prog="ncdim",
         description=(
@@ -148,8 +152,7 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _run(args)
     except GroebnerVerificationError as exc:

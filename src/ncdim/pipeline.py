@@ -115,10 +115,14 @@ def load_presentation(path) -> Presentation:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from None
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InputError(f"{path} nests JSON too deeply to decode") from None
     return load_presentation_data(data)
 
 

@@ -3,8 +3,9 @@
 One Aho–Corasick automaton per obstruction set does all factor search:
 normality queries, the normal-word counting DP, the antichain and
 LM-reduction checks and the choice of each reduction step share the
-machine.  Verification is by checking that the S-element of every overlap
-ambiguity reduces to zero; no completion is ever attempted.
+machine, and a basis shares it with its obstruction set.  Verification is
+by checking that the S-element of every overlap ambiguity reduces to zero;
+no completion is ever attempted.
 """
 
 from __future__ import annotations
@@ -197,6 +198,22 @@ def _exact(c: Fraction) -> int | Fraction:
     return c.numerator if c.denominator == 1 else c
 
 
+def _check_lm_reduced(leading: list[Word], alphabet: Alphabet) -> None:
+    """Raise for the least pair of relations (a, b) with LM(a) dividing LM(b)."""
+    ids = [k for k, w in enumerate(leading) if w]
+    matcher = FactorAutomaton(leading[k] for k in ids)
+    empty = {k for k, w in enumerate(leading) if not w}  # divides every word
+    divisions = [(a, b) for b, w in enumerate(leading)
+                 for a in empty | {ids[i] for i, _ in matcher.matches(w)} if a != b]
+    if divisions:
+        a, b = min(divisions)
+        raise InputError(
+            "relations are not LM-reduced: leading word "
+            f"{word_str(leading[a], alphabet)} of relation {a + 1} divides "
+            f"leading word {word_str(leading[b], alphabet)} of relation {b + 1}"
+        )
+
+
 class GroebnerBasis:
     """Monic, LM-reduced relation list plus the graded order selecting the LMs.
 
@@ -212,7 +229,7 @@ class GroebnerBasis:
     """
 
     __slots__ = ("elements", "order", "leading_words", "omega", "verification",
-                 "_matcher", "_choice", "_rules")
+                 "_choice", "_rules")
 
     def __init__(self, relations: Iterable[Poly], order: MonomialOrder):
         elements: list[Poly] = []
@@ -227,29 +244,24 @@ class GroebnerBasis:
                 f = (Fraction(1) / lc) * f
             elements.append(f)
             leading.append(lw)
-        ids = [k for k, w in enumerate(leading) if w]
-        matcher = FactorAutomaton(leading[k] for k in ids)
-        empty = {k for k, w in enumerate(leading) if not w}  # divides every word
-        divisions = [(a, b) for b, w in enumerate(leading)
-                     for a in empty | {ids[i] for i, _ in matcher.matches(w)} if a != b]
-        if divisions:
-            a, b = min(divisions)
-            alphabet = order.alphabet
-            raise InputError(
-                "relations are not LM-reduced: leading word "
-                f"{word_str(leading[a], alphabet)} of relation {a + 1} divides "
-                f"leading word {word_str(leading[b], alphabet)} of relation {b + 1}"
-            )
+        try:
+            omega = MonomialSet(leading)
+        except InputError:  # the identity word, or one leading word divides another
+            _check_lm_reduced(leading, order.alphabet)
+            raise  # a lone relation with a constant leading term
+        if len(omega) < len(leading):  # two relations share a leading word
+            _check_lm_reduced(leading, order.alphabet)
         self.elements = tuple(elements)
         self.order = order
         self.leading_words = tuple(leading)
-        self.omega = MonomialSet(leading)
+        self.omega = omega
         self.verification: VerificationResult | None = None
-        self._matcher = matcher
-        # per matcher state: the best (-len(LM), relation) of the leading words
-        # ending there, by the strategy; None where none ends
-        self._choice = [min(((-len(leading[ids[i]]), ids[i]) for i in hits), default=None)
-                        for hits in matcher._out]
+        # per state of omega's automaton: the best (-len(LM), relation) of the
+        # leading words ending there, by the strategy; None where none ends
+        relation = {w: k for k, w in enumerate(leading)}
+        ranks = [(-len(w), relation[w]) for w in omega.words]
+        self._choice = [min((ranks[p] for p in hits), default=None)
+                        for hits in omega.automaton._out]
         # per relation: (len(LM), its terms with exact int-or-Fraction coefficients)
         self._rules = tuple(
             (len(lw), tuple((w, _exact(c)) for w, c in f.terms.items()))
@@ -271,7 +283,7 @@ class GroebnerBasis:
 
         One automaton pass; a later match replaces the best so far only if
         it ranks strictly better, so equal ranks keep the leftmost."""
-        goto, choice = self._matcher._goto, self._choice
+        goto, choice = self.omega.automaton._goto, self._choice
         state, best, end = 0, None, 0
         for i, letter in enumerate(word, 1):
             state = goto[state].get(letter, 0)

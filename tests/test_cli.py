@@ -1,11 +1,13 @@
 """Command-line interface: subcommands, output, and exit codes."""
 
+import argparse
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
+import ncdim.cli
 import ncdim.growth
 import ncdim.pipeline
 from ncdim import InputError, analyze, load_presentation, report_to_dict
@@ -61,6 +63,18 @@ class TestExitCodes:
         path.write_text("{", encoding="utf-8")
         assert main(["growth", str(path)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    def test_bytes_that_are_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["check-gb", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path} is not UTF-8 text: ")
+
+    def test_json_nested_too_deeply(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        assert main(["check-gb", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path} nests JSON too deeply to decode\n"
 
     def test_unknown_keys(self, tmp_path, capsys):
         path = write(tmp_path, {"variables": [{"name": "x"}], "extra": 1})
@@ -491,3 +505,104 @@ class TestReport:
         assert main(["report", "--format", "dot-bundle", DOWN_UP]) == 0
         out = capsys.readouterr().out
         assert out.count("digraph") == 3
+
+
+def parser_calls(tmp_path):
+    """(argv, patch) for a run of every CLI path: each subcommand and format,
+    help, usage errors and exits 2, 3 and 4."""
+    failing = write(tmp_path, {"variables": [{"name": "x1"}, {"name": "x2"}],
+                               "relations": ["x1*x2 - x1", "x2*x1 - x2"]}, "failing.json")
+    calls = [[name, DOWN_UP] for name in
+             ("check-gb", "growth", "gldim", "hilbert", "rees", "pbw", "graph", "report")]
+    calls += [["hilbert", "--terms", "5", DOWN_UP]]
+    calls += [["graph", "--which", which, *dot, DOWN_UP]
+              for which in DOT_NAMES for dot in ([], ["--dot"])]
+    calls += [["report", "--format", fmt, DOWN_UP] for fmt in ("json", "text", "dot-bundle")]
+    calls += [[], ["frobnicate", DOWN_UP], ["--help"], ["report", "--help"],
+              ["graph", "--which", "nope", DOWN_UP], ["hilbert", "--terms", "x", DOWN_UP],
+              ["growth", str(tmp_path / "nope.json")], ["hilbert", "--terms", "-1", DOWN_UP],
+              ["check-gb", failing]]
+    return [(argv, None) for argv in calls] + [
+        (["growth", two_letters(tmp_path, "x1^3")], _no_pivot)
+    ]
+
+
+def run_calls(calls, monkeypatch, capsys):
+    """(argv, exit code, stdout, stderr) of each call, in order."""
+    results = []
+    for argv, patch in calls:
+        with monkeypatch.context() as m:
+            if patch is not None:
+                patch(m)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        results.append((argv, code, *capsys.readouterr()))
+    return results
+
+
+class TestParserBuiltOnce:
+    """main() builds its parser on the first call and reuses it."""
+
+    def test_same_outputs_as_a_fresh_parser_per_call(self, monkeypatch, tmp_path, capsys):
+        calls = parser_calls(tmp_path)
+        with monkeypatch.context() as m:
+            m.setattr(ncdim.cli, "_build_parser", ncdim.cli._build_parser.__wrapped__)
+            fresh = run_calls(calls, monkeypatch, capsys)
+
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        ncdim.cli._build_parser.cache_clear()
+        cached = run_calls(calls, monkeypatch, capsys)
+        assert built.count("ncdim") == 1
+        assert len(built) == len(set(built))  # no subparser built twice either
+        assert cached == fresh
+        assert {code for _, code, _, _ in cached} == {0, 2, 3, 4}
+
+    def test_help_texts(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv, text in ((["--help"], MAIN_HELP), (["report", "--help"], REPORT_HELP)):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 0
+            assert capsys.readouterr() == (text, "")
+
+
+MAIN_HELP = """\
+usage: ncdim [-h] {check-gb,growth,gldim,hilbert,rees,pbw,graph,report} ...
+
+Growth, global dimension, and Hilbert series of an algebra presented by a
+finite Groebner basis
+
+positional arguments:
+  {check-gb,growth,gldim,hilbert,rees,pbw,graph,report}
+    check-gb            verify the candidate basis by the overlap criterion
+    growth              growth class of the monomial algebra
+    gldim               global dimensions (monomial, associated graded, Rees)
+    hilbert             Hilbert series (closed form and truncated expansion)
+    rees                Rees algebra presentation and invariants
+    pbw                 test for ordered-monomial (PBW) normal words
+    graph               emit one of the graphs
+    report              full analysis report
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+REPORT_HELP = """\
+usage: ncdim report [-h] [--format {json,text,dot-bundle}] file
+
+positional arguments:
+  file                  presentation file (JSON)
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,text,dot-bundle}
+"""

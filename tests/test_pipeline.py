@@ -165,6 +165,18 @@ class TestLoadFile:
         with pytest.raises(InputError, match="not valid JSON"):
             load_presentation(path)
 
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(InputError, match="bad.json is not UTF-8 text"):
+            load_presentation(path)
+
+    def test_json_nested_too_deeply(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        with pytest.raises(InputError, match="deep.json nests JSON too deeply"):
+            load_presentation(path)
+
     def test_load_reads_the_file(self, tmp_path):
         path = tmp_path / "pres.json"
         path.write_text(json.dumps(minimal()), encoding="utf-8")

@@ -306,6 +306,21 @@ class TestObstructionSet:
         with pytest.raises(InputError):
             GroebnerBasis([Poly.monomial(())], MonomialOrder(AB))
 
+    @pytest.mark.parametrize("relations, message", [
+        (["x1*x2 - x1", "x1*x2 - x2"], "relations are not LM-reduced: leading word "
+         "x1*x2 of relation 1 divides leading word x1*x2 of relation 2"),
+        (["x2^2", "x1*x2*x2 - x1", "x1*x2"], "relations are not LM-reduced: leading word "
+         "x2*x2 of relation 1 divides leading word x1*x2*x2 of relation 2"),
+        (["x1", "2"], "relations are not LM-reduced: leading word "
+         "1 of relation 2 divides leading word x1 of relation 1"),
+        (["3"], "obstruction sets must not contain the identity word"),
+    ])
+    def test_input_error_texts(self, relations, message):
+        polys = [parse_polynomial(s, AB) for s in relations]
+        with pytest.raises(InputError) as info:
+            GroebnerBasis(polys, MonomialOrder(AB))
+        assert str(info.value) == message
+
     def test_constant_relation_among_others_names_the_least_pair(self):
         relations = [parse_polynomial(s, AB) for s in ("x1*x2", "x1*x2*x1", "1")]
         with pytest.raises(InputError, match="x1\\*x2 of relation 1 divides .* of relation 2"):
@@ -315,6 +330,21 @@ class TestObstructionSet:
 
 
 class TestOneFactorSearch:
+    def test_one_automaton_per_basis(self, monkeypatch):
+        built = []
+
+        class Counting(FactorAutomaton):
+            def __init__(self, patterns):
+                built.append(self)
+                super().__init__(patterns)
+
+        basis = commutation(4).basis
+        monkeypatch.setattr(ncdim.rewrite, "FactorAutomaton", Counting)
+        rebuilt = GroebnerBasis(basis.elements, basis.order)
+        assert built == [rebuilt.omega.automaton]
+        assert tilde_basis(rebuilt).basis.omega.automaton is built[1]
+        assert len(built) == 2
+
     def test_no_pairwise_scan_on_pbw_bases(self, monkeypatch):
         # every factor question is answered by the automaton; the brute-force
         # contains_factor is only a reference for the tests
