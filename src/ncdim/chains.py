@@ -41,12 +41,14 @@ class ChainGraph:
     obstruction w is a suffix of uv and uv minus its last letter is normal.
 
     Such a w overlaps u: no obstruction divides the vertex v, so w = u[-k:] v
-    with 1 <= k <= |u| and k < |w|.  The edges are therefore read off these
-    overlaps, v = w[k:] whenever u ends with w[:k] and u w[k:-1] is normal.
-    The obstructions form an antichain, so two of them cannot both be
-    suffixes of uv (the shorter would divide the longer): the match is
-    unique whenever it exists, and uv minus its last letter is normal
-    whenever uv = w.
+    with 1 <= k <= |u| and k < |w|.  The obstructions form an antichain, so
+    two of them cannot both be suffixes of uv (the shorter would divide the
+    longer): the match is unique whenever it exists.  The edges of u are
+    therefore read in one walk of the obstructions' automaton from the
+    state after u, along the letters that keep a match starting inside u
+    (:meth:`FactorAutomaton.overlap_tails`); the walk is at most ell deep.
+    Each edge is then certified by one normality query on uv minus its last
+    letter.
     """
 
     alphabet: Alphabet
@@ -85,12 +87,10 @@ def build_chain_graph(omega: MonomialSet, alphabet: Alphabet) -> ChainGraph:
     ordered = sorted(vertices, key=_by_length)
     edges: dict[Word, tuple[Word, ...]] = {ROOT: tuple(sorted((i,) for i in live))}
     for u in ordered[1:]:
-        targets = [
-            w[k:]
-            for w in omega.words
-            for k in range(1, min(len(u), len(w) - 1) + 1)
-            if u[-k:] == w[:k] and omega.is_normal(u + w[k:-1])
-        ]
+        targets = omega.automaton.overlap_tails(u)
+        for v in targets:
+            if not omega.is_normal(u + v[:-1]):
+                raise CrossCheckError("chain graph edge is not normal before its last letter")
         if targets:
             edges[u] = tuple(sorted(targets, key=_by_length))
     return ChainGraph(alphabet, tuple(ordered), edges, tuple(warnings))

@@ -275,14 +275,22 @@ class _PolyParser:
         self.pos += 1
         return tok
 
+    def _nat(self, message: str) -> tuple[int, int]:
+        """The next token, a natural number, as (value, position)."""
+        tok = self._expect("nat", message)
+        try:
+            return int(tok[1]), tok[2]
+        except ValueError:  # over Python's limit on integer-string conversion
+            raise ParseError(f"integer of {len(tok[1])} digits is too long", tok[2]) from None
+
     def _coeff(self) -> Fraction:
-        num = self._expect("nat", "expected a coefficient")
+        num, _ = self._nat("expected a coefficient")
         if self._accept_op("/"):
-            den = self._expect("nat", "expected a denominator")
-            if int(den[1]) == 0:
-                raise ParseError("zero denominator in coefficient", den[2])
-            return Fraction(int(num[1]), int(den[1]))
-        return Fraction(int(num[1]))
+            den, at = self._nat("expected a denominator")
+            if den == 0:
+                raise ParseError("zero denominator in coefficient", at)
+            return Fraction(num, den)
+        return Fraction(num)
 
     def _factor(self) -> Word:
         tok = self._expect("name", "expected a variable name")
@@ -290,8 +298,8 @@ class _PolyParser:
         if letter is None:
             raise ParseError(f"unknown variable {tok[1]!r}", tok[2])
         if self._accept_op("^"):
-            exp = self._expect("nat", "expected an exponent")
-            return (letter,) * int(exp[1])
+            exp, _ = self._nat("expected an exponent")
+            return (letter,) * exp
         return (letter,)
 
     def _term(self) -> tuple[Fraction, Word]:

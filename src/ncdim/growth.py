@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, cycle, product
+from itertools import chain, cycle
 
 from .errors import CrossCheckError, InputError
 from .freealg import Alphabet, Word
@@ -28,7 +28,8 @@ from .rewrite import MonomialSet
 # parallel edges distinct (they occur only in the ell = 1 convention).
 Edge = tuple
 
-# Words of length ell-1 that build_ufnarovski may enumerate (about 1 s).
+# Candidate words of length ell-1, n^(ell-1), above which build_ufnarovski
+# refuses; it walks only the normal ones.
 MAX_WINDOWS = 2 ** 16
 
 
@@ -51,17 +52,15 @@ def build_ufnarovski(omega: MonomialSet, alphabet: Alphabet) -> UfnarovskiGraph:
     if windows > MAX_WINDOWS:
         raise InputError(f"the Ufnarovski graph has {windows} candidate vertices "
                          f"({alphabet.n}^{ell - 1}), over the limit of {MAX_WINDOWS}")
-    # product() yields (len, w) order and the loop appends in (v, w, a) order
-    vertices = [
-        w for w in product(range(alphabet.n), repeat=ell - 1) if omega.is_normal(w)
-    ]
-    edges = []
-    for v in vertices:
-        for a in range(alphabet.n):
-            w = v + (a,)
-            if omega.is_normal(w):
-                edges.append((v, w[1:], a))
-    return UfnarovskiGraph(alphabet, ell, tuple(vertices), tuple(edges))
+    out = defaultdict(list)  # state -> its (letter, next state) normal steps
+    for src, dst, a in omega.automaton.normal_steps(alphabet.n):
+        out[src].append((a, dst))
+    # letters ascending keep (len, w) order, and the edges come in (v, w, a) order
+    words = [((), 0)]  # (normal word, its automaton state)
+    for _ in range(ell - 1):
+        words = [(v + (a,), t) for v, s in words for a, t in out[s]]
+    edges = [(v, (v + (a,))[1:], a) for v, s in words for a, _ in out[s]]
+    return UfnarovskiGraph(alphabet, ell, tuple(v for v, _ in words), tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -176,29 +175,15 @@ def classify_growth(graph: UfnarovskiGraph) -> GrowthClass:
 def automaton_growth(omega: MonomialSet, alphabet: Alphabet) -> GrowthClass:
     """Class, degree and witness read off the Aho–Corasick automaton of ``omega``.
 
-    Normal words are exactly the letter paths from the root through
-    non-terminal states, and every non-terminal state is a proper prefix of
-    an obstruction, so it is reached from the root.  This graph counts the
-    normal words of each length by paths from the root, the Ufnarovski
-    graph by paths from every vertex (lengths >= ell - 1), so the same
-    component rule decides both.  The automaton has at most 1 + sum |w|
+    Normal words are exactly the letter paths from the root along the
+    automaton's normal steps, all of which the root reaches.  This graph
+    counts the normal words of each length by paths from the root, the
+    Ufnarovski graph by paths from every vertex (lengths >= ell - 1), so the
+    same component rule decides both.  The automaton has at most 1 + sum |w|
     states instead of up to n^(ell-1) vertices.
     """
-    automaton = omega.automaton
-    letters = range(alphabet.n)
-    states = [0]
-    edges = []  # (state, next state, letter)
-    seen = {0}
-    for state in states:
-        for a in letters:
-            nxt = automaton.step(state, a)
-            if automaton.is_terminal(nxt):
-                continue
-            edges.append((state, nxt, a))
-            if nxt not in seen:
-                seen.add(nxt)
-                states.append(nxt)
-    branching, degree = _classify(states, [e[:2] for e in edges])
+    edges = omega.automaton.normal_steps(alphabet.n)
+    branching, degree = _classify([0], [e[:2] for e in edges])
     if branching is None:
         return GrowthClass(False, degree)
     ell = max(omega.ell, 1)

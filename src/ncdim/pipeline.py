@@ -123,6 +123,8 @@ def load_presentation(path) -> Presentation:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
     except RecursionError:
         raise InputError(f"{path} nests JSON too deeply to decode") from None
+    except ValueError:  # over Python's limit on integer-string conversion
+        raise InputError(f"{path} has an integer literal too long to decode") from None
     return load_presentation_data(data)
 
 

@@ -272,8 +272,8 @@ def check_transfer(rees: ReesInvariants, sets: ChainSets, growth: GrowthClass) -
     """Assert the Rees invariants against the base chain sets and growth:
     the base chain graph plus a sink T is the Rees one, equal finiteness,
     global dimension + 1, C~_i(t) = C_i(t) + t*C_{i-1}(t) on the counted
-    levels and GK degree + 1 (for polynomial growth).  Both chain sets must
-    be counted to the same truncation."""
+    levels, and GK degree + 1 for polynomial growth, exponential growth
+    otherwise.  Both chain sets must be counted to the same truncation."""
     _check_graph_embedding(rees.sets.graph, sets.graph, rees.presentation.ext)
     if sets.finite != rees.sets.finite:
         raise CrossCheckError("Rees chain finiteness differs from the base")
@@ -283,3 +283,5 @@ def check_transfer(rees: ReesInvariants, sets: ChainSets, growth: GrowthClass) -
     if growth.is_polynomial:
         if rees.growth.exponential or rees.growth.degree != growth.degree + 1:
             raise CrossCheckError("Rees growth degree is not base + 1")
+    elif rees.growth.is_polynomial:
+        raise CrossCheckError("Rees growth is polynomial over an exponential base")

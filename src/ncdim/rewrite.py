@@ -1,11 +1,12 @@
 """Normal forms, reduced obstruction sets, and diamond-lemma verification.
 
 One Aho–Corasick automaton per obstruction set does all factor search:
-normality queries, the normal-word counting DP, the antichain and
-LM-reduction checks and the choice of each reduction step share the
-machine, and a basis shares it with its obstruction set.  Verification is
-by checking that the S-element of every overlap ambiguity reduces to zero;
-no completion is ever attempted.
+normality queries, the normal steps that growth and the normal-word counts
+read, the chain graph's overlap walk, the antichain and LM-reduction checks
+and the choice of each reduction step share the machine, and a basis shares
+it with its obstruction set.  Verification is by checking that the
+S-element of every overlap ambiguity reduces to zero; no completion is
+ever attempted.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ class FactorAutomaton:
     def __init__(self, patterns: Iterable[Word]):
         goto: list[dict[int, int]] = [{}]
         out: list[tuple[int, ...]] = [()]
-        lengths: list[int] = []
+        depth = [0]  # per state: the length of its trie word
+        words: list[Word] = []
         for k, pat in enumerate(patterns):
             if not pat:
                 raise ValueError("empty pattern not allowed")
@@ -53,9 +55,10 @@ class FactorAutomaton:
                     goto[state][letter] = nxt
                     goto.append({})
                     out.append(())
+                    depth.append(depth[state] + 1)
                 state = nxt
             out[state] += (k,)
-            lengths.append(len(pat))
+            words.append(pat)
         fail = [0] * len(goto)
         queue = deque(goto[0].values())
         while queue:
@@ -69,14 +72,8 @@ class FactorAutomaton:
                 goto[s].setdefault(letter, t)
         self._goto = goto
         self._out = out
-        self._lengths = lengths
-
-    def step(self, state: int, letter: int) -> int:
-        return self._goto[state].get(letter, 0)
-
-    def is_terminal(self, state: int) -> bool:
-        """True iff some pattern ends where ``state`` is reached."""
-        return bool(self._out[state])
+        self._depth = depth
+        self._words = words
 
     def is_normal(self, word: Word) -> bool:
         """True iff no pattern occurs in ``word`` as a factor."""
@@ -92,35 +89,63 @@ class FactorAutomaton:
         """Every occurrence of a pattern in ``word`` as (pattern index, start)."""
         found = []
         state = 0
-        goto, out, lengths = self._goto, self._out, self._lengths
+        goto, out, words = self._goto, self._out, self._words
         for end, letter in enumerate(word, 1):
             state = goto[state].get(letter, 0)
             for k in out[state]:
-                found.append((k, end - lengths[k]))
+                found.append((k, end - len(words[k])))
         return found
 
-    def count_normal(self, weights: tuple[int, ...], up_to: int) -> list[int]:
-        """Number of pattern-avoiding words per weighted degree 0..up_to."""
-        n_states = len(self._goto)
-        table = [[0] * n_states for _ in range(up_to + 1)]
-        table[0][0] = 1
+    def normal_steps(self, n_letters: int) -> list[tuple[int, int, int]]:
+        """The steps (state, next state, letter) between the non-terminal
+        states reached from the root, breadth first with letters ascending:
+        the words that avoid every pattern are their letter paths from the root."""
         goto, out = self._goto, self._out
-        letters = list(enumerate(weights))
-        counts = []
-        for d in range(up_to + 1):
-            row = table[d]
-            counts.append(sum(row))
-            for state, c in enumerate(row):
-                if not c:
-                    continue
-                for a, w in letters:
-                    nd = d + w
-                    if nd > up_to:
-                        continue
-                    t = goto[state].get(a, 0)
-                    if not out[t]:
-                        table[nd][t] += c
-        return counts
+        states, seen, steps = [0], {0}, []
+        for state in states:
+            for letter in range(n_letters):
+                nxt = goto[state].get(letter, 0)
+                if not out[nxt]:
+                    steps.append((state, nxt, letter))
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        states.append(nxt)
+        return steps
+
+    def count_normal(self, weights: tuple[int, ...], up_to: int) -> list[int]:
+        """Number of pattern-avoiding words per weighted degree 0..up_to
+        (weights positive), by paths along :meth:`normal_steps`."""
+        steps = [(s, t, weights[a]) for s, t, a in self.normal_steps(len(weights))]
+        table = [[0] * len(self._goto) for _ in range(up_to + 1)]
+        table[0][0] = 1
+        for d, row in enumerate(table):
+            for state, nxt, w in steps:
+                if row[state] and d + w <= up_to:
+                    table[d + w][nxt] += row[state]
+        return [sum(row) for row in table]
+
+    def overlap_tails(self, word: Word) -> list[Word]:
+        """Every x such that ``word`` x ends with a pattern that starts inside
+        ``word``, and ``word`` x minus its last letter matches nothing; the
+        patterns must form an antichain that ``word`` avoids.
+
+        One walk from the state after ``word``: a branch goes on while its
+        state's trie word is longer than the letters read after ``word``, so
+        the pattern it may complete still starts inside ``word``."""
+        goto, out, depth = self._goto, self._out, self._depth
+        state = 0
+        for letter in word:
+            state = goto[state].get(letter, 0)
+        tails, branches = [], [(state, 1)]  # (state, |x| after its next step)
+        while branches:
+            state, read = branches.pop()
+            for nxt in goto[state].values():
+                if depth[nxt] > read:
+                    if out[nxt]:  # in an antichain the one pattern is the trie word
+                        tails.append(self._words[out[nxt][0]][-read:])
+                    else:
+                        branches.append((nxt, read + 1))
+        return tails
 
 
 def _divisions(automaton: FactorAutomaton, words: list[Word]) -> list[tuple[int, int]]:

@@ -63,3 +63,16 @@ def test_span_sizes_fit_the_return_types(spans):
     recorded = [(name, size) for name, *_, size in tracer.spans if name in sized]
     assert {name for name, _ in recorded} == sized
     assert all(size is not None for _, size in recorded)
+
+
+def test_analyze_makes_a_counted_normality_query(spans):
+    # the benchmark's own tests expect analyze() of one commutation relation
+    # to call MonomialSet.is_normal, which the tracer counts
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        ncdim.pipeline.analyze(ncdim.pipeline.load_presentation_data(
+            {"variables": [{"name": "x"}, {"name": "y"}], "relations": ["y*x - x*y"]}))
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["rewrite.is_normal"] > 0

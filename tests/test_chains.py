@@ -32,6 +32,7 @@ from ncdim.chains import (
 )
 from ncdim.cli import main
 from ncdim.render import dot_digraph
+from ncdim.rewrite import FactorAutomaton
 from presets import power_family
 
 DOWN_UP_FILE = str(Path(__file__).resolve().parent.parent / "presentations" / "down_up.json")
@@ -86,8 +87,8 @@ class TestBuildChainGraph:
         assert graph.edges == {(): ()}
 
     def test_normality_queries_only_on_overlaps(self, monkeypatch):
-        # one query per overlap of a vertex with an obstruction prefix;
-        # testing every vertex pair would make V^2 queries (1681 and 1764)
+        # one query per edge; testing every vertex pair would make V^2
+        # queries (1681 and 1764)
         calls = 0
         original = MonomialSet.is_normal
 
@@ -106,6 +107,45 @@ class TestBuildChainGraph:
             calls = 0
             build_chain_graph(omega, alphabet)
             assert calls <= limit
+
+
+    def test_edges_of_a_long_power_take_one_query_each(self, monkeypatch):
+        # x1^800 has 799 self-overlaps; testing each border of each vertex
+        # would make about 320k queries, each about 800 letters long
+        calls = 0
+        original = MonomialSet.is_normal
+
+        def counted(self, word):
+            nonlocal calls
+            calls += 1
+            return original(self, word)
+
+        monkeypatch.setattr(MonomialSet, "is_normal", counted)
+        graph = build_chain_graph(MonomialSet(((0,) * 800,)), AB)
+        assert calls <= 2 * 800
+        assert graph.successors((0,) * 300) == ((0,) * 500,)
+        assert graph.successors((1,)) == ()
+
+
+@pytest.fixture
+def bogus_edge(monkeypatch):
+    """Every vertex gets one more edge, to a word that repeats an obstruction."""
+    original = FactorAutomaton.overlap_tails
+
+    def tails(self, word):
+        return original(self, word) + [self._words[0] * 2]
+
+    monkeypatch.setattr(FactorAutomaton, "overlap_tails", tails)
+
+
+class TestEdgeCertificate:
+    def test_build_raises(self, bogus_edge):
+        with pytest.raises(CrossCheckError, match="chain graph edge is not normal"):
+            build_chain_graph(DOWN_UP, AB)
+
+    def test_report_exits_4(self, bogus_edge, capsys):
+        assert main(["report", DOWN_UP_FILE]) == 4
+        assert "chain graph edge is not normal" in capsys.readouterr().err
 
 
 class TestPairs:

@@ -76,6 +76,24 @@ class TestExitCodes:
         assert main(["check-gb", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path} nests JSON too deeply to decode\n"
 
+    def test_json_integer_too_long(self, tmp_path, capsys):
+        path = tmp_path / "heavy.json"
+        path.write_text('{"variables": [{"name": "x", "weight": ' + "9" * 5000 + "}]}",
+                        encoding="utf-8")
+        assert main(["check-gb", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path} has an integer literal too long to decode\n"
+        )
+
+    @pytest.mark.parametrize("relation,position", [("9" * 5000 + "*x1", 0),
+                                                   ("x1^" + "9" * 5000, 3)])
+    def test_relation_integer_too_long(self, relation, position, tmp_path, capsys):
+        assert main(["check-gb", two_letters(tmp_path, relation)]) == 2
+        assert capsys.readouterr().err == (
+            "error: relation 1: integer of 5000 digits is too long "
+            f"(at position {position})\n"
+        )
+
     def test_unknown_keys(self, tmp_path, capsys):
         path = write(tmp_path, {"variables": [{"name": "x"}], "extra": 1})
         assert main(["growth", path]) == 2

@@ -251,6 +251,17 @@ class TestParser:
             parse_polynomial(text, AB)
         assert exc.value.position == position
 
+    @pytest.mark.parametrize(
+        "text,position",
+        [("9" * 5000 + "*x1", 0), ("1/" + "9" * 5000 + "*x1", 2), ("x1^" + "9" * 5000, 3)],
+        ids=["coefficient", "denominator", "exponent"],
+    )
+    def test_integer_too_long_to_convert(self, text, position):
+        # Python refuses to convert integer strings of more than 4300 digits
+        with pytest.raises(ParseError, match="integer of 5000 digits is too long") as exc:
+            parse_polynomial(text, AB)
+        assert exc.value.position == position
+
     def test_parse_error_is_input_error(self):
         with pytest.raises(InputError):
             parse_polynomial("x3", AB)

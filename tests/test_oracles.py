@@ -9,6 +9,7 @@ them.
 
 import random
 from functools import lru_cache
+from itertools import product
 
 import pytest
 
@@ -19,6 +20,11 @@ from ncdim import (
     MonomialOrder,
     MonomialSet,
     Poly,
+    ChainGraph,
+    GrowthClass,
+    InputError,
+    UfnarovskiGraph,
+    automaton_growth,
     build_ufnarovski,
     count_normal_words,
     count_paths,
@@ -26,11 +32,14 @@ from ncdim import (
     rees_invariants,
 )
 from ncdim.chains import (
+    ROOT,
+    _by_length,
     build_chain_graph,
     chain_denominator,
     chain_sets,
     expand_reciprocal,
 )
+from ncdim.growth import MAX_WINDOWS, _check_witness, _classify, _two_cycles
 from ncdim.rewrite import contains_factor
 
 MAX_LEN = 8
@@ -224,3 +233,181 @@ def test_rees_invariants_and_level_decomposition(index, monkeypatch):
 
     if inv.sets.finite and inv.sets.levels:
         assert all(w[-1] == ext.t_index for w in inv.sets.levels[-1])
+
+
+# The routines that the automaton's normal steps and its overlap walk
+# replaced, kept verbatim as references; the two automaton methods the
+# growth search called, step and is_terminal, are read off the tables.
+
+def reference_count_normal(automaton, weights, up_to):
+    """Number of pattern-avoiding words per weighted degree 0..up_to."""
+    n_states = len(automaton._goto)
+    table = [[0] * n_states for _ in range(up_to + 1)]
+    table[0][0] = 1
+    goto, out = automaton._goto, automaton._out
+    letters = list(enumerate(weights))
+    counts = []
+    for d in range(up_to + 1):
+        row = table[d]
+        counts.append(sum(row))
+        for state, c in enumerate(row):
+            if not c:
+                continue
+            for a, w in letters:
+                nd = d + w
+                if nd > up_to:
+                    continue
+                t = goto[state].get(a, 0)
+                if not out[t]:
+                    table[nd][t] += c
+    return counts
+
+
+def reference_growth_search(omega, alphabet):
+    """The states and steps the growth class was read from."""
+    automaton = omega.automaton
+    letters = range(alphabet.n)
+    states = [0]
+    edges = []  # (state, next state, letter)
+    seen = {0}
+    for state in states:
+        for a in letters:
+            nxt = automaton._goto[state].get(a, 0)
+            if automaton._out[nxt]:
+                continue
+            edges.append((state, nxt, a))
+            if nxt not in seen:
+                seen.add(nxt)
+                states.append(nxt)
+    return states, edges
+
+
+def reference_growth(omega, alphabet):
+    states, edges = reference_growth_search(omega, alphabet)
+    branching, degree = _classify(states, [e[:2] for e in edges])
+    if branching is None:
+        return GrowthClass(False, degree)
+    ell = max(omega.ell, 1)
+    cycles = _two_cycles(edges, set(branching), ell)
+    _check_witness(omega, ell, cycles)
+    return GrowthClass(True, None, cycles)
+
+
+def reference_ufnarovski(omega, alphabet):
+    ell = max(omega.ell, 1)
+    windows = alphabet.n ** (ell - 1)
+    if windows > MAX_WINDOWS:
+        raise InputError(f"the Ufnarovski graph has {windows} candidate vertices "
+                         f"({alphabet.n}^{ell - 1}), over the limit of {MAX_WINDOWS}")
+    # product() yields (len, w) order and the loop appends in (v, w, a) order
+    vertices = [
+        w for w in product(range(alphabet.n), repeat=ell - 1) if omega.is_normal(w)
+    ]
+    edges = []
+    for v in vertices:
+        for a in range(alphabet.n):
+            w = v + (a,)
+            if omega.is_normal(w):
+                edges.append((v, w[1:], a))
+    return UfnarovskiGraph(alphabet, ell, tuple(vertices), tuple(edges))
+
+
+def reference_chain_graph(omega, alphabet):
+    warnings = []
+    dead = [i for i in range(alphabet.n) if (i,) in omega]
+    if dead:
+        names = ", ".join(alphabet.names[i] for i in dead)
+        warnings.append(
+            f"letters {names} are obstructions; chain invariants are computed "
+            "over the remaining letters"
+        )
+    live = [i for i in range(alphabet.n) if (i,) not in omega]
+    vertices = {ROOT}
+    vertices.update((i,) for i in live)
+    for w in omega.words:
+        for k in range(1, len(w)):
+            vertices.add(w[k:])
+    ordered = sorted(vertices, key=_by_length)
+    edges = {ROOT: tuple(sorted((i,) for i in live))}
+    for u in ordered[1:]:
+        targets = [
+            w[k:]
+            for w in omega.words
+            for k in range(1, min(len(u), len(w) - 1) + 1)
+            if u[-k:] == w[:k] and omega.is_normal(u + w[k:-1])
+        ]
+        if targets:
+            edges[u] = tuple(sorted(targets, key=_by_length))
+    return ChainGraph(alphabet, tuple(ordered), edges, tuple(warnings))
+
+
+def _outcome(build, omega, alphabet):
+    try:
+        return build(omega, alphabet)
+    except InputError as exc:
+        return str(exc)
+
+
+def seeded_sets(count, seed=60917):
+    """Interreduced obstruction sets on 1-3 letters of weights 1-3, words of
+    1-6 letters, the empty set included."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        n = rng.randint(1, 3)
+        alphabet = Alphabet(
+            tuple(f"x{i + 1}" for i in range(n)), tuple(rng.randint(1, 3) for _ in range(n))
+        )
+        words = [
+            tuple(rng.randrange(n) for _ in range(rng.randint(1, 6)))
+            for _ in range(rng.randint(0, 4))
+        ]
+        cases.append((alphabet, MonomialSet.interreduce(words)))
+    return cases
+
+
+CORPORA = {
+    "oracle": CASES,
+    "rees": [rees_omega(omega, alphabet) for alphabet, omega in CASES],
+    "seeded": seeded_sets(300),
+}
+
+
+def test_seeded_sets_are_mixed():
+    cases = CORPORA["seeded"]
+    assert sum(not omega.words for _, omega in cases) >= 5
+    assert sum(omega.ell >= 5 for _, omega in cases) >= 50
+    assert {alphabet.weights for alphabet, _ in cases if alphabet.n == 2} >= {(1, 2), (3, 1)}
+    growth = [automaton_growth(omega, alphabet) for alphabet, omega in cases]
+    assert 50 <= sum(g.exponential for g in growth) <= 250
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+class TestAgainstReplacedRoutines:
+    """Each reader of the normal steps, and the chain-edge walk, gives what
+    the routine it replaced gave."""
+
+    def test_count_normal(self, corpus):
+        for alphabet, omega in CORPORA[corpus]:
+            expected = reference_count_normal(omega.automaton, alphabet.weights, 14)
+            assert count_normal_words(omega, alphabet, 14) == expected
+
+    def test_growth(self, corpus):
+        for alphabet, omega in CORPORA[corpus]:
+            _, edges = reference_growth_search(omega, alphabet)
+            assert omega.automaton.normal_steps(alphabet.n) == edges
+            assert automaton_growth(omega, alphabet) == reference_growth(omega, alphabet)
+
+    def test_ufnarovski(self, corpus):
+        for alphabet, omega in CORPORA[corpus]:
+            assert _outcome(build_ufnarovski, omega, alphabet) == _outcome(
+                reference_ufnarovski, omega, alphabet
+            )
+
+    def test_chain_graph(self, corpus):
+        for alphabet, omega in CORPORA[corpus]:
+            graph = build_chain_graph(omega, alphabet)
+            reference = reference_chain_graph(omega, alphabet)
+            assert graph == reference
+            assert list(graph.edges) == list(reference.edges)
+

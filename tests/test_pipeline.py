@@ -177,6 +177,13 @@ class TestLoadFile:
         with pytest.raises(InputError, match="deep.json nests JSON too deeply"):
             load_presentation(path)
 
+    def test_json_integer_too_long(self, tmp_path):
+        path = tmp_path / "heavy.json"
+        path.write_text('{"variables": [{"name": "x", "weight": ' + "9" * 5000 + "}]}",
+                        encoding="utf-8")
+        with pytest.raises(InputError, match="heavy.json has an integer literal too long"):
+            load_presentation(path)
+
     def test_load_reads_the_file(self, tmp_path):
         path = tmp_path / "pres.json"
         path.write_text(json.dumps(minimal()), encoding="utf-8")

@@ -389,6 +389,27 @@ class TestTransferCrossChecks:
         assert corrupted in capsys.readouterr().err
 
 
+class TestReesGrowthClassCrossCheck:
+    """The Rees algebra grows exponentially exactly when the base does."""
+
+    @pytest.fixture
+    def polynomial_rees(self, monkeypatch):
+        original = ncdim.pipeline.rees_invariants
+        monkeypatch.setattr(ncdim.pipeline, "rees_invariants", lambda *args: replace(
+            original(*args), growth=GrowthClass(False, 2)))
+
+    def test_analyze_raises(self, polynomial_rees):
+        with pytest.raises(CrossCheckError, match="Rees growth is polynomial"):
+            ncdim.pipeline.analyze(free_algebra(2))
+
+    def test_report_exits_4(self, polynomial_rees, tmp_path, capsys):
+        path = tmp_path / "cube.json"
+        path.write_text('{"variables": [{"name": "x1"}, {"name": "x2"}], '
+                        '"relations": ["x1^3"]}', encoding="utf-8")
+        assert main(["report", str(path)]) == 4
+        assert "Rees growth is polynomial over an exponential base" in capsys.readouterr().err
+
+
 class TestAssociatedGradedCrossCheck:
     """Setting T = 0 in the verified Rees basis must give the reported lh(G)."""
 

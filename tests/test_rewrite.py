@@ -76,6 +76,33 @@ class TestFactorAutomaton:
         assert counts == brute_counts(omega, Alphabet(("a", "b"), (1, 2)), 8)
 
 
+    def test_normal_steps(self):
+        # states: 0 = root, 1 = "0", 2 = "00" (terminal)
+        assert FactorAutomaton(((0, 0),)).normal_steps(2) == [(0, 1, 0), (0, 0, 1), (1, 0, 1)]
+        assert FactorAutomaton(((0,),)).normal_steps(1) == []
+
+    def test_normal_steps_spell_the_normal_words(self):
+        patterns = ((0, 1, 1), (1, 0, 0, 1), (2, 2))
+        auto = FactorAutomaton(patterns)
+        out = {}
+        for src, dst, a in auto.normal_steps(3):
+            out.setdefault(src, []).append((a, dst))
+        words = [((), 0)]
+        for length in range(1, 7):
+            words = [(w + (a,), t) for w, s in words for a, t in out.get(s, ())]
+            assert [w for w, _ in words] == [
+                w for w in itertools.product(range(3), repeat=length) if auto.is_normal(w)
+            ]
+
+    def test_overlap_tails(self):
+        # the tails that complete a pattern starting inside the word
+        auto = FactorAutomaton(((0, 0, 1), (0, 1, 1)))
+        assert sorted(auto.overlap_tails((0,))) == [(0, 1), (1, 1)]
+        assert auto.overlap_tails((0, 1)) == [(1,)]
+        assert auto.overlap_tails((1, 1)) == []
+        assert FactorAutomaton(((0,) * 5,)).overlap_tails((0, 0)) == [(0, 0, 0)]
+
+
 class TestMonomialSet:
     def test_antichain_enforced(self):
         with pytest.raises(InputError):
