@@ -410,4 +410,3 @@ class TestAgainstReplacedRoutines:
             reference = reference_chain_graph(omega, alphabet)
             assert graph == reference
             assert list(graph.edges) == list(reference.edges)
-

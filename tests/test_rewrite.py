@@ -75,7 +75,6 @@ class TestFactorAutomaton:
         omega = MonomialSet(((0, 1, 1),))
         assert counts == brute_counts(omega, Alphabet(("a", "b"), (1, 2)), 8)
 
-
     def test_normal_steps(self):
         # states: 0 = root, 1 = "0", 2 = "00" (terminal)
         assert FactorAutomaton(((0, 0),)).normal_steps(2) == [(0, 1, 0), (0, 0, 1), (1, 0, 1)]
