@@ -35,9 +35,8 @@ class ChainGraph:
     """Root 1, the live letters, and all proper suffixes of obstructions.
 
     Edges from the root go exactly to every live letter (letters that are
-    themselves obstructions — "dead letters" — are excluded, with a warning:
-    the algebra they present is the monomial algebra on the remaining
-    letters).  For non-root u, v there is an edge u -> v iff exactly one
+    themselves obstructions — "dead letters" — are excluded: the algebra
+    they present is the monomial algebra on the remaining letters).  For non-root u, v there is an edge u -> v iff exactly one
     obstruction w is a suffix of uv and uv minus its last letter is normal.
 
     Such a w overlaps u: no obstruction divides the vertex v, so w = u[-k:] v
@@ -54,7 +53,6 @@ class ChainGraph:
     alphabet: Alphabet
     vertices: tuple[Word, ...]
     edges: dict[Word, tuple[Word, ...]]
-    warnings: tuple[str, ...]
 
     def successors(self, v: Word) -> tuple[Word, ...]:
         return self.edges.get(v, ())
@@ -70,14 +68,6 @@ def _by_length(w: Word):
 
 
 def build_chain_graph(omega: MonomialSet, alphabet: Alphabet) -> ChainGraph:
-    warnings: list[str] = []
-    dead = [i for i in range(alphabet.n) if (i,) in omega]
-    if dead:
-        names = ", ".join(alphabet.names[i] for i in dead)
-        warnings.append(
-            f"letters {names} are obstructions; chain invariants are computed "
-            "over the remaining letters"
-        )
     live = [i for i in range(alphabet.n) if (i,) not in omega]
     vertices = {ROOT}
     vertices.update((i,) for i in live)
@@ -93,7 +83,7 @@ def build_chain_graph(omega: MonomialSet, alphabet: Alphabet) -> ChainGraph:
                 raise CrossCheckError("chain graph edge is not normal before its last letter")
         if targets:
             edges[u] = tuple(sorted(targets, key=_by_length))
-    return ChainGraph(alphabet, tuple(ordered), edges, tuple(warnings))
+    return ChainGraph(alphabet, tuple(ordered), edges)
 
 
 @dataclass(frozen=True)

@@ -154,10 +154,6 @@ class AnalysisReport:
     pbw: bool
     warnings: tuple[str, ...]
 
-    @property
-    def chain_graph(self) -> ChainGraph:
-        return self.sets.graph
-
 
 def analyze(
     presentation: Presentation, truncation: int = DEFAULT_TRUNCATION
@@ -206,7 +202,16 @@ def analyze(
     if applicable and hilbert.closed_form:
         product_form = product_form_decomposition(hilbert.denominator, growth.degree)
 
-    warnings = tuple(dict.fromkeys(sets.graph.warnings + rees.warnings))
+    warnings = ()
+    # letters that are obstructions: the shortest words of omega, in order
+    dead = ", ".join(alphabet.names[w[0]] for w in omega.words if len(w) == 1)
+    if dead:
+        warnings = (
+            f"letters {dead} are obstructions; chain invariants are computed "
+            "over the remaining letters",
+            f"letters {dead} are leading words; their T-commutators are "
+            "omitted (they lie in the ideal already)",
+        )
     return AnalysisReport(
         presentation=presentation,
         overlaps_checked=checked,
@@ -423,7 +428,7 @@ def report_graph(report: AnalysisReport, which: str) -> UfnarovskiGraph | ChainG
     built here, on demand, since no invariant needs it."""
     if which == "uf":
         return build_ufnarovski(report.omega, report.presentation.alphabet)
-    return {"chains": report.chain_graph, "rees-chains": report.rees.graph}[which]
+    return {"chains": report.sets.graph, "rees-chains": report.rees.graph}[which]
 
 
 def render_report(report: AnalysisReport, fmt: str = "json") -> bytes:

@@ -31,7 +31,7 @@ from .errors import CrossCheckError
 from .freealg import Alphabet, MonomialOrder, Poly, Word, leading_data
 from .growth import GrowthClass, automaton_growth
 from .render import word_str
-from .rewrite import GroebnerBasis, MonomialSet, ensure_verified, verify_groebner
+from .rewrite import GroebnerBasis, ensure_verified, verify_groebner
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,6 @@ class ReesPresentation:
 
     ext: ExtendedAlphabet
     basis: GroebnerBasis
-    warnings: tuple[str, ...]
 
 
 def tilde_basis(basis: GroebnerBasis) -> ReesPresentation:
@@ -144,15 +143,8 @@ def tilde_basis(basis: GroebnerBasis) -> ReesPresentation:
     ext_order = HomogenizationOrder(basis.order, ext)
     t = ext.t_index
     elements = [homogenize(g, basis.order, ext) for g in basis.elements]
-    warnings: list[str] = []
-    dead = {w[0] for w in basis.leading_words if len(w) == 1}
-    if dead:
-        names = ", ".join(basis.order.alphabet.names[i] for i in sorted(dead))
-        warnings.append(
-            f"letters {names} are leading words; their T-commutators are "
-            "omitted (they lie in the ideal already)"
-        )
-    live = [i for i in range(basis.order.alphabet.n) if i not in dead]
+    # a letter that is a leading word lies in the ideal: it gets no commutator
+    live = [i for i in range(ext.base.n) if (i,) not in basis.omega]
     for i in live:
         elements.append(Poly({(i, t): 1, (t, i): -1}))
     tilded = GroebnerBasis(elements, ext_order)
@@ -168,17 +160,15 @@ def tilde_basis(basis: GroebnerBasis) -> ReesPresentation:
             "homogenized basis failed verification on the overlap "
             f"{word_str(amb.word, ext.alphabet)}"
         )
-    return ReesPresentation(ext, tilded, tuple(warnings))
+    return ReesPresentation(ext, tilded)
 
 
 @dataclass(frozen=True)
 class ReesInvariants:
     presentation: ReesPresentation
-    omega: MonomialSet
     growth: GrowthClass
     hilbert: HilbertSeries
     sets: ChainSets
-    warnings: tuple[str, ...]
 
     @property
     def graph(self) -> ChainGraph:
@@ -248,8 +238,7 @@ def rees_invariants(
     growth = automaton_growth(omega, ext.alphabet)
     sets = chain_sets(build_chain_graph(omega, ext.alphabet), truncation)
     hilbert = hilbert_series(sets, omega, ext.alphabet, truncation)
-    warnings = presentation.warnings + sets.graph.warnings
-    return ReesInvariants(presentation, omega, growth, hilbert, sets, warnings)
+    return ReesInvariants(presentation, growth, hilbert, sets)
 
 
 def check_associated_graded(

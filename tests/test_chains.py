@@ -68,7 +68,6 @@ class TestBuildChainGraph:
             (0, 1): ((1,),),
         }
         assert graph.successors((1,)) == ()
-        assert graph.warnings == ()
 
     def test_skew_graph(self):
         graph = build_chain_graph(SKEW, AB)
@@ -79,8 +78,6 @@ class TestBuildChainGraph:
         graph = build_chain_graph(MonomialSet(((0,),)), AB)
         assert graph.vertices == ((), (1,))
         assert graph.edges == {(): ((1,),)}
-        assert len(graph.warnings) == 1
-        assert "x1" in graph.warnings[0]
 
     def test_no_live_letters(self):
         graph = build_chain_graph(MonomialSet(((0,), (1,))), AB)

@@ -313,14 +313,6 @@ def reference_ufnarovski(omega, alphabet):
 
 
 def reference_chain_graph(omega, alphabet):
-    warnings = []
-    dead = [i for i in range(alphabet.n) if (i,) in omega]
-    if dead:
-        names = ", ".join(alphabet.names[i] for i in dead)
-        warnings.append(
-            f"letters {names} are obstructions; chain invariants are computed "
-            "over the remaining letters"
-        )
     live = [i for i in range(alphabet.n) if (i,) not in omega]
     vertices = {ROOT}
     vertices.update((i,) for i in live)
@@ -338,7 +330,7 @@ def reference_chain_graph(omega, alphabet):
         ]
         if targets:
             edges[u] = tuple(sorted(targets, key=_by_length))
-    return ChainGraph(alphabet, tuple(ordered), edges, tuple(warnings))
+    return ChainGraph(alphabet, tuple(ordered), edges)
 
 
 def _outcome(build, omega, alphabet):

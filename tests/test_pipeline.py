@@ -331,8 +331,8 @@ class TestAnalyzeFrozen:
         assert len(r.rees.hilbert.coefficients) == 6
 
     def test_duplicate_warnings_collapse(self):
-        # a dead letter is reported by the base chain graph and again by the
-        # Rees chain graph with the same text; the report keeps one copy
+        # a dead letter gets one warning per rule it touches, written once
+        # by analyze: no chain-graph root edge, and no T-commutator
         pres = load_presentation_data(minimal(relations=["x1"]))
         r = analyze(pres)
         assert r.warnings == (
