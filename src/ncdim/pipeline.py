@@ -33,7 +33,7 @@ from .freealg import (
     parse_polynomial,
 )
 from .growth import GrowthClass, UfnarovskiGraph, automaton_growth, build_ufnarovski
-from .render import denominator_str, dot_digraph, poly_str, word_str
+from .render import denominator_str, dot_digraph, num_str, poly_str, word_str
 from .rewrite import GroebnerBasis, MonomialSet, ensure_verified
 from .rees import (
     ReesInvariants,
@@ -245,6 +245,8 @@ def _growth_json(growth: GrowthClass) -> dict:
 
 
 def _hilbert_json(h: HilbertSeries) -> dict:
+    for c in (*(h.denominator or ()), *h.coefficients):
+        num_str(c)  # json.dumps converts them to text the same way
     return {
         "denominator": list(h.denominator) if h.denominator is not None else None,
         "coefficients": list(h.coefficients),
@@ -301,7 +303,7 @@ def fmt_hilbert(h: HilbertSeries) -> tuple[str, str]:
         closed = f"1/({denominator_str(h.denominator)})"
     else:
         closed = "none (chain sets do not vanish)"
-    return closed, ", ".join(str(c) for c in h.coefficients)
+    return closed, ", ".join(map(num_str, h.coefficients))
 
 
 def fmt_cycle(cycle, alphabet: Alphabet) -> str:

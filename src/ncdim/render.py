@@ -2,9 +2,23 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 
+from .errors import InputError
 from .freealg import Alphabet, MonomialOrder, Poly, Word
+
+
+def num_str(c) -> str:
+    """Decimal text of an exact int or Fraction of a result.  Python refuses
+    to convert integers of more than ``sys.get_int_max_str_digits()``
+    digits; such a result is an InputError, not a traceback."""
+    try:
+        return str(c)
+    except ValueError:
+        raise InputError(
+            "a result has a number too long to print (over Python's limit of "
+            f"{sys.get_int_max_str_digits()} digits for integer-to-text conversion)"
+        ) from None
 
 
 def word_str(word: Word, alphabet: Alphabet) -> str:
@@ -42,11 +56,11 @@ def poly_str(f: Poly, order: MonomialOrder) -> str:
         mag = abs(c)
         body = word_pretty(w, alphabet)
         if not w:
-            piece = str(mag)
+            piece = num_str(mag)
         elif mag == 1:
             piece = body
         else:
-            piece = f"{mag}*{body}"
+            piece = f"{num_str(mag)}*{body}"
         if pos == 0:
             parts.append(piece if c > 0 else f"-{piece}")
         else:
@@ -62,11 +76,11 @@ def denominator_str(coeffs) -> str:
             continue
         mag = abs(c)
         if d == 0:
-            body = str(mag)
+            body = num_str(mag)
         elif d == 1:
-            body = "t" if mag == 1 else f"{mag}t"
+            body = "t" if mag == 1 else f"{num_str(mag)}t"
         else:
-            body = f"t^{d}" if mag == 1 else f"{mag}t^{d}"
+            body = f"t^{d}" if mag == 1 else f"{num_str(mag)}t^{d}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
