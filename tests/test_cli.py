@@ -42,6 +42,11 @@ def two_letters(tmp_path, relation: str) -> str:
     )
 
 
+TOO_LONG_TO_PRINT = (
+    "error: a result has a number too long to print (over Python's limit of "
+    f"{sys.get_int_max_str_digits()} digits for integer-to-text conversion)\n"
+)
+
 # x1^20 and the power family at n = 40 have 2^19 and 2^40 windows.
 LONG_OBSTRUCTIONS = ["x1^20", "x2^40*x1 - 2*x1*x2^40 - x1"]
 
@@ -93,6 +98,47 @@ class TestExitCodes:
             "error: relation 1: integer of 5000 digits is too long "
             f"(at position {position})\n"
         )
+
+    @pytest.mark.parametrize("relation,position", [("x1^1000000000000", 3),
+                                                   ("x1^600*x1^600", 10)])
+    def test_relation_word_too_long(self, relation, position, tmp_path, capsys):
+        # refused at the token, before the word is built
+        assert main(["check-gb", two_letters(tmp_path, relation)]) == 2
+        assert capsys.readouterr().err == (
+            "error: relation 1: word longer than 1024 letters "
+            f"(at position {position})\n"
+        )
+
+    def test_relation_word_at_the_bound(self, tmp_path, capsys):
+        assert main(["check-gb", two_letters(tmp_path, "x1^1024")]) == 0
+        assert capsys.readouterr().out == (
+            "ok: 1 relations verified (1023 overlap ambiguities reduce to zero)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["check-gb"], ["report"], ["hilbert"]],
+        ids=["check-gb", "report", "hilbert"],
+    )
+    def test_result_number_too_long_to_print(self, argv, tmp_path, capsys):
+        # not a basis: the remainder (C^2 - 1)*y*y that the exit-3 message
+        # prints has 5000 digits, over Python's 4300-digit conversion limit
+        path = write(tmp_path, {
+            "variables": [{"name": "x"}, {"name": "y"}],
+            "relations": [f"y*x - {'7' * 2500}*x*y", "x*x - y"],
+        })
+        assert main([argv[0], path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == TOO_LONG_TO_PRINT
+
+    def test_hilbert_coefficient_too_long_to_print(self, tmp_path, capsys):
+        # the free algebra on 10 letters has 10^d words of degree d
+        path = write(tmp_path, {"variables": [{"name": f"x{i}"} for i in range(10)]})
+        assert main(["hilbert", path, "--terms", "4400"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == TOO_LONG_TO_PRINT
 
     def test_unknown_keys(self, tmp_path, capsys):
         path = write(tmp_path, {"variables": [{"name": "x"}], "extra": 1})

@@ -262,6 +262,20 @@ class TestParser:
             parse_polynomial(text, AB)
         assert exc.value.position == position
 
+    @pytest.mark.parametrize(
+        "text,position",
+        [("x1^1000000000000", 3), ("x1^600*x1^600", 10), ("x1^1024*x2", 8),
+         ("x2*x1^1024", 6), ("x1^1024 + x2^1025", 13)],
+    )
+    def test_word_too_long(self, text, position):
+        with pytest.raises(ParseError, match="word longer than 1024 letters") as exc:
+            parse_polynomial(text, AB)
+        assert exc.value.position == position
+
+    def test_word_at_the_bound(self):
+        f = parse_polynomial("x1^1000*x2^23*x1 - x2^1024", AB)
+        assert f.terms == {(0,) * 1000 + (1,) * 23 + (0,): 1, (1,) * 1024: -1}
+
     def test_parse_error_is_input_error(self):
         with pytest.raises(InputError):
             parse_polynomial("x3", AB)
