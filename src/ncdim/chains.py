@@ -36,8 +36,9 @@ class ChainGraph:
 
     Edges from the root go exactly to every live letter (letters that are
     themselves obstructions — "dead letters" — are excluded: the algebra
-    they present is the monomial algebra on the remaining letters).  For non-root u, v there is an edge u -> v iff exactly one
-    obstruction w is a suffix of uv and uv minus its last letter is normal.
+    they present is the monomial algebra on the remaining letters).  For
+    non-root u, v there is an edge u -> v iff exactly one obstruction w is
+    a suffix of uv and uv minus its last letter is normal.
 
     Such a w overlaps u: no obstruction divides the vertex v, so w = u[-k:] v
     with 1 <= k <= |u| and k < |w|.  The obstructions form an antichain, so

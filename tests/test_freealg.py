@@ -244,6 +244,11 @@ class TestParser:
             ("2*3", 2),
             ("x1/2", 2),
             ("x1 @ x2", 3),
+            ("x1^1000000000000", 3),
+            ("x1^600*x1^600", 10),
+            ("x1^1024*x2", 8),
+            ("x2*x1^1024", 6),
+            ("x1^1024 + x2^1025", 13),
         ],
     )
     def test_errors_report_position(self, text, position):
@@ -259,16 +264,6 @@ class TestParser:
     def test_integer_too_long_to_convert(self, text, position):
         # Python refuses to convert integer strings of more than 4300 digits
         with pytest.raises(ParseError, match="integer of 5000 digits is too long") as exc:
-            parse_polynomial(text, AB)
-        assert exc.value.position == position
-
-    @pytest.mark.parametrize(
-        "text,position",
-        [("x1^1000000000000", 3), ("x1^600*x1^600", 10), ("x1^1024*x2", 8),
-         ("x2*x1^1024", 6), ("x1^1024 + x2^1025", 13)],
-    )
-    def test_word_too_long(self, text, position):
-        with pytest.raises(ParseError, match="word longer than 1024 letters") as exc:
             parse_polynomial(text, AB)
         assert exc.value.position == position
 

@@ -522,6 +522,14 @@ class TestRenderReport:
         assert isinstance(payload, bytes)
         assert json.loads(payload) == report_to_dict(r)
 
+    def test_number_too_long_to_print(self):
+        # the Hilbert coefficient 10^4400 has 4401 digits, over Python's
+        # 4300-digit limit on integer-to-text conversion
+        r = analyze(free_algebra(10), truncation=4400)
+        for fmt in ("json", "text"):
+            with pytest.raises(InputError, match="number too long to print"):
+                render_report(r, fmt)
+
     @pytest.mark.parametrize("fmt", ["json", "text", "dot-bundle"])
     def test_rendering_is_deterministic(self, fmt):
         first = render_report(analyze(down_up()), fmt)
