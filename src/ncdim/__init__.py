@@ -67,7 +67,6 @@ from .rewrite import (
     ensure_verified,
     normal_form,
     overlap_ambiguities,
-    s_element,
     verify_groebner,
 )
 

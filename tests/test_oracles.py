@@ -40,7 +40,7 @@ from ncdim.chains import (
     expand_reciprocal,
 )
 from ncdim.growth import MAX_WINDOWS, _check_witness, _classify, _two_cycles
-from ncdim.rewrite import contains_factor
+from references import contains_factor
 
 MAX_LEN = 8
 MAX_DEG = 8

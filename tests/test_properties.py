@@ -21,17 +21,21 @@ from ncdim import (
     homogenize,
     leading_word,
     normal_form,
+    parse_polynomial,
     tilde_basis,
     verify_groebner,
 )
 from ncdim.rees import HomogenizationOrder
-from ncdim.rewrite import (
-    FactorAutomaton,
+from ncdim.rewrite import FactorAutomaton, overlap_ambiguities
+from presets import commutation, down_up, ore_case_a
+from references import (
     contains_factor,
-    overlap_ambiguities,
+    engine_poly,
+    engine_terms,
+    fraction_normal_form,
+    fraction_verify,
     s_element,
 )
-from presets import commutation, down_up, ore_case_a
 
 MANY = settings(max_examples=1000, derandomize=True, deadline=None)
 
@@ -357,12 +361,13 @@ def slicing_find_reduction(basis, word):
     return None
 
 
-def seeded_bases(count):
-    """LM-reduced random bases on 1-3 letters, leading words of length 1-4;
-    most of them fail verification."""
-    for seed in range(count):
+def seeded_bases(count, letters=(1, 3), max_den=3, first_seed=0):
+    """LM-reduced random bases on 1-3 letters (or ``letters``), leading words
+    of length 1-4, coefficients with denominators up to ``max_den``; most of
+    them fail verification."""
+    for seed in range(first_seed, first_seed + count):
         rng = random.Random(seed)
-        n = rng.randint(1, 3)
+        n = rng.randint(*letters)
         alphabet = Alphabet(tuple(f"x{i + 1}" for i in range(n)),
                             tuple(rng.randint(1, 2) for _ in range(n)))
         precedence = list(range(n))
@@ -371,7 +376,7 @@ def seeded_bases(count):
         relations = [
             Poly({
                 tuple(rng.randrange(n) for _ in range(rng.randint(1, 4))):
-                    Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3))
+                    Fraction(rng.randint(-3, 3) or 1, rng.randint(1, max_den))
                 for _ in range(rng.randint(1, 4))
             })
             for _ in range(rng.randint(1, 4))
@@ -422,7 +427,7 @@ class TestSElement:
             assert list(direct.terms) == list(product.terms)
         results = [verify_groebner(b) for b in seeded_bases(400)]
         monkeypatch.setattr(ncdim.rewrite, "_s_terms",
-                            lambda basis, amb: dict(product_s_element(basis, amb).terms))
+                            lambda basis, amb: engine_terms(product_s_element(basis, amb)))
         assert [verify_groebner(b) for b in seeded_bases(400)] == results
         assert sum(not r.ok for r in results) >= 50
 
@@ -462,7 +467,7 @@ def scan_normal_form(f, basis, tally=None):
 def scan_reduce_terms(work, basis):
     """:func:`scan_normal_form` on the engine's term dicts, to stand in for
     the engine inside verification."""
-    return scan_normal_form(Poly(work), basis).terms
+    return engine_terms(scan_normal_form(engine_poly(work), basis))
 
 
 def assert_same_remainder(fast, slow):
@@ -504,6 +509,95 @@ class TestNormalFormEngine:
         nf = normal_form(f, basis)
         assert nf.terms and all(type(c) is Fraction for c in nf.terms.values())
         assert_same_remainder(nf, scan_normal_form(f, basis))
+
+
+def rational_pbw(n, rng, lower=False):
+    """x_j x_i - q x_i x_j for i < j, each q a seeded nonzero rational; with
+    ``lower``, each relation also gets a seeded rational multiple of a letter,
+    which most of the time breaks the Groebner property."""
+    alphabet = Alphabet(tuple(f"x{i + 1}" for i in range(n)), (1,) * n)
+    relations = []
+    for j in range(n):
+        for i in range(j):
+            terms = {(j, i): 1,
+                     (i, j): Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice((1, -1))}
+            if lower:
+                terms[(rng.randrange(n),)] = Fraction(rng.randint(-9, 9) or 1, rng.randint(2, 9))
+            relations.append(Poly(terms))
+    return GroebnerBasis(relations, MonomialOrder(alphabet))
+
+
+def assert_same_verification(basis):
+    """The package's verification equals the int-or-Fraction engine's, with
+    the remainder's terms in the same order and held as Fractions."""
+    expected = fraction_verify(basis)
+    result = verify_groebner(basis)
+    assert result == expected
+    if not result.ok:
+        assert_same_remainder(result.remainder, expected.remainder)
+    return result
+
+
+class TestPairEngine:
+    """The int and int-pair engine against the int-or-Fraction engine it
+    replaced: the same results, remainders and steps."""
+
+    def test_seeded_bases(self):
+        results = [assert_same_verification(b) for b in seeded_bases(400)]
+        assert sum(not r.ok for r in results) >= 50
+
+    def test_rees_bases_of_commutation_and_rational_pbw_rings(self):
+        rng = random.Random(16)
+        for n in range(2, 9):
+            for base in (commutation(n).basis, rational_pbw(n, rng)):
+                rees = tilde_basis(base).basis
+                assert assert_same_verification(base).ok
+                assert assert_same_verification(rees).checked > 0
+
+    def test_rational_pbw_rings_with_lower_terms(self):
+        rng = random.Random(61)
+        results = [assert_same_verification(rational_pbw(n, rng, lower=True))
+                   for n in range(2, 7) for _ in range(6)]
+        assert sum(not r.ok for r in results) >= 10
+
+    def test_random_rational_bases_on_two_and_three_letters(self):
+        results = [assert_same_verification(b)
+                   for b in seeded_bases(300, letters=(2, 3), max_den=9, first_seed=1000)]
+        assert sum(not r.ok for r in results) >= 50
+        assert sum(r.ok and r.checked > 0 for r in results) >= 10
+        remainders = [r.remainder for r in results if not r.ok]
+        assert any(c.denominator > 1 for f in remainders for c in f.terms.values())
+
+    def test_same_steps(self, monkeypatch):
+        # every word scanned and every sort key taken, in order
+        rng = random.Random(7)
+        bases = [tilde_basis(rational_pbw(n, rng)).basis for n in range(2, 6)]
+        bases += list(seeded_bases(100, letters=(2, 3), max_den=9, first_seed=1000))
+        steps = []
+        for owner, name in ((GroebnerBasis, "find_reduction"), (MonomialOrder, "sort_key"),
+                            (HomogenizationOrder, "sort_key")):
+            original = getattr(owner, name)
+
+            def logged(self, word, original=original, name=name):
+                steps.append((name, word))
+                return original(self, word)
+
+            monkeypatch.setattr(owner, name, logged)
+        for basis in bases:
+            verify_groebner(basis)
+            new, steps[:] = steps[:], []
+            fraction_verify(basis)
+            assert new == steps
+            steps.clear()
+
+    def test_rational_normal_form(self):
+        alphabet = Alphabet(("x1", "x2"), (1, 1))
+        basis = GroebnerBasis([parse_polynomial("x2*x1 - 1/2*x1*x2 - 1/3*x1", alphabet)],
+                              MonomialOrder(alphabet))
+        f = parse_polynomial("x2^20*x1^20", alphabet)
+        nf = normal_form(f, basis)
+        assert_same_remainder(nf, fraction_normal_form(f, basis))
+        assert len(nf.terms) == 21
 
 
 def pair_loop_overlaps(basis):
