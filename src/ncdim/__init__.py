@@ -7,9 +7,11 @@ from .chains import (
     ChainGraph,
     ChainSets,
     HilbertSeries,
+    Invariants,
     build_chain_graph,
     chain_sets,
     hilbert_series,
+    monomial_invariants,
     product_form_decomposition,
 )
 from .errors import (
@@ -48,9 +50,7 @@ from .pipeline import (
     report_to_dict,
 )
 from .rees import (
-    ExtendedAlphabet,
     ReesInvariants,
-    ReesPresentation,
     check_transfer,
     dehomogenize,
     extend_alphabet,

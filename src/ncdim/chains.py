@@ -18,7 +18,7 @@ from typing import Iterable
 
 from .errors import CrossCheckError
 from .freealg import Alphabet, Word
-from .growth import strong_components
+from .growth import GrowthClass, automaton_growth, strong_components
 from .rewrite import MonomialSet, count_normal_words
 
 DEFAULT_TRUNCATION = 16
@@ -69,7 +69,8 @@ def _by_length(w: Word):
 
 
 def build_chain_graph(omega: MonomialSet, alphabet: Alphabet) -> ChainGraph:
-    live = [i for i in range(alphabet.n) if (i,) not in omega]
+    dead = omega.dead_letters
+    live = [i for i in range(alphabet.n) if i not in dead]
     vertices = {ROOT}
     vertices.update((i,) for i in live)
     for w in omega.words:
@@ -218,7 +219,10 @@ class HilbertSeries:
 
     denominator: tuple[int, ...] | None
     coefficients: tuple[int, ...]
-    closed_form: bool
+
+    @property
+    def closed_form(self) -> bool:
+        return self.denominator is not None
 
 
 def expand_reciprocal(denominator: Iterable[int], up_to: int) -> list[int]:
@@ -273,9 +277,34 @@ def hilbert_series(
             f"the chain denominator D(t){modulo} does not invert to the "
             "normal-word counts"
         )
-    if not sets.finite:
-        return HilbertSeries(None, tuple(coeffs), False)
-    return HilbertSeries(den, tuple(coeffs), True)
+    return HilbertSeries(den if sets.finite else None, tuple(coeffs))
+
+
+@dataclass(frozen=True)
+class Invariants:
+    """Growth, chain sets and Hilbert series of the monomial algebra on one Omega."""
+
+    growth: GrowthClass
+    sets: ChainSets
+    hilbert: HilbertSeries
+
+    @property
+    def graph(self) -> ChainGraph:
+        return self.sets.graph
+
+    @property
+    def gldim(self) -> int | None:
+        return self.sets.gldim
+
+
+def monomial_invariants(
+    omega: MonomialSet, graph: ChainGraph, truncation: int = DEFAULT_TRUNCATION
+) -> Invariants:
+    """The invariants of the monomial algebra on ``omega``; ``graph`` is its chain graph."""
+    alphabet = graph.alphabet
+    growth = automaton_growth(omega, alphabet)
+    sets = chain_sets(graph, truncation)
+    return Invariants(growth, sets, hilbert_series(sets, omega, alphabet, truncation))
 
 
 def product_form_decomposition(denominator: Iterable[int], m: int) -> list[int] | None:

@@ -91,16 +91,16 @@ def _run(args) -> int:
     report = analyze(presentation, truncation=terms)
 
     if args.command == "growth":
-        print("growth: " + fmt_growth(report.growth))
-        if report.growth.exponential:
-            c1, c2 = report.growth.witness
+        print("growth: " + fmt_growth(report.monomial.growth))
+        if report.monomial.growth.exponential:
+            c1, c2 = report.monomial.growth.witness
             shared = word_str(c1[0][0], alphabet)
             for k, cycle in enumerate((c1, c2), 1):
                 print(f"  cycle {k} through {shared}: {fmt_cycle(cycle, alphabet)}")
         return 0
 
     if args.command == "gldim":
-        print("gl.dim of the monomial algebra: " + fmt_dim(report.gldim_monomial))
+        print("gl.dim of the monomial algebra: " + fmt_dim(report.monomial.gldim))
         if report.applicable:
             print(f"gl.dim of the associated graded algebra: {report.gldim_assoc_graded}")
             print(f"gl.dim of the Rees algebra: {report.rees.gldim}")
@@ -110,7 +110,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "hilbert":
-        closed, coefficients = fmt_hilbert(report.hilbert)
+        closed, coefficients = fmt_hilbert(report.monomial.hilbert)
         print(f"closed form: {closed}")
         print(f"coefficients: {coefficients}")
         return 0

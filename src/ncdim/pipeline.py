@@ -2,8 +2,8 @@
 
 The pipeline follows one fixed procedure: verify the candidate basis, take
 the obstruction set from the leading words, classify growth, compute chain
-sets / global dimension / Hilbert series of the monomial algebra, build the
-Rees presentation, and finally decide whether the exact transfer theorems
+sets / global dimension / Hilbert series of the monomial algebra, build and
+verify the Rees basis, and finally decide whether the exact transfer theorems
 apply (polynomial growth and finite global dimension) or only the generic
 inequality chain can be reported.
 """
@@ -19,9 +19,9 @@ from .chains import (
     ChainGraph,
     ChainSets,
     HilbertSeries,
+    Invariants,
     build_chain_graph,
-    chain_sets,
-    hilbert_series,
+    monomial_invariants,
     product_form_decomposition,
 )
 from .errors import CrossCheckError, InputError
@@ -32,9 +32,9 @@ from .freealg import (
     leading_homogeneous,
     parse_polynomial,
 )
-from .growth import GrowthClass, UfnarovskiGraph, automaton_growth, build_ufnarovski
+from .growth import GrowthClass, UfnarovskiGraph, build_ufnarovski
 from .render import denominator_str, dot_digraph, num_str, poly_str, word_str
-from .rewrite import GroebnerBasis, MonomialSet, ensure_verified
+from .rewrite import GroebnerBasis, ensure_verified
 from .rees import (
     ReesInvariants,
     check_associated_graded,
@@ -139,18 +139,13 @@ def pbw_check(basis: GroebnerBasis) -> bool:
 
 @dataclass
 class AnalysisReport:
-    presentation: Presentation
-    overlaps_checked: int
-    omega: MonomialSet
-    growth: GrowthClass
-    gldim_monomial: int | None  # None = infinite
+    presentation: Presentation  # its verified basis holds Omega and the overlap count
+    monomial: Invariants  # of the monomial algebra on Omega
     applicable: bool
     gldim_assoc_graded: int | None  # None = not determined exactly
     lh_basis: tuple[Poly, ...]
     rees: ReesInvariants
-    hilbert: HilbertSeries
     product_form: list[int] | None
-    sets: ChainSets
     pbw: bool
     warnings: tuple[str, ...]
 
@@ -162,20 +157,15 @@ def analyze(
     earlier ones; raises on verification or cross-check failure."""
     basis = presentation.basis
     alphabet = presentation.alphabet
-    checked = ensure_verified(basis).checked
+    ensure_verified(basis)
     omega = basis.omega
-
-    growth = automaton_growth(omega, alphabet)
-
-    sets = chain_sets(build_chain_graph(omega, alphabet), truncation)
-    gldim_monomial = sets.gldim
-
-    hilbert = hilbert_series(sets, omega, alphabet, truncation)
+    monomial = monomial_invariants(omega, build_chain_graph(omega, alphabet), truncation)
+    growth, gldim_monomial, hilbert = monomial.growth, monomial.gldim, monomial.hilbert
 
     lh_basis = tuple(leading_homogeneous(g, alphabet) for g in basis.elements)
     rees = rees_invariants(basis, truncation)
-    check_transfer(rees, sets, growth)
-    check_associated_graded(rees.presentation, lh_basis)
+    check_transfer(rees, monomial)
+    check_associated_graded(rees.basis, lh_basis)
 
     applicable = growth.is_polynomial and gldim_monomial is not None
     gldim_assoc_graded = None
@@ -203,28 +193,23 @@ def analyze(
         product_form = product_form_decomposition(hilbert.denominator, growth.degree)
 
     warnings = ()
-    # letters that are obstructions: the shortest words of omega, in order
-    dead = ", ".join(alphabet.names[w[0]] for w in omega.words if len(w) == 1)
+    dead = ", ".join(alphabet.names[i] for i in omega.dead_letters)
     if dead:
+        t_name = rees.basis.order.alphabet.names[-1]
         warnings = (
             f"letters {dead} are obstructions; chain invariants are computed "
             "over the remaining letters",
-            f"letters {dead} are leading words; their T-commutators are "
+            f"letters {dead} are leading words; their {t_name}-commutators are "
             "omitted (they lie in the ideal already)",
         )
     return AnalysisReport(
         presentation=presentation,
-        overlaps_checked=checked,
-        omega=omega,
-        growth=growth,
-        gldim_monomial=gldim_monomial,
+        monomial=monomial,
         applicable=applicable,
         gldim_assoc_graded=gldim_assoc_graded,
         lh_basis=lh_basis,
         rees=rees,
-        hilbert=hilbert,
         product_form=product_form,
-        sets=sets,
         pbw=pbw,
         warnings=warnings,
     )
@@ -265,12 +250,12 @@ def _chains_json(sets: ChainSets, alphabet: Alphabet) -> dict:
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
-    alphabet = report.presentation.alphabet
+    alphabet, monomial = report.presentation.alphabet, report.monomial
     return {
         "gb_verified": True,  # analyze() raises on an unverified basis
-        "omega": [word_str(w, alphabet) for w in report.omega.words],
-        "growth": _growth_json(report.growth),
-        "gldim_monomial": _dim_json(report.gldim_monomial),
+        "omega": [word_str(w, alphabet) for w in report.presentation.basis.omega.words],
+        "growth": _growth_json(monomial.growth),
+        "gldim_monomial": _dim_json(monomial.gldim),
         "applicable": report.applicable,
         "gldim_assoc_graded": report.gldim_assoc_graded,
         "rees": {
@@ -278,9 +263,9 @@ def report_to_dict(report: AnalysisReport) -> dict:
             "gldim": _dim_json(report.rees.gldim),
             "hilbert": _hilbert_json(report.rees.hilbert),
         },
-        "hilbert": _hilbert_json(report.hilbert),
+        "hilbert": _hilbert_json(monomial.hilbert),
         "product_form": report.product_form,
-        "chains": _chains_json(report.sets, alphabet),
+        "chains": _chains_json(monomial.sets, alphabet),
         "warnings": list(report.warnings),
     }
 
@@ -314,7 +299,7 @@ def fmt_cycle(cycle, alphabet: Alphabet) -> str:
 
 
 def fmt_rees_relations(report: AnalysisReport) -> list[str]:
-    basis = report.rees.presentation.basis
+    basis = report.rees.basis
     return [poly_str(g, basis.order) for g in basis.elements]
 
 
@@ -325,29 +310,29 @@ def _hilbert_lines(h: HilbertSeries) -> list[str]:
 
 def _text_report(report: AnalysisReport) -> str:
     pres = report.presentation
-    alphabet = pres.alphabet
+    alphabet, monomial, basis = pres.alphabet, report.monomial, pres.basis
     lines: list[str] = []
     lines.append(
         "Groebner basis: verified "
-        f"({len(pres.basis)} relations, {report.overlaps_checked} overlaps checked)"
+        f"({len(basis)} relations, {basis.verification.checked} overlaps checked)"
     )
     lines.append(
         "obstructions: "
-        + (", ".join(word_str(w, alphabet) for w in report.omega.words) or "none")
+        + (", ".join(word_str(w, alphabet) for w in basis.omega.words) or "none")
     )
     lines.append("")
-    lines.append("(1) growth of the monomial algebra: " + fmt_growth(report.growth))
-    if report.growth.exponential:
-        c1, c2 = report.growth.witness
+    lines.append("(1) growth of the monomial algebra: " + fmt_growth(monomial.growth))
+    if monomial.growth.exponential:
+        c1, c2 = monomial.growth.witness
         lines.append(
             f"    witness: two cycles through {word_str(c1[0][0], alphabet)}: "
             f"{fmt_cycle(c1, alphabet)} / {fmt_cycle(c2, alphabet)}"
         )
     lines.append(
         "(2) global dimension of the monomial algebra: "
-        + fmt_dim(report.gldim_monomial)
+        + fmt_dim(monomial.gldim)
     )
-    sets = report.sets
+    sets = monomial.sets
     for i, level in enumerate(sets.levels):
         lines.append(
             f"    C_{i} = {{" + ", ".join(word_str(w, alphabet) for w in level) + "}"
@@ -376,7 +361,7 @@ def _text_report(report: AnalysisReport) -> str:
         lines.append(f"    gl.dim of the Rees algebra = {report.rees.gldim}")
     else:
         bound = (
-            f" <= {report.gldim_monomial}" if report.gldim_monomial is not None else ""
+            f" <= {monomial.gldim}" if monomial.gldim is not None else ""
         )
         lines.append(
             "    exact transfer not available; only the generic bounds hold:"
@@ -385,13 +370,13 @@ def _text_report(report: AnalysisReport) -> str:
             "    gl.dim(algebra) <= gl.dim(associated graded) <= "
             "gl.dim(monomial algebra)" + bound
         )
-        if report.gldim_monomial is not None:
+        if monomial.gldim is not None:
             lines.append(
-                f"    gl.dim(Rees algebra) <= {report.gldim_monomial + 1}"
+                f"    gl.dim(Rees algebra) <= {monomial.gldim + 1}"
             )
     lines.append("")
     lines.append("Hilbert series of the monomial algebra:")
-    lines.extend(_hilbert_lines(report.hilbert))
+    lines.extend(_hilbert_lines(monomial.hilbert))
     if report.product_form is not None:
         lines.append(
             "  product form: "
@@ -404,7 +389,8 @@ def _text_report(report: AnalysisReport) -> str:
     for g in report.lh_basis:
         lines.append("  " + poly_str(g, pres.order))
     lines.append("")
-    lines.append("Rees algebra (homogenized presentation, T central of weight 1):")
+    t_name = report.rees.basis.order.alphabet.names[-1]
+    lines.append(f"Rees algebra (homogenized presentation, {t_name} central of weight 1):")
     lines.extend("  " + g for g in fmt_rees_relations(report))
     lines.append("  growth: " + fmt_growth(report.rees.growth))
     lines.append("  global dimension: " + fmt_dim(report.rees.gldim))
@@ -429,8 +415,9 @@ def report_graph(report: AnalysisReport, which: str) -> UfnarovskiGraph | ChainG
     """The graph ``which`` (a key of DOT_NAMES); the Ufnarovski graph is
     built here, on demand, since no invariant needs it."""
     if which == "uf":
-        return build_ufnarovski(report.omega, report.presentation.alphabet)
-    return {"chains": report.sets.graph, "rees-chains": report.rees.graph}[which]
+        pres = report.presentation
+        return build_ufnarovski(pres.basis.omega, pres.alphabet)
+    return {"chains": report.monomial.graph, "rees-chains": report.rees.graph}[which]
 
 
 def render_report(report: AnalysisReport, fmt: str = "json") -> bytes:

@@ -1,16 +1,16 @@
 """Rees algebra of the degree filtration: homogenization and invariants.
 
 Each relation f of weighted leading degree p is homogenized to
-f~ = sum_i lambda_i T^{p - q_i} w_i  (central homogenizer T of weight 1 on
-the left), and the commutators X_i T - T X_i are adjoined.  The extended
-order compares T-stripped words by the base order before looking at T at
-all, so homogenizing never moves the leading word: the leading words are
-exactly LM(G) u {X_i T}, the homogenized set is again a Groebner basis, and
-the chain graph is the base one plus a sink T that every base vertex steps
-to, so C~_i = C_i u C_{i-1}T and C~_i(t) = C_i(t) + t*C_{i-1}(t) — all of
-these are re-verified at runtime and a violation raises CrossCheckError.
-:func:`rees_invariants` computes the Rees side only; :func:`check_transfer`
-compares it with base invariants computed elsewhere, and
+f~ = sum_i lambda_i T^{p - q_i} w_i  (central homogenizer T of weight 1, the
+last letter, on the left), and the commutators X_i T - T X_i are adjoined.
+The extended order compares T-stripped words by the base order before
+looking at T at all, so homogenizing never moves the leading word: the
+leading words are exactly LM(G) u {X_i T}, G~ is again a Groebner basis,
+and the chain graph is the base one plus a sink T that every base vertex
+steps to, so C~_i = C_i u C_{i-1}T and C~_i(t) = C_i(t) + t*C_{i-1}(t) —
+all re-verified at runtime; a violation raises CrossCheckError.
+:func:`rees_invariants` gives the Rees side in the base's record type, plus
+G~; :func:`check_transfer` compares two such records, and
 :func:`check_associated_graded` checks that setting T = 0 in G~ gives lh(G).
 """
 
@@ -22,37 +22,22 @@ from .chains import (
     DEFAULT_TRUNCATION,
     ChainGraph,
     ChainSets,
-    HilbertSeries,
+    Invariants,
     build_chain_graph,
-    chain_sets,
-    hilbert_series,
+    monomial_invariants,
 )
 from .errors import CrossCheckError
 from .freealg import Alphabet, MonomialOrder, Poly, Word, leading_data
-from .growth import GrowthClass, automaton_growth
 from .render import word_str
 from .rewrite import GroebnerBasis, ensure_verified, verify_groebner
 
 
-@dataclass(frozen=True)
-class ExtendedAlphabet:
-    """Base alphabet plus the homogenizer T (weight 1, smallest letter)."""
-
-    base: Alphabet
-    alphabet: Alphabet
-    t_index: int
-
-    @property
-    def t_word(self) -> Word:
-        return (self.t_index,)
-
-
-def extend_alphabet(base: Alphabet) -> ExtendedAlphabet:
+def extend_alphabet(base: Alphabet) -> Alphabet:
+    """The base alphabet plus the homogenizer T (weight 1) as its last letter."""
     t_name = "T"
     while t_name in base.names:
         t_name += "_"
-    ext = Alphabet(base.names + (t_name,), base.weights + (1,))
-    return ExtendedAlphabet(base, ext, base.n)
+    return Alphabet(base.names + (t_name,), base.weights + (1,))
 
 
 @dataclass(frozen=True)
@@ -71,18 +56,10 @@ class HomogenizationOrder:
     """
 
     base: MonomialOrder
-    ext: ExtendedAlphabet
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return self.ext.alphabet
-
-    @property
-    def kind(self) -> str:
-        return self.base.kind
+    alphabet: Alphabet  # the base alphabet extended by T
 
     def sort_key(self, word: Word):
-        t = self.ext.t_index
+        t = self.base.alphabet.n
         if t not in word:
             # equal (degree, base key) means equal stripped words and so
             # equal T counts, so a T-free word needs no placement
@@ -99,13 +76,12 @@ class HomogenizationOrder:
         return (ku > kv) - (ku < kv)
 
 
-def homogenize(f: Poly, order: MonomialOrder, ext: ExtendedAlphabet) -> Poly:
-    """Left-pad every term with T up to the leading weighted degree."""
+def homogenize(f: Poly, order: MonomialOrder, t: int) -> Poly:
+    """Left-pad every term with T, letter ``t``, up to the leading weighted degree."""
     alphabet = order.alphabet
     lw, _ = leading_data(f, order)
     p = alphabet.degree(lw)
     terms = {}
-    t = ext.t_index
     for w, c in f.terms.items():
         q = alphabet.degree(w)
         if q > p:
@@ -114,9 +90,8 @@ def homogenize(f: Poly, order: MonomialOrder, ext: ExtendedAlphabet) -> Poly:
     return Poly(terms)
 
 
-def dehomogenize(f: Poly, ext: ExtendedAlphabet) -> Poly:
-    """Substitute T = 1: drop every T letter and collect."""
-    t = ext.t_index
+def dehomogenize(f: Poly, t: int) -> Poly:
+    """Substitute T = 1: drop every letter ``t`` and collect."""
     acc: dict[Word, object] = {}
     for w, c in f.terms.items():
         base_word = tuple(i for i in w if i != t)
@@ -128,26 +103,18 @@ def dehomogenize(f: Poly, ext: ExtendedAlphabet) -> Poly:
     return Poly(acc)
 
 
-@dataclass(frozen=True)
-class ReesPresentation:
-    """Verified presentation of the Rees algebra on the extended alphabet."""
-
-    ext: ExtendedAlphabet
-    basis: GroebnerBasis
-
-
-def tilde_basis(basis: GroebnerBasis) -> ReesPresentation:
-    """Homogenized basis plus commutators, re-verified on the extended alphabet."""
+def tilde_basis(basis: GroebnerBasis) -> GroebnerBasis:
+    """Homogenized basis plus commutators, verified on the extended alphabet."""
     ensure_verified(basis)
-    ext = extend_alphabet(basis.order.alphabet)
-    ext_order = HomogenizationOrder(basis.order, ext)
-    t = ext.t_index
-    elements = [homogenize(g, basis.order, ext) for g in basis.elements]
+    t = basis.order.alphabet.n
+    alphabet = extend_alphabet(basis.order.alphabet)
+    elements = [homogenize(g, basis.order, t) for g in basis.elements]
     # a letter that is a leading word lies in the ideal: it gets no commutator
-    live = [i for i in range(ext.base.n) if (i,) not in basis.omega]
+    dead = basis.omega.dead_letters
+    live = [i for i in range(t) if i not in dead]
     for i in live:
         elements.append(Poly({(i, t): 1, (t, i): -1}))
-    tilded = GroebnerBasis(elements, ext_order)
+    tilded = GroebnerBasis(elements, HomogenizationOrder(basis.order, alphabet))
     expected = set(basis.omega.words) | {(i, t) for i in live}
     if set(tilded.omega.words) != expected:
         raise CrossCheckError(
@@ -158,39 +125,26 @@ def tilde_basis(basis: GroebnerBasis) -> ReesPresentation:
         amb = result.ambiguity
         raise CrossCheckError(
             "homogenized basis failed verification on the overlap "
-            f"{word_str(amb.word, ext.alphabet)}"
+            f"{word_str(amb.word, alphabet)}"
         )
-    return ReesPresentation(ext, tilded)
+    return tilded
 
 
 @dataclass(frozen=True)
-class ReesInvariants:
-    presentation: ReesPresentation
-    growth: GrowthClass
-    hilbert: HilbertSeries
-    sets: ChainSets
-
-    @property
-    def graph(self) -> ChainGraph:
-        return self.sets.graph
-
-    @property
-    def gldim(self) -> int | None:
-        return self.sets.gldim
+class ReesInvariants(Invariants):
+    basis: GroebnerBasis  # the verified Rees basis G~
 
 
-def _check_graph_embedding(
-    graph: ChainGraph, base: ChainGraph, ext: ExtendedAlphabet
-) -> None:
+def _check_graph_embedding(graph: ChainGraph, base: ChainGraph) -> None:
     """The Rees chain graph is the base one plus a sink T that every base
     vertex, the root included, steps to: C~_i = C_i u C_{i-1}T on all levels."""
-    t_vertex = ext.t_word
+    t_vertex = (graph.alphabet.n - 1,)
     if set(graph.vertices) != set(base.vertices) | {t_vertex}:
         raise CrossCheckError("the Rees chain vertices are not the base ones plus T")
     if graph.successors(t_vertex):
         raise CrossCheckError("the T vertex of the Rees chain graph has out-edges")
     for v in base.vertices:
-        targets, name = set(graph.successors(v)), word_str(v, ext.alphabet)
+        targets, name = set(graph.successors(v)), word_str(v, graph.alphabet)
         if t_vertex not in targets:
             raise CrossCheckError(f"Rees chain vertex {name} has no edge to T")
         if targets != set(base.successors(v)) | {t_vertex}:
@@ -232,23 +186,18 @@ def rees_invariants(
     """Growth, global dimension, and Hilbert data of the Rees algebra,
     computed on the extended alphabet alone; :func:`check_transfer` compares
     them with the base."""
-    presentation = tilde_basis(basis)
-    ext = presentation.ext
-    omega = presentation.basis.omega
-    growth = automaton_growth(omega, ext.alphabet)
-    sets = chain_sets(build_chain_graph(omega, ext.alphabet), truncation)
-    hilbert = hilbert_series(sets, omega, ext.alphabet, truncation)
-    return ReesInvariants(presentation, growth, hilbert, sets)
+    tilded = tilde_basis(basis)
+    graph = build_chain_graph(tilded.omega, tilded.order.alphabet)
+    inv = monomial_invariants(tilded.omega, graph, truncation)
+    return ReesInvariants(inv.growth, inv.sets, inv.hilbert, tilded)
 
 
-def check_associated_graded(
-    presentation: ReesPresentation, lh_basis: tuple[Poly, ...]
-) -> None:
+def check_associated_graded(rees_basis: GroebnerBasis, lh_basis: tuple[Poly, ...]) -> None:
     """Setting T = 0 in the verified Rees basis G~ gives lh(G): each
     homogenized relation keeps exactly its top-degree terms, and each
     commutator X_i*T - T*X_i vanishes."""
-    t = presentation.ext.t_index
-    for k, g in enumerate(presentation.basis.elements):
+    t = rees_basis.order.alphabet.n - 1
+    for k, g in enumerate(rees_basis.elements):
         at_zero = Poly({w: c for w, c in g.terms.items() if t not in w})
         if at_zero != (lh_basis[k] if k < len(lh_basis) else Poly()):
             raise CrossCheckError(
@@ -257,20 +206,20 @@ def check_associated_graded(
             )
 
 
-def check_transfer(rees: ReesInvariants, sets: ChainSets, growth: GrowthClass) -> None:
-    """Assert the Rees invariants against the base chain sets and growth:
-    the base chain graph plus a sink T is the Rees one, equal finiteness,
-    global dimension + 1, C~_i(t) = C_i(t) + t*C_{i-1}(t) on the counted
-    levels, and GK degree + 1 for polynomial growth, exponential growth
-    otherwise.  Both chain sets must be counted to the same truncation."""
-    _check_graph_embedding(rees.sets.graph, sets.graph, rees.presentation.ext)
-    if sets.finite != rees.sets.finite:
+def check_transfer(rees: Invariants, monomial: Invariants) -> None:
+    """Assert the Rees invariants against the base ones: the base chain
+    graph plus a sink T is the Rees one, equal finiteness, global
+    dimension + 1, C~_i(t) = C_i(t) + t*C_{i-1}(t) on the counted levels,
+    and GK degree + 1 for polynomial growth, exponential growth otherwise.
+    Both chain sets must be counted to the same truncation."""
+    _check_graph_embedding(rees.graph, monomial.graph)
+    if monomial.sets.finite != rees.sets.finite:
         raise CrossCheckError("Rees chain finiteness differs from the base")
-    if sets.finite and rees.gldim != sets.gldim + 1:
+    if monomial.sets.finite and rees.gldim != monomial.gldim + 1:
         raise CrossCheckError("Rees global dimension is not base + 1")
-    _check_level_counts(rees.sets, sets)
-    if growth.is_polynomial:
-        if rees.growth.exponential or rees.growth.degree != growth.degree + 1:
+    _check_level_counts(rees.sets, monomial.sets)
+    if monomial.growth.is_polynomial:
+        if rees.growth.exponential or rees.growth.degree != monomial.growth.degree + 1:
             raise CrossCheckError("Rees growth degree is not base + 1")
     elif rees.growth.is_polynomial:
         raise CrossCheckError("Rees growth is polynomial over an exponential base")

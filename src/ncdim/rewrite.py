@@ -183,6 +183,11 @@ class MonomialSet:
         """Maximal member length (0 for the empty set)."""
         return max((len(w) for w in self.words), default=0)
 
+    @property
+    def dead_letters(self) -> tuple[int, ...]:
+        """The letters that are members themselves, ascending."""
+        return tuple(w[0] for w in self.words if len(w) == 1)
+
     def is_normal(self, word: Word) -> bool:
         return self.automaton.is_normal(word)
 

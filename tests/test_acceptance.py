@@ -101,16 +101,16 @@ class TestAcceptance:
         with criterion(2, "down-up example"):
             report = analyze(down_up())
             assert report.presentation.basis.verified
-            assert report.growth.is_polynomial and report.growth.degree == 3
+            assert report.monomial.growth.is_polynomial and report.monomial.growth.degree == 3
             assert report.rees.growth.is_polynomial
             assert report.rees.growth.degree == 4
-            assert report.sets.finite
-            assert report.sets.levels == (
+            assert report.monomial.sets.finite
+            assert report.monomial.sets.levels == (
                 ((0,), (1,)),
                 ((0, 0, 1), (0, 1, 1)),
                 ((0, 0, 1, 1),),
             )
-            t = report.rees.presentation.ext.t_index
+            t = report.rees.basis.order.alphabet.n - 1
             assert t == 2
             assert report.rees.sets.levels == (
                 ((0,), (1,), (2,)),
@@ -118,17 +118,17 @@ class TestAcceptance:
                 ((0, 0, 1, 1), (0, 0, 1, 2), (0, 1, 1, 2)),
                 ((0, 0, 1, 1, 2),),
             )
-            assert report.gldim_monomial == 3
+            assert report.monomial.gldim == 3
             assert report.rees.gldim == 4
 
     def test_criterion_3_power_relation_family(self):
         with criterion(3, "power relation family"):
             for n in (1, 2, 3):
                 report = analyze(power_family(n))
-                assert report.gldim_monomial == 2
+                assert report.monomial.gldim == 2
                 assert report.rees.gldim == 3
                 base_den = (1, -2) + (0,) * (n - 1) + (1,)
-                assert report.hilbert.denominator == base_den
+                assert report.monomial.hilbert.denominator == base_den
                 rees_den = [1, -3, 2] + [0] * n
                 rees_den[n + 1] += 1
                 rees_den[n + 2] -= 1
@@ -145,11 +145,11 @@ class TestAcceptance:
             for n in (2, 3, 4):
                 report = analyze(commutation(n))
                 assert report.pbw
-                assert report.gldim_monomial == n
+                assert report.monomial.gldim == n
                 assert report.rees.gldim == n + 1
-                assert report.growth.is_polynomial and report.growth.degree == n
+                assert report.monomial.growth.is_polynomial and report.monomial.growth.degree == n
                 assert report.rees.growth.degree == n + 1
-                assert report.hilbert.denominator == one_minus_t_power(n)
+                assert report.monomial.hilbert.denominator == one_minus_t_power(n)
                 assert report.rees.hilbert.denominator == one_minus_t_power(n + 1)
                 assert report.product_form == [1] * n
 
@@ -157,13 +157,13 @@ class TestAcceptance:
         with criterion(5, "infinite global dimension"):
             pres = nilpotent()
             report = analyze(pres)
-            assert report.gldim_monomial is None
+            assert report.monomial.gldim is None
             # the only normal words are 1 and x1, so the dimension count is
             # eventually zero and the growth degree is 0
-            assert report.growth.is_polynomial and report.growth.degree == 0
-            assert report.hilbert.coefficients == (1, 1) + (0,) * 15
-            oracle = count_normal_words(report.omega, pres.alphabet, 16)
-            assert list(report.hilbert.coefficients) == oracle
+            assert report.monomial.growth.is_polynomial and report.monomial.growth.degree == 0
+            assert report.monomial.hilbert.coefficients == (1, 1) + (0,) * 15
+            oracle = count_normal_words(report.presentation.basis.omega, pres.alphabet, 16)
+            assert list(report.monomial.hilbert.coefficients) == oracle
             assert not report.applicable
             assert report_to_dict(report)["gldim_monomial"] == "infinity"
             buffer = io.StringIO()
@@ -196,14 +196,14 @@ class TestAcceptance:
                     MonomialOrder(alphabet),
                 )
                 inv = rees_invariants(basis, truncation=8)
-                ext = inv.presentation.ext
+                t = inv.basis.order.alphabet.n - 1
                 # T is a sink, pure-base vertices step to T, the base graph
                 # embeds, and each level splits as C_i plus C_{i-1} T
-                assert inv.graph.successors(ext.t_word) == ()
+                assert inv.graph.successors((t,)) == ()
                 base_graph = build_chain_graph(omega, alphabet)
                 for v in inv.graph.vertices:
-                    if v and v != ext.t_word and v[-1] != ext.t_index:
-                        assert ext.t_word in inv.graph.successors(v)
+                    if v and v != (t,) and v[-1] != t:
+                        assert (t,) in inv.graph.successors(v)
                 for u in base_graph.vertices:
                     assert u in inv.graph.vertices
                     assert set(base_graph.successors(u)) <= set(
@@ -211,7 +211,7 @@ class TestAcceptance:
                     )
                 for i, level in enumerate(inv.sets.levels):
                     expected = set(sets.level(i)) | {
-                        c + ext.t_word for c in sets.level(i - 1)
+                        c + (t,) for c in sets.level(i - 1)
                     }
                     assert set(level) == expected
 
@@ -295,9 +295,9 @@ class TestAcceptance:
                 order = rand_order()
                 n = order.alphabet.n
                 f = rand_poly(n)
-                ext = extend_alphabet(order.alphabet)
-                h = homogenize(f, order, ext)
-                assert dehomogenize(h, ext) == f
+                ext, t = extend_alphabet(order.alphabet), order.alphabet.n
+                h = homogenize(f, order, t)
+                assert dehomogenize(h, t) == f
                 assert leading_word(h, HomogenizationOrder(order, ext)) == leading_word(
                     f, order
                 )

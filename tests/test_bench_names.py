@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import ncdim.chains
 import ncdim.cli  # the tracer wraps cli.main, so the module must be loaded
 import ncdim.pipeline
 from presets import down_up
@@ -76,3 +77,14 @@ def test_analyze_makes_a_counted_normality_query(spans):
     finally:
         tracer.uninstall()
     assert tracer.counts["rewrite.is_normal"] > 0
+
+
+def test_every_module_binds_the_one_build_chain_graph():
+    # the tracer patches build_chain_graph in each of these namespaces, and
+    # the benchmark's own tests assert that all four bind it
+    modules = [importlib.import_module(name)
+               for name in ("ncdim", "ncdim.chains", "ncdim.pipeline", "ncdim.rees")]
+    function = ncdim.chains.build_chain_graph
+    unbound = [m.__name__ for m in modules
+               if m.__dict__.get("build_chain_graph") is not function]
+    assert unbound == []

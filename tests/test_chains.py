@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 import ncdim.chains
-import ncdim.pipeline
 from ncdim import (
     Alphabet,
     ChainGraph,
@@ -97,7 +96,7 @@ class TestBuildChainGraph:
 
         monkeypatch.setattr(MonomialSet, "is_normal", counted)
         basis = power_family(40).basis
-        rees = tilde_basis(basis).basis
+        rees = tilde_basis(basis)
         for omega, alphabet, limit in (
             (basis.omega, basis.order.alphabet, 1),
             (rees.omega, rees.order.alphabet, 42),
@@ -456,7 +455,7 @@ class TestTruncatedIdentity:
     )
     def test_changed_count_is_caught(self, relations, tmp_path, monkeypatch, capsys):
         path = write_presentation(tmp_path, relations)
-        original = ncdim.pipeline.chain_sets
+        original = ncdim.chains.chain_sets
 
         def one_more_chain(graph, truncation):
             sets = original(graph, truncation)
@@ -465,7 +464,7 @@ class TestTruncatedIdentity:
             counts[1] = level[:-1] + (level[-1] + 1,)
             return replace(sets, counts=tuple(counts))
 
-        monkeypatch.setattr(ncdim.pipeline, "chain_sets", one_more_chain)
+        monkeypatch.setattr(ncdim.chains, "chain_sets", one_more_chain)
         message = "the chain denominator D(t) mod t^17 does not invert"
         with pytest.raises(CrossCheckError, match=re.escape(message)):
             analyze(load_presentation(path))

@@ -202,7 +202,7 @@ class TestExitCodes:
         def over_cap(graph, truncation):
             raise InputError("chain enumeration exceeded the level cap")
 
-        monkeypatch.setattr(ncdim.pipeline, "chain_sets", over_cap)
+        monkeypatch.setattr(ncdim.chains, "chain_sets", over_cap)
         assert main(["check-gb", DOWN_UP]) == 0
         assert main(["gldim", DOWN_UP]) == 2
         assert "exceeded the level cap" in capsys.readouterr().err
@@ -303,8 +303,8 @@ class TestLongObstructions:
                                        capsys):
         path = two_letters(tmp_path, relation)
         report = analyze(load_presentation(path))
-        omega, alphabet = report.omega, report.presentation.alphabet
-        c1, c2 = report.growth.witness
+        omega, alphabet = report.presentation.basis.omega, report.presentation.alphabet
+        c1, c2 = report.monomial.growth.witness
         ncdim.growth._check_witness(omega, omega.ell, (c1, c2))
         shared = word_str(c1[0][0], alphabet)
         assert main(["growth", path]) == 0

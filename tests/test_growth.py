@@ -185,10 +185,9 @@ def _random_case(rng):
 
 def _rees_case(omega, alphabet):
     """Omega plus x_i T for every letter, over the alphabet extended by T."""
-    ext = extend_alphabet(alphabet)
-    t = ext.t_index
+    t = alphabet.n
     words = list(omega.words) + [(i, t) for i in range(alphabet.n)]
-    return MonomialSet.interreduce(words), ext.alphabet
+    return MonomialSet.interreduce(words), extend_alphabet(alphabet)
 
 
 DIFFERENTIAL = [_random_case(random.Random(9000 + k)) for k in range(300)]

@@ -156,10 +156,9 @@ def brute_chain_edges(omega, alphabet):
 
 def rees_omega(omega, alphabet):
     """The Rees set: Omega plus X_i T for every live letter."""
-    ext = extend_alphabet(alphabet)
-    return ext.alphabet, MonomialSet(
+    return extend_alphabet(alphabet), MonomialSet(
         list(omega.words)
-        + [(i, ext.t_index) for i in range(alphabet.n) if (i,) not in omega]
+        + [(i, alphabet.n) for i in range(alphabet.n) if (i,) not in omega]
     )
 
 
@@ -218,21 +217,21 @@ def test_rees_invariants_and_level_decomposition(index, monkeypatch):
         patch.setattr(ncdim.chains, "MAX_LISTED_LEVELS", 8)
         inv = rees_invariants(basis, truncation=MAX_DEG)
         inv.sets.levels
-    ext = inv.presentation.ext
+    t = inv.basis.order.alphabet.n - 1
     sets = capped_sets(build_chain_graph(omega, alphabet))
 
     # T never starts a chain step, and every base-letter vertex can take one
-    assert inv.graph.successors(ext.t_word) == ()
+    assert inv.graph.successors((t,)) == ()
     for v in inv.graph.vertices:
-        if v and v != ext.t_word and v[-1] != ext.t_index:
-            assert ext.t_word in inv.graph.successors(v)
+        if v and v != (t,) and v[-1] != t:
+            assert (t,) in inv.graph.successors(v)
 
     for i, level in enumerate(inv.sets.levels):
-        expected = set(sets.level(i)) | {c + ext.t_word for c in sets.level(i - 1)}
+        expected = set(sets.level(i)) | {c + (t,) for c in sets.level(i - 1)}
         assert set(level) == expected
 
     if inv.sets.finite and inv.sets.levels:
-        assert all(w[-1] == ext.t_index for w in inv.sets.levels[-1])
+        assert all(w[-1] == t for w in inv.sets.levels[-1])
 
 
 # The routines that the automaton's normal steps and its overlap walk

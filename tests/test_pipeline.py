@@ -228,13 +228,13 @@ class TestAnalyzeFrozen:
     def test_down_up(self):
         r = analyze(down_up())
         assert r.presentation.basis.verified
-        assert r.overlaps_checked == 1
-        assert r.omega.words == ((0, 0, 1), (0, 1, 1))
-        assert not r.growth.exponential and r.growth.degree == 3
-        assert r.gldim_monomial == 3
+        assert r.presentation.basis.verification.checked == 1
+        assert r.presentation.basis.omega.words == ((0, 0, 1), (0, 1, 1))
+        assert not r.monomial.growth.exponential and r.monomial.growth.degree == 3
+        assert r.monomial.gldim == 3
         assert r.applicable
         assert r.gldim_assoc_graded == 3
-        assert r.hilbert.denominator == (1, -2, 0, 2, -1)
+        assert r.monomial.hilbert.denominator == (1, -2, 0, 2, -1)
         assert r.product_form == [1, 1, 2]
         assert r.rees.gldim == 4
         assert not r.pbw
@@ -246,12 +246,12 @@ class TestAnalyzeFrozen:
 
     def test_ore_case_a(self):
         r = analyze(ore_case_a())
-        assert r.overlaps_checked == 0
-        assert r.omega.words == ((1, 0),)
-        assert not r.growth.exponential and r.growth.degree == 2
-        assert r.gldim_monomial == 2 and r.gldim_assoc_graded == 2
-        assert r.hilbert.denominator == (1, -2, 1)
-        assert r.hilbert.coefficients == tuple(range(1, 18))
+        assert r.presentation.basis.verification.checked == 0
+        assert r.presentation.basis.omega.words == ((1, 0),)
+        assert not r.monomial.growth.exponential and r.monomial.growth.degree == 2
+        assert r.monomial.gldim == 2 and r.gldim_assoc_graded == 2
+        assert r.monomial.hilbert.denominator == (1, -2, 1)
+        assert r.monomial.hilbert.coefficients == tuple(range(1, 18))
         assert r.product_form == [1, 1]
         assert r.rees.gldim == 3
         assert r.rees.hilbert.denominator == (1, -3, 3, -1)
@@ -262,10 +262,10 @@ class TestAnalyzeFrozen:
 
     def test_ore_case_b(self):
         r = analyze(ore_case_b())
-        assert r.omega.words == ((1, 0),)
-        assert r.growth.degree == 2 and r.gldim_monomial == 2
-        assert r.hilbert.denominator == (1, -1, 0, -1, 1)
-        assert r.hilbert.coefficients[:9] == (1, 1, 1, 2, 2, 2, 3, 3, 3)
+        assert r.presentation.basis.omega.words == ((1, 0),)
+        assert r.monomial.growth.degree == 2 and r.monomial.gldim == 2
+        assert r.monomial.hilbert.denominator == (1, -1, 0, -1, 1)
+        assert r.monomial.hilbert.coefficients[:9] == (1, 1, 1, 2, 2, 2, 3, 3, 3)
         assert r.product_form == [1, 3]
         assert r.rees.hilbert.denominator == (1, -2, 1, -1, 2, -1)
         # with weight 3 on x2 both x2 and x1^3 sit below the top degree 4
@@ -273,22 +273,22 @@ class TestAnalyzeFrozen:
 
     def test_power_two_has_exponential_growth(self):
         r = analyze(power_family(2))
-        assert r.growth.exponential
-        assert r.gldim_monomial == 2
+        assert r.monomial.growth.exponential
+        assert r.monomial.gldim == 2
         assert not r.applicable
         assert r.gldim_assoc_graded is None
         assert r.product_form is None
-        assert r.hilbert.denominator == (1, -2, 0, 1)
-        assert r.hilbert.coefficients[:9] == (1, 2, 4, 7, 12, 20, 33, 54, 88)
+        assert r.monomial.hilbert.denominator == (1, -2, 0, 1)
+        assert r.monomial.hilbert.coefficients[:9] == (1, 2, 4, 7, 12, 20, 33, 54, 88)
         assert r.rees.gldim == 3
         assert not r.pbw
 
     def test_commutation_three(self):
         r = analyze(commutation(3))
-        assert r.overlaps_checked == 1
-        assert r.growth.degree == 3 and r.gldim_monomial == 3
+        assert r.presentation.basis.verification.checked == 1
+        assert r.monomial.growth.degree == 3 and r.monomial.gldim == 3
         assert r.applicable and r.gldim_assoc_graded == 3
-        assert r.hilbert.denominator == (1, -3, 3, -1)
+        assert r.monomial.hilbert.denominator == (1, -3, 3, -1)
         assert r.product_form == [1, 1, 1]
         assert r.rees.gldim == 4
         assert r.rees.hilbert.denominator == (1, -4, 6, -4, 1)
@@ -296,24 +296,24 @@ class TestAnalyzeFrozen:
 
     def test_free_algebra_two(self):
         r = analyze(free_algebra(2))
-        assert r.omega.words == ()
-        assert r.growth.exponential
-        assert r.gldim_monomial == 1
+        assert r.presentation.basis.omega.words == ()
+        assert r.monomial.growth.exponential
+        assert r.monomial.gldim == 1
         assert not r.applicable and r.gldim_assoc_graded is None
-        assert r.hilbert.denominator == (1, -2)
-        assert r.hilbert.coefficients[:6] == (1, 2, 4, 8, 16, 32)
+        assert r.monomial.hilbert.denominator == (1, -2)
+        assert r.monomial.hilbert.coefficients[:6] == (1, 2, 4, 8, 16, 32)
         assert r.product_form is None
         assert r.rees.gldim == 2
         assert r.rees.hilbert.denominator == (1, -3, 2)
 
     def test_nilpotent(self):
         r = analyze(nilpotent())
-        assert not r.growth.exponential and r.growth.degree == 0
-        assert r.gldim_monomial is None
-        assert not r.sets.finite
+        assert not r.monomial.growth.exponential and r.monomial.growth.degree == 0
+        assert r.monomial.gldim is None
+        assert not r.monomial.sets.finite
         assert not r.applicable and r.gldim_assoc_graded is None
-        assert r.hilbert.denominator is None and not r.hilbert.closed_form
-        assert r.hilbert.coefficients == (1, 1) + (0,) * 15
+        assert r.monomial.hilbert.denominator is None and not r.monomial.hilbert.closed_form
+        assert r.monomial.hilbert.coefficients == (1, 1) + (0,) * 15
         assert r.product_form is None
         assert r.rees.gldim is None
         assert not r.rees.growth.exponential and r.rees.growth.degree == 1
@@ -327,7 +327,7 @@ class TestAnalyzeFrozen:
 
     def test_truncation_controls_both_expansions(self):
         r = analyze(ore_case_a(), truncation=5)
-        assert len(r.hilbert.coefficients) == 6
+        assert len(r.monomial.hilbert.coefficients) == 6
         assert len(r.rees.hilbert.coefficients) == 6
 
     def test_duplicate_warnings_collapse(self):
@@ -341,8 +341,33 @@ class TestAnalyzeFrozen:
             "letters x1 are leading words; their T-commutators are omitted "
             "(they lie in the ideal already)",
         )
-        assert r.gldim_monomial == 1
-        assert r.growth.degree == 1
+        assert r.monomial.gldim == 1
+        assert r.monomial.growth.degree == 1
+
+
+class TestHomogenizerName:
+    """With a base letter named T the homogenizer is T_, and the report names
+    it so."""
+
+    @pytest.fixture
+    def report(self):
+        return analyze(load_presentation_data(
+            {"variables": [{"name": "x"}, {"name": "T"}], "relations": ["T"]}
+        ))
+
+    def test_text_report(self, report):
+        text = render_report(report, "text").decode("utf-8")
+        assert "\nRees algebra (homogenized presentation, T_ central of weight 1):\n" in text
+        assert "  x*T_ - T_*x\n" in text
+        assert "T central" not in text
+
+    def test_json_warnings(self, report):
+        assert json.loads(render_report(report, "json"))["warnings"] == [
+            "letters T are obstructions; chain invariants are computed over "
+            "the remaining letters",
+            "letters T are leading words; their T_-commutators are omitted "
+            "(they lie in the ideal already)",
+        ]
 
 
 def power_of_x1(k: int):
@@ -363,22 +388,23 @@ class TestLongObstructions:
 
     def test_x1_twenty(self):
         r = analyze(power_of_x1(20))
-        assert r.growth.exponential and r.growth.degree is None
-        assert r.gldim_monomial is None
+        assert r.monomial.growth.exponential and r.monomial.growth.degree is None
+        assert r.monomial.gldim is None
         assert r.rees.gldim is None
-        assert list(r.hilbert.coefficients) == count_normal_words(
-            r.omega, r.presentation.alphabet, len(r.hilbert.coefficients) - 1
+        assert list(r.monomial.hilbert.coefficients) == count_normal_words(
+            r.presentation.basis.omega, r.presentation.alphabet,
+            len(r.monomial.hilbert.coefficients) - 1
         )
         render_report(r, "json")
 
     def test_power_family_forty(self):
         r = analyze(power_family(40))
-        assert r.omega.words == ((1,) * 40 + (0,),)
-        assert r.growth.exponential and r.rees.growth.exponential
+        assert r.presentation.basis.omega.words == ((1,) * 40 + (0,),)
+        assert r.monomial.growth.exponential and r.rees.growth.exponential
 
     def test_polynomial_text_report_needs_no_graph(self):
         r = analyze(down_up())
-        assert r.growth.degree == 3
+        assert r.monomial.growth.degree == 3
         assert b"witness" not in render_report(r, "text")
 
 
@@ -427,7 +453,7 @@ class TestHilbertAgainstBinomials:
     def test_commutation_dimensions_are_binomials(self, n):
         r = analyze(commutation(n), truncation=8)
         expected = tuple(math.comb(d + n - 1, n - 1) for d in range(9))
-        assert r.hilbert.coefficients == expected
+        assert r.monomial.hilbert.coefficients == expected
         # homogenizing adds one more commuting variable
         rees_expected = tuple(math.comb(d + n, n) for d in range(9))
         assert r.rees.hilbert.coefficients == rees_expected

@@ -33,7 +33,7 @@ from ncdim import (
 )
 from ncdim.chains import ChainSets
 from ncdim.cli import main
-from ncdim.rees import ExtendedAlphabet, HomogenizationOrder
+from ncdim.rees import HomogenizationOrder
 
 from presets import (
     commutation,
@@ -61,17 +61,15 @@ def poly_mul(a, b):
 class TestExtendAlphabet:
     def test_adds_t_with_weight_one(self):
         ext = extend_alphabet(AB_W)
-        assert ext.alphabet.names == ("x1", "x2", "T")
-        assert ext.alphabet.weights == (1, 3, 1)
-        assert ext.t_index == 2
-        assert ext.t_word == (2,)
-        assert ext.base is AB_W
+        assert ext.names == ("x1", "x2", "T")
+        assert ext.weights == (1, 3, 1)
+        assert ext.index("T") == ext.n - 1 == 2
 
     def test_t_name_collisions_resolved(self):
         ext = extend_alphabet(Alphabet(("T", "x"), (1, 1)))
-        assert ext.alphabet.names == ("T", "x", "T_")
+        assert ext.names == ("T", "x", "T_")
         ext2 = extend_alphabet(Alphabet(("T", "T_"), (1, 1)))
-        assert ext2.alphabet.names == ("T", "T_", "T__")
+        assert ext2.names == ("T", "T_", "T__")
 
 
 class TestExtendedOrder:
@@ -83,18 +81,16 @@ class TestExtendedOrder:
                 assert ext_order.compare(u, v) == base.compare(u, v)
 
     def test_t_below_every_letter(self):
-        ext = extend_alphabet(AB_W)
-        ext_order = HomogenizationOrder(MonomialOrder(AB_W), ext)
-        t = ext.t_word
+        ext_order = HomogenizationOrder(MonomialOrder(AB_W), extend_alphabet(AB_W))
+        t = (2,)
         assert ext_order.compare(t, (0,)) < 0
         assert ext_order.compare(t, (1,)) < 0
         assert ext_order.compare((), t) < 0
 
     def test_commutator_leading_word(self):
         for kind in ("grlex", "grevlex"):
-            ext = extend_alphabet(AB)
-            ext_order = HomogenizationOrder(MonomialOrder(AB, kind), ext)
-            t = ext.t_index
+            ext_order = HomogenizationOrder(MonomialOrder(AB, kind), extend_alphabet(AB))
+            t = 2
             assert ext_order.compare((0, t), (t, 0)) > 0
 
     def test_homogenized_terms_stay_below_the_leading_word(self):
@@ -107,16 +103,14 @@ class TestExtendedOrder:
         ]
         for alphabet, kind, text in cases:
             order = MonomialOrder(alphabet, kind)
-            ext = extend_alphabet(alphabet)
-            ext_order = HomogenizationOrder(order, ext)
+            ext_order = HomogenizationOrder(order, extend_alphabet(alphabet))
             f = parse_polynomial(text, alphabet)
-            hom = homogenize(f, order, ext)
+            hom = homogenize(f, order, alphabet.n)
             assert leading_word(hom, ext_order) == leading_word(f, order)
 
     def test_multiplicative_spot_checks(self):
-        ext = extend_alphabet(AB)
-        ext_order = HomogenizationOrder(MonomialOrder(AB), ext)
-        t = ext.t_index
+        ext_order = HomogenizationOrder(MonomialOrder(AB), extend_alphabet(AB))
+        t = 2
         pairs = [((t, 0), (0, t)), ((t,), (0,)), ((0, 1), (1, 0))]
         contexts = [((), ()), ((1,), ()), ((), (t,)), ((t, 1), (0,))]
         for u, v in pairs:
@@ -128,68 +122,61 @@ class TestExtendedOrder:
 class TestHomogenize:
     def test_pads_lower_terms_on_the_left(self):
         pres = ore_case_a()
-        ext = extend_alphabet(AB)
-        hom = homogenize(pres.basis.elements[0], pres.order, ext)
+        hom = homogenize(pres.basis.elements[0], pres.order, 2)
         assert hom == Poly(
             {(1, 0): 1, (0, 1): -2, (2, 1): -3, (0, 0): -1, (2, 0): -1}
         )
 
     def test_weighted_padding(self):
         pres = ore_case_b()
-        ext = extend_alphabet(AB_W)
-        hom = homogenize(pres.basis.elements[0], pres.order, ext)
+        hom = homogenize(pres.basis.elements[0], pres.order, 2)
         assert hom == Poly(
             {(1, 0): 1, (0, 1): -2, (2, 1): -3, (2, 0, 0, 0): -1}
         )
 
     def test_power_two_padding(self):
         pres = power_family(2)
-        ext = extend_alphabet(AB)
-        hom = homogenize(pres.basis.elements[0], pres.order, ext)
+        hom = homogenize(pres.basis.elements[0], pres.order, 2)
         assert hom == Poly({(1, 1, 0): 1, (0, 1, 1): -2, (2, 2, 0): -1})
 
     def test_homogeneous_input_unchanged(self):
         f = parse_polynomial("x2*x1 - 2*x1*x2", AB)
-        ext = extend_alphabet(AB)
-        assert homogenize(f, MonomialOrder(AB), ext) == f
+        assert homogenize(f, MonomialOrder(AB), 2) == f
 
     def test_result_is_homogeneous(self):
         pres = ore_case_b()
-        ext = extend_alphabet(AB_W)
-        hom = homogenize(pres.basis.elements[0], pres.order, ext)
-        degrees = {ext.alphabet.degree(w) for w in hom.terms}
+        hom = homogenize(pres.basis.elements[0], pres.order, 2)
+        degrees = {extend_alphabet(AB_W).degree(w) for w in hom.terms}
         assert len(degrees) == 1
 
 
 class TestDehomogenize:
     def test_round_trip(self):
         for pres in (ore_case_a(), ore_case_b(), power_family(2)):
-            ext = extend_alphabet(pres.alphabet)
+            t = pres.alphabet.n
             for g in pres.basis.elements:
-                assert dehomogenize(homogenize(g, pres.order, ext), ext) == g
+                assert dehomogenize(homogenize(g, pres.order, t), t) == g
 
     def test_commutator_vanishes(self):
-        ext = extend_alphabet(AB)
-        t = ext.t_index
+        t = 2
         commutator = Poly({(0, t): 1, (t, 0): -1})
-        assert dehomogenize(commutator, ext).is_zero
+        assert dehomogenize(commutator, t).is_zero
 
 
 class TestTildeBasis:
     def test_down_up_leading_words(self):
         rp = tilde_basis(down_up().basis)
-        assert set(rp.basis.leading_words) == {(0, 0, 1), (0, 1, 1), (0, 2), (1, 2)}
-        assert len(rp.basis) == 4
-        assert rp.basis.verified
+        assert set(rp.leading_words) == {(0, 0, 1), (0, 1, 1), (0, 2), (1, 2)}
+        assert len(rp) == 4
+        assert rp.verified
 
     def test_ore_b_relations(self):
         rp = tilde_basis(ore_case_b().basis)
-        ext = rp.ext
         expected = Poly({(1, 0): 1, (0, 1): -2, (2, 1): -3, (2, 0, 0, 0): -1})
-        assert rp.basis.elements[0] == expected
-        t = ext.t_index
-        assert Poly({(0, t): 1, (t, 0): -1}) in rp.basis.elements
-        assert Poly({(1, t): 1, (t, 1): -1}) in rp.basis.elements
+        assert rp.elements[0] == expected
+        t = rp.order.alphabet.n - 1
+        assert Poly({(0, t): 1, (t, 0): -1}) in rp.elements
+        assert Poly({(1, t): 1, (t, 1): -1}) in rp.elements
 
     def test_unverifiable_basis_rejected(self):
         f = parse_polynomial("x1*x2 - x1", AB)
@@ -201,13 +188,13 @@ class TestTildeBasis:
     def test_dead_letter_commutator_omitted(self):
         basis = GroebnerBasis([Poly.monomial((0,))], MonomialOrder(AB))
         rp = tilde_basis(basis)
-        assert set(rp.basis.leading_words) == {(0,), (1, 2)}
+        assert set(rp.leading_words) == {(0,), (1, 2)}
 
     def test_grevlex_base_supported(self):
         order = MonomialOrder(AB, "grevlex")
         basis = GroebnerBasis([parse_polynomial("x2*x1 - x1", AB)], order)
         rp = tilde_basis(basis)
-        assert set(rp.basis.leading_words) == {(1, 0), (0, 2), (1, 2)}
+        assert set(rp.leading_words) == {(1, 0), (0, 2), (1, 2)}
 
 
 class TestReesInvariants:
@@ -263,34 +250,34 @@ class TestReesInvariants:
     def test_t_vertex_is_a_sink_and_base_vertices_reach_it(self):
         for pres in (down_up(), ore_case_b(), commutation(3), power_family(2)):
             inv = rees_invariants(pres.basis)
-            ext = inv.presentation.ext
-            assert inv.graph.successors(ext.t_word) == ()
+            t = inv.basis.order.alphabet.n - 1
+            assert inv.graph.successors((t,)) == ()
             for v in inv.graph.vertices:
-                if v and v != ext.t_word and v[-1] != ext.t_index:
-                    assert ext.t_word in inv.graph.successors(v)
+                if v and v != (t,) and v[-1] != t:
+                    assert (t,) in inv.graph.successors(v)
 
     def test_levels_decompose_as_base_plus_shifted_base(self):
         for pres in (down_up(), ore_case_a(), commutation(3)):
             inv = rees_invariants(pres.basis)
-            ext = inv.presentation.ext
+            t = inv.basis.order.alphabet.n - 1
             omega = MonomialSet.interreduce(pres.basis.leading_words)
             base_sets = chain_sets(build_chain_graph(omega, pres.alphabet))
             for i, level in enumerate(inv.sets.levels):
                 lower = {(),} if i == 0 else set(base_sets.level(i - 1))
-                expected = set(base_sets.level(i)) | {c + ext.t_word for c in lower}
+                expected = set(base_sets.level(i)) | {c + (t,) for c in lower}
                 assert set(level) == expected
 
     def test_maximal_chains_end_in_t(self):
         for pres in (down_up(), ore_case_b(), commutation(4)):
             inv = rees_invariants(pres.basis)
-            t = inv.presentation.ext.t_index
+            t = inv.basis.order.alphabet.n - 1
             assert all(word[-1] == t for word in inv.sets.levels[-1])
 
     def test_coefficients_match_normal_word_counts(self):
         for pres in (down_up(), ore_case_b(), power_family(2)):
             inv = rees_invariants(pres.basis, truncation=10)
             counts = count_normal_words(
-                inv.presentation.basis.omega, inv.presentation.ext.alphabet, 10
+                inv.basis.omega, inv.basis.order.alphabet, 10
             )
             assert list(inv.hilbert.coefficients) == counts
 
@@ -430,25 +417,20 @@ class TestAssociatedGradedCrossCheck:
 # The word-level checks that the graph embedding check replaced, kept as
 # references: on every listed level they must agree with it.
 
-def _check_level_decomposition(
-    tilde_sets: ChainSets, base_sets: ChainSets, ext: ExtendedAlphabet
-) -> None:
-    t = ext.t_word
+def _check_level_decomposition(tilde_sets: ChainSets, base_sets: ChainSets, t: int) -> None:
     lower = base_sets.level(-1)
     for i, level in enumerate(tilde_sets.levels):
         same = base_sets.level(i)
         if same is None:
             break  # the base listing stopped before this level
-        if set(level) != set(same) | {c + t for c in lower}:
+        if set(level) != set(same) | {c + (t,) for c in lower}:
             raise CrossCheckError(
                 f"Rees chain level {i} is not C_{i} plus C_{i - 1}*T"
             )
         lower = same
 
 
-def _check_top_level(
-    tilde_sets: ChainSets, base_sets: ChainSets, ext: ExtendedAlphabet
-) -> None:
+def _check_top_level(tilde_sets: ChainSets, base_sets: ChainSets, t: int) -> None:
     if not (tilde_sets.finite and base_sets.finite and tilde_sets.counts):
         return
     top_index = len(tilde_sets.counts) - 1
@@ -457,7 +439,7 @@ def _check_top_level(
         return
     base_top = set(base_top)
     for word in top:
-        if word[-1] != ext.t_index or word[:-1] not in base_top:
+        if word[-1] != t or word[:-1] not in base_top:
             raise CrossCheckError(
                 "a maximal Rees chain does not extend a maximal base chain by T"
             )
@@ -490,11 +472,11 @@ class TestEmbeddingAgainstWordChecks:
         basis = GroebnerBasis([Poly.monomial(w) for w in omega.words], MonomialOrder(alphabet))
         inv = rees_invariants(basis, truncation=8)
         base = chain_sets(build_chain_graph(omega, alphabet), truncation=8)
-        ext = inv.presentation.ext
-        ncdim.rees._check_graph_embedding(inv.graph, base.graph, ext)
-        _check_level_decomposition(inv.sets, base, ext)
-        _check_top_level(inv.sets, base, ext)
-        assert inv.sets.levels[0][-1] == ext.t_word
+        t = alphabet.n
+        ncdim.rees._check_graph_embedding(inv.graph, base.graph)
+        _check_level_decomposition(inv.sets, base, t)
+        _check_top_level(inv.sets, base, t)
+        assert inv.sets.levels[0][-1] == (t,)
 
     def test_oracle_corpus(self):
         assert len(CASES) == 50
@@ -533,7 +515,7 @@ class TestChainWordsListedForTheReportOnly:
         for _ in range(2):
             ncdim.pipeline.render_report(report, fmt)
         assert "levels" not in vars(report.rees.sets)
-        assert listings == ([] if fmt == "dot-bundle" else [report.sets])
+        assert listings == ([] if fmt == "dot-bundle" else [report.monomial.sets])
 
     @pytest.mark.parametrize("command", ["growth", "gldim", "hilbert", "rees", "pbw"])
     def test_subcommands_list_no_chain_word(self, command, listings, capsys):

@@ -368,11 +368,11 @@ class TestOneFactorSearch:
         monkeypatch.setattr(ncdim.rewrite, "FactorAutomaton", Counting)
         rebuilt = GroebnerBasis(basis.elements, basis.order)
         assert built == [rebuilt.omega.automaton]
-        assert tilde_basis(rebuilt).basis.omega.automaton is built[1]
+        assert tilde_basis(rebuilt).omega.automaton is built[1]
         assert len(built) == 2
 
     def test_no_pairwise_scan_on_pbw_bases(self):
         basis = commutation(13).basis
         assert verify_groebner(basis).ok
         rees = tilde_basis(basis)
-        assert rees.basis.verified and len(rees.basis) == 78 + 13
+        assert rees.verified and len(rees) == 78 + 13
