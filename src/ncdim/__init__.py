@@ -25,10 +25,8 @@ from .freealg import (
     Alphabet,
     MonomialOrder,
     Poly,
-    homogeneous_components,
     leading_data,
     leading_homogeneous,
-    leading_word,
     parse_polynomial,
 )
 from .growth import (
@@ -37,11 +35,9 @@ from .growth import (
     automaton_growth,
     build_ufnarovski,
     classify_growth,
-    count_paths,
 )
 from .pipeline import (
     AnalysisReport,
-    Presentation,
     analyze,
     load_presentation,
     load_presentation_data,
@@ -52,7 +48,6 @@ from .pipeline import (
 from .rees import (
     ReesInvariants,
     check_transfer,
-    dehomogenize,
     extend_alphabet,
     homogenize,
     rees_invariants,
@@ -63,7 +58,6 @@ from .rewrite import (
     MonomialSet,
     OverlapAmbiguity,
     VerificationResult,
-    count_normal_words,
     ensure_verified,
     normal_form,
     overlap_ambiguities,

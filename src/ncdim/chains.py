@@ -19,7 +19,7 @@ from typing import Iterable
 from .errors import CrossCheckError
 from .freealg import Alphabet, Word
 from .growth import GrowthClass, automaton_growth, strong_components
-from .rewrite import MonomialSet, count_normal_words
+from .rewrite import MonomialSet
 
 DEFAULT_TRUNCATION = 16
 # Chain words and levels listed per chain set, for the report.  Branching
@@ -133,16 +133,6 @@ class ChainSets:
     @property
     def truncated(self) -> bool:
         return len(self.levels) < (len(self.counts) if self.finite else MAX_LISTED_LEVELS)
-
-    def level(self, n: int) -> tuple[Word, ...] | None:
-        """The words of C_n, or None when C_n is nonempty but not listed."""
-        if n == -1:
-            return (ROOT,)
-        if 0 <= n < len(self.levels):
-            return self.levels[n]
-        if n < 0 or (self.finite and n >= len(self.counts)):
-            return ()
-        return None
 
     @property
     def gldim(self) -> int | None:
@@ -268,7 +258,7 @@ def hilbert_series(
     only modulo t^(N+1), N the truncation of the counts, and the identity is
     checked through degree N.
     """
-    coeffs = count_normal_words(omega, alphabet, truncation)
+    coeffs = omega.automaton.count_normal(alphabet.weights, truncation)
     den = chain_denominator(sets)
     top = truncation if sets.finite else min(truncation, sets.truncation)
     if expand_reciprocal(den, top) != coeffs[: top + 1]:

@@ -28,6 +28,10 @@ from .pipeline import (
 from .render import dot_digraph, word_str
 from .rewrite import ensure_verified
 
+# Largest --terms.  The normal-word table holds terms + 1 rows, one entry
+# per automaton state each, and is allocated whole.
+MAX_TERMS = 2 ** 14
+
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -74,13 +78,13 @@ def _print_graph(graph) -> None:
 
 
 def _run(args) -> int:
-    presentation = load_presentation(args.file)
-    alphabet = presentation.alphabet
+    basis = load_presentation(args.file)
+    alphabet = basis.order.alphabet
 
     if args.command == "check-gb":
-        result = ensure_verified(presentation.basis)
+        result = ensure_verified(basis)
         print(
-            f"ok: {len(presentation.basis)} relations verified "
+            f"ok: {len(basis)} relations verified "
             f"({result.checked} overlap ambiguities reduce to zero)"
         )
         return 0
@@ -88,7 +92,9 @@ def _run(args) -> int:
     terms = getattr(args, "terms", DEFAULT_TRUNCATION)
     if terms < 0:
         raise InputError("--terms must be nonnegative")
-    report = analyze(presentation, truncation=terms)
+    if terms > MAX_TERMS:
+        raise InputError(f"--terms must be at most {MAX_TERMS}")
+    report = analyze(basis, truncation=terms)
 
     if args.command == "growth":
         print("growth: " + fmt_growth(report.monomial.growth))

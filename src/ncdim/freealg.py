@@ -25,6 +25,10 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 # x1^1024 over two letters takes about 1.7 s (2 vCPUs, Python 3.11).
 MAX_WORD_LETTERS = 1024
 
+# Largest variable weight.  The chain counts and the normal-word table are
+# dense in the weighted degree, so their cost grows linearly in the weight.
+MAX_WEIGHT = 64
+
 GRLEX = "grlex"
 GREVLEX = "grevlex"
 ORDER_KINDS = (GRLEX, GREVLEX)
@@ -52,6 +56,8 @@ class Alphabet:
         for name, w in zip(self.names, self.weights):
             if not isinstance(w, int) or isinstance(w, bool) or w < 1:
                 raise InputError(f"variable {name!r} needs a positive integer weight, got {w!r}")
+            if w > MAX_WEIGHT:
+                raise InputError(f"variable {name!r} has a weight over the limit of {MAX_WEIGHT}")
 
     @property
     def n(self) -> int:
@@ -117,10 +123,6 @@ class MonomialOrder:
         if not self._identity:
             tie = tuple(map(self._rank.__getitem__, tie))
         return (degree, tie)
-
-    def compare(self, u: Word, v: Word) -> int:
-        ku, kv = self.sort_key(u), self.sort_key(v)
-        return (ku > kv) - (ku < kv)
 
 
 class Poly:
@@ -209,24 +211,12 @@ def leading_data(f: Poly, order: MonomialOrder) -> tuple[Word, Fraction]:
     return word, f.terms[word]
 
 
-def leading_word(f: Poly, order: MonomialOrder) -> Word:
-    return leading_data(f, order)[0]
-
-
 def leading_homogeneous(f: Poly, alphabet: Alphabet) -> Poly:
     """The homogeneous part of highest weighted degree."""
     if f.is_zero:
         raise ValueError("the zero polynomial has no leading homogeneous part")
     top = max(alphabet.degree(w) for w in f.terms)
     return Poly({w: c for w, c in f.terms.items() if alphabet.degree(w) == top})
-
-
-def homogeneous_components(f: Poly, alphabet: Alphabet) -> list[tuple[int, Poly]]:
-    """Split into (degree, part) pairs, ascending by weighted degree."""
-    parts: dict[int, dict[Word, Fraction]] = {}
-    for w, c in f.terms.items():
-        parts.setdefault(alphabet.degree(w), {})[w] = c
-    return [(d, Poly(parts[d])) for d in sorted(parts)]
 
 
 # ---------------------------------------------------------------------------

@@ -260,14 +260,3 @@ def _check_witness(omega: MonomialSet, ell: int, cycles) -> None:
     if first[0][2] == second[0][2]:
         raise CrossCheckError("witness cycles leave their base vertex by one letter")
 
-
-def count_paths(graph: UfnarovskiGraph, num_edges: int) -> int:
-    """Number of directed paths with exactly ``num_edges`` edges."""
-    counts = {v: 1 for v in graph.vertices}
-    for _ in range(num_edges):
-        nxt = dict.fromkeys(graph.vertices, 0)
-        for src, dst, _ in graph.edges:
-            nxt[src] += counts[dst]
-        counts = nxt
-    return sum(counts.values())
-

@@ -43,15 +43,9 @@ from .rees import (
 )
 
 
-@dataclass(frozen=True)
-class Presentation:
-    alphabet: Alphabet
-    order: MonomialOrder
-    basis: GroebnerBasis
-
-
-def load_presentation_data(data) -> Presentation:
-    """Build a presentation from decoded JSON; raises InputError with details."""
+def load_presentation_data(data) -> GroebnerBasis:
+    """The candidate basis of decoded JSON, still unverified; raises
+    InputError with details."""
     if not isinstance(data, dict):
         raise InputError("presentation must be a JSON object")
     allowed = {"variables", "order", "relations"}
@@ -106,11 +100,10 @@ def load_presentation_data(data) -> Presentation:
             relations.append(parse_polynomial(text, alphabet))
         except InputError as exc:
             raise InputError(f"relation {k + 1}: {exc}") from None
-    basis = GroebnerBasis(relations, order)
-    return Presentation(alphabet, order, basis)
+    return GroebnerBasis(relations, order)
 
 
-def load_presentation(path) -> Presentation:
+def load_presentation(path) -> GroebnerBasis:
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -139,80 +132,76 @@ def pbw_check(basis: GroebnerBasis) -> bool:
 
 @dataclass
 class AnalysisReport:
-    presentation: Presentation  # its verified basis holds Omega and the overlap count
+    """The records :func:`analyze` computed and checked; the conclusions
+    are read off them."""
+
+    basis: GroebnerBasis  # verified; it holds Omega and the overlap count
     monomial: Invariants  # of the monomial algebra on Omega
-    applicable: bool
-    gldim_assoc_graded: int | None  # None = not determined exactly
-    lh_basis: tuple[Poly, ...]
     rees: ReesInvariants
-    product_form: list[int] | None
+    lh_basis: tuple[Poly, ...]
     pbw: bool
-    warnings: tuple[str, ...]
+
+    @property
+    def applicable(self) -> bool:
+        """Exactness transfers: polynomial growth and finite global dimension."""
+        return self.monomial.growth.is_polynomial and self.monomial.gldim is not None
+
+    @property
+    def gldim_assoc_graded(self) -> int | None:
+        """None = not determined exactly."""
+        return self.monomial.gldim if self.applicable else None
+
+    @property
+    def product_form(self) -> list[int] | None:
+        hilbert = self.monomial.hilbert
+        if not (self.applicable and hilbert.closed_form):
+            return None
+        return product_form_decomposition(hilbert.denominator, self.monomial.growth.degree)
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        alphabet = self.basis.order.alphabet
+        dead = ", ".join(alphabet.names[i] for i in self.basis.omega.dead_letters)
+        if not dead:
+            return ()
+        t_name = self.rees.basis.order.alphabet.names[-1]
+        return (
+            f"letters {dead} are obstructions; chain invariants are computed "
+            "over the remaining letters",
+            f"letters {dead} are leading words; their {t_name}-commutators are "
+            "omitted (they lie in the ideal already)",
+        )
 
 
-def analyze(
-    presentation: Presentation, truncation: int = DEFAULT_TRUNCATION
-) -> AnalysisReport:
+def analyze(basis: GroebnerBasis, truncation: int = DEFAULT_TRUNCATION) -> AnalysisReport:
     """Run the whole procedure once, each stage on the results of the
     earlier ones; raises on verification or cross-check failure."""
-    basis = presentation.basis
-    alphabet = presentation.alphabet
     ensure_verified(basis)
+    alphabet = basis.order.alphabet
     omega = basis.omega
     monomial = monomial_invariants(omega, build_chain_graph(omega, alphabet), truncation)
-    growth, gldim_monomial, hilbert = monomial.growth, monomial.gldim, monomial.hilbert
 
     lh_basis = tuple(leading_homogeneous(g, alphabet) for g in basis.elements)
     rees = rees_invariants(basis, truncation)
     check_transfer(rees, monomial)
     check_associated_graded(rees.basis, lh_basis)
 
-    applicable = growth.is_polynomial and gldim_monomial is not None
-    gldim_assoc_graded = None
-    if applicable:
-        # exactness transfers; the equality below is a theorem, so a
-        # mismatch means a computation bug
-        if growth.degree != gldim_monomial:
-            raise CrossCheckError(
-                f"polynomial growth degree {growth.degree} differs from the "
-                f"monomial global dimension {gldim_monomial}"
-            )
-        gldim_assoc_graded = gldim_monomial
-
-    pbw = pbw_check(basis)
-    if pbw:
+    report = AnalysisReport(basis, monomial, rees, lh_basis, pbw_check(basis))
+    # exactness transfers; the equality below is a theorem, so a mismatch
+    # means a computation bug
+    if report.applicable and monomial.growth.degree != monomial.gldim:
+        raise CrossCheckError(
+            f"polynomial growth degree {monomial.growth.degree} differs from the "
+            f"monomial global dimension {monomial.gldim}"
+        )
+    if report.pbw:
         n = alphabet.n
-        if gldim_monomial != n or rees.gldim != n + 1:
+        if monomial.gldim != n or rees.gldim != n + 1:
             raise CrossCheckError(
                 "ordered-monomial (PBW) presentations must have global "
                 f"dimension {n} and Rees global dimension {n + 1}"
             )
-
-    product_form = None
-    if applicable and hilbert.closed_form:
-        product_form = product_form_decomposition(hilbert.denominator, growth.degree)
-
-    warnings = ()
-    dead = ", ".join(alphabet.names[i] for i in omega.dead_letters)
-    if dead:
-        t_name = rees.basis.order.alphabet.names[-1]
-        warnings = (
-            f"letters {dead} are obstructions; chain invariants are computed "
-            "over the remaining letters",
-            f"letters {dead} are leading words; their {t_name}-commutators are "
-            "omitted (they lie in the ideal already)",
-        )
-    return AnalysisReport(
-        presentation=presentation,
-        monomial=monomial,
-        applicable=applicable,
-        gldim_assoc_graded=gldim_assoc_graded,
-        lh_basis=lh_basis,
-        rees=rees,
-        product_form=product_form,
-        pbw=pbw,
-        warnings=warnings,
-    )
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +239,10 @@ def _chains_json(sets: ChainSets, alphabet: Alphabet) -> dict:
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
-    alphabet, monomial = report.presentation.alphabet, report.monomial
+    alphabet, monomial = report.basis.order.alphabet, report.monomial
     return {
         "gb_verified": True,  # analyze() raises on an unverified basis
-        "omega": [word_str(w, alphabet) for w in report.presentation.basis.omega.words],
+        "omega": [word_str(w, alphabet) for w in report.basis.omega.words],
         "growth": _growth_json(monomial.growth),
         "gldim_monomial": _dim_json(monomial.gldim),
         "applicable": report.applicable,
@@ -309,8 +298,8 @@ def _hilbert_lines(h: HilbertSeries) -> list[str]:
 
 
 def _text_report(report: AnalysisReport) -> str:
-    pres = report.presentation
-    alphabet, monomial, basis = pres.alphabet, report.monomial, pres.basis
+    basis, monomial = report.basis, report.monomial
+    alphabet = basis.order.alphabet
     lines: list[str] = []
     lines.append(
         "Groebner basis: verified "
@@ -377,17 +366,18 @@ def _text_report(report: AnalysisReport) -> str:
     lines.append("")
     lines.append("Hilbert series of the monomial algebra:")
     lines.extend(_hilbert_lines(monomial.hilbert))
-    if report.product_form is not None:
+    product_form = report.product_form
+    if product_form is not None:
         lines.append(
             "  product form: "
-            + " ".join(f"(1 - t^{e})" if e != 1 else "(1 - t)" for e in report.product_form)
+            + " ".join(f"(1 - t^{e})" if e != 1 else "(1 - t)" for e in product_form)
         )
     else:
         lines.append("  product form: none")
     lines.append("")
     lines.append("associated graded relations (leading homogeneous parts):")
     for g in report.lh_basis:
-        lines.append("  " + poly_str(g, pres.order))
+        lines.append("  " + poly_str(g, basis.order))
     lines.append("")
     t_name = report.rees.basis.order.alphabet.names[-1]
     lines.append(f"Rees algebra (homogenized presentation, {t_name} central of weight 1):")
@@ -415,8 +405,7 @@ def report_graph(report: AnalysisReport, which: str) -> UfnarovskiGraph | ChainG
     """The graph ``which`` (a key of DOT_NAMES); the Ufnarovski graph is
     built here, on demand, since no invariant needs it."""
     if which == "uf":
-        pres = report.presentation
-        return build_ufnarovski(pres.basis.omega, pres.alphabet)
+        return build_ufnarovski(report.basis.omega, report.basis.order.alphabet)
     return {"chains": report.monomial.graph, "rees-chains": report.rees.graph}[which]
 
 

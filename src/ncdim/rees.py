@@ -71,10 +71,6 @@ class HomogenizationOrder:
         # T has weight 1: the total degree is the stripped one plus the T count
         return (base_key[0] + len(word) - len(stripped), base_key, placement)
 
-    def compare(self, u: Word, v: Word) -> int:
-        ku, kv = self.sort_key(u), self.sort_key(v)
-        return (ku > kv) - (ku < kv)
-
 
 def homogenize(f: Poly, order: MonomialOrder, t: int) -> Poly:
     """Left-pad every term with T, letter ``t``, up to the leading weighted degree."""
@@ -88,19 +84,6 @@ def homogenize(f: Poly, order: MonomialOrder, t: int) -> Poly:
             raise ValueError("term exceeds the leading degree; order is not graded")
         terms[(t,) * (p - q) + w] = c
     return Poly(terms)
-
-
-def dehomogenize(f: Poly, t: int) -> Poly:
-    """Substitute T = 1: drop every letter ``t`` and collect."""
-    acc: dict[Word, object] = {}
-    for w, c in f.terms.items():
-        base_word = tuple(i for i in w if i != t)
-        nc = acc.get(base_word, 0) + c
-        if nc:
-            acc[base_word] = nc
-        else:
-            acc.pop(base_word, None)
-    return Poly(acc)
 
 
 def tilde_basis(basis: GroebnerBasis) -> GroebnerBasis:

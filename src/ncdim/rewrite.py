@@ -108,6 +108,8 @@ class FactorAutomaton:
     def count_normal(self, weights: tuple[int, ...], up_to: int) -> list[int]:
         """Number of pattern-avoiding words per weighted degree 0..up_to
         (weights positive), by paths along :meth:`normal_steps`."""
+        if up_to < 0:
+            raise ValueError("up_to must be nonnegative")
         steps = [(s, t, weights[a]) for s, t, a in self.normal_steps(len(weights))]
         table = [[0] * len(self._goto) for _ in range(up_to + 1)]
         table[0][0] = 1
@@ -209,13 +211,6 @@ class MonomialSet:
         return f"MonomialSet({list(self.words)!r})"
 
 
-def count_normal_words(omega: MonomialSet, alphabet: Alphabet, up_to: int) -> list[int]:
-    """Dimensions of the monomial algebra per weighted degree 0..up_to."""
-    if up_to < 0:
-        raise ValueError("up_to must be nonnegative")
-    return omega.automaton.count_normal(alphabet.weights, up_to)
-
-
 def _check_lm_reduced(leading: list[Word], alphabet: Alphabet) -> None:
     """Raise for the least pair of relations (a, b) with LM(a) dividing LM(b)."""
     ids = [k for k, w in enumerate(leading) if w]
@@ -293,9 +288,6 @@ class GroebnerBasis:
     @property
     def verified(self) -> bool:
         return self.verification is not None
-
-    def reducible(self, word: Word) -> bool:
-        return not self.omega.is_normal(word)
 
     def find_reduction(self, word: Word) -> tuple[int, int] | None:
         """(relation index, position) per the strategy; None when normal.

@@ -4,10 +4,10 @@ All builders go through ``load_presentation_data`` so every test exercises
 the same loading path as the CLI.
 """
 
-from ncdim import Presentation, load_presentation_data
+from ncdim import GroebnerBasis, load_presentation_data
 
 
-def ore_case_a() -> Presentation:
+def ore_case_a() -> GroebnerBasis:
     # X2*X1 = 2*X1*X2 + 3*X2 + (X1^2 + X1), weights (1, 1)
     return load_presentation_data(
         {
@@ -17,7 +17,7 @@ def ore_case_a() -> Presentation:
     )
 
 
-def ore_case_b() -> Presentation:
+def ore_case_b() -> GroebnerBasis:
     # X2*X1 = 2*X1*X2 + 3*X2 + X1^3, weights (1, 3)
     return load_presentation_data(
         {
@@ -27,7 +27,7 @@ def ore_case_b() -> Presentation:
     )
 
 
-def down_up() -> Presentation:
+def down_up() -> GroebnerBasis:
     # Down-up style presentation with all parameters 1 and grlex x2 < x1,
     # so the leading words are x1^2*x2 and x1*x2^2.
     return load_presentation_data(
@@ -42,7 +42,7 @@ def down_up() -> Presentation:
     )
 
 
-def power_family(n: int) -> Presentation:
+def power_family(n: int) -> GroebnerBasis:
     # X2^n*X1 = 2*X1*X2^n + X1, weights (1, 1); leading word X2^n*X1.
     return load_presentation_data(
         {
@@ -52,7 +52,7 @@ def power_family(n: int) -> Presentation:
     )
 
 
-def commutation(n: int) -> Presentation:
+def commutation(n: int) -> GroebnerBasis:
     # X_j*X_i - X_i*X_j for i < j: the commutative polynomial ring.
     names = [f"x{i + 1}" for i in range(n)]
     relations = [
@@ -65,14 +65,14 @@ def commutation(n: int) -> Presentation:
     )
 
 
-def free_algebra(n: int) -> Presentation:
+def free_algebra(n: int) -> GroebnerBasis:
     names = [f"x{i + 1}" for i in range(n)]
     return load_presentation_data(
         {"variables": [{"name": name} for name in names], "relations": []}
     )
 
 
-def nilpotent() -> Presentation:
+def nilpotent() -> GroebnerBasis:
     # One variable with x^2 = 0: the algebra spanned by 1 and x.
     return load_presentation_data(
         {"variables": [{"name": "x1"}], "relations": ["x1^2"]}

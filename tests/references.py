@@ -7,7 +7,10 @@
   holds the same values as ints and (numerator, denominator) int pairs, and
   must take the same steps;
 - conversions between ``Poly`` and the package engine's term dicts, for
-  references that stand in for parts of that engine.
+  references that stand in for parts of that engine;
+- plain routines that only the tests need: :func:`compare` on sort keys,
+  :func:`homogeneous_components`, :func:`dehomogenize`, :func:`count_paths`
+  and :func:`chain_level`.
 """
 
 from bisect import insort
@@ -129,3 +132,55 @@ def engine_terms(f):
 def engine_poly(terms):
     """The ``Poly`` of an engine term dict."""
     return Poly({w: c if type(c) is int else Fraction(*c) for w, c in terms.items()})
+
+
+def compare(order, u, v):
+    """-1, 0 or 1 as ``u`` is below, equal to or above ``v`` in ``order``."""
+    ku, kv = order.sort_key(u), order.sort_key(v)
+    return (ku > kv) - (ku < kv)
+
+
+def homogeneous_components(f, alphabet):
+    """Split into (degree, part) pairs, ascending by weighted degree."""
+    parts = {}
+    for w, c in f.terms.items():
+        parts.setdefault(alphabet.degree(w), {})[w] = c
+    return [(d, Poly(parts[d])) for d in sorted(parts)]
+
+
+def dehomogenize(f, t):
+    """Substitute T = 1: drop every letter ``t`` and collect."""
+    acc = {}
+    for w, c in f.terms.items():
+        base_word = tuple(i for i in w if i != t)
+        nc = acc.get(base_word, 0) + c
+        if nc:
+            acc[base_word] = nc
+        else:
+            acc.pop(base_word, None)
+    return Poly(acc)
+
+
+def count_paths(graph, num_edges):
+    """Number of directed paths with exactly ``num_edges`` edges in a
+    Ufnarovski graph."""
+    counts = {v: 1 for v in graph.vertices}
+    for _ in range(num_edges):
+        nxt = dict.fromkeys(graph.vertices, 0)
+        for src, dst, _ in graph.edges:
+            nxt[src] += counts[dst]
+        counts = nxt
+    return sum(counts.values())
+
+
+def chain_level(sets, n):
+    """The words of C_n read off ``sets.levels`` and ``sets.counts``: the
+    root alone for n = -1, () past the last level of finite sets, and None
+    when C_n is nonempty but not listed."""
+    if n == -1:
+        return ((),)
+    if 0 <= n < len(sets.levels):
+        return sets.levels[n]
+    if n < 0 or (sets.finite and n >= len(sets.counts)):
+        return ()
+    return None

@@ -79,6 +79,15 @@ def test_analyze_makes_a_counted_normality_query(spans):
     assert tracer.counts["rewrite.is_normal"] > 0
 
 
+def test_benchmark_reads_a_bool_pbw():
+    # the benchmark loads, analyzes and renders JSON in process, then reads
+    # `report.pbw is True` on PBW inputs
+    report = ncdim.analyze(ncdim.load_presentation_data(
+        {"variables": [{"name": "x"}, {"name": "y"}], "relations": ["y*x - x*y"]}))
+    assert isinstance(ncdim.render_report(report, "json"), bytes)
+    assert report.pbw is True
+
+
 def test_every_module_binds_the_one_build_chain_graph():
     # the tracer patches build_chain_graph in each of these namespaces, and
     # the benchmark's own tests assert that all four bind it

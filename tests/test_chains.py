@@ -17,7 +17,6 @@ from ncdim import (
     analyze,
     build_chain_graph,
     chain_sets,
-    count_normal_words,
     hilbert_series,
     load_presentation,
     product_form_decomposition,
@@ -33,6 +32,7 @@ from ncdim.cli import main
 from ncdim.render import dot_digraph
 from ncdim.rewrite import FactorAutomaton
 from presets import power_family
+from references import chain_level
 
 DOWN_UP_FILE = str(Path(__file__).resolve().parent.parent / "presentations" / "down_up.json")
 
@@ -95,7 +95,7 @@ class TestBuildChainGraph:
             return original(self, word)
 
         monkeypatch.setattr(MonomialSet, "is_normal", counted)
-        basis = power_family(40).basis
+        basis = power_family(40)
         rees = tilde_basis(basis)
         for omega, alphabet, limit in (
             (basis.omega, basis.order.alphabet, 1),
@@ -150,13 +150,13 @@ class TestChainSets:
         abc = Alphabet(("a", "b", "c"), (1, 1, 1))
         for omega, alphabet in ((DOWN_UP, AB), (SKEW, AB), (commutation_omega(3), abc)):
             sets = chain_sets(build_chain_graph(omega, alphabet))
-            assert sets.level(0) == tuple(sorted((i,) for i in range(alphabet.n)))
-            assert set(sets.level(1)) == set(omega.words)
+            assert chain_level(sets, 0) == tuple(sorted((i,) for i in range(alphabet.n)))
+            assert set(chain_level(sets, 1)) == set(omega.words)
 
     def test_implicit_root_level(self):
         sets = chain_sets(build_chain_graph(DOWN_UP, AB))
-        assert sets.level(-1) == (ROOT,)
-        assert sets.level(99) == ()
+        assert chain_level(sets, -1) == (ROOT,)
+        assert chain_level(sets, 99) == ()
 
     def test_infinite_chains_reported(self, monkeypatch):
         monkeypatch.setattr(ncdim.chains, "MAX_LISTED_LEVELS", 5)
@@ -174,7 +174,7 @@ class TestChainSets:
         assert capped.gldim == 5
         assert capped.truncated
         assert len(capped.levels) == 3
-        assert capped.level(3) is None and capped.level(5) == ()
+        assert chain_level(capped, 3) is None and chain_level(capped, 5) == ()
         full = chain_sets(graph)
         assert not full.truncated
         assert len(full.levels) == 5
@@ -279,7 +279,7 @@ class TestChainCounts:
         listed = sum(map(len, sets.levels))
         assert listed <= MAX_LISTED_CHAINS < listed + 2 ** (len(sets.levels) + 1)
         assert [len(level) for level in sets.levels] == [2 ** (i + 1) for i in range(11)]
-        assert sets.level(11) is None
+        assert chain_level(sets, 11) is None
 
     def test_commutation_20_is_counted_without_listing_it(self, monkeypatch):
         # 2^20 - 1 chains: the DP takes one step per (level, vertex) pair and
@@ -396,7 +396,7 @@ class TestHilbertSeries:
         ]
         for omega, alphabet in cases:
             h = series(omega, alphabet, truncation=12)
-            assert list(h.coefficients) == count_normal_words(omega, alphabet, 12)
+            assert list(h.coefficients) == omega.automaton.count_normal(alphabet.weights, 12)
 
     def test_dead_letter_series(self):
         h = series(MonomialSet(((0,),)), AB)

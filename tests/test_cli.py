@@ -12,7 +12,8 @@ import ncdim.growth
 import ncdim.pipeline
 from ncdim import InputError, analyze, load_presentation, report_to_dict
 from ncdim.chains import MAX_LISTED_CHAINS
-from ncdim.cli import main
+from ncdim.cli import MAX_TERMS, main
+from ncdim.freealg import MAX_WEIGHT
 from ncdim.pipeline import DOT_NAMES, fmt_cycle, report_graph
 from ncdim.render import dot_digraph, word_str
 
@@ -211,6 +212,30 @@ class TestExitCodes:
         assert main(["hilbert", "--terms", "-1", DOWN_UP]) == 2
         assert "--terms must be nonnegative" in capsys.readouterr().err
 
+    def test_terms_over_the_limit(self, capsys):
+        # rejected before the normal-word table of terms + 1 rows is allocated
+        assert main(["hilbert", "--terms", str(MAX_TERMS), DOWN_UP]) == 0
+        capsys.readouterr()
+        for terms in (MAX_TERMS + 1, 10 ** 20):
+            assert main(["hilbert", "--terms", str(terms), DOWN_UP]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: --terms must be at most {MAX_TERMS}\n"
+
+    @pytest.mark.parametrize("weight", [10 ** 12, 10 ** 20])
+    def test_weight_over_the_limit(self, weight, tmp_path, capsys):
+        # the dense chain counts would need a list as long as the weight
+        path = write(tmp_path, {
+            "variables": [{"name": "x"}, {"name": "y", "weight": weight}],
+            "relations": ["x*y"],
+        })
+        assert main(["gldim", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: variable 'y' has a weight over the limit of {MAX_WEIGHT}\n"
+        )
+
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["frobnicate", DOWN_UP])
@@ -303,7 +328,7 @@ class TestLongObstructions:
                                        capsys):
         path = two_letters(tmp_path, relation)
         report = analyze(load_presentation(path))
-        omega, alphabet = report.presentation.basis.omega, report.presentation.alphabet
+        omega, alphabet = report.basis.omega, report.basis.order.alphabet
         c1, c2 = report.monomial.growth.witness
         ncdim.growth._check_witness(omega, omega.ell, (c1, c2))
         shared = word_str(c1[0][0], alphabet)

@@ -8,12 +8,12 @@ from ncdim import (
     MonomialOrder,
     ParseError,
     Poly,
-    homogeneous_components,
     leading_data,
     leading_homogeneous,
-    leading_word,
     parse_polynomial,
 )
+from ncdim.freealg import MAX_WEIGHT
+from references import compare, homogeneous_components
 
 AB = Alphabet(("x1", "x2"), (1, 1))
 AB_W = Alphabet(("x1", "x2"), (1, 3))
@@ -55,7 +55,9 @@ class TestAlphabet:
         with pytest.raises(InputError):
             Alphabet((), ())
 
-    @pytest.mark.parametrize("weight", [0, -1, True, Fraction(1, 2), 1.0])
+    @pytest.mark.parametrize(
+        "weight", [0, -1, True, Fraction(1, 2), 1.0, MAX_WEIGHT + 1, 10 ** 20]
+    )
     def test_bad_weight_rejected(self, weight):
         with pytest.raises(InputError):
             Alphabet(("x",), (weight,))
@@ -69,21 +71,21 @@ class TestMonomialOrder:
     def test_identity_is_minimal(self):
         for kind in ("grlex", "grevlex"):
             order = MonomialOrder(AB, kind)
-            assert order.compare((), X1) < 0
+            assert compare(order, (), X1) < 0
 
     def test_degree_decides_first(self):
         order = MonomialOrder(AB_W)
         # d(x2) = 3 beats d(x1^2) = 2
-        assert order.compare((1,), (0, 0)) > 0
+        assert compare(order, (1,), (0, 0)) > 0
 
     def test_grlex_leftmost_letter_decides(self):
         order = MonomialOrder(AB)  # declaration order: x1 < x2
-        assert order.compare((0, 1), (1, 0)) < 0
+        assert compare(order, (0, 1), (1, 0)) < 0
 
     def test_grlex_precedence_reversal(self):
         # with x2 < x1 the leading word of x1^2*x2 - x1*x2*x1 - ... is x1^2*x2
         order = MonomialOrder(AB, precedence=(1, 0))
-        assert order.compare((0, 1, 0), (0, 0, 1)) < 0
+        assert compare(order, (0, 1, 0), (0, 0, 1)) < 0
 
     def test_grevlex_matches_commutative_order_on_sorted_words(self):
         # degree-3 chain over z < y < x:
@@ -96,7 +98,7 @@ class TestMonomialOrder:
             (x, y, z), (y, y, z), (x, z, z), (y, z, z), (z, z, z),
         ]
         for bigger, smaller in zip(chain, chain[1:]):
-            assert order.compare(bigger, smaller) > 0
+            assert compare(order, bigger, smaller) > 0
 
     def test_grlex_and_grevlex_disagree(self):
         abc = Alphabet(("z", "y", "x"), (1, 1, 1))
@@ -105,13 +107,13 @@ class TestMonomialOrder:
         grevlex = MonomialOrder(abc, "grevlex")
         # x^2z vs xy^2: grlex prefers the bigger leftmost letters,
         # grevlex punishes the trailing z
-        assert grlex.compare((x, x, z), (x, y, y)) > 0
-        assert grevlex.compare((x, x, z), (x, y, y)) < 0
+        assert compare(grlex, (x, x, z), (x, y, y)) > 0
+        assert compare(grevlex, (x, x, z), (x, y, y)) < 0
 
     def test_equal_only_for_equal_words(self):
         order = MonomialOrder(AB)
-        assert order.compare((0, 1), (0, 1)) == 0
-        assert order.compare((0, 1), (1, 0)) != 0
+        assert compare(order, (0, 1), (0, 1)) == 0
+        assert compare(order, (0, 1), (1, 0)) != 0
 
     def test_bad_kind_rejected(self):
         with pytest.raises(InputError):
@@ -169,7 +171,7 @@ class TestLeadingData:
         order = MonomialOrder(AB)
         f = parse_polynomial("x2*x1 - 2*x1*x2 - 3*x2 - x1^2", AB)
         assert leading_data(f, order) == ((1, 0), 1)
-        assert leading_word(f, order) == (1, 0)
+        assert leading_data(f, order)[0] == (1, 0)
 
     def test_single_term(self):
         order = MonomialOrder(AB)

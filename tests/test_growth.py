@@ -9,10 +9,10 @@ from ncdim import (
     automaton_growth,
     build_ufnarovski,
     classify_growth,
-    count_paths,
     extend_alphabet,
 )
 from ncdim.render import dot_digraph
+from references import count_paths
 from test_acceptance import assert_valid_witness
 
 AB = Alphabet(("x1", "x2"), (1, 1))

@@ -26,8 +26,6 @@ from ncdim import (
     UfnarovskiGraph,
     automaton_growth,
     build_ufnarovski,
-    count_normal_words,
-    count_paths,
     extend_alphabet,
     rees_invariants,
 )
@@ -40,7 +38,7 @@ from ncdim.chains import (
     expand_reciprocal,
 )
 from ncdim.growth import MAX_WINDOWS, _check_witness, _classify, _two_cycles
-from references import contains_factor
+from references import chain_level, contains_factor, count_paths
 
 MAX_LEN = 8
 MAX_DEG = 8
@@ -111,7 +109,7 @@ def test_corpus_is_mixed():
 def test_normal_word_counter_matches_enumeration(index):
     alphabet, omega = CASES[index]
     _, by_degree = brute_counts(index)
-    assert count_normal_words(omega, alphabet, MAX_DEG) == by_degree
+    assert omega.automaton.count_normal(alphabet.weights, MAX_DEG) == by_degree
 
 
 @pytest.mark.parametrize("index", range(50))
@@ -227,7 +225,7 @@ def test_rees_invariants_and_level_decomposition(index, monkeypatch):
             assert (t,) in inv.graph.successors(v)
 
     for i, level in enumerate(inv.sets.levels):
-        expected = set(sets.level(i)) | {c + (t,) for c in sets.level(i - 1)}
+        expected = set(chain_level(sets, i)) | {c + (t,) for c in chain_level(sets, i - 1)}
         assert set(level) == expected
 
     if inv.sets.finite and inv.sets.levels:
@@ -381,7 +379,7 @@ class TestAgainstReplacedRoutines:
     def test_count_normal(self, corpus):
         for alphabet, omega in CORPORA[corpus]:
             expected = reference_count_normal(omega.automaton, alphabet.weights, 14)
-            assert count_normal_words(omega, alphabet, 14) == expected
+            assert omega.automaton.count_normal(alphabet.weights, 14) == expected
 
     def test_growth(self, corpus):
         for alphabet, omega in CORPORA[corpus]:
