@@ -16,18 +16,30 @@ from functools import cached_property
 from itertools import islice
 from typing import Iterable
 
-from .errors import CrossCheckError
+from .errors import CrossCheckError, InputError
 from .freealg import Alphabet, Word
 from .growth import GrowthClass, automaton_growth, strong_components
 from .rewrite import MonomialSet
 
 DEFAULT_TRUNCATION = 16
+# Largest truncation.  The normal-word table holds truncation + 1 rows, one
+# entry per automaton state each, and is allocated whole.
+MAX_TRUNCATION = 2 ** 14
 # Chain words and levels listed per chain set, for the report.  Branching
 # sets double per level; at 4096 words a `report` process on them peaks near
 # 21 MB (Python 3.11).
 MAX_LISTED_CHAINS = 4096
 MAX_LISTED_LEVELS = 64
 ROOT: Word = ()
+
+
+def check_truncation(truncation: int, name: str = "truncation") -> None:
+    """Raise InputError unless 0 <= truncation <= MAX_TRUNCATION; ``name``
+    is what the message calls the truncation."""
+    if truncation < 0:
+        raise InputError(f"{name} must be nonnegative")
+    if truncation > MAX_TRUNCATION:
+        raise InputError(f"{name} must be at most {MAX_TRUNCATION}")
 
 
 @dataclass(frozen=True)

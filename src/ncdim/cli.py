@@ -12,7 +12,7 @@ import functools
 import sys
 
 from .errors import CrossCheckError, GroebnerVerificationError, InputError
-from .chains import DEFAULT_TRUNCATION
+from .chains import DEFAULT_TRUNCATION, MAX_TRUNCATION as MAX_TERMS, check_truncation
 from .pipeline import (
     DOT_NAMES,
     analyze,
@@ -27,10 +27,6 @@ from .pipeline import (
 )
 from .render import dot_digraph, word_str
 from .rewrite import ensure_verified
-
-# Largest --terms.  The normal-word table holds terms + 1 rows, one entry
-# per automaton state each, and is allocated whole.
-MAX_TERMS = 2 ** 14
 
 
 @functools.cache
@@ -90,19 +86,16 @@ def _run(args) -> int:
         return 0
 
     terms = getattr(args, "terms", DEFAULT_TRUNCATION)
-    if terms < 0:
-        raise InputError("--terms must be nonnegative")
-    if terms > MAX_TERMS:
-        raise InputError(f"--terms must be at most {MAX_TERMS}")
+    check_truncation(terms, "--terms")
     report = analyze(basis, truncation=terms)
 
     if args.command == "growth":
         print("growth: " + fmt_growth(report.monomial.growth))
         if report.monomial.growth.exponential:
-            c1, c2 = report.monomial.growth.witness
-            shared = word_str(c1[0][0], alphabet)
-            for k, cycle in enumerate((c1, c2), 1):
-                print(f"  cycle {k} through {shared}: {fmt_cycle(cycle, alphabet)}")
+            window, *loops = report.monomial.growth.witness
+            shared = word_str(window, alphabet)
+            for k, loop in enumerate(loops, 1):
+                print(f"  cycle {k} through {shared}: {fmt_cycle(window, loop, alphabet)}")
         return 0
 
     if args.command == "gldim":

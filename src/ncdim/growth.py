@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, cycle
 
 from .errors import CrossCheckError, InputError
 from .freealg import Alphabet, Word
@@ -70,13 +69,14 @@ class GrowthClass:
     m = 0 means the algebra is finite-dimensional (no cycles at all).  An
     exponential class from :func:`automaton_growth` carries in ``witness``
     two cycles of the Ufnarovski graph from a common vertex that leave it by
-    different letters, each as a tuple of edges; :func:`classify_growth`
-    gives no witness.
+    different letters, as (window, loop1, loop2): the shared vertex, of
+    ell-1 letters, and the letters each cycle appends until it is back
+    there; :func:`classify_growth` gives no witness.
     """
 
     exponential: bool
     degree: int | None = None
-    witness: tuple[tuple[Edge, ...], tuple[Edge, ...]] | None = None
+    witness: tuple[Word, Word, Word] | None = None
 
     @property
     def is_polynomial(self) -> bool:
@@ -187,14 +187,15 @@ def automaton_growth(omega: MonomialSet, alphabet: Alphabet) -> GrowthClass:
     if branching is None:
         return GrowthClass(False, degree)
     ell = max(omega.ell, 1)
-    cycles = _two_cycles(edges, set(branching), ell)
-    _check_witness(omega, ell, cycles)
-    return GrowthClass(True, None, cycles)
+    witness = _two_cycles(edges, set(branching), ell)
+    _check_witness(omega, ell, witness)
+    return GrowthClass(True, None, witness)
 
 
 def _two_cycles(edges, component: set, ell: int):
-    """Two cycles of the Ufnarovski graph from one window, read off a
-    branching strong component of the automaton.
+    """A witness (window, loop1, loop2): two cycles of the Ufnarovski graph
+    from one window, as the letters they read, read off a branching strong
+    component of the automaton.
 
     The pivot is the smallest state with two internal out-letters a < b;
     p is a then a shortest path back to the pivot, q likewise from b.  From
@@ -228,35 +229,32 @@ def _two_cycles(edges, component: set, ell: int):
     (a, first), (b, second) = out[pivot][:2]
     p, q = loop(a, first), loop(b, second)
     k = -(-(ell - 1) // len(p))
-    start = (p * k)[len(p) * k - (ell - 1):]
+    window = (p * k)[len(p) * k - (ell - 1):]
 
-    def walk(head: tuple[int, ...]) -> tuple[Edge, ...]:
-        steps = []
-        v = start
-        for i, c in enumerate(chain(head, cycle(p)), 1):
-            w = (v + (c,))[1:]
-            steps.append((v, w, c))
-            v = w
-            if v == start and i >= max(len(head), 1):
-                return tuple(steps)
+    def walk(head: tuple[int, ...]) -> tuple[int, ...]:
+        # After head and k more p's the window is W again, so W occurs in
+        # text; one character per letter lets str.find do the search.
+        letters = head + p * (k + 1)
+        text = "".join(map(chr, window + letters))
+        return letters[:text.find(text[:ell - 1], max(len(head), 1))]
 
-    return walk(()), walk(q)
+    return window, walk(()), walk(q)
 
 
-def _check_witness(omega: MonomialSet, ell: int, cycles) -> None:
-    """Certify a witness without the graph: every step is an edge, each
-    cycle is closed, and both leave one vertex by different letters, so its
-    strong component is not a single cycle."""
-    for steps in cycles:
-        for v, w, letter in steps:
-            word = v + (letter,)
-            if len(v) != ell - 1 or not omega.is_normal(word) or w != word[1:]:
-                raise CrossCheckError("witness step is not an edge of the growth graph")
-        if not steps or any(e[1] != f[0] for e, f in zip(steps, steps[1:] + steps[:1])):
+def _check_witness(omega: MonomialSet, ell: int, witness) -> None:
+    """Certify a witness without the graph, by one normality query per loop.
+
+    A loop's steps are all edges iff window + loop is normal, since every
+    obstruction fits in one ell-letter factor of it; the loop is a closed
+    walk iff that word ends in the window.  Two closed walks that leave the
+    window by different letters make its strong component more than a cycle.
+    """
+    window, first, second = witness
+    for loop in (first, second):
+        word = window + loop
+        if len(window) != ell - 1 or not omega.is_normal(word):
+            raise CrossCheckError("witness step is not an edge of the growth graph")
+        if not loop or word[len(loop):] != window:
             raise CrossCheckError("witness cycle is not a closed walk")
-    first, second = cycles
-    if first[0][0] != second[0][0]:
-        raise CrossCheckError("witness cycles do not share their base vertex")
-    if first[0][2] == second[0][2]:
+    if first[0] == second[0]:
         raise CrossCheckError("witness cycles leave their base vertex by one letter")
-

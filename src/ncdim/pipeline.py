@@ -21,6 +21,7 @@ from .chains import (
     HilbertSeries,
     Invariants,
     build_chain_graph,
+    check_truncation,
     monomial_invariants,
     product_form_decomposition,
 )
@@ -29,6 +30,7 @@ from .freealg import (
     Alphabet,
     MonomialOrder,
     Poly,
+    Word,
     leading_homogeneous,
     parse_polynomial,
 )
@@ -175,7 +177,9 @@ class AnalysisReport:
 
 def analyze(basis: GroebnerBasis, truncation: int = DEFAULT_TRUNCATION) -> AnalysisReport:
     """Run the whole procedure once, each stage on the results of the
-    earlier ones; raises on verification or cross-check failure."""
+    earlier ones; raises on verification or cross-check failure, and on a
+    truncation outside 0..MAX_TRUNCATION before any stage runs."""
+    check_truncation(truncation)
     ensure_verified(basis)
     alphabet = basis.order.alphabet
     omega = basis.omega
@@ -280,11 +284,11 @@ def fmt_hilbert(h: HilbertSeries) -> tuple[str, str]:
     return closed, ", ".join(map(num_str, h.coefficients))
 
 
-def fmt_cycle(cycle, alphabet: Alphabet) -> str:
-    """A witness cycle as its vertex path, e.g. ``x1->x2->x1``."""
-    return "->".join(
-        [word_str(cycle[0][0], alphabet)] + [word_str(e[1], alphabet) for e in cycle]
-    )
+def fmt_cycle(window: Word, loop: Word, alphabet: Alphabet) -> str:
+    """A witness cycle, the letters ``loop`` read from ``window``, as its
+    vertex path, e.g. ``x1->x2->x1``."""
+    word, size = window + loop, len(window)
+    return "->".join(word_str(word[i : i + size], alphabet) for i in range(len(loop) + 1))
 
 
 def fmt_rees_relations(report: AnalysisReport) -> list[str]:
@@ -312,10 +316,10 @@ def _text_report(report: AnalysisReport) -> str:
     lines.append("")
     lines.append("(1) growth of the monomial algebra: " + fmt_growth(monomial.growth))
     if monomial.growth.exponential:
-        c1, c2 = monomial.growth.witness
+        window, p, q = monomial.growth.witness
         lines.append(
-            f"    witness: two cycles through {word_str(c1[0][0], alphabet)}: "
-            f"{fmt_cycle(c1, alphabet)} / {fmt_cycle(c2, alphabet)}"
+            f"    witness: two cycles through {word_str(window, alphabet)}: "
+            f"{fmt_cycle(window, p, alphabet)} / {fmt_cycle(window, q, alphabet)}"
         )
     lines.append(
         "(2) global dimension of the monomial algebra: "

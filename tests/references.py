@@ -9,8 +9,8 @@
 - conversions between ``Poly`` and the package engine's term dicts, for
   references that stand in for parts of that engine;
 - plain routines that only the tests need: :func:`compare` on sort keys,
-  :func:`homogeneous_components`, :func:`dehomogenize`, :func:`count_paths`
-  and :func:`chain_level`.
+  :func:`homogeneous_components`, :func:`dehomogenize`, :func:`count_paths`,
+  :func:`chain_level` and :func:`poly_mul`.
 """
 
 from bisect import insort
@@ -184,3 +184,13 @@ def chain_level(sets, n):
     if n < 0 or (sets.finite and n >= len(sets.counts)):
         return ()
     return None
+
+
+def poly_mul(a, b):
+    """The product of two polynomials given as coefficient lists, lowest
+    degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out

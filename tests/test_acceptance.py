@@ -37,7 +37,7 @@ from ncdim.chains import (
 from ncdim.cli import main as cli_main
 from ncdim.rees import HomogenizationOrder
 from presets import commutation, down_up, nilpotent, ore_case_a, ore_case_b, power_family
-from references import chain_level, compare, count_paths, dehomogenize
+from references import chain_level, compare, count_paths, dehomogenize, poly_mul
 from test_oracles import CASES, MAX_LEN, brute_counts, capped_sets
 
 SAMPLES = Path(__file__).resolve().parent.parent / "presentations"
@@ -53,14 +53,6 @@ def criterion(number, name):
     print(f"ACCEPTANCE {number} ({name}): PASS")
 
 
-def poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 def one_minus_t_power(n):
     prod = [1]
     for _ in range(n):
@@ -68,10 +60,19 @@ def one_minus_t_power(n):
     return tuple(prod)
 
 
+def witness_edges(window, loop):
+    """The Ufnarovski edges (v, w, letter) that ``loop`` reads from ``window``."""
+    word, size = window + loop, len(window)
+    return tuple(
+        (word[i : i + size], word[i + 1 : i + 1 + size], c) for i, c in enumerate(loop)
+    )
+
+
 def assert_valid_witness(graph, witness):
-    """Two cycles of ``graph`` from a shared vertex, edge by edge, that leave
-    it by different letters."""
-    c1, c2 = witness
+    """A (window, loop, loop) witness is two cycles of ``graph`` from the
+    window, edge by edge, that leave it by different letters."""
+    window, p, q = witness
+    c1, c2 = witness_edges(window, p), witness_edges(window, q)
     assert c1 != c2
     assert c1[0][2] != c2[0][2]
     edge_set = set(graph.edges)
@@ -82,7 +83,7 @@ def assert_valid_witness(graph, witness):
         for e, f in zip(cycle, cycle[1:]):
             assert e[1] == f[0]
         assert cycle[-1][1] == cycle[0][0]
-    assert c1[0][0] == c2[0][0]
+    assert c1[0][0] == c2[0][0] == window
 
 
 class TestAcceptance:

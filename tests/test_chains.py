@@ -32,7 +32,7 @@ from ncdim.cli import main
 from ncdim.render import dot_digraph
 from ncdim.rewrite import FactorAutomaton
 from presets import power_family
-from references import chain_level
+from references import chain_level, poly_mul
 
 DOWN_UP_FILE = str(Path(__file__).resolve().parent.parent / "presentations" / "down_up.json")
 
@@ -470,14 +470,6 @@ class TestTruncatedIdentity:
             analyze(load_presentation(path))
         assert main(["report", path]) == 4
         assert message in capsys.readouterr().err
-
-
-def poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 def partitions(total, parts, minimum=1):

@@ -274,15 +274,15 @@ def _corrupt(change):
     return patch
 
 
-# x1^3 over two letters: the witness is x1*x2->x2*x1->x1*x2 and
+# x1^3 over two letters: the witness is the window x1*x2 with the loops
+# x1*x2 and x2*x1*x2, that is x1*x2->x2*x1->x1*x2 and
 # x1*x2->x2*x2->x2*x1->x1*x2.
 CERTIFICATE_FAULTS = {
     "no pivot": (_no_pivot, "no branching state"),
-    "non-normal edge": (
-        _corrupt(lambda c: ((((0, 0), (0, 0), 0),), c[1])), "not an edge"
-    ),
-    "open cycle": (_corrupt(lambda c: (c[0][:-1], c[1])), "not a closed walk"),
-    "same first letter": (_corrupt(lambda c: (c[0], c[0])), "by one letter"),
+    "non-normal edge": (_corrupt(lambda w: ((0, 0), (0,), w[2])), "not an edge"),
+    "short window": (_corrupt(lambda w: (w[0][1:], w[1], w[2])), "not an edge"),
+    "open cycle": (_corrupt(lambda w: (w[0], w[1][:-1], w[2])), "not a closed walk"),
+    "same first letter": (_corrupt(lambda w: (w[0], w[1], w[1])), "by one letter"),
 }
 
 
@@ -329,19 +329,19 @@ class TestLongObstructions:
         path = two_letters(tmp_path, relation)
         report = analyze(load_presentation(path))
         omega, alphabet = report.basis.omega, report.basis.order.alphabet
-        c1, c2 = report.monomial.growth.witness
-        ncdim.growth._check_witness(omega, omega.ell, (c1, c2))
-        shared = word_str(c1[0][0], alphabet)
+        window, p, q = witness = report.monomial.growth.witness
+        ncdim.growth._check_witness(omega, omega.ell, witness)
+        shared = word_str(window, alphabet)
+        c1, c2 = fmt_cycle(window, p, alphabet), fmt_cycle(window, q, alphabet)
         assert main(["growth", path]) == 0
         assert capsys.readouterr().out == (
             "growth: exponential\n"
-            f"  cycle 1 through {shared}: {fmt_cycle(c1, alphabet)}\n"
-            f"  cycle 2 through {shared}: {fmt_cycle(c2, alphabet)}\n"
+            f"  cycle 1 through {shared}: {c1}\n"
+            f"  cycle 2 through {shared}: {c2}\n"
         )
         assert main(["report", path, "--format", "text"]) == 0
         assert (
-            f"    witness: two cycles through {shared}: "
-            f"{fmt_cycle(c1, alphabet)} / {fmt_cycle(c2, alphabet)}\n"
+            f"    witness: two cycles through {shared}: {c1} / {c2}\n"
         ) in capsys.readouterr().out
 
     @pytest.mark.parametrize("relation", LONG_OBSTRUCTIONS)

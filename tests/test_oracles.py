@@ -285,9 +285,9 @@ def reference_growth(omega, alphabet):
     if branching is None:
         return GrowthClass(False, degree)
     ell = max(omega.ell, 1)
-    cycles = _two_cycles(edges, set(branching), ell)
-    _check_witness(omega, ell, cycles)
-    return GrowthClass(True, None, cycles)
+    witness = _two_cycles(edges, set(branching), ell)
+    _check_witness(omega, ell, witness)
+    return GrowthClass(True, None, witness)
 
 
 def reference_ufnarovski(omega, alphabet):

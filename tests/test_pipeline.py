@@ -21,6 +21,7 @@ from ncdim import (
     render_report,
     report_to_dict,
 )
+from ncdim.chains import MAX_TRUNCATION
 from presets import (
     commutation,
     down_up,
@@ -342,6 +343,16 @@ class TestAnalyzeFrozen:
         )
         assert r.monomial.gldim == 1
         assert r.monomial.growth.degree == 1
+
+    @pytest.mark.parametrize("truncation", [-1, MAX_TRUNCATION + 1])
+    def test_truncation_out_of_range(self, truncation, monkeypatch):
+        # rejected before any stage, so before the table of truncation + 1 rows
+        def refuse(basis):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(ncdim.pipeline, "ensure_verified", refuse)
+        with pytest.raises(InputError, match="^truncation must be"):
+            analyze(down_up(), truncation=truncation)
 
 
 class TestHomogenizerName:

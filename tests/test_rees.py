@@ -42,19 +42,11 @@ from presets import (
     ore_case_b,
     power_family,
 )
-from references import chain_level, compare, dehomogenize
+from references import chain_level, compare, dehomogenize, poly_mul
 from test_oracles import CASES
 
 AB = Alphabet(("x1", "x2"), (1, 1))
 AB_W = Alphabet(("x1", "x2"), (1, 3))
-
-
-def poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 class TestExtendAlphabet:
