@@ -22,8 +22,10 @@ from .growth import GrowthClass, automaton_growth, strong_components
 from .rewrite import MonomialSet
 
 DEFAULT_TRUNCATION = 16
-# Largest truncation.  The normal-word table holds truncation + 1 rows, one
-# entry per automaton state each, and is allocated whole.
+# Largest truncation.  The normal-word counts keep only max(weights) + 1 rows
+# of their per-state table, but their time still grows faster than linearly
+# with the truncation, and the chain counts grow quadratically with it when
+# the chain sets are infinite.
 MAX_TRUNCATION = 2 ** 14
 # Chain words and levels listed per chain set, for the report.  Branching
 # sets double per level; at 4096 words a `report` process on them peaks near

@@ -12,7 +12,7 @@ import functools
 import sys
 
 from .errors import CrossCheckError, GroebnerVerificationError, InputError
-from .chains import DEFAULT_TRUNCATION, MAX_TRUNCATION as MAX_TERMS, check_truncation
+from .chains import DEFAULT_TRUNCATION, check_truncation
 from .pipeline import (
     DOT_NAMES,
     analyze,

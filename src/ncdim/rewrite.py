@@ -107,17 +107,24 @@ class FactorAutomaton:
 
     def count_normal(self, weights: tuple[int, ...], up_to: int) -> list[int]:
         """Number of pattern-avoiding words per weighted degree 0..up_to
-        (weights positive), by paths along :meth:`normal_steps`."""
+        (weights positive), by paths along :meth:`normal_steps`; row d of the
+        per-state table is complete once the lower rows are spent, so a ring
+        of max(weights) + 1 rows is kept."""
         if up_to < 0:
             raise ValueError("up_to must be nonnegative")
         steps = [(s, t, weights[a]) for s, t, a in self.normal_steps(len(weights))]
-        table = [[0] * len(self._goto) for _ in range(up_to + 1)]
-        table[0][0] = 1
-        for d, row in enumerate(table):
+        span, n_states = max(weights, default=0) + 1, len(self._goto)
+        ring = [[0] * n_states for _ in range(span)]
+        ring[0][0] = 1
+        counts = []
+        for d in range(up_to + 1):
+            row = ring[d % span]
+            counts.append(sum(row))
             for state, nxt, w in steps:
                 if row[state] and d + w <= up_to:
-                    table[d + w][nxt] += row[state]
-        return [sum(row) for row in table]
+                    ring[(d + w) % span][nxt] += row[state]
+            ring[d % span] = [0] * n_states
+        return counts
 
     def overlap_tails(self, word: Word) -> list[Word]:
         """Every x such that ``word`` x ends with a pattern that starts inside
@@ -275,11 +282,11 @@ class GroebnerBasis:
         ranks = [(-len(w), relation[w]) for w in omega.words]
         self._choice = [min((ranks[p] for p in hits), default=None)
                         for hits in omega.automaton._out]
-        # per relation: (len(LM), its terms with engine coefficients, whether
-        # those are all ints)
+        # per relation: (len(LM), its tail), the tail being the terms after
+        # the leading one (coefficient 1) with engine coefficients
         self._rules = tuple(
-            (len(lw), tuple(terms.items()), all(c.__class__ is int for c in terms.values()))
-            for lw, terms in zip(leading, map(_engine_terms, elements))
+            (len(lw), tuple((w, c) for w, c in _engine_terms(f).items() if w != lw))
+            for lw, f in zip(leading, elements)
         )
 
     def __len__(self):
@@ -323,13 +330,19 @@ def _poly(terms: dict) -> Poly:
 
 
 def _sub(a, b):
-    """a - b for engine coefficients: an int (0 included) or a reduced pair."""
+    """a - b for engine coefficients, each an int (0 included) or a reduced
+    pair, as ``Fraction`` subtracts: over the lcm of the denominators, so
+    the only gcd taken after the products is with a common factor of them."""
     an, ad = (a, 1) if a.__class__ is int else a
     bn, bd = (b, 1) if b.__class__ is int else b
-    n, d = an * bd - bn * ad, ad * bd
-    if d != 1:
-        g = gcd(n, d)
-        n, d = n // g, d // g
+    g = gcd(ad, bd)
+    if g == 1:  # coprime denominators: the cross product is reduced already
+        n, d = an * bd - bn * ad, ad * bd
+    else:
+        s = ad // g
+        n = an * (bd // g) - bn * s
+        h = gcd(n, g)
+        n, d = n // h, s * (bd // h)
     return n if d == 1 else (n, d)
 
 
@@ -349,16 +362,20 @@ def _reduce_terms(work: dict, basis: GroebnerBasis) -> dict:
     Each word is scanned once, when it enters the work set; only a reducible
     word gets a sort key and a place in ``pending``, ascending, so ``pop()``
     yields the largest one.  Rewriting a word only creates smaller words, so
-    a popped word never returns.
+    a popped word never returns.  A step pops its target with its
+    coefficient and subtracts coeff * left * tail * right, the tail being
+    the relation without its leading term: the target itself is never
+    rebuilt, looked up or cancelled.
 
     Coefficients are exact rationals held as plain ints where the denominator
-    is 1 and as reduced (numerator, denominator) pairs otherwise; each update
-    reduces its own term with ``math.gcd``, and a step of an all-int relation
-    on an int coefficient stays in int arithmetic.  There is deliberately no
-    shared denominator for the work set (fraction-free reduction): the
-    coefficients swell and every step rescales every term.  On x2^30*x1^30
-    under x2*x1 - 1/2*x1*x2 - 1/3*x1 that took 1.24 s, against 0.56 s with
-    ``Fraction`` terms and 0.32 s with per-term pairs (2 vCPUs, Python 3.11).
+    is 1 and as reduced (numerator, denominator) pairs otherwise.  Each
+    product is reduced by cancelling across, an int minus an int stays
+    inline, and every other update goes through :func:`_sub`.  There is
+    deliberately no shared denominator for the work set (fraction-free
+    reduction): the coefficients swell and every step rescales every term.
+    On x2^30*x1^30 under x2*x1 - 1/2*x1*x2 - 1/3*x1 that took 1.24 s,
+    against 0.56 s with ``Fraction`` terms and 0.32 s with per-term pairs
+    (2 vCPUs, Python 3.11).
     """
     find, key, rules = basis.find_reduction, basis.order.sort_key, basis._rules
     pending: list[tuple] = []  # (sort key, word, (relation, position))
@@ -368,33 +385,13 @@ def _reduce_terms(work: dict, basis: GroebnerBasis) -> dict:
             insort(pending, (key(word), word, found), key=_KEY)
     while pending:
         _, target, (idx, pos) = pending.pop()
-        coeff = work.get(target)
+        coeff = work.pop(target, None)
         if coeff is None:  # cancelled after it was queued
             continue
-        length, terms, integral = rules[idx]
+        length, tail = rules[idx]
         left, right = target[:pos], target[pos + length:]
-        # work -= coeff * left * g * right  (g is monic: the target cancels)
-        if integral and coeff.__class__ is int:
-            for u, c in terms:
-                word = left + u + right
-                old = work.get(word)
-                if old is None:
-                    work[word] = -coeff * c
-                    found = find(word)
-                    if found is not None:
-                        insort(pending, (key(word), word, found), key=_KEY)
-                elif old.__class__ is int:
-                    nc = old - coeff * c
-                    if nc:
-                        work[word] = nc
-                    else:
-                        del work[word]
-                else:  # n/d - an int is still reduced, and not an int
-                    n, d = old
-                    work[word] = (n - coeff * c * d, d)
-            continue
         cn, cd = (coeff, 1) if coeff.__class__ is int else coeff
-        for u, c in terms:
+        for u, c in tail:
             # p = coeff * c, reduced by cancelling across (each gcd has a
             # relation's small number on one side)
             if c.__class__ is int:
@@ -412,20 +409,12 @@ def _reduce_terms(work: dict, basis: GroebnerBasis) -> dict:
                 if found is not None:
                     insort(pending, (key(word), word, found), key=_KEY)
                 continue
-            # old - p, as Fraction subtracts: n/d - pn/pd over lcm(d, pd)
-            n, d = (old, 1) if old.__class__ is int else old
-            g = gcd(d, pd)
-            if g == 1:
-                n, d = n * pd - pn * d, d * pd
+            if pd == 1 and old.__class__ is int:
+                nc = old - pn
             else:
-                s = d // g
-                n = n * (pd // g) - pn * s
-                h = gcd(n, g)
-                n, d = n // h, s * (pd // h)
-            if d != 1:
-                work[word] = (n, d)
-            elif n:
-                work[word] = n
+                nc = _sub(old, pn if pd == 1 else (pn, pd))
+            if nc:
+                work[word] = nc
             else:
                 del work[word]
     return work
@@ -464,7 +453,8 @@ def overlap_ambiguities(basis: GroebnerBasis) -> list[OverlapAmbiguity]:
 
 def _s_terms(basis: GroebnerBasis, amb: OverlapAmbiguity) -> dict:
     """The S-element of ``amb``, prefix * g_right - g_left * suffix, as an
-    engine term dict, built in one pass over the two relations."""
+    engine term dict, built in one pass over the two relations' tails: the
+    superposition word, which both rewrite, never enters."""
     u = basis.leading_words[amb.left_index]
     v = basis.leading_words[amb.right_index]
     prefix = u[: len(u) - amb.overlap]

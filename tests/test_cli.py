@@ -11,8 +11,8 @@ import ncdim.cli
 import ncdim.growth
 import ncdim.pipeline
 from ncdim import InputError, analyze, load_presentation, report_to_dict
-from ncdim.chains import MAX_LISTED_CHAINS
-from ncdim.cli import MAX_TERMS, main
+from ncdim.chains import MAX_LISTED_CHAINS, MAX_TRUNCATION
+from ncdim.cli import main
 from ncdim.freealg import MAX_WEIGHT
 from ncdim.pipeline import DOT_NAMES, fmt_cycle, report_graph
 from ncdim.render import dot_digraph, word_str
@@ -213,14 +213,14 @@ class TestExitCodes:
         assert "--terms must be nonnegative" in capsys.readouterr().err
 
     def test_terms_over_the_limit(self, capsys):
-        # rejected before the normal-word table of terms + 1 rows is allocated
-        assert main(["hilbert", "--terms", str(MAX_TERMS), DOWN_UP]) == 0
+        # rejected before any stage runs
+        assert main(["hilbert", "--terms", str(MAX_TRUNCATION), DOWN_UP]) == 0
         capsys.readouterr()
-        for terms in (MAX_TERMS + 1, 10 ** 20):
+        for terms in (MAX_TRUNCATION + 1, 10 ** 20):
             assert main(["hilbert", "--terms", str(terms), DOWN_UP]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err == f"error: --terms must be at most {MAX_TERMS}\n"
+            assert captured.err == f"error: --terms must be at most {MAX_TRUNCATION}\n"
 
     @pytest.mark.parametrize("weight", [10 ** 12, 10 ** 20])
     def test_weight_over_the_limit(self, weight, tmp_path, capsys):

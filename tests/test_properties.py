@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -605,6 +606,29 @@ class TestPairEngine:
         nf = normal_form(f, basis)
         assert_same_remainder(nf, fraction_normal_form(f, basis))
         assert len(nf.terms) == 21
+
+
+def engine_value(c):
+    return Fraction(c) if type(c) is int else Fraction(*c)
+
+
+class TestExactSubtraction:
+    """``_sub``, the engine's one exact subtraction, against ``Fraction``."""
+
+    def test_every_small_pair(self):
+        values = list(range(-12, 13))
+        values += [(n, d) for d in range(2, 13) for n in range(-12, 13) if gcd(n, d) == 1]
+        for a in values:
+            for b in values:
+                result = ncdim.rewrite._sub(a, b)
+                expected = engine_value(a) - engine_value(b)
+                if expected.denominator == 1:
+                    assert type(result) is int and result == expected
+                else:
+                    assert type(result) is tuple and len(result) == 2
+                    n, d = result
+                    assert d > 1 and n != 0 and gcd(n, d) == 1
+                    assert Fraction(n, d) == expected
 
 
 def pair_loop_overlaps(basis):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -75,6 +76,19 @@ class TestFactorAutomaton:
         assert counts == brute_counts(omega, Alphabet(("a", "b"), (1, 2)), 8)
         with pytest.raises(ValueError):
             auto.count_normal((1, 2), -1)
+
+    def test_count_normal_keeps_a_ring_of_rows(self):
+        # (ab)^20 a over two letters: 42 states and counts of nearly 1000
+        # bits, so 1001 rows of them would take megabytes, and two rows do not
+        omega = MonomialSet([(0, 1) * 20 + (0,)])
+        tracemalloc.start()
+        try:
+            counts = omega.automaton.count_normal((1, 1), 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts[:41] == [2 ** d for d in range(41)]
+        assert peak < 2 ** 20
 
     def test_normal_steps(self):
         # states: 0 = root, 1 = "0", 2 = "00" (terminal)
