@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from operator import itemgetter
@@ -245,11 +245,12 @@ class GroebnerBasis:
 
     Reduction strategy: a reducible word is rewritten with the relation of
     longest leading word, ties going to the lowest relation index, at the
-    leftmost occurrence of that leading word.
+    leftmost occurrence of that leading word.  Under an order with a
+    ``homogenizer`` T, words are kept T-front (:func:`_t_front`).
     """
 
     __slots__ = ("elements", "order", "leading_words", "omega", "verification",
-                 "_choice", "_rules")
+                 "_choice", "_rules", "_front")
 
     def __init__(self, relations: Iterable[Poly], order: MonomialOrder):
         elements: list[Poly] = []
@@ -288,6 +289,15 @@ class GroebnerBasis:
             (len(lw), tuple((w, c) for w, c in _engine_terms(f).items() if w != lw))
             for lw, f in zip(leading, elements)
         )
+        # (T, the letters T cannot cross) when the order has a homogenizer T:
+        # T crosses exactly the letters X with X*T - T*X among the relations
+        t = getattr(order, "homogenizer", None)
+        if t is None:
+            self._front = None
+        else:
+            crossed = {lw[0] for lw, f in zip(leading, elements)
+                       if len(lw) == 2 and lw[1] == t and f.terms == {lw: 1, (t, lw[0]): -1}}
+            self._front = (t, frozenset(range(order.alphabet.n)) - crossed - {t})
 
     def __len__(self):
         return len(self.elements)
@@ -346,18 +356,34 @@ def _sub(a, b):
     return n if d == 1 else (n, d)
 
 
+def _t_front(word: Word, t: int, stuck: frozenset) -> Word:
+    """T^m * (``word`` without its m T's): where the commutator reductions
+    X*T -> T*X, one letter at a time, end.  ``word`` itself when it is
+    T-front already, or when a letter of ``stuck`` (one with no commutator)
+    stands left of its last T."""
+    rest = tuple(i for i in word if i != t)
+    m = len(word) - len(rest)
+    if word[m:] == rest:
+        return word
+    if stuck and not stuck.isdisjoint(word[: len(word) - word[::-1].index(t)]):
+        return word
+    return (t,) * m + rest
+
+
 def normal_form(f: Poly, basis: GroebnerBasis) -> Poly:
     """Rewrite ``f`` until no term contains a leading word.
 
     Deterministic: always rewrite the largest reducible term in the monomial
-    order, by the reduction strategy of :class:`GroebnerBasis`.
+    order, by the reduction strategy of :class:`GroebnerBasis`.  Over a
+    Groebner basis the result is the unique normal form.
     """
     return _poly(_reduce_terms(_engine_terms(f), basis))
 
 
-def _reduce_terms(work: dict, basis: GroebnerBasis) -> dict:
-    """The engine of :func:`normal_form`: reduce the term dict ``work`` in
-    place and return it.
+def _reduce_terms(work: dict, basis: GroebnerBasis, applied: set | None = None) -> dict:
+    """The engine of :func:`normal_form`: reduce the term dict ``work`` and
+    return the result (a new dict under a homogenizer, else ``work``
+    itself); ``applied`` collects the index of every relation a step uses.
 
     Each word is scanned once, when it enters the work set; only a reducible
     word gets a sort key and a place in ``pending``, ascending, so ``pop()``
@@ -366,6 +392,12 @@ def _reduce_terms(work: dict, basis: GroebnerBasis) -> dict:
     coefficient and subtracts coeff * left * tail * right, the tail being
     the relation without its leading term: the target itself is never
     rebuilt, looked up or cancelled.
+
+    Under a homogenizer T, every word enters T-front (:func:`_t_front`): the
+    chain of commutator steps that moves its T's to the front is taken as
+    one step.  Each link is a reduction, so an S-element that this reduces
+    to zero is resolvable, and T-free words take exactly the steps they
+    would without T.
 
     Coefficients are exact rationals held as plain ints where the denominator
     is 1 and as reduced (numerator, denominator) pairs otherwise.  Each
@@ -378,6 +410,19 @@ def _reduce_terms(work: dict, basis: GroebnerBasis) -> dict:
     (2 vCPUs, Python 3.11).
     """
     find, key, rules = basis.find_reduction, basis.order.sort_key, basis._rules
+    record = (set() if applied is None else applied).add
+    front = basis._front
+    if front is not None:
+        t, stuck = front
+        terms, work = work, {}
+        for word, c in terms.items():
+            if t in word:
+                word = _t_front(word, t, stuck)
+            nc = _sub(work.get(word, 0), _sub(0, c))
+            if nc:
+                work[word] = nc
+            else:
+                work.pop(word, None)
     pending: list[tuple] = []  # (sort key, word, (relation, position))
     for word in work:
         found = find(word)
@@ -388,6 +433,7 @@ def _reduce_terms(work: dict, basis: GroebnerBasis) -> dict:
         coeff = work.pop(target, None)
         if coeff is None:  # cancelled after it was queued
             continue
+        record(idx)
         length, tail = rules[idx]
         left, right = target[:pos], target[pos + length:]
         cn, cd = (coeff, 1) if coeff.__class__ is int else coeff
@@ -402,6 +448,8 @@ def _reduce_terms(work: dict, basis: GroebnerBasis) -> dict:
                 g, h = gcd(cn, f), gcd(e, cd)
                 pn, pd = (cn // g) * (e // h), (cd // h) * (f // g)
             word = left + u + right
+            if front is not None and t in word:
+                word = _t_front(word, t, stuck)
             old = work.get(word)
             if old is None:
                 work[word] = -pn if pd == 1 else (-pn, pd)
@@ -476,24 +524,59 @@ class VerificationResult:
     checked: int
     ambiguity: OverlapAmbiguity | None = None
     remainder: Poly | None = None
+    # on success: per overlap (i, j, overlap), the relations its reduction applied
+    applied: dict | None = field(default=None, compare=False, repr=False)
 
 
-def verify_groebner(basis: GroebnerBasis) -> VerificationResult:
+def _repeated_reductions(basis: GroebnerBasis, base: GroebnerBasis) -> dict:
+    """The overlaps of ``basis`` whose reduction would repeat, step for step,
+    one recorded by the successful verification of ``base``, each with the
+    relations that reduction applied.
+
+    ``basis`` must extend ``base`` as G~ extends G: its order restricts to
+    ``base.order`` on base words, and each relation after the first
+    len(base) has a leading word with a new letter.  When the first
+    len(base) leading words are base's, only those match a base word, with
+    base's ranks.  So if relations i and j and every relation the base
+    reduction applied keep base's rule, the S-element and every step are
+    base's, down to the same zero.
+    """
+    done = base.verification.applied if base.verification is not None else None
+    r = len(base)
+    if not done or basis.leading_words[:r] != base.leading_words:
+        return {}
+    shared = {k for k in range(r) if basis._rules[k] == base._rules[k]}
+    return {key: used for key, used in done.items()
+            if key[0] in shared and key[1] in shared and used <= shared}
+
+
+def verify_groebner(basis: GroebnerBasis, base: GroebnerBasis | None = None
+                    ) -> VerificationResult:
     """Diamond-lemma check: every S-element must reduce to zero.
 
     Each S-element is built and reduced as the engine's exact term dict; a
-    ``Poly`` is built only for a nonzero remainder.
+    ``Poly`` is built only for a nonzero remainder.  With ``base``, a
+    verified basis that ``basis`` extends (see :func:`_repeated_reductions`),
+    an overlap whose reduction would repeat base's is resolved by that
+    reduction instead of being reduced again; it still counts as checked.
 
     On success the result is kept as ``basis.verification``; on failure it
     carries the first failing ambiguity (fixed enumeration order) and its
     remainder.
     """
     ambiguities = overlap_ambiguities(basis)
+    repeated = {} if base is None else _repeated_reductions(basis, base)
+    applied = {}
     for amb in ambiguities:
-        remainder = _reduce_terms(_s_terms(basis, amb), basis)
-        if remainder:
-            return VerificationResult(False, len(ambiguities), amb, _poly(remainder))
-    basis.verification = VerificationResult(True, len(ambiguities))
+        key = (amb.left_index, amb.right_index, amb.overlap)
+        used = repeated.get(key)
+        if used is None:
+            used = set()
+            remainder = _reduce_terms(_s_terms(basis, amb), basis, used)
+            if remainder:
+                return VerificationResult(False, len(ambiguities), amb, _poly(remainder))
+        applied[key] = used
+    basis.verification = VerificationResult(True, len(ambiguities), applied=applied)
     return basis.verification
 
 

@@ -77,3 +77,27 @@ def nilpotent() -> GroebnerBasis:
     return load_presentation_data(
         {"variables": [{"name": "x1"}], "relations": ["x1^2"]}
     )
+
+
+def _pbw(names, lower) -> GroebnerBasis:
+    # x_j*x_i - x_i*x_j + lower(i, j) for i < j, over unit weights
+    relations = [
+        f"{names[j]}*{names[i]} - {names[i]}*{names[j]} {lower(i, j)}"
+        for j in range(len(names))
+        for i in range(j)
+    ]
+    return load_presentation_data(
+        {"variables": [{"name": name} for name in names], "relations": relations}
+    )
+
+
+def weyl(m: int) -> GroebnerBasis:
+    # A_m on x1..xm, d1..dm: d_i*x_i - x_i*d_i = 1, all other pairs commute.
+    names = [f"x{i + 1}" for i in range(m)] + [f"d{i + 1}" for i in range(m)]
+    return _pbw(names, lambda i, j: "- 1" if j == i + m else "")
+
+
+def heisenberg(m: int) -> GroebnerBasis:
+    # p1..pm, q1..qm, z: q_i*p_i - p_i*q_i = z with z central.
+    names = [f"p{i + 1}" for i in range(m)] + [f"q{i + 1}" for i in range(m)] + ["z"]
+    return _pbw(names, lambda i, j: "- z" if i < m and j == i + m else "")

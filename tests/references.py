@@ -5,7 +5,9 @@
 - the int-or-``Fraction`` normal-form engine: coefficients are ints where
   the denominator is 1 and ``Fraction``s otherwise.  The package's engine
   holds the same values as ints and (numerator, denominator) int pairs, and
-  must take the same steps;
+  must take the same steps.  With ``front=False`` it is the one-letter
+  engine: under the Rees order each T crosses a word one commutator step
+  at a time instead of moving to the front on entry;
 - conversions between ``Poly`` and the package engine's term dicts, for
   references that stand in for parts of that engine;
 - plain routines that only the tests need: :func:`compare` on sort keys,
@@ -18,6 +20,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from ncdim import Poly, VerificationResult, overlap_ambiguities
+from ncdim.rees import HomogenizationOrder
 
 
 def contains_factor(word, factor):
@@ -44,11 +47,44 @@ def fraction_rules(basis):
 _KEY = itemgetter(0)
 
 
-def fraction_reduce_terms(work, basis, rules=None):
-    """The int-or-Fraction engine: reduce the term dict ``work`` in place, by
-    the same steps as the package's engine, and return it."""
+def t_front_moves(basis):
+    """For a basis under the Rees order: (T, the letters X with X*T - T*X
+    among its relations); None for any other order."""
+    if not isinstance(basis.order, HomogenizationOrder):
+        return None
+    t = basis.order.alphabet.n - 1
+    return t, {i for i in range(t) if Poly({(i, t): 1, (t, i): -1}) in basis.elements}
+
+
+def t_front(word, t, crossed):
+    """``word`` with every T moved to the front, or ``word`` itself when a
+    letter left of its last T is not in ``crossed``."""
+    if t in word:
+        last = len(word) - 1 - word[::-1].index(t)
+        if any(i != t and i not in crossed for i in word[:last]):
+            return word
+    return tuple(sorted(word, key=lambda i: i != t))  # stable: T's first
+
+
+def fraction_reduce_terms(work, basis, rules=None, front=True):
+    """The int-or-Fraction engine: reduce the term dict ``work`` by the same
+    steps as the package's engine and return the result; ``front=False``
+    leaves every word where it enters (the one-letter engine)."""
     rules = fraction_rules(basis) if rules is None else rules
     find, key = basis.find_reduction, basis.order.sort_key
+    moves = t_front_moves(basis) if front else None
+    if moves is not None:
+        entered = {}
+        for word, c in work.items():
+            word = t_front(word, *moves)
+            nc = entered.get(word, 0) + c
+            if nc.__class__ is Fraction and nc.denominator == 1:
+                nc = nc.numerator
+            if nc:
+                entered[word] = nc
+            else:
+                entered.pop(word, None)
+        work = entered
     pending = []  # (sort key, word, (relation, position))
     for word in work:
         found = find(word)
@@ -63,6 +99,8 @@ def fraction_reduce_terms(work, basis, rules=None):
         left, right = target[:pos], target[pos + length:]
         for u, c in terms:
             word = left + u + right
+            if moves is not None:
+                word = t_front(word, *moves)
             old = work.get(word)
             nc = -coeff * c if old is None else old - coeff * c
             if nc.__class__ is Fraction and nc.denominator == 1:
@@ -105,18 +143,20 @@ def s_element(basis, amb):
     return Poly(fraction_s_terms(basis, amb))
 
 
-def fraction_normal_form(f, basis):
+def fraction_normal_form(f, basis, front=True):
     """``normal_form`` by the int-or-Fraction engine."""
-    return Poly(fraction_reduce_terms({w: _exact(c) for w, c in f.terms.items()}, basis))
+    terms = {w: _exact(c) for w, c in f.terms.items()}
+    return Poly(fraction_reduce_terms(terms, basis, front=front))
 
 
-def fraction_verify(basis):
-    """``verify_groebner`` by the int-or-Fraction engine; the basis keeps no
-    result."""
+def fraction_verify(basis, front=True):
+    """``verify_groebner`` by the int-or-Fraction engine, every overlap
+    reduced; the basis keeps no result."""
     rules = fraction_rules(basis)
     ambiguities = overlap_ambiguities(basis)
     for amb in ambiguities:
-        remainder = fraction_reduce_terms(fraction_s_terms(basis, amb, rules), basis, rules)
+        s_terms = fraction_s_terms(basis, amb, rules)
+        remainder = fraction_reduce_terms(s_terms, basis, rules, front)
         if remainder:
             return VerificationResult(False, len(ambiguities), amb, Poly(remainder))
     return VerificationResult(True, len(ambiguities))

@@ -2,6 +2,8 @@
 
 import argparse
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,7 +12,14 @@ import pytest
 import ncdim.cli
 import ncdim.growth
 import ncdim.pipeline
-from ncdim import InputError, analyze, load_presentation, report_to_dict
+from ncdim import (
+    GroebnerBasis,
+    InputError,
+    analyze,
+    load_presentation,
+    load_presentation_data,
+    report_to_dict,
+)
 from ncdim.chains import MAX_LISTED_CHAINS, MAX_TRUNCATION
 from ncdim.cli import main
 from ncdim.freealg import MAX_WEIGHT
@@ -354,6 +363,43 @@ class TestLongObstructions:
         err = capsys.readouterr().err
         assert f"over the limit of {ncdim.growth.MAX_WINDOWS}" in err
         assert "candidate vertices (2^" in err
+
+
+def power_minus_one(k):
+    """The 40-byte input x^k - 1, whose Rees S-elements x^j*T^k - T^k*x^j
+    take j*k commutator steps when T crosses one letter at a time."""
+    return {"variables": [{"name": "x"}], "relations": [f"x^{k} - 1"]}
+
+
+class TestFewByteInputs:
+    def test_reduction_steps_grow_at_most_linearly_on_x_power_minus_one(
+            self, monkeypatch):
+        calls = []
+        original = GroebnerBasis.find_reduction
+
+        def counted(self, word):
+            calls.append(word)
+            return original(self, word)
+
+        monkeypatch.setattr(GroebnerBasis, "find_reduction", counted)
+        counts = []
+        for k in (32, 64, 128):
+            calls.clear()
+            analyze(load_presentation_data(power_minus_one(k)))
+            counts.append(len(calls))
+        assert counts[1] <= 2 * counts[0] and counts[2] <= 2 * counts[1]
+
+    def test_gldim_of_x_power_1024_minus_one_exits_0(self, tmp_path):
+        path = write(tmp_path, power_minus_one(1024))
+        src = str(Path(ncdim.cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        child = subprocess.run(
+            [sys.executable, "-m", "ncdim.cli", "gldim", path],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.startswith("gl.dim of the monomial algebra: infinite\n")
 
 
 class TestWindowLimit:

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -20,6 +21,7 @@ from ncdim import (
     extend_alphabet,
     homogenize,
     leading_data,
+    load_presentation,
     normal_form,
     parse_polynomial,
     tilde_basis,
@@ -27,7 +29,7 @@ from ncdim import (
 )
 from ncdim.rees import HomogenizationOrder
 from ncdim.rewrite import FactorAutomaton, overlap_ambiguities
-from presets import commutation, down_up, ore_case_a
+from presets import commutation, down_up, heisenberg, ore_case_a, weyl
 from references import (
     compare,
     contains_factor,
@@ -436,11 +438,11 @@ class TestSElement:
         assert sum(not r.ok for r in results) >= 50
 
 
-def scan_normal_form(f, basis, tally=None):
+def scan_normal_form(f, basis, tally=None, applied=None):
     """Reference normal form: before every step, test each term for
     reducibility and take the largest reducible one by its sort key.
     ``tally`` counts the words that enter the work set and the reducible
-    ones among them."""
+    ones among them; ``applied`` collects the relation of every step."""
     work = dict(f.terms)
     if tally is not None:
         tally["entered"] += len(work)
@@ -453,6 +455,8 @@ def scan_normal_form(f, basis, tally=None):
         target = max(reducible, key=key)
         coeff = work[target]
         idx, pos = basis.find_reduction(target)
+        if applied is not None:
+            applied.add(idx)
         g = basis.elements[idx]
         left = target[:pos]
         right = target[pos + len(basis.leading_words[idx]):]
@@ -468,10 +472,10 @@ def scan_normal_form(f, basis, tally=None):
                 work.pop(word, None)
 
 
-def scan_reduce_terms(work, basis):
+def scan_reduce_terms(work, basis, applied=None):
     """:func:`scan_normal_form` on the engine's term dicts, to stand in for
     the engine inside verification."""
-    return engine_terms(scan_normal_form(engine_poly(work), basis))
+    return engine_terms(scan_normal_form(engine_poly(work), basis, applied=applied))
 
 
 def assert_same_remainder(fast, slow):
@@ -576,6 +580,7 @@ class TestPairEngine:
         # every word scanned and every sort key taken, in order
         rng = random.Random(7)
         bases = [tilde_basis(rational_pbw(n, rng)) for n in range(2, 6)]
+        bases += [tilde_basis(b) for b in (weyl(2), heisenberg(2), ore_case_a())]
         bases += list(seeded_bases(100, letters=(2, 3), max_den=9, first_seed=1000))
         steps = []
         for owner, name in ((GroebnerBasis, "find_reduction"), (MonomialOrder, "sort_key"),
@@ -606,6 +611,156 @@ class TestPairEngine:
         nf = normal_form(f, basis)
         assert_same_remainder(nf, fraction_normal_form(f, basis))
         assert len(nf.terms) == 21
+
+
+DEAD_LETTER = Path(__file__).resolve().parent / "golden" / "inputs" / "dead_letter.json"
+
+
+def unverified_rees_basis(base):
+    """G~ of ``base`` as :func:`tilde_basis` builds it, with neither basis
+    verified, so a base that is not a Groebner basis gives one too."""
+    t = base.order.alphabet.n
+    elements = [homogenize(g, base.order, t) for g in base.elements]
+    elements += [Poly({(i, t): 1, (t, i): -1})
+                 for i in range(t) if i not in base.omega.dead_letters]
+    order = HomogenizationOrder(base.order, extend_alphabet(base.order.alphabet))
+    return GroebnerBasis(elements, order)
+
+
+def rees_test_bases():
+    """The seeded bases, rational PBW rings with and without lower terms,
+    Weyl, Heisenberg and the dead-letter golden input."""
+    rng = random.Random(21)
+    yield from seeded_bases(400)
+    for n in range(2, 7):
+        yield rational_pbw(n, rng)
+        yield rational_pbw(n, rng, lower=True)
+    yield from (weyl(1), weyl(2), heisenberg(1), heisenberg(2))
+    yield load_presentation(DEAD_LETTER)
+
+
+class TestTFront:
+    """Rees verification with T moved to the front on entry against the
+    one-letter engine it replaced."""
+
+    def test_same_verification_as_the_one_letter_engine(self):
+        results = []
+        for base in rees_test_bases():
+            rees = unverified_rees_basis(base)
+            expected = fraction_verify(rees, front=False)
+            result = verify_groebner(rees)
+            assert (result.ok, result.checked) == (expected.ok, expected.checked)
+            if verify_groebner(base).ok:
+                assert result.ok
+                skipping = verify_groebner(rees, base)
+                assert (skipping.ok, skipping.checked) == (True, expected.checked)
+            results.append(result)
+        assert sum(not r.ok for r in results) >= 50
+        assert sum(r.ok and r.checked > 0 for r in results) >= 50
+
+    def test_same_normal_forms_under_verified_rees_bases(self):
+        rng = random.Random(5)
+        compared = 0
+        for base in rees_test_bases():
+            if not verify_groebner(base).ok:
+                continue
+            rees = tilde_basis(base)
+            n = rees.order.alphabet.n
+            for _ in range(4):
+                f = Poly({tuple(rng.choice((n - 1, rng.randrange(n)))
+                                for _ in range(rng.randint(0, 6))):
+                          Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+                          for _ in range(rng.randint(1, 5))})
+                one_letter = fraction_normal_form(f, rees, front=False)
+                assert normal_form(f, rees) == one_letter
+                compared += not one_letter.is_zero
+        assert compared >= 200
+
+    def test_only_rees_bases_move_t(self):
+        assert all(b._front is None for b in seeded_bases(50))
+        rees = tilde_basis(commutation(3))
+        assert rees._front == (3, frozenset())
+        assert tilde_basis(load_presentation(DEAD_LETTER))._front == (3, frozenset({0}))
+
+    def test_a_stuck_letter_keeps_the_word(self):
+        # T crosses x1 and x3 but not the dead letter x2
+        t, stuck = 3, frozenset({1})
+        front = ncdim.rewrite._t_front
+        assert front((0, 2, t, 0, t), t, stuck) == (t, t, 0, 2, 0)
+        assert front((t, t, 0, 1), t, stuck) == (t, t, 0, 1)
+        assert front((0, 1, t), t, stuck) == (0, 1, t)
+        assert front((t, 1, 0, t, 2), t, stuck) == (t, 1, 0, t, 2)
+        assert front((0, t, 1), t, stuck) == (t, 0, 1)
+
+
+def logged_find_reduction(monkeypatch):
+    """Every (word, result) of ``find_reduction`` from now on."""
+    calls = []
+    original = GroebnerBasis.find_reduction
+
+    def logged(self, word):
+        found = original(self, word)
+        calls.append((word, found))
+        return found
+
+    monkeypatch.setattr(GroebnerBasis, "find_reduction", logged)
+    return calls
+
+
+class TestRepeatedReductions:
+    """A base overlap of G~ that verification takes as resolved by the
+    base's own reduction, reduced in full under G~."""
+
+    def test_each_skipped_overlap_repeats_the_base_reduction(self, monkeypatch):
+        calls = logged_find_reduction(monkeypatch)
+        skipped = 0
+        bases = [b for b in rees_test_bases() if verify_groebner(b).ok]
+        bases += [commutation(n) for n in range(2, 9)]
+        for base in bases:
+            rees = tilde_basis(base)
+            repeated = ncdim.rewrite._repeated_reductions(rees, base)
+            assert rees.verification.checked == len(overlap_ambiguities(rees))
+            for amb in overlap_ambiguities(rees):
+                key = (amb.left_index, amb.right_index, amb.overlap)
+                if key not in repeated:
+                    continue
+                calls.clear()
+                used = set()
+                assert ncdim.rewrite._reduce_terms(ncdim.rewrite._s_terms(rees, amb),
+                                                   rees, used) == {}
+                on_rees = calls[:]
+                calls.clear()
+                assert ncdim.rewrite._reduce_terms(ncdim.rewrite._s_terms(base, amb),
+                                                   base) == {}
+                assert on_rees == calls
+                assert used == repeated[key] == rees.verification.applied[key]
+                skipped += 1
+        assert skipped >= 150
+
+    def test_an_altered_shared_rule_is_reduced_not_skipped(self, monkeypatch):
+        # homogeneous down-up relations: every base overlap is skipped
+        alphabet = Alphabet(("x1", "x2"), (1, 1))
+        relations = ["x1^2*x2 - x1*x2*x1 - x2*x1^2", "x1*x2^2 - x2*x1*x2 - x2^2*x1"]
+        base = GroebnerBasis([parse_polynomial(r, alphabet) for r in relations],
+                             MonomialOrder(alphabet, "grlex", (1, 0)))
+        rees = tilde_basis(base)
+        key = (0, 1, 2)
+        assert key in ncdim.rewrite._repeated_reductions(rees, base)
+        # the same relation with its tail in the other order
+        length, tail = rees._rules[0]
+        rees._rules = ((length, tail[::-1]),) + rees._rules[1:]
+        assert key not in ncdim.rewrite._repeated_reductions(rees, base)
+        reduced = []
+        s_terms = ncdim.rewrite._s_terms
+
+        def logged(basis, amb):
+            reduced.append((amb.left_index, amb.right_index, amb.overlap))
+            return s_terms(basis, amb)
+
+        monkeypatch.setattr(ncdim.rewrite, "_s_terms", logged)
+        assert verify_groebner(rees, base).ok
+        assert key in reduced
+        assert all(k in reduced for k in rees.verification.applied if 0 in k[:2])
 
 
 def engine_value(c):

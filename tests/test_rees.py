@@ -181,6 +181,22 @@ class TestTildeBasis:
         rp = tilde_basis(basis)
         assert set(rp.leading_words) == {(0,), (1, 2)}
 
+    def test_relation_with_another_leading_word_fails_the_cross_check(
+            self, monkeypatch, capsys):
+        # the two homogenized down-up relations trade places: the set of
+        # leading words is still LM(G) u {X_i*T}, relation by relation it is not
+        homogenized = ncdim.rees.homogenize
+        elements = list(load_presentation(DOWN_UP_FILE).elements)
+
+        def swapped(g, order, t):
+            return homogenized(elements[1 - elements.index(g)], order, t)
+
+        monkeypatch.setattr(ncdim.rees, "homogenize", swapped)
+        with pytest.raises(CrossCheckError, match="Rees relation 1 has leading word"):
+            tilde_basis(load_presentation(DOWN_UP_FILE))
+        assert main(["gldim", DOWN_UP_FILE]) == 4
+        assert "Rees relation 1 has leading word" in capsys.readouterr().err
+
     def test_grevlex_base_supported(self):
         order = MonomialOrder(AB, "grevlex")
         basis = GroebnerBasis([parse_polynomial("x2*x1 - x1", AB)], order)
