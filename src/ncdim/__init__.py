@@ -34,7 +34,6 @@ from .growth import (
     UfnarovskiGraph,
     automaton_growth,
     build_ufnarovski,
-    classify_growth,
 )
 from .pipeline import (
     AnalysisReport,

@@ -258,13 +258,10 @@ def chain_denominator(sets: ChainSets) -> tuple[int, ...]:
 
 
 def hilbert_series(
-    sets: ChainSets,
-    omega: MonomialSet,
-    alphabet: Alphabet,
-    truncation: int = DEFAULT_TRUNCATION,
+    sets: ChainSets, omega: MonomialSet, truncation: int = DEFAULT_TRUNCATION
 ) -> HilbertSeries:
     """Hilbert series of the monomial algebra defined by ``omega``, whose
-    chain sets are ``sets``.
+    chain sets are ``sets``, over the alphabet of their graph.
 
     The coefficients always come from normal-word counting, and 1/D(t) must
     expand to them (CrossCheckError otherwise).  With finite chain sets D(t)
@@ -272,7 +269,7 @@ def hilbert_series(
     only modulo t^(N+1), N the truncation of the counts, and the identity is
     checked through degree N.
     """
-    coeffs = omega.automaton.count_normal(alphabet.weights, truncation)
+    coeffs = omega.automaton.count_normal(sets.graph.alphabet.weights, truncation)
     den = chain_denominator(sets)
     top = truncation if sets.finite else min(truncation, sets.truncation)
     if expand_reciprocal(den, top) != coeffs[: top + 1]:
@@ -305,10 +302,9 @@ def monomial_invariants(
     omega: MonomialSet, graph: ChainGraph, truncation: int = DEFAULT_TRUNCATION
 ) -> Invariants:
     """The invariants of the monomial algebra on ``omega``; ``graph`` is its chain graph."""
-    alphabet = graph.alphabet
-    growth = automaton_growth(omega, alphabet)
+    growth = automaton_growth(omega, graph.alphabet)
     sets = chain_sets(graph, truncation)
-    return Invariants(growth, sets, hilbert_series(sets, omega, alphabet, truncation))
+    return Invariants(growth, sets, hilbert_series(sets, omega, truncation))
 
 
 def product_form_decomposition(denominator: Iterable[int], m: int) -> list[int] | None:

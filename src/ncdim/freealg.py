@@ -22,7 +22,7 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 # Letters in one parsed word.  An exponent expands into that many letters,
 # and the later stages are super-quadratic in the word length: `report` on
-# x1^1024 over two letters takes about 1.7 s (2 vCPUs, Python 3.11).
+# x1^1024 over two letters takes 0.8-1.2 s (2 vCPUs, Python 3.11).
 MAX_WORD_LETTERS = 1024
 
 # Largest variable weight.  The chain counts and the normal-word table are

@@ -166,7 +166,8 @@ class AnalysisReport:
         dead = ", ".join(alphabet.names[i] for i in self.basis.omega.dead_letters)
         if not dead:
             return ()
-        t_name = self.rees.basis.order.alphabet.names[-1]
+        order = self.rees.basis.order
+        t_name = order.alphabet.names[order.homogenizer]
         return (
             f"letters {dead} are obstructions; chain invariants are computed "
             "over the remaining letters",
@@ -383,7 +384,8 @@ def _text_report(report: AnalysisReport) -> str:
     for g in report.lh_basis:
         lines.append("  " + poly_str(g, basis.order))
     lines.append("")
-    t_name = report.rees.basis.order.alphabet.names[-1]
+    order = report.rees.basis.order
+    t_name = order.alphabet.names[order.homogenizer]
     lines.append(f"Rees algebra (homogenized presentation, {t_name} central of weight 1):")
     lines.extend("  " + g for g in fmt_rees_relations(report))
     lines.append("  growth: " + fmt_growth(report.rees.growth))

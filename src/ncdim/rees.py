@@ -23,7 +23,7 @@ G~; :func:`check_transfer` compares two such records, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .chains import (
     DEFAULT_TRUNCATION,
@@ -63,12 +63,15 @@ class HomogenizationOrder:
     """
 
     base: MonomialOrder
-    alphabet: Alphabet  # the base alphabet extended by T
+    alphabet: Alphabet = field(init=False)  # the base alphabet extended by T
+
+    def __post_init__(self):
+        object.__setattr__(self, "alphabet", extend_alphabet(self.base.alphabet))
 
     @property
     def homogenizer(self) -> int:
-        """The letter T, which :func:`~ncdim.rewrite._reduce_terms` moves to
-        the front of a word in one step."""
+        """The letter T, the last of ``alphabet``, which
+        :func:`~ncdim.rewrite._reduce_terms` moves to the front of a word in one step."""
         return self.base.alphabet.n
 
     def sort_key(self, word: Word):
@@ -85,10 +88,10 @@ class HomogenizationOrder:
         return (base_key[0] + len(word) - len(stripped), base_key, placement)
 
 
-def homogenize(f: Poly, order: MonomialOrder, t: int) -> Poly:
-    """Left-pad every term with T, letter ``t``, up to the leading weighted degree."""
-    alphabet = order.alphabet
-    lw, _ = leading_data(f, order)
+def homogenize(f: Poly, order: HomogenizationOrder) -> Poly:
+    """Left-pad every term of ``f`` with T up to its leading weighted degree."""
+    alphabet, t = order.base.alphabet, order.homogenizer
+    lw, _ = leading_data(f, order.base)
     p = alphabet.degree(lw)
     terms = {}
     for w, c in f.terms.items():
@@ -102,15 +105,15 @@ def homogenize(f: Poly, order: MonomialOrder, t: int) -> Poly:
 def tilde_basis(basis: GroebnerBasis) -> GroebnerBasis:
     """Homogenized basis plus commutators, verified on the extended alphabet."""
     ensure_verified(basis)
-    t = basis.order.alphabet.n
-    alphabet = extend_alphabet(basis.order.alphabet)
-    elements = [homogenize(g, basis.order, t) for g in basis.elements]
+    order = HomogenizationOrder(basis.order)
+    t, alphabet = order.homogenizer, order.alphabet
+    elements = [homogenize(g, order) for g in basis.elements]
     # a letter that is a leading word lies in the ideal: it gets no commutator
     dead = basis.omega.dead_letters
     live = [i for i in range(t) if i not in dead]
     for i in live:
         elements.append(Poly({(i, t): 1, (t, i): -1}))
-    tilded = GroebnerBasis(elements, HomogenizationOrder(basis.order, alphabet))
+    tilded = GroebnerBasis(elements, order)
     expected = basis.leading_words + tuple((i, t) for i in live)
     for k, (lw, want) in enumerate(zip(tilded.leading_words, expected)):
         if lw != want:
@@ -133,10 +136,10 @@ class ReesInvariants(Invariants):
     basis: GroebnerBasis  # the verified Rees basis G~
 
 
-def _check_graph_embedding(graph: ChainGraph, base: ChainGraph) -> None:
+def _check_graph_embedding(rees: ReesInvariants, base: ChainGraph) -> None:
     """The Rees chain graph is the base one plus a sink T that every base
     vertex, the root included, steps to: C~_i = C_i u C_{i-1}T on all levels."""
-    t_vertex = (graph.alphabet.n - 1,)
+    graph, t_vertex = rees.graph, (rees.basis.order.homogenizer,)
     if set(graph.vertices) != set(base.vertices) | {t_vertex}:
         raise CrossCheckError("the Rees chain vertices are not the base ones plus T")
     if graph.successors(t_vertex):
@@ -194,7 +197,7 @@ def check_associated_graded(rees_basis: GroebnerBasis, lh_basis: tuple[Poly, ...
     """Setting T = 0 in the verified Rees basis G~ gives lh(G): each
     homogenized relation keeps exactly its top-degree terms, and each
     commutator X_i*T - T*X_i vanishes."""
-    t = rees_basis.order.alphabet.n - 1
+    t = rees_basis.order.homogenizer
     for k, g in enumerate(rees_basis.elements):
         at_zero = Poly({w: c for w, c in g.terms.items() if t not in w})
         if at_zero != (lh_basis[k] if k < len(lh_basis) else Poly()):
@@ -204,13 +207,13 @@ def check_associated_graded(rees_basis: GroebnerBasis, lh_basis: tuple[Poly, ...
             )
 
 
-def check_transfer(rees: Invariants, monomial: Invariants) -> None:
+def check_transfer(rees: ReesInvariants, monomial: Invariants) -> None:
     """Assert the Rees invariants against the base ones: the base chain
     graph plus a sink T is the Rees one, equal finiteness, global
     dimension + 1, C~_i(t) = C_i(t) + t*C_{i-1}(t) on the counted levels,
     and GK degree + 1 for polynomial growth, exponential growth otherwise.
     Both chain sets must be counted to the same truncation."""
-    _check_graph_embedding(rees.graph, monomial.graph)
+    _check_graph_embedding(rees, monomial.graph)
     if monomial.sets.finite != rees.sets.finite:
         raise CrossCheckError("Rees chain finiteness differs from the base")
     if monomial.sets.finite and rees.gldim != monomial.gldim + 1:

@@ -52,7 +52,7 @@ def t_front_moves(basis):
     among its relations); None for any other order."""
     if not isinstance(basis.order, HomogenizationOrder):
         return None
-    t = basis.order.alphabet.n - 1
+    t = basis.order.homogenizer
     return t, {i for i in range(t) if Poly({(i, t): 1, (t, i): -1}) in basis.elements}
 
 

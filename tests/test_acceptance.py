@@ -21,7 +21,6 @@ from ncdim import (
     analyze,
     automaton_growth,
     build_ufnarovski,
-    extend_alphabet,
     homogenize,
     leading_data,
     normal_form,
@@ -109,7 +108,7 @@ class TestAcceptance:
                 ((0, 0, 1), (0, 1, 1)),
                 ((0, 0, 1, 1),),
             )
-            t = report.rees.basis.order.alphabet.n - 1
+            t = report.rees.basis.order.homogenizer
             assert t == 2
             assert report.rees.sets.levels == (
                 ((0,), (1,), (2,)),
@@ -195,7 +194,7 @@ class TestAcceptance:
                     MonomialOrder(alphabet),
                 )
                 inv = rees_invariants(basis, truncation=8)
-                t = inv.basis.order.alphabet.n - 1
+                t = inv.basis.order.homogenizer
                 # T is a sink, pure-base vertices step to T, the base graph
                 # embeds, and each level splits as C_i plus C_{i-1} T
                 assert inv.graph.successors((t,)) == ()
@@ -294,9 +293,9 @@ class TestAcceptance:
                 order = rand_order()
                 n = order.alphabet.n
                 f = rand_poly(n)
-                ext, t = extend_alphabet(order.alphabet), order.alphabet.n
-                h = homogenize(f, order, t)
-                assert dehomogenize(h, t) == f
-                assert leading_data(h, HomogenizationOrder(order, ext))[0] == leading_data(
+                ext_order = HomogenizationOrder(order)
+                h = homogenize(f, ext_order)
+                assert dehomogenize(h, ext_order.homogenizer) == f
+                assert leading_data(h, ext_order)[0] == leading_data(
                     f, order
                 )[0]

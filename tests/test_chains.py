@@ -54,7 +54,7 @@ def sets_of(omega, alphabet):
 
 
 def series(omega, alphabet, truncation=16):
-    return hilbert_series(sets_of(omega, alphabet), omega, alphabet, truncation)
+    return hilbert_series(sets_of(omega, alphabet), omega, truncation)
 
 
 class TestBuildChainGraph:

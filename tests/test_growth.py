@@ -8,9 +8,9 @@ from ncdim import (
     MonomialSet,
     automaton_growth,
     build_ufnarovski,
-    classify_growth,
     extend_alphabet,
 )
+from ncdim.growth import classify_growth
 from ncdim.render import dot_digraph
 from references import count_paths
 from test_acceptance import assert_valid_witness

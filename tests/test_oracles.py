@@ -215,7 +215,7 @@ def test_rees_invariants_and_level_decomposition(index, monkeypatch):
         patch.setattr(ncdim.chains, "MAX_LISTED_LEVELS", 8)
         inv = rees_invariants(basis, truncation=MAX_DEG)
         inv.sets.levels
-    t = inv.basis.order.alphabet.n - 1
+    t = inv.basis.order.homogenizer
     sets = capped_sets(build_chain_graph(omega, alphabet))
 
     # T never starts a chain step, and every base-letter vertex can take one

@@ -3,18 +3,23 @@
 import collections
 import json
 import math
+import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import ncdim.chains
 import ncdim.pipeline
 from ncdim import (
+    CrossCheckError,
     GroebnerVerificationError,
     InputError,
     MonomialSet,
     Poly,
     analyze,
+    automaton_growth,
     load_presentation,
     load_presentation_data,
     pbw_check,
@@ -22,6 +27,7 @@ from ncdim import (
     report_to_dict,
 )
 from ncdim.chains import MAX_TRUNCATION
+from ncdim.cli import main
 from presets import (
     commutation,
     down_up,
@@ -378,6 +384,44 @@ class TestHomogenizerName:
             "letters T are leading words; their T_-commutators are omitted "
             "(they lie in the ideal already)",
         ]
+
+
+def one_degree_more(omega, alphabet):
+    """The growth of Omega with a polynomial degree raised by one, on the
+    base and the Rees side alike, so the Rees degree stays base + 1."""
+    growth = automaton_growth(omega, alphabet)
+    return growth if growth.exponential else replace(growth, degree=growth.degree + 1)
+
+
+# One fault per exactness check of analyze() on down_up (2 letters, GK degree
+# and gl.dim 3, not PBW); each leaves the checks before it intact.
+EXACTNESS_FAULTS = {
+    "growth degree = gl.dim": (
+        (ncdim.chains, "automaton_growth", one_degree_more),
+        "polynomial growth degree 4 differs from the monomial global dimension 3",
+    ),
+    "PBW dimensions": (
+        (ncdim.pipeline, "pbw_check", lambda basis: True),
+        "ordered-monomial (PBW) presentations must have global dimension 2 "
+        "and Rees global dimension 3",
+    ),
+}
+
+
+class TestExactnessCrossChecks:
+    @pytest.fixture(params=sorted(EXACTNESS_FAULTS))
+    def fault(self, request, monkeypatch):
+        target, message = EXACTNESS_FAULTS[request.param]
+        monkeypatch.setattr(*target)
+        return message
+
+    def test_analyze_raises(self, fault):
+        with pytest.raises(CrossCheckError, match=re.escape(fault)):
+            analyze(down_up())
+
+    def test_report_exits_4(self, fault, capsys):
+        assert main(["report", str(SAMPLES / "down_up.json")]) == 4
+        assert fault in capsys.readouterr().err
 
 
 def power_of_x1(k: int):

@@ -18,7 +18,6 @@ from ncdim import (
     MonomialSet,
     Poly,
     ensure_verified,
-    extend_alphabet,
     homogenize,
     leading_data,
     load_presentation,
@@ -178,9 +177,9 @@ class TestHomogenizationLaws:
         order = data.draw(orders())
         n = order.alphabet.n
         f = data.draw(nonzero_polys(n))
-        ext, t = extend_alphabet(order.alphabet), order.alphabet.n
-        ext_order = HomogenizationOrder(order, ext)
-        h = homogenize(f, order, t)
+        ext_order = HomogenizationOrder(order)
+        ext, t = ext_order.alphabet, ext_order.homogenizer
+        h = homogenize(f, ext_order)
         assert dehomogenize(h, t) == f
         degrees = {ext.degree(w) for w in h.terms}
         assert len(degrees) == 1
@@ -192,7 +191,7 @@ class TestHomogenizationLaws:
         order = data.draw(orders())
         n = order.alphabet.n
         u, v = data.draw(words(n)), data.draw(words(n))
-        ext_order = HomogenizationOrder(order, extend_alphabet(order.alphabet))
+        ext_order = HomogenizationOrder(order)
         assert compare(ext_order, u, v) == compare(order, u, v)
 
     @MANY
@@ -200,8 +199,8 @@ class TestHomogenizationLaws:
     def test_extended_key_leads_with_the_total_degree(self, data):
         # the key counts T's instead of weighing the word a second time
         order = data.draw(orders())
-        ext, t = extend_alphabet(order.alphabet), order.alphabet.n
-        ext_order = HomogenizationOrder(order, ext)
+        ext_order = HomogenizationOrder(order)
+        ext, t = ext_order.alphabet, ext_order.homogenizer
         w = data.draw(words(ext.n, 6))
         stripped = tuple(i for i in w if i != t)
         placement = tuple(0 if i == t else 1 for i in w)
@@ -272,9 +271,8 @@ class TestOrderKeys:
     @given(data=st.data())
     def test_rees_keys_agree_with_reference(self, data):
         order = data.draw(shortcut_orders())
-        ext = extend_alphabet(order.alphabet)
-        ext_order = HomogenizationOrder(order, ext)
-        n = t = order.alphabet.n
+        ext_order = HomogenizationOrder(order)
+        n = t = ext_order.homogenizer
         free = data.draw(words(n, 6))
         left, right = data.draw(words(n + 1, 3)), data.draw(words(n + 1, 3))
         with_t = left + (t,) + right
@@ -304,8 +302,8 @@ class TestOrderKeys:
         rees_words = self.recorded_words(monkeypatch, HomogenizationOrder)
         rees = tilde_basis(base)
         monkeypatch.undo()
-        assert any(rees.order.alphabet.n - 1 in w for w in rees_words)
-        assert any(rees.order.alphabet.n - 1 not in w for w in rees_words)
+        assert any(rees.order.homogenizer in w for w in rees_words)
+        assert any(rees.order.homogenizer not in w for w in rees_words)
         assert sorted(base_words, key=base.order.sort_key) == sorted(
             base_words, key=lambda w: reference_sort_key(base.order, w)
         )
@@ -619,11 +617,11 @@ DEAD_LETTER = Path(__file__).resolve().parent / "golden" / "inputs" / "dead_lett
 def unverified_rees_basis(base):
     """G~ of ``base`` as :func:`tilde_basis` builds it, with neither basis
     verified, so a base that is not a Groebner basis gives one too."""
-    t = base.order.alphabet.n
-    elements = [homogenize(g, base.order, t) for g in base.elements]
+    order = HomogenizationOrder(base.order)
+    t = order.homogenizer
+    elements = [homogenize(g, order) for g in base.elements]
     elements += [Poly({(i, t): 1, (t, i): -1})
                  for i in range(t) if i not in base.omega.dead_letters]
-    order = HomogenizationOrder(base.order, extend_alphabet(base.order.alphabet))
     return GroebnerBasis(elements, order)
 
 

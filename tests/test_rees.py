@@ -67,12 +67,12 @@ class TestExtendedOrder:
     def test_restricts_to_base_order(self):
         for kind in ("grlex", "grevlex"):
             base = MonomialOrder(AB, kind)
-            ext_order = HomogenizationOrder(base, extend_alphabet(AB))
+            ext_order = HomogenizationOrder(base)
             for u, v in [((0, 1), (1, 0)), ((0,), (1,)), ((), (0, 0))]:
                 assert compare(ext_order, u, v) == compare(base, u, v)
 
     def test_t_below_every_letter(self):
-        ext_order = HomogenizationOrder(MonomialOrder(AB_W), extend_alphabet(AB_W))
+        ext_order = HomogenizationOrder(MonomialOrder(AB_W))
         t = (2,)
         assert compare(ext_order, t, (0,)) < 0
         assert compare(ext_order, t, (1,)) < 0
@@ -80,7 +80,7 @@ class TestExtendedOrder:
 
     def test_commutator_leading_word(self):
         for kind in ("grlex", "grevlex"):
-            ext_order = HomogenizationOrder(MonomialOrder(AB, kind), extend_alphabet(AB))
+            ext_order = HomogenizationOrder(MonomialOrder(AB, kind))
             t = 2
             assert compare(ext_order, (0, t), (t, 0)) > 0
 
@@ -94,13 +94,13 @@ class TestExtendedOrder:
         ]
         for alphabet, kind, text in cases:
             order = MonomialOrder(alphabet, kind)
-            ext_order = HomogenizationOrder(order, extend_alphabet(alphabet))
+            ext_order = HomogenizationOrder(order)
             f = parse_polynomial(text, alphabet)
-            hom = homogenize(f, order, alphabet.n)
+            hom = homogenize(f, ext_order)
             assert leading_data(hom, ext_order)[0] == leading_data(f, order)[0]
 
     def test_multiplicative_spot_checks(self):
-        ext_order = HomogenizationOrder(MonomialOrder(AB), extend_alphabet(AB))
+        ext_order = HomogenizationOrder(MonomialOrder(AB))
         t = 2
         pairs = [((t, 0), (0, t)), ((t,), (0,)), ((0, 1), (1, 0))]
         contexts = [((), ()), ((1,), ()), ((), (t,)), ((t, 1), (0,))]
@@ -113,30 +113,30 @@ class TestExtendedOrder:
 class TestHomogenize:
     def test_pads_lower_terms_on_the_left(self):
         pres = ore_case_a()
-        hom = homogenize(pres.elements[0], pres.order, 2)
+        hom = homogenize(pres.elements[0], HomogenizationOrder(pres.order))
         assert hom == Poly(
             {(1, 0): 1, (0, 1): -2, (2, 1): -3, (0, 0): -1, (2, 0): -1}
         )
 
     def test_weighted_padding(self):
         pres = ore_case_b()
-        hom = homogenize(pres.elements[0], pres.order, 2)
+        hom = homogenize(pres.elements[0], HomogenizationOrder(pres.order))
         assert hom == Poly(
             {(1, 0): 1, (0, 1): -2, (2, 1): -3, (2, 0, 0, 0): -1}
         )
 
     def test_power_two_padding(self):
         pres = power_family(2)
-        hom = homogenize(pres.elements[0], pres.order, 2)
+        hom = homogenize(pres.elements[0], HomogenizationOrder(pres.order))
         assert hom == Poly({(1, 1, 0): 1, (0, 1, 1): -2, (2, 2, 0): -1})
 
     def test_homogeneous_input_unchanged(self):
         f = parse_polynomial("x2*x1 - 2*x1*x2", AB)
-        assert homogenize(f, MonomialOrder(AB), 2) == f
+        assert homogenize(f, HomogenizationOrder(MonomialOrder(AB))) == f
 
     def test_result_is_homogeneous(self):
         pres = ore_case_b()
-        hom = homogenize(pres.elements[0], pres.order, 2)
+        hom = homogenize(pres.elements[0], HomogenizationOrder(pres.order))
         degrees = {extend_alphabet(AB_W).degree(w) for w in hom.terms}
         assert len(degrees) == 1
 
@@ -144,9 +144,10 @@ class TestHomogenize:
 class TestDehomogenize:
     def test_round_trip(self):
         for pres in (ore_case_a(), ore_case_b(), power_family(2)):
-            t = pres.order.alphabet.n
+            order = HomogenizationOrder(pres.order)
+            t = order.homogenizer
             for g in pres.elements:
-                assert dehomogenize(homogenize(g, pres.order, t), t) == g
+                assert dehomogenize(homogenize(g, order), t) == g
 
     def test_commutator_vanishes(self):
         t = 2
@@ -165,7 +166,7 @@ class TestTildeBasis:
         rp = tilde_basis(ore_case_b())
         expected = Poly({(1, 0): 1, (0, 1): -2, (2, 1): -3, (2, 0, 0, 0): -1})
         assert rp.elements[0] == expected
-        t = rp.order.alphabet.n - 1
+        t = rp.order.homogenizer
         assert Poly({(0, t): 1, (t, 0): -1}) in rp.elements
         assert Poly({(1, t): 1, (t, 1): -1}) in rp.elements
 
@@ -188,14 +189,34 @@ class TestTildeBasis:
         homogenized = ncdim.rees.homogenize
         elements = list(load_presentation(DOWN_UP_FILE).elements)
 
-        def swapped(g, order, t):
-            return homogenized(elements[1 - elements.index(g)], order, t)
+        def swapped(g, order):
+            return homogenized(elements[1 - elements.index(g)], order)
 
         monkeypatch.setattr(ncdim.rees, "homogenize", swapped)
         with pytest.raises(CrossCheckError, match="Rees relation 1 has leading word"):
             tilde_basis(load_presentation(DOWN_UP_FILE))
         assert main(["gldim", DOWN_UP_FILE]) == 4
         assert "Rees relation 1 has leading word" in capsys.readouterr().err
+
+    def test_homogenization_that_keeps_the_leading_words_fails_verification(
+            self, monkeypatch, capsys):
+        # the T-padded term of the first down-up relation changes sign, the
+        # second relation's does not: the overlap x1*x1*x2*x2 no longer resolves
+        homogenized = ncdim.rees.homogenize
+        first = load_presentation(DOWN_UP_FILE).elements[0]
+
+        def flipped(g, order):
+            h, t = homogenized(g, order), order.homogenizer
+            if g != first:
+                return h
+            return Poly({w: -c if t in w else c for w, c in h.terms.items()})
+
+        monkeypatch.setattr(ncdim.rees, "homogenize", flipped)
+        message = "homogenized basis failed verification on the overlap x1*x1*x2*x2"
+        with pytest.raises(CrossCheckError, match=re.escape(message)):
+            ncdim.pipeline.analyze(load_presentation(DOWN_UP_FILE))
+        assert main(["report", DOWN_UP_FILE]) == 4
+        assert message in capsys.readouterr().err
 
     def test_grevlex_base_supported(self):
         order = MonomialOrder(AB, "grevlex")
@@ -257,7 +278,7 @@ class TestReesInvariants:
     def test_t_vertex_is_a_sink_and_base_vertices_reach_it(self):
         for pres in (down_up(), ore_case_b(), commutation(3), power_family(2)):
             inv = rees_invariants(pres)
-            t = inv.basis.order.alphabet.n - 1
+            t = inv.basis.order.homogenizer
             assert inv.graph.successors((t,)) == ()
             for v in inv.graph.vertices:
                 if v and v != (t,) and v[-1] != t:
@@ -266,7 +287,7 @@ class TestReesInvariants:
     def test_levels_decompose_as_base_plus_shifted_base(self):
         for pres in (down_up(), ore_case_a(), commutation(3)):
             inv = rees_invariants(pres)
-            t = inv.basis.order.alphabet.n - 1
+            t = inv.basis.order.homogenizer
             omega = MonomialSet.interreduce(pres.leading_words)
             base_sets = chain_sets(build_chain_graph(omega, pres.order.alphabet))
             for i, level in enumerate(inv.sets.levels):
@@ -277,7 +298,7 @@ class TestReesInvariants:
     def test_maximal_chains_end_in_t(self):
         for pres in (down_up(), ore_case_b(), commutation(4)):
             inv = rees_invariants(pres)
-            t = inv.basis.order.alphabet.n - 1
+            t = inv.basis.order.homogenizer
             assert all(word[-1] == t for word in inv.sets.levels[-1])
 
     def test_coefficients_match_normal_word_counts(self):
@@ -296,7 +317,7 @@ class TestReesInvariants:
             inv = rees_invariants(pres)
             omega = pres.omega
             sets = chain_sets(build_chain_graph(omega, pres.order.alphabet))
-            base = hilbert_series(sets, omega, pres.order.alphabet)
+            base = hilbert_series(sets, omega)
             assert list(inv.hilbert.denominator) == poly_mul([1, -1], list(base.denominator))
 
 
@@ -480,7 +501,7 @@ class TestEmbeddingAgainstWordChecks:
         inv = rees_invariants(basis, truncation=8)
         base = chain_sets(build_chain_graph(omega, alphabet), truncation=8)
         t = alphabet.n
-        ncdim.rees._check_graph_embedding(inv.graph, base.graph)
+        ncdim.rees._check_graph_embedding(inv, base.graph)
         _check_level_decomposition(inv.sets, base, t)
         _check_top_level(inv.sets, base, t)
         assert inv.sets.levels[0][-1] == (t,)
