@@ -14,11 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import CrossCheckError, InputError
 from .freealg import Alphabet, Word
 from .growth import GrowthClass, automaton_growth, strong_components
+from .render import vertex_names
 from .rewrite import MonomialSet
 
 DEFAULT_TRUNCATION = 16
@@ -28,8 +29,8 @@ DEFAULT_TRUNCATION = 16
 # the chain sets are infinite.
 MAX_TRUNCATION = 2 ** 14
 # Chain words and levels listed per chain set, for the report.  Branching
-# sets double per level; at 4096 words a `report` process on them peaks near
-# 21 MB (Python 3.11).
+# sets double per level; at 4096 words, with their texts, a `report` process
+# on them peaks near 18 MB (Python 3.11).
 MAX_LISTED_CHAINS = 4096
 MAX_LISTED_LEVELS = 64
 ROOT: Word = ()
@@ -102,6 +103,14 @@ def build_chain_graph(omega: MonomialSet, alphabet: Alphabet) -> ChainGraph:
     return ChainGraph(alphabet, tuple(ordered), edges)
 
 
+class ChainListing(NamedTuple):
+    """The chain words of the leading levels, each level in (length, word)
+    order, and their texts in the same order."""
+
+    levels: tuple[tuple[Word, ...], ...]
+    texts: tuple[tuple[str, ...], ...]
+
+
 @dataclass(frozen=True)
 class ChainSets:
     """Chain counts per level, and the chain words of the leading levels.
@@ -115,12 +124,13 @@ class ChainSets:
     when the sets are finite); a chain of C_i has degree at least i + 1, so
     the levels past ``truncation`` have no chain there.
 
-    ``levels[i]`` lists the words of C_i for the first ``len(levels)``
-    levels, read off ``graph`` on first access only.  The listing stops
-    after MAX_LISTED_LEVELS levels, and before the level that would take it
-    over MAX_LISTED_CHAINS words (building at most one word more).
-    ``truncated`` reports that it stopped short of a nonempty level of
-    finite sets, or short of MAX_LISTED_LEVELS for infinite ones.
+    ``listing`` holds the words of C_i for the first ``len(levels)`` levels,
+    and the text of each, read off ``graph`` on first access only; ``levels``
+    is its words.  The listing stops after MAX_LISTED_LEVELS levels, and
+    before the level that would take it over MAX_LISTED_CHAINS words
+    (building at most one word more).  ``truncated`` reports that it
+    stopped short of a nonempty level of finite sets, or short of
+    MAX_LISTED_LEVELS for infinite ones.
     """
 
     graph: ChainGraph
@@ -129,20 +139,33 @@ class ChainSets:
     truncation: int | None
 
     @cached_property
-    def levels(self) -> tuple[tuple[Word, ...], ...]:
+    def listing(self) -> ChainListing:
+        """Each chain word is a route v1 v2 ... vk out of the root, and its
+        text the vertex names joined by '*', as :func:`word_str` prints it."""
         graph = self.graph
+        name = vertex_names(graph)
         levels: list[tuple[Word, ...]] = []
-        routes = [(v, v) for v in graph.successors(ROOT)]  # (tail vertex, chain word)
+        texts: list[tuple[str, ...]] = []
+        # (tail vertex, chain word, its text)
+        routes = [(v, v, name[v]) for v in graph.successors(ROOT)]
         room = MAX_LISTED_CHAINS - len(routes)
         while routes and room >= 0 and len(levels) < MAX_LISTED_LEVELS:
-            levels.append(tuple(sorted((word for _, word in routes), key=_by_length)))
+            routes.sort(key=lambda route: _by_length(route[1]))
+            levels.append(tuple([word for _, word, _ in routes]))
+            texts.append(tuple([text for _, _, text in routes]))
             # build the next level lazily, one route past the room left at most
             following = (
-                (s, word + s) for tail, word in routes for s in graph.successors(tail)
+                (s, word + s, f"{text}*{name[s]}")
+                for tail, word, text in routes
+                for s in graph.successors(tail)
             )
             routes = list(islice(following, room + 1))
             room -= len(routes)
-        return tuple(levels)
+        return ChainListing(tuple(levels), tuple(texts))
+
+    @property
+    def levels(self) -> tuple[tuple[Word, ...], ...]:
+        return self.listing.levels
 
     @property
     def truncated(self) -> bool:

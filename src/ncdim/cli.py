@@ -25,7 +25,7 @@ from .pipeline import (
     render_report,
     report_graph,
 )
-from .render import dot_digraph, word_str
+from .render import dot_digraph, vertex_names, word_str
 from .rewrite import ensure_verified
 
 
@@ -64,13 +64,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _print_graph(graph) -> None:
-    alphabet, pairs = graph.alphabet, graph.pairs
+    text, pairs = vertex_names(graph), graph.pairs
     print(f"vertices ({len(graph.vertices)}):")
     for v in graph.vertices:
-        print("  " + word_str(v, alphabet))
+        print("  " + text[v])
     print(f"edges ({len(pairs)}):")
     for src, dst in pairs:
-        print(f"  {word_str(src, alphabet)} -> {word_str(dst, alphabet)}")
+        print(f"  {text[src]} -> {text[dst]}")
 
 
 def _run(args) -> int:

@@ -233,9 +233,9 @@ def _hilbert_json(h: HilbertSeries) -> dict:
     }
 
 
-def _chains_json(sets: ChainSets, alphabet: Alphabet) -> dict:
+def _chains_json(sets: ChainSets) -> dict:
     chains = {
-        "levels": [[word_str(w, alphabet) for w in level] for level in sets.levels],
+        "levels": [list(texts) for texts in sets.listing.texts],
         "finite": sets.finite,
     }
     if sets.truncated:
@@ -259,7 +259,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
         },
         "hilbert": _hilbert_json(monomial.hilbert),
         "product_form": report.product_form,
-        "chains": _chains_json(monomial.sets, alphabet),
+        "chains": _chains_json(monomial.sets),
         "warnings": list(report.warnings),
     }
 
@@ -327,10 +327,8 @@ def _text_report(report: AnalysisReport) -> str:
         + fmt_dim(monomial.gldim)
     )
     sets = monomial.sets
-    for i, level in enumerate(sets.levels):
-        lines.append(
-            f"    C_{i} = {{" + ", ".join(word_str(w, alphabet) for w in level) + "}"
-        )
+    for i, texts in enumerate(sets.listing.texts):
+        lines.append(f"    C_{i} = {{" + ", ".join(texts) + "}")
     if sets.truncated:
         lines.append(
             f"    ... listing stopped after {len(sets.levels)} levels, at "

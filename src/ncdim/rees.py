@@ -145,12 +145,15 @@ def _check_graph_embedding(rees: ReesInvariants, base: ChainGraph) -> None:
     if graph.successors(t_vertex):
         raise CrossCheckError("the T vertex of the Rees chain graph has out-edges")
     for v in base.vertices:
-        targets, name = set(graph.successors(v)), word_str(v, graph.alphabet)
+        targets = set(graph.successors(v))
         if t_vertex not in targets:
-            raise CrossCheckError(f"Rees chain vertex {name} has no edge to T")
+            raise CrossCheckError(
+                f"Rees chain vertex {word_str(v, graph.alphabet)} has no edge to T"
+            )
         if targets != set(base.successors(v)) | {t_vertex}:
             raise CrossCheckError(
-                f"Rees chain vertex {name} does not step to its base successors"
+                f"Rees chain vertex {word_str(v, graph.alphabet)} does not step "
+                "to its base successors"
             )
 
 

@@ -29,6 +29,13 @@ def word_str(word: Word, alphabet: Alphabet) -> str:
     return "*".join([names[i] for i in word])
 
 
+def vertex_names(graph) -> dict[Word, str]:
+    """The :func:`word_str` text of each vertex of a graph with ``alphabet``
+    and ``vertices``, each named once."""
+    alphabet = graph.alphabet
+    return {v: word_str(v, alphabet) for v in graph.vertices}
+
+
 def word_pretty(word: Word, alphabet: Alphabet) -> str:
     """Human form with powers collapsed, e.g. x1^2*x2."""
     if not word:
@@ -91,11 +98,11 @@ def denominator_str(coeffs) -> str:
 def dot_digraph(name: str, graph) -> str:
     """DOT text of a graph with ``alphabet``, ``vertices`` and ``pairs``,
     vertices and edges in sorted order (deterministic bytes)."""
-    alphabet = graph.alphabet
+    text = vertex_names(graph)
     lines = [f"digraph {name} {{"]
     for v in sorted(graph.vertices, key=lambda w: (len(w), w)):
-        lines.append(f'  "{word_str(v, alphabet)}";')
+        lines.append(f'  "{text[v]}";')
     for src, dst in sorted(graph.pairs, key=lambda e: ((len(e[0]), e[0]), (len(e[1]), e[1]))):
-        lines.append(f'  "{word_str(src, alphabet)}" -> "{word_str(dst, alphabet)}";')
+        lines.append(f'  "{text[src]}" -> "{text[dst]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -12,14 +12,19 @@
   references that stand in for parts of that engine;
 - plain routines that only the tests need: :func:`compare` on sort keys,
   :func:`homogeneous_components`, :func:`dehomogenize`, :func:`count_paths`,
-  :func:`chain_level` and :func:`poly_mul`.
+  :func:`chain_level` and :func:`poly_mul`;
+- :func:`listed_chain_words`, the word-only chain listing that the
+  package's listing of words and texts is tested against.
 """
 
 from bisect import insort
 from fractions import Fraction
+from itertools import islice
 from operator import itemgetter
 
+import ncdim.chains
 from ncdim import Poly, VerificationResult, overlap_ambiguities
+from ncdim.chains import ROOT
 from ncdim.rees import HomogenizationOrder
 
 
@@ -224,6 +229,23 @@ def chain_level(sets, n):
     if n < 0 or (sets.finite and n >= len(sets.counts)):
         return ()
     return None
+
+
+def listed_chain_words(sets):
+    """The words of the leading chain levels of ``sets``, each level in
+    (length, word) order, under the budgets the package reads at call time:
+    at most MAX_LISTED_LEVELS levels, and none that would take the listing
+    over MAX_LISTED_CHAINS words."""
+    graph = sets.graph
+    levels = []
+    routes = [(v, v) for v in graph.successors(ROOT)]  # (tail vertex, chain word)
+    room = ncdim.chains.MAX_LISTED_CHAINS - len(routes)
+    while routes and room >= 0 and len(levels) < ncdim.chains.MAX_LISTED_LEVELS:
+        levels.append(tuple(sorted((word for _, word in routes), key=lambda w: (len(w), w))))
+        following = ((s, word + s) for tail, word in routes for s in graph.successors(tail))
+        routes = list(islice(following, room + 1))
+        room -= len(routes)
+    return tuple(levels)
 
 
 def poly_mul(a, b):

@@ -29,12 +29,14 @@ from ncdim.chains import (
     expand_reciprocal,
 )
 from ncdim.cli import main
-from ncdim.render import dot_digraph
+from ncdim.render import dot_digraph, word_str
 from ncdim.rewrite import FactorAutomaton
-from presets import power_family
-from references import chain_level, poly_mul
+from presets import commutation, heisenberg, power_family, weyl
+from references import chain_level, listed_chain_words, poly_mul
+from test_rees import random_antichains
 
 DOWN_UP_FILE = str(Path(__file__).resolve().parent.parent / "presentations" / "down_up.json")
+DEAD_LETTER_FILE = Path(__file__).resolve().parent / "golden" / "inputs" / "dead_letter.json"
 
 AB = Alphabet(("x1", "x2"), (1, 1))
 AB_W = Alphabet(("x1", "x2"), (1, 3))
@@ -215,6 +217,54 @@ def _random_obstructions(rng):
     if rng.random() < 0.3:
         words.append((rng.randrange(n),) * 2)  # a square: a self-loop at its letter
     return alphabet, MonomialSet.interreduce(words)
+
+
+def omega_cases(*bases):
+    return [(basis.order.alphabet, basis.omega) for basis in bases]
+
+
+# (alphabet, Omega) pairs whose chain listing is compared with the reference
+LISTING_CASES = {
+    "random antichains": lambda: random_antichains(300),
+    "down-up, all-squares, x1^k": lambda: [(AB, DOWN_UP), (AB, ALL_SQUARES)] + [
+        (AB, MonomialSet(((0,) * k,))) for k in (1, 2, 5, 20)
+    ],
+    "weighted": lambda: [(AB_W, SKEW), (AB_W, DOWN_UP), (AB_W, ALL_SQUARES)],
+    "dead letter": lambda: omega_cases(load_presentation(DEAD_LETTER_FILE)),
+    "pbw": lambda: omega_cases(
+        *(commutation(n) for n in (2, 5, 13)), weyl(2), heisenberg(1)
+    ),
+    "letter named T": lambda: [
+        (Alphabet(("T", "x"), (1, 1)), MonomialSet(((0, 1), (1, 1)))),
+        (Alphabet(("x", "T"), (1, 2)), ALL_SQUARES),
+    ],
+}
+
+
+class TestListingAgainstTheWordOnlyReference:
+    """The listing keeps the words of the word-only reference, level by
+    level in the same order, and each text is what word_str prints."""
+
+    @staticmethod
+    def check(alphabet, omega):
+        sets = chain_sets(build_chain_graph(omega, alphabet))
+        listing = sets.listing
+        assert listing.levels == listed_chain_words(sets)
+        assert sets.levels is listing.levels
+        assert len(listing.texts) == len(listing.levels)
+        for words, texts in zip(listing.levels, listing.texts):
+            assert texts == tuple(word_str(w, alphabet) for w in words)
+        return listing
+
+    @pytest.mark.parametrize("case", list(LISTING_CASES))
+    def test_cases(self, case):
+        for alphabet, omega in LISTING_CASES[case]():
+            self.check(alphabet, omega)
+
+    def test_a_smaller_budget(self, monkeypatch):
+        monkeypatch.setattr(ncdim.chains, "MAX_LISTED_CHAINS", 64)
+        listing = self.check(AB, ALL_SQUARES)
+        assert [len(words) for words in listing.levels] == [2, 4, 8, 16, 32]
 
 
 class TestFinitenessAgainstDfs:
@@ -430,7 +480,7 @@ class TestChainDenominator:
     def test_reads_counts_not_words(self):
         sets = chain_sets(build_chain_graph(DOWN_UP, AB))
         assert chain_denominator(sets) == (1, -2, 0, 2, -1)
-        assert "levels" not in vars(sets)
+        assert "listing" not in vars(sets)
 
     def test_infinite_sets_give_d_modulo_the_truncation(self):
         # all-squares: D = 1 - 2t + 4t^2 - ... = 1/(1 + 2t) mod t^6

@@ -28,6 +28,7 @@ from ncdim import (
 )
 from ncdim.chains import MAX_TRUNCATION
 from ncdim.cli import main
+from ncdim.render import word_str
 from presets import (
     commutation,
     down_up,
@@ -641,6 +642,35 @@ class TestRenderReport:
         assert "global dimension of the monomial algebra: infinite" in text
         assert "not vanishing (enumeration stopped after 64 levels)" in text
         assert "closed form: none (chain sets do not vanish)" in text
+
+    def test_chain_words_are_not_named_one_by_one(self, monkeypatch):
+        # all-squares lists 62 chain words under a budget of 64 and 4094
+        # under 4096; the reports name the same number of words either way
+        calls = 0
+
+        def counted(word, alphabet):
+            nonlocal calls
+            calls += 1
+            return word_str(word, alphabet)
+
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "ncdim" and getattr(module, "word_str", None) is word_str:
+                monkeypatch.setattr(module, "word_str", counted)
+        all_squares = minimal(relations=["x1^2", "x1*x2", "x2*x1", "x2^2"])
+
+        def named(budget):
+            nonlocal calls
+            with monkeypatch.context() as patch:
+                patch.setattr(ncdim.chains, "MAX_LISTED_CHAINS", budget)
+                report = analyze(load_presentation_data(all_squares))
+                calls = 0
+                for fmt in ("json", "text"):
+                    render_report(report, fmt)
+            return calls, sum(map(len, report.monomial.sets.levels))
+
+        (small, listed_small), (large, listed_large) = named(64), named(4096)
+        assert (listed_small, listed_large) == (62, 4094)
+        assert small == large
 
     def test_dot_bundle_contains_all_three_graphs(self):
         bundle = render_report(analyze(down_up()), "dot-bundle").decode()

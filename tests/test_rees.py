@@ -523,15 +523,15 @@ class TestEmbeddingAgainstWordChecks:
 def listings(monkeypatch):
     """Every chain set whose words get listed, in listing order."""
     listed = []
-    listing = ChainSets.levels.func
+    build = ChainSets.listing.func
 
     def counted(sets):
         listed.append(sets)
-        return listing(sets)
+        return build(sets)
 
-    levels = cached_property(counted)
-    levels.__set_name__(ChainSets, "levels")
-    monkeypatch.setattr(ChainSets, "levels", levels)
+    listing = cached_property(counted)
+    listing.__set_name__(ChainSets, "listing")
+    monkeypatch.setattr(ChainSets, "listing", listing)
     return listed
 
 
@@ -542,7 +542,7 @@ class TestChainWordsListedForTheReportOnly:
         assert listings == []
         for _ in range(2):
             ncdim.pipeline.render_report(report, fmt)
-        assert "levels" not in vars(report.rees.sets)
+        assert "listing" not in vars(report.rees.sets)
         assert listings == ([] if fmt == "dot-bundle" else [report.monomial.sets])
 
     @pytest.mark.parametrize("command", ["growth", "gldim", "hilbert", "rees", "pbw"])
