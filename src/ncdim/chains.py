@@ -141,22 +141,24 @@ class ChainSets:
     @cached_property
     def listing(self) -> ChainListing:
         """Each chain word is a route v1 v2 ... vk out of the root, and its
-        text the vertex names joined by '*', as :func:`word_str` prints it."""
+        text the vertex names joined by '*', as :func:`word_str` prints it;
+        a vertex is named on its first use."""
         graph = self.graph
         name = vertex_names(graph)
         levels: list[tuple[Word, ...]] = []
         texts: list[tuple[str, ...]] = []
-        # (tail vertex, chain word, its text)
-        routes = [(v, v, name[v]) for v in graph.successors(ROOT)]
+        # (len(chain word), chain word, tail vertex, text): sorted as it
+        # stands, in (length, word) order
+        routes = [(len(v), v, v, name[v]) for v in graph.successors(ROOT)]
         room = MAX_LISTED_CHAINS - len(routes)
         while routes and room >= 0 and len(levels) < MAX_LISTED_LEVELS:
-            routes.sort(key=lambda route: _by_length(route[1]))
-            levels.append(tuple([word for _, word, _ in routes]))
-            texts.append(tuple([text for _, _, text in routes]))
+            routes.sort()
+            levels.append(tuple([word for _, word, _, _ in routes]))
+            texts.append(tuple([text for _, _, _, text in routes]))
             # build the next level lazily, one route past the room left at most
             following = (
-                (s, word + s, f"{text}*{name[s]}")
-                for tail, word, text in routes
+                (size + len(s), word + s, s, f"{text}*{name[s]}")
+                for size, word, tail, text in routes
                 for s in graph.successors(tail)
             )
             routes = list(islice(following, room + 1))

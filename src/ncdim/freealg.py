@@ -131,12 +131,14 @@ class Poly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Word, Fraction | int] | None = None):
+        """Keep the nonzero terms; a coefficient that is not a ``Fraction``
+        and a word that is not a tuple are converted, all else is kept as is."""
         clean: dict[Word, Fraction] = {}
         if terms:
             for word, coeff in terms.items():
-                c = Fraction(coeff)
+                c = coeff if coeff.__class__ is Fraction else Fraction(coeff)
                 if c:
-                    clean[tuple(word)] = c
+                    clean[word if word.__class__ is tuple else tuple(word)] = c
         self.terms = clean
 
     @classmethod
@@ -215,8 +217,9 @@ def leading_homogeneous(f: Poly, alphabet: Alphabet) -> Poly:
     """The homogeneous part of highest weighted degree."""
     if f.is_zero:
         raise ValueError("the zero polynomial has no leading homogeneous part")
-    top = max(alphabet.degree(w) for w in f.terms)
-    return Poly({w: c for w, c in f.terms.items() if alphabet.degree(w) == top})
+    degrees = [alphabet.degree(w) for w in f.terms]
+    top = max(degrees)
+    return Poly({w: c for (w, c), d in zip(f.terms.items(), degrees) if d == top})
 
 
 # ---------------------------------------------------------------------------
@@ -228,118 +231,105 @@ _TOKEN = re.compile(
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) of each token but whitespace, in one scan; an
+    operator's kind is the operator itself.  The first character that starts
+    no token is an error."""
     tokens = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
+    for m in _TOKEN.finditer(text):
+        if m.start() != pos:
+            break
+        kind = m.lastgroup
+        if kind != "ws":
+            value = m.group()
+            tokens.append((value if kind == "op" else kind, value, pos))
         pos = m.end()
+    if pos != len(text):
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)
     return tokens
 
 
-class _PolyParser:
-    """Recursive-descent parser for  poly := [sign] term (('+'|'-') term)*
-    with  term := [coeff '*'] factor ('*' factor)* | coeff,
-          coeff := nat ['/' nat],  factor := name ['^' nat]."""
-
-    def __init__(self, text: str, alphabet: Alphabet):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.index = {name: i for i, name in enumerate(alphabet.names)}
-
-    def _peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _accept_op(self, op: str) -> bool:
-        tok = self._peek()
-        if tok and tok[0] == "op" and tok[1] == op:
-            self.pos += 1
-            return True
-        return False
-
-    def _expect(self, kind: str, message: str):
-        tok = self._peek()
-        if tok is None:
-            raise ParseError(message, len(self.text))
-        if tok[0] != kind:
-            raise ParseError(message, tok[2])
-        self.pos += 1
-        return tok
-
-    def _nat(self, message: str) -> tuple[int, int]:
-        """The next token, a natural number, as (value, position)."""
-        tok = self._expect("nat", message)
-        try:
-            return int(tok[1]), tok[2]
-        except ValueError:  # over Python's limit on integer-string conversion
-            raise ParseError(f"integer of {len(tok[1])} digits is too long", tok[2]) from None
-
-    def _coeff(self) -> Fraction:
-        num, _ = self._nat("expected a coefficient")
-        if self._accept_op("/"):
-            den, at = self._nat("expected a denominator")
-            if den == 0:
-                raise ParseError("zero denominator in coefficient", at)
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def _factor(self, length: int) -> Word:
-        """The next factor of a word that has ``length`` letters so far."""
-        tok = self._expect("name", "expected a variable name")
-        letter = self.index.get(tok[1])
-        if letter is None:
-            raise ParseError(f"unknown variable {tok[1]!r}", tok[2])
-        exp, at = 1, tok[2]
-        if self._accept_op("^"):
-            exp, at = self._nat("expected an exponent")
-        if length + exp > MAX_WORD_LETTERS:
-            raise ParseError(f"word longer than {MAX_WORD_LETTERS} letters", at)
-        return (letter,) * exp
-
-    def _term(self) -> tuple[Fraction, Word]:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("expected a term", len(self.text))
-        coeff = Fraction(1)
-        if tok[0] == "nat":
-            coeff = self._coeff()
-            if not self._accept_op("*"):
-                return coeff, ()
-        word: list[int] = []
-        word.extend(self._factor(0))
-        while self._accept_op("*"):
-            word.extend(self._factor(len(word)))
-        return coeff, tuple(word)
-
-    def parse(self) -> Poly:
-        acc: dict[Word, Fraction] = {}
-        sign = 1
-        if self._accept_op("-"):
-            sign = -1
-        else:
-            self._accept_op("+")
-        while True:
-            coeff, word = self._term()
-            nc = acc.get(word, 0) + sign * coeff
-            if nc:
-                acc[word] = nc
-            else:
-                acc.pop(word, None)
-            tok = self._peek()
-            if tok is None:
-                break
-            if tok[0] == "op" and tok[1] in "+-":
-                sign = 1 if tok[1] == "+" else -1
-                self.pos += 1
-            else:
-                raise ParseError("expected '+' or '-' between terms", tok[2])
-        return Poly(acc)
+def _natural(digits: str, at: int) -> int:
+    """The value of a natural-number token at position ``at``."""
+    try:
+        return int(digits)
+    except ValueError:  # over Python's limit on integer-string conversion
+        raise ParseError(f"integer of {len(digits)} digits is too long", at) from None
 
 
 def parse_polynomial(text: str, alphabet: Alphabet) -> Poly:
-    """Parse an expression like ``"x2*x1 - 2*x1*x2 - x1^2"`` over ``alphabet``."""
-    return _PolyParser(text, alphabet).parse()
+    """Parse an expression like ``"x2*x1 - 2*x1*x2 - x1^2"`` over ``alphabet``.
+
+    One pass over the tokens, by the grammar
+    poly := [sign] term (('+'|'-') term)*  with
+    term := [coeff '*'] factor ('*' factor)* | coeff,
+    coeff := nat ['/' nat]  and  factor := name ['^' nat].
+    A coefficient stays an int unless it has a denominator.
+    """
+    end = len(text)
+    tokens = _tokenize(text)
+    tokens.append(("", "", end))  # the end of the text, where its errors point
+    index = {name: i for i, name in enumerate(alphabet.names)}
+    acc: dict[Word, Fraction | int] = {}
+    sign, k = 1, 0
+    if tokens[0][0] == "-":
+        sign, k = -1, 1
+    elif tokens[0][0] == "+":
+        k = 1
+    while True:
+        kind, value, at = tokens[k]
+        if not kind:
+            raise ParseError("expected a term", end)
+        coeff, word = 1, None
+        if kind == "nat":
+            coeff = _natural(value, at)
+            k += 1
+            if tokens[k][0] == "/":
+                kind, value, at = tokens[k + 1]
+                if kind != "nat":
+                    raise ParseError("expected a denominator", at)
+                den = _natural(value, at)
+                if not den:
+                    raise ParseError("zero denominator in coefficient", at)
+                coeff = Fraction(coeff, den)
+                k += 2
+            if tokens[k][0] == "*":
+                k += 1
+            else:
+                word = ()  # a constant term
+        if word is None:
+            letters: list[int] = []
+            while True:
+                kind, value, at = tokens[k]
+                if kind != "name":
+                    raise ParseError("expected a variable name", at)
+                letter = index.get(value)
+                if letter is None:
+                    raise ParseError(f"unknown variable {value!r}", at)
+                exp = 1
+                if tokens[k + 1][0] == "^":
+                    kind, value, at = tokens[k + 2]
+                    if kind != "nat":
+                        raise ParseError("expected an exponent", at)
+                    exp = _natural(value, at)
+                    k += 2
+                if len(letters) + exp > MAX_WORD_LETTERS:
+                    raise ParseError(f"word longer than {MAX_WORD_LETTERS} letters", at)
+                letters += (letter,) * exp
+                k += 1
+                if tokens[k][0] != "*":
+                    break
+                k += 1
+            word = tuple(letters)
+        nc = acc.get(word, 0) + sign * coeff
+        if nc:
+            acc[word] = nc
+        else:
+            acc.pop(word, None)
+        kind, _, at = tokens[k]
+        if not kind:
+            return Poly(acc)
+        if kind not in ("+", "-"):
+            raise ParseError("expected '+' or '-' between terms", at)
+        sign = -1 if kind == "-" else 1
+        k += 1

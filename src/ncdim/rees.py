@@ -9,8 +9,10 @@ k of G~ keeps LM(g_k) and each commutator has X_i T, G~ is again a Groebner
 basis, and the chain graph is the base one plus a sink T that every base
 vertex steps to, so C~_i = C_i u C_{i-1}T and C~_i(t) = C_i(t) +
 t*C_{i-1}(t).  Each of these is checked at runtime, and a violation raises
-CrossCheckError.  G~ is verified overlap by overlap, with one exception: a
-base overlap whose two relations and every relation its base reduction
+CrossCheckError.  G~ is verified overlap by overlap, but only the overlaps
+with a commutator are enumerated: the others are overlaps of base leading
+words, which G~ keeps, so they are read off the base's verification record.
+A base overlap whose two relations and every relation its base reduction
 applied are homogeneous, so that their rules in G~ are those of G, is
 resolved by that base reduction.  Reducing it under G~ would be the same
 computation: the same S-element, over T-free words only, which only base

@@ -29,11 +29,24 @@ def word_str(word: Word, alphabet: Alphabet) -> str:
     return "*".join([names[i] for i in word])
 
 
+class _Names(dict):
+    """Word -> its :func:`word_str` text, each named on its first lookup."""
+
+    __slots__ = ("alphabet",)
+
+    def __init__(self, alphabet: Alphabet):
+        super().__init__()
+        self.alphabet = alphabet
+
+    def __missing__(self, word: Word) -> str:
+        text = self[word] = word_str(word, self.alphabet)
+        return text
+
+
 def vertex_names(graph) -> dict[Word, str]:
-    """The :func:`word_str` text of each vertex of a graph with ``alphabet``
-    and ``vertices``, each named once."""
-    alphabet = graph.alphabet
-    return {v: word_str(v, alphabet) for v in graph.vertices}
+    """The :func:`word_str` text of the vertices of a graph with
+    ``alphabet``, each named once, on its first lookup."""
+    return _Names(graph.alphabet)
 
 
 def word_pretty(word: Word, alphabet: Alphabet) -> str:

@@ -4,9 +4,13 @@ One Aho–Corasick automaton per obstruction set does all factor search:
 normality queries, the normal steps that growth and the normal-word counts
 read, the chain graph's overlap walk, the antichain and LM-reduction checks
 and the choice of each reduction step share the machine, and a basis shares
-it with its obstruction set.  Verification is by checking that the
-S-element of every overlap ambiguity reduces to zero; no completion is
-ever attempted.
+it with its obstruction set.  The automaton's table is filled in one dict
+merge per state.  Verification is by checking that the S-element of every
+overlap ambiguity reduces to zero; no completion is ever attempted.  A
+basis that extends a verified one, as the Rees basis G~ extends G, takes
+the overlaps of the shared leading words from the base's record, as
+(i, j, overlap) keys, and enumerates only the rest; an ambiguity, with its
+superposition word, is built only for an overlap that is reduced.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import GroebnerVerificationError, InputError
 from .freealg import Alphabet, MonomialOrder, Poly, Word, leading_data
@@ -58,11 +62,12 @@ class FactorAutomaton:
             s = queue.popleft()
             f = fail[s]  # shallower, so its transitions are complete already
             out[s] += out[f]
-            for letter, t in goto[s].items():
+            children = goto[s]
+            for letter, t in children.items():
                 fail[t] = goto[f].get(letter, 0)
                 queue.append(t)
-            for letter, t in goto[f].items():
-                goto[s].setdefault(letter, t)
+            # the failure state's transitions, each overridden by a child
+            goto[s] = {**goto[f], **children}
         self._goto = goto
         self._out = out
         self._depth = depth
@@ -441,8 +446,11 @@ def _reduce_terms(work: dict, basis: GroebnerBasis, applied: set | None = None) 
             # p = coeff * c, reduced by cancelling across (each gcd has a
             # relation's small number on one side)
             if c.__class__ is int:
-                g = gcd(c, cd)
-                pn, pd = cn * (c // g), cd // g
+                if cd == 1:
+                    pn, pd = cn * c, 1
+                else:
+                    g = gcd(c, cd)
+                    pn, pd = cn * (c // g), cd // g
             else:
                 e, f = c
                 g, h = gcd(cn, f), gcd(e, cd)
@@ -468,8 +476,7 @@ def _reduce_terms(work: dict, basis: GroebnerBasis, applied: set | None = None) 
     return work
 
 
-@dataclass(frozen=True)
-class OverlapAmbiguity:
+class OverlapAmbiguity(NamedTuple):
     """A proper suffix of one leading word equals a proper prefix of another.
 
     ``word`` is the superposition: LM(left) and LM(right) overlap in it by
@@ -482,21 +489,34 @@ class OverlapAmbiguity:
     word: Word
 
 
+def _overlaps(lws: tuple[Word, ...], lefts: range, rights: range) -> list[tuple[int, int, int]]:
+    """(i, j, overlap) of every overlap of leading word i in ``lefts`` with
+    leading word j in ``rights``, in that order; ``rights`` ascending."""
+    top = max((len(lws[i]) for i in lefts), default=0)
+    starts: dict[Word, list[int]] = {}  # proper prefix -> leading words it starts
+    for j in rights:
+        v = lws[j]
+        for o in range(1, min(len(v), top)):
+            starts.setdefault(v[:o], []).append(j)
+    out: list[tuple[int, int, int]] = []
+    for i in lefts:
+        u = lws[i]
+        out += sorted((i, j, o) for o in range(1, len(u)) for j in starts.get(u[-o:], ()))
+    return out
+
+
+def _ambiguity(lws: tuple[Word, ...], i: int, j: int, o: int) -> OverlapAmbiguity:
+    return OverlapAmbiguity(i, j, o, lws[i] + lws[j][o:])
+
+
 def overlap_ambiguities(basis: GroebnerBasis) -> list[OverlapAmbiguity]:
     """All overlap ambiguities, in deterministic (i, j, overlap) order.
 
     Inclusion ambiguities cannot occur for an LM-reduced basis.
     """
     lws = basis.leading_words
-    starts: dict[Word, list[int]] = {}  # proper prefix -> leading words it starts
-    for j, v in enumerate(lws):
-        for o in range(1, len(v)):
-            starts.setdefault(v[:o], []).append(j)
-    out: list[OverlapAmbiguity] = []
-    for i, u in enumerate(lws):
-        hits = sorted((j, o) for o in range(1, len(u)) for j in starts.get(u[-o:], ()))
-        out.extend(OverlapAmbiguity(i, j, o, u + lws[j][o:]) for j, o in hits)
-    return out
+    every = range(len(lws))
+    return [_ambiguity(lws, *key) for key in _overlaps(lws, every, every)]
 
 
 def _s_terms(basis: GroebnerBasis, amb: OverlapAmbiguity) -> dict:
@@ -528,6 +548,18 @@ class VerificationResult:
     applied: dict | None = field(default=None, compare=False, repr=False)
 
 
+def _base_record(basis: GroebnerBasis, base: GroebnerBasis | None) -> dict | None:
+    """Per overlap (i, j, overlap) of ``base``, the relations its reduction
+    applied, when ``base`` is verified and its leading words are the first
+    len(base) of ``basis``: those overlaps are then ``basis``'s among its
+    first len(base) leading words.  None otherwise."""
+    if base is None or base.verification is None:
+        return None
+    if basis.leading_words[: len(base)] != base.leading_words:
+        return None
+    return base.verification.applied
+
+
 def _repeated_reductions(basis: GroebnerBasis, base: GroebnerBasis) -> dict:
     """The overlaps of ``basis`` whose reduction would repeat, step for step,
     one recorded by the successful verification of ``base``, each with the
@@ -541,11 +573,10 @@ def _repeated_reductions(basis: GroebnerBasis, base: GroebnerBasis) -> dict:
     reduction applied keep base's rule, the S-element and every step are
     base's, down to the same zero.
     """
-    done = base.verification.applied if base.verification is not None else None
-    r = len(base)
-    if not done or basis.leading_words[:r] != base.leading_words:
+    done = _base_record(basis, base)
+    if not done:
         return {}
-    shared = {k for k in range(r) if basis._rules[k] == base._rules[k]}
+    shared = {k for k in range(len(base)) if basis._rules[k] == base._rules[k]}
     return {key: used for key, used in done.items()
             if key[0] in shared and key[1] in shared and used <= shared}
 
@@ -557,26 +588,40 @@ def verify_groebner(basis: GroebnerBasis, base: GroebnerBasis | None = None
     Each S-element is built and reduced as the engine's exact term dict; a
     ``Poly`` is built only for a nonzero remainder.  With ``base``, a
     verified basis that ``basis`` extends (see :func:`_repeated_reductions`),
-    an overlap whose reduction would repeat base's is resolved by that
-    reduction instead of being reduced again; it still counts as checked.
+    only the overlaps with a relation after the first len(base) are
+    enumerated: the others are base's, read off its record.  An overlap
+    whose reduction would repeat base's is resolved by that reduction
+    instead of being reduced again; it still counts as checked, and no
+    ambiguity is built for it.
 
     On success the result is kept as ``basis.verification``; on failure it
     carries the first failing ambiguity (fixed enumeration order) and its
     remainder.
     """
-    ambiguities = overlap_ambiguities(basis)
-    repeated = {} if base is None else _repeated_reductions(basis, base)
+    lws = basis.leading_words
+    done = _base_record(basis, base)
+    if done is None:
+        overlaps = overlap_ambiguities(basis)
+        repeated = {}
+    else:
+        r, n = len(base), len(lws)
+        later = _overlaps(lws, range(r), range(r, n)) + _overlaps(lws, range(r, n), range(n))
+        overlaps = sorted([*done, *later])  # two ascending runs: one merge
+        repeated = _repeated_reductions(basis, base)
     applied = {}
-    for amb in ambiguities:
-        key = (amb.left_index, amb.right_index, amb.overlap)
+    for overlap in overlaps:
+        key = overlap[:3]
         used = repeated.get(key)
         if used is None:
+            # a key of base's record or a later overlap becomes an ambiguity
+            # only here, to be reduced
+            amb = overlap if len(overlap) == 4 else _ambiguity(lws, *key)
             used = set()
             remainder = _reduce_terms(_s_terms(basis, amb), basis, used)
             if remainder:
-                return VerificationResult(False, len(ambiguities), amb, _poly(remainder))
+                return VerificationResult(False, len(overlaps), amb, _poly(remainder))
         applied[key] = used
-    basis.verification = VerificationResult(True, len(ambiguities), applied=applied)
+    basis.verification = VerificationResult(True, len(overlaps), applied=applied)
     return basis.verification
 
 

@@ -14,17 +14,25 @@
   :func:`homogeneous_components`, :func:`dehomogenize`, :func:`count_paths`,
   :func:`chain_level` and :func:`poly_mul`;
 - :func:`listed_chain_words`, the word-only chain listing that the
-  package's listing of words and texts is tested against.
+  package's listing of words and texts is tested against;
+- :class:`_PolyParser`, the recursive-descent parser with one method call
+  per token that the one-pass ``parse_polynomial`` is tested against;
+- :func:`setdefault_automaton`, the Aho–Corasick table filled in one
+  ``setdefault`` per letter, against which ``FactorAutomaton``'s merged
+  table is tested.
 """
 
 from bisect import insort
+from collections import deque
 from fractions import Fraction
 from itertools import islice
 from operator import itemgetter
 
 import ncdim.chains
+import ncdim.freealg
 from ncdim import Poly, VerificationResult, overlap_ambiguities
 from ncdim.chains import ROOT
+from ncdim.errors import ParseError
 from ncdim.rees import HomogenizationOrder
 
 
@@ -256,3 +264,147 @@ def poly_mul(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def _tokenize(text):
+    """(kind, text, position) of each token but whitespace, one match per token."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = ncdim.freealg._TOKEN.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, m.group(), pos))
+        pos = m.end()
+    return tokens
+
+
+class _PolyParser:
+    """Recursive-descent parser for  poly := [sign] term (('+'|'-') term)*
+    with  term := [coeff '*'] factor ('*' factor)* | coeff,
+          coeff := nat ['/' nat],  factor := name ['^' nat]."""
+
+    def __init__(self, text, alphabet):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.index = {name: i for i, name in enumerate(alphabet.names)}
+
+    def _peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def _accept_op(self, op):
+        tok = self._peek()
+        if tok and tok[0] == "op" and tok[1] == op:
+            self.pos += 1
+            return True
+        return False
+
+    def _expect(self, kind, message):
+        tok = self._peek()
+        if tok is None:
+            raise ParseError(message, len(self.text))
+        if tok[0] != kind:
+            raise ParseError(message, tok[2])
+        self.pos += 1
+        return tok
+
+    def _nat(self, message):
+        """The next token, a natural number, as (value, position)."""
+        tok = self._expect("nat", message)
+        try:
+            return int(tok[1]), tok[2]
+        except ValueError:  # over Python's limit on integer-string conversion
+            raise ParseError(f"integer of {len(tok[1])} digits is too long", tok[2]) from None
+
+    def _coeff(self):
+        num, _ = self._nat("expected a coefficient")
+        if self._accept_op("/"):
+            den, at = self._nat("expected a denominator")
+            if den == 0:
+                raise ParseError("zero denominator in coefficient", at)
+            return Fraction(num, den)
+        return Fraction(num)
+
+    def _factor(self, length):
+        """The next factor of a word that has ``length`` letters so far."""
+        tok = self._expect("name", "expected a variable name")
+        letter = self.index.get(tok[1])
+        if letter is None:
+            raise ParseError(f"unknown variable {tok[1]!r}", tok[2])
+        exp, at = 1, tok[2]
+        if self._accept_op("^"):
+            exp, at = self._nat("expected an exponent")
+        limit = ncdim.freealg.MAX_WORD_LETTERS
+        if length + exp > limit:
+            raise ParseError(f"word longer than {limit} letters", at)
+        return (letter,) * exp
+
+    def _term(self):
+        tok = self._peek()
+        if tok is None:
+            raise ParseError("expected a term", len(self.text))
+        coeff = Fraction(1)
+        if tok[0] == "nat":
+            coeff = self._coeff()
+            if not self._accept_op("*"):
+                return coeff, ()
+        word = []
+        word.extend(self._factor(0))
+        while self._accept_op("*"):
+            word.extend(self._factor(len(word)))
+        return coeff, tuple(word)
+
+    def parse(self):
+        acc = {}
+        sign = 1
+        if self._accept_op("-"):
+            sign = -1
+        else:
+            self._accept_op("+")
+        while True:
+            coeff, word = self._term()
+            nc = acc.get(word, 0) + sign * coeff
+            if nc:
+                acc[word] = nc
+            else:
+                acc.pop(word, None)
+            tok = self._peek()
+            if tok is None:
+                break
+            if tok[0] == "op" and tok[1] in "+-":
+                sign = 1 if tok[1] == "+" else -1
+                self.pos += 1
+            else:
+                raise ParseError("expected '+' or '-' between terms", tok[2])
+        return Poly(acc)
+
+
+def setdefault_automaton(patterns):
+    """The (goto, out) tables of ``FactorAutomaton(patterns)``, each state's
+    missing transitions filled in one ``setdefault`` per letter."""
+    goto, out = [{}], [()]
+    for k, pat in enumerate(patterns):
+        state = 0
+        for letter in pat:
+            nxt = goto[state].get(letter)
+            if nxt is None:
+                nxt = len(goto)
+                goto[state][letter] = nxt
+                goto.append({})
+                out.append(())
+            state = nxt
+        out[state] += (k,)
+    fail = [0] * len(goto)
+    queue = deque(goto[0].values())
+    while queue:
+        s = queue.popleft()
+        f = fail[s]
+        out[s] += out[f]
+        for letter, t in goto[s].items():
+            fail[t] = goto[f].get(letter, 0)
+            queue.append(t)
+        for letter, t in goto[f].items():
+            goto[s].setdefault(letter, t)
+    return goto, out

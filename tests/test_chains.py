@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import ncdim.chains
+import ncdim.render
 from ncdim import (
     Alphabet,
     ChainGraph,
@@ -265,6 +266,27 @@ class TestListingAgainstTheWordOnlyReference:
         monkeypatch.setattr(ncdim.chains, "MAX_LISTED_CHAINS", 64)
         listing = self.check(AB, ALL_SQUARES)
         assert [len(words) for words in listing.levels] == [2, 4, 8, 16, 32]
+
+    def test_names_only_the_vertices_of_listed_routes(self, monkeypatch):
+        # x1^1024: 1025 chain-graph vertices, but the routes of the 64 listed
+        # levels pass through x1, x2 and x1^1023 only
+        sets = sets_of(MonomialSet([(0,) * 1024]), AB)
+        assert len(sets.graph.vertices) == 1025
+        named = []
+        original = ncdim.render.word_str
+
+        def logged(word, alphabet):
+            named.append(word)
+            return original(word, alphabet)
+
+        monkeypatch.setattr(ncdim.render, "word_str", logged)
+        listing = sets.listing
+        assert len(listing.levels) == ncdim.chains.MAX_LISTED_LEVELS
+        through, tails = set(), set(sets.graph.successors(ROOT))
+        for _ in listing.levels:
+            through |= tails
+            tails = {s for v in tails for s in sets.graph.successors(v)}
+        assert sorted(named) == sorted(through) == [(0,), (0,) * 1023, (1,)]
 
 
 class TestFinitenessAgainstDfs:

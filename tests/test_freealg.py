@@ -1,4 +1,7 @@
+import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +16,7 @@ from ncdim import (
     parse_polynomial,
 )
 from ncdim.freealg import MAX_WEIGHT
-from references import compare, homogeneous_components
+from references import _PolyParser, compare, homogeneous_components
 
 AB = Alphabet(("x1", "x2"), (1, 1))
 AB_W = Alphabet(("x1", "x2"), (1, 3))
@@ -132,6 +135,16 @@ class TestPoly:
         assert Poly({(0,): 0}).is_zero
         assert not Poly({(0,): 0})
         assert Poly({(0,): 1})
+
+    def test_keeps_fractions_and_tuples_and_converts_the_rest(self):
+        half, word = Fraction(1, 2), (0, 1)
+        f = Poly({word: half, (1,): 3, (0, 0): "2/3", (0, 1, 1): 0.5})
+        assert f.terms == {word: half, (1,): 3, (0, 0): Fraction(2, 3), (0, 1, 1): half}
+        (kept, c), *_ = f.terms.items()
+        assert kept is word and c is half
+        assert all(type(c) is Fraction for c in f.terms.values())
+        g = Poly({range(2): 2, (): "0"})
+        assert list(g.terms) == [(0, 1)] and type(next(iter(g.terms))) is tuple
 
     def test_monomial(self):
         assert Poly.monomial((0, 1), 3).terms == {(0, 1): Fraction(3)}
@@ -276,3 +289,89 @@ class TestParser:
     def test_parse_error_is_input_error(self):
         with pytest.raises(InputError):
             parse_polynomial("x3", AB)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def file_texts():
+    """(alphabet, relation texts) of every presentation file of the samples
+    and of the golden inputs."""
+    paths = sorted((ROOT / "presentations").glob("*.json"))
+    paths += sorted((ROOT / "tests" / "golden" / "inputs").glob("*.json"))
+    for path in paths:
+        data = json.loads(path.read_text())
+        names = tuple(v["name"] for v in data["variables"])
+        yield Alphabet(names, (1,) * len(names)), data["relations"]
+
+
+def family_texts():
+    """(alphabet, relation texts) of commutation, seeded q-commutation, Weyl,
+    Heisenberg and power-family rings."""
+    rng = random.Random(25)
+
+    def pbw(names, extra):
+        texts = [f"{names[j]}*{names[i]} - {extra(i, j)}{names[i]}*{names[j]}"
+                 for j in range(len(names)) for i in range(j)]
+        return Alphabet(tuple(names), (1,) * len(names)), texts
+
+    for n in range(2, 7):
+        xs = [f"x{i + 1}" for i in range(n)]
+        yield pbw(xs, lambda i, j: "")
+        yield pbw(xs, lambda i, j: f"{rng.randint(1, 9)}/{rng.randint(1, 9)}*")
+    for m in range(1, 4):
+        alphabet, texts = pbw([f"x{i + 1}" for i in range(m)] + [f"d{i + 1}" for i in range(m)],
+                              lambda i, j: "")
+        yield alphabet, [t + (" - 1" if k % 3 == 0 else "") for k, t in enumerate(texts)]
+        alphabet, texts = pbw([f"p{i + 1}" for i in range(m)] + [f"q{i + 1}" for i in range(m)]
+                              + ["z"], lambda i, j: "")
+        yield alphabet, [t + (" - z" if k % 2 == 0 else "") for k, t in enumerate(texts)]
+    for n in range(1, 6):
+        yield AB, [f"x2^{n}*x1 - 2*x1*x2^{n} - x1"]
+
+
+def mutations(text, rng, count):
+    """``count`` seeded one-character edits of ``text``: a replaced, an
+    inserted or a deleted character, drawn from a few letters, digits and
+    operators and one character that starts no token."""
+    for _ in range(count):
+        pos = rng.randrange(len(text) + 1)
+        char = rng.choice("x1*^/+- 09@")
+        edit = rng.randrange(3)
+        if edit == 0 and pos < len(text):
+            yield text[:pos] + char + text[pos + 1 :]
+        elif edit == 1 or pos == len(text):
+            yield text[:pos] + char + text[pos:]
+        else:
+            yield text[:pos] + text[pos + 1 :]
+
+
+def parse_outcome(parse, text, alphabet):
+    """The terms (in order, with their coefficient types) of the parsed
+    polynomial, or the message and position of the parse error."""
+    try:
+        f = parse(text, alphabet)
+    except ParseError as exc:
+        return "error", str(exc), exc.position
+    return "poly", list(f.terms.items()), [type(c) for c in f.terms.values()]
+
+
+class TestParserAgainstTheReference:
+    """The one-pass parser against the recursive-descent parser it replaced."""
+
+    def test_relations_and_their_one_character_edits(self):
+        rng = random.Random(2025)
+        cases = list(file_texts()) + list(family_texts())
+        cases.append((AB, ["", "x1 +", "x1 x2", "*x1", "2*3", "x1/2", "1/0*x1", "x1 @ x2",
+                           "x1^600*x1^600", "x2*x1^1024", "x1^0*x2", "2/4 - 1/2", "-+x1",
+                           " x1 ^ 2 * x2 - 3 / 6 * x2 ", "x1^2^3", "2/3/4", "x1**x2"]))
+        reference = lambda text, alphabet: _PolyParser(text, alphabet).parse()  # noqa: E731
+        parsed = errors = 0
+        for alphabet, texts in cases:
+            for original in texts:
+                for text in [original, *mutations(original, rng, 24)]:
+                    expected = parse_outcome(reference, text, alphabet)
+                    assert parse_outcome(parse_polynomial, text, alphabet) == expected, text
+                    parsed += expected[0] == "poly"
+                    errors += expected[0] == "error"
+        assert parsed >= 300 and errors >= 1700

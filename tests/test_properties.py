@@ -761,6 +761,68 @@ class TestRepeatedReductions:
         assert all(k in reduced for k in rees.verification.applied if 0 in k[:2])
 
 
+class TestReesOverlapsFromTheBaseRecord:
+    """The Rees verification reads the overlaps among the base leading words
+    off the base's record and enumerates only those with a commutator,
+    against the full enumeration of G~'s overlaps."""
+
+    @staticmethod
+    def pbw_rings():
+        rng = random.Random(25)
+        rings = [commutation(n) for n in range(2, 9)]
+        rings += [rational_pbw(n, rng) for n in range(2, 7)]
+        rings += [weyl(m) for m in (1, 2, 3)] + [heisenberg(m) for m in (1, 2, 3)]
+        assert all(verify_groebner(ring).ok for ring in rings)
+        return rings
+
+    def test_same_overlaps_checked_in_the_same_order(self, monkeypatch):
+        bases = [b for b in rees_test_bases() if verify_groebner(b).ok] + self.pbw_rings()
+        listed = []
+        monkeypatch.setattr(ncdim.rewrite, "overlap_ambiguities",
+                            lambda basis: listed.append(basis) or overlap_ambiguities(basis))
+        reduced = []
+        s_terms = ncdim.rewrite._s_terms
+
+        def logged(basis, amb):
+            reduced.append(amb)
+            return s_terms(basis, amb)
+
+        monkeypatch.setattr(ncdim.rewrite, "_s_terms", logged)
+        commutator_overlaps = 0
+        for base in bases:
+            reduced.clear()
+            rees = tilde_basis(base)
+            assert listed == []  # the base was verified already
+            full = overlap_ambiguities(rees)
+            assert rees.verification.checked == len(full)
+            assert list(rees.verification.applied) == [amb[:3] for amb in full]
+            repeated = ncdim.rewrite._repeated_reductions(rees, base)
+            assert reduced == [amb for amb in full if amb[:3] not in repeated]
+            commutator_overlaps += sum(amb.right_index >= len(base) for amb in full)
+        assert commutator_overlaps >= 300
+
+    def test_an_altered_commutator_fails_on_the_same_ambiguity(self):
+        failed = 0
+        for base in self.pbw_rings():
+            t = base.order.alphabet.n
+            for k in range(len(base), len(base) + t):
+                rees = unverified_rees_basis(base)
+                # X*T -> T*X + X instead of T*X
+                length, ((word, c),) = rees._rules[k]
+                assert word[0] == t
+                altered = (length, ((word, c), (word[1:], c)))
+                rees._rules = rees._rules[:k] + (altered,) + rees._rules[k + 1 :]
+                keyed, full = verify_groebner(rees, base), verify_groebner(rees)
+                assert keyed == full
+                if not full.ok:
+                    amb = keyed.ambiguity
+                    assert (amb.left_index, amb.right_index, amb.overlap, amb.word) == \
+                        tuple(full.ambiguity)
+                    assert list(keyed.remainder.terms) == list(full.remainder.terms)
+                    failed += 1
+        assert failed >= 50
+
+
 def engine_value(c):
     return Fraction(c) if type(c) is int else Fraction(*c)
 

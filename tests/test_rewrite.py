@@ -21,8 +21,9 @@ from ncdim import (
 )
 from ncdim.rewrite import FactorAutomaton
 
-from presets import commutation, down_up, ore_case_a
-from references import contains_factor, s_element
+from presets import commutation, down_up, heisenberg, ore_case_a, weyl
+from references import contains_factor, s_element, setdefault_automaton
+from test_rees import random_antichains
 
 AB = Alphabet(("x1", "x2"), (1, 1))
 
@@ -107,6 +108,19 @@ class TestFactorAutomaton:
             assert [w for w, _ in words] == [
                 w for w in itertools.product(range(3), repeat=length) if auto.is_normal(w)
             ]
+
+    def test_table_equals_the_setdefault_construction(self):
+        # the merged transitions against one setdefault per letter
+        pattern_sets = [omega.words for _, omega in random_antichains(300)]
+        rings = [commutation(n) for n in range(2, 9)]
+        rings += [weyl(m) for m in (1, 2, 3)] + [heisenberg(m) for m in (1, 2, 3)]
+        for ring in rings:
+            pattern_sets += [ring.omega.words, tilde_basis(ring).omega.words]
+        pattern_sets += [((0,) * k,) for k in (2, 20, 256)]
+        pattern_sets.append(((0, 1), (1, 0, 1, 1), (1,), (0, 1)))  # nested and repeated
+        for patterns in pattern_sets:
+            auto = FactorAutomaton(patterns)
+            assert (auto._goto, auto._out) == setdefault_automaton(patterns)
 
     def test_overlap_tails(self):
         # the tails that complete a pattern starting inside the word
