@@ -6,12 +6,13 @@ global dimension of the monomial algebra is the first level at which the
 chain sets vanish, and the Hilbert series denominator is the alternating
 sum of the chain-level generating polynomials.  Both need only the number
 of routes per level and degree, which a DP over the graph counts; words are
-listed for display only, under a budget.
+listed for display only, under a budget.  Later stages read Omega, the
+alphabet, every vertex's successors and N off these two records alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 from typing import Iterable, NamedTuple
@@ -64,14 +65,18 @@ class ChainGraph:
     (:meth:`FactorAutomaton.overlap_tails`); the walk is at most ell deep.
     Each edge is then certified by one normality query on uv minus its last
     letter.
+
+    ``edges`` maps every vertex to its successors, () for a sink, vertices
+    and successors in (length, word) order; ``vertices`` is its keys.
     """
 
+    omega: MonomialSet
     alphabet: Alphabet
-    vertices: tuple[Word, ...]
     edges: dict[Word, tuple[Word, ...]]
+    vertices: tuple[Word, ...] = field(init=False)
 
-    def successors(self, v: Word) -> tuple[Word, ...]:
-        return self.edges.get(v, ())
+    def __post_init__(self):
+        object.__setattr__(self, "vertices", tuple(self.edges))
 
     @property
     def pairs(self) -> tuple[tuple[Word, Word], ...]:
@@ -92,15 +97,14 @@ def build_chain_graph(omega: MonomialSet, alphabet: Alphabet) -> ChainGraph:
         for k in range(1, len(w)):
             vertices.add(w[k:])
     ordered = sorted(vertices, key=_by_length)
-    edges: dict[Word, tuple[Word, ...]] = {ROOT: tuple(sorted((i,) for i in live))}
+    edges: dict[Word, tuple[Word, ...]] = {ROOT: tuple((i,) for i in live)}
     for u in ordered[1:]:
         targets = omega.automaton.overlap_tails(u)
         for v in targets:
             if not omega.is_normal(u + v[:-1]):
                 raise CrossCheckError("chain graph edge is not normal before its last letter")
-        if targets:
-            edges[u] = tuple(sorted(targets, key=_by_length))
-    return ChainGraph(alphabet, tuple(ordered), edges)
+        edges[u] = tuple(sorted(targets, key=_by_length))
+    return ChainGraph(omega, alphabet, edges)
 
 
 class ChainListing(NamedTuple):
@@ -119,10 +123,10 @@ class ChainSets:
     ascending coefficients by weighted degree with trailing zeros trimmed,
     starting at C_0; C_{-1} = 1 is implicit.  ``finite`` reports whether the
     chain sets vanish at some level (no cycle is reachable from the root).
+    ``truncation`` is N, the degree the Hilbert series is expanded to.
     Finite sets are counted exactly, through their last nonempty level.
-    Infinite ones are counted in degrees up to ``truncation`` only (None
-    when the sets are finite); a chain of C_i has degree at least i + 1, so
-    the levels past ``truncation`` have no chain there.
+    Infinite ones are counted in degrees up to N only; a chain of C_i has
+    degree at least i + 1, so the levels past N have no chain there.
 
     ``listing`` holds the words of C_i for the first ``len(levels)`` levels,
     and the text of each, read off ``graph`` on first access only; ``levels``
@@ -136,20 +140,19 @@ class ChainSets:
     graph: ChainGraph
     finite: bool
     counts: tuple[tuple[int, ...], ...]
-    truncation: int | None
+    truncation: int
 
     @cached_property
     def listing(self) -> ChainListing:
         """Each chain word is a route v1 v2 ... vk out of the root, and its
         text the vertex names joined by '*', as :func:`word_str` prints it;
         a vertex is named on its first use."""
-        graph = self.graph
-        name = vertex_names(graph)
+        edges, name = self.graph.edges, vertex_names(self.graph)
         levels: list[tuple[Word, ...]] = []
         texts: list[tuple[str, ...]] = []
         # (len(chain word), chain word, tail vertex, text): sorted as it
         # stands, in (length, word) order
-        routes = [(len(v), v, v, name[v]) for v in graph.successors(ROOT)]
+        routes = [(len(v), v, v, name[v]) for v in edges[ROOT]]
         room = MAX_LISTED_CHAINS - len(routes)
         while routes and room >= 0 and len(levels) < MAX_LISTED_LEVELS:
             routes.sort()
@@ -159,7 +162,7 @@ class ChainSets:
             following = (
                 (size + len(s), word + s, s, f"{text}*{name[s]}")
                 for size, word, tail, text in routes
-                for s in graph.successors(tail)
+                for s in edges[tail]
             )
             routes = list(islice(following, room + 1))
             room -= len(routes)
@@ -184,7 +187,7 @@ def _cycle_reachable(graph: ChainGraph) -> bool:
     """Some strong component reachable from the root has an internal edge
     (a self-loop counts)."""
     return any(
-        len(comp) > 1 or comp[0] in graph.successors(comp[0])
+        len(comp) > 1 or comp[0] in graph.edges[comp[0]]
         for comp in strong_components([ROOT], graph.edges)
     )
 
@@ -199,10 +202,11 @@ def _count_levels(graph: ChainGraph, truncation: int | None) -> list[tuple[int, 
     chains it has.  Finite sets repeat no vertex on a route, so reaching as
     many levels as vertices means a missed cycle: CrossCheckError, no hang.
     """
+    edges = graph.edges
     degree = {v: graph.alphabet.degree(v) for v in graph.vertices}
     current = {
         s: {degree[s]: 1}
-        for s in graph.successors(ROOT)
+        for s in edges[ROOT]
         if truncation is None or degree[s] <= truncation
     }
     counts: list[tuple[int, ...]] = []
@@ -219,7 +223,7 @@ def _count_levels(graph: ChainGraph, truncation: int | None) -> list[tuple[int, 
             )
         following: dict[Word, dict[int, int]] = {}
         for tail, by_degree in current.items():
-            for s in graph.successors(tail):
+            for s in edges[tail]:
                 row = following.setdefault(s, {})
                 for d, c in by_degree.items():
                     e = d + degree[s]
@@ -234,7 +238,7 @@ def chain_sets(graph: ChainGraph, truncation: int = DEFAULT_TRUNCATION) -> Chain
     sets are infinite); the words are listed only when ``levels`` is read."""
     finite = not _cycle_reachable(graph)
     counts = _count_levels(graph, None if finite else truncation)
-    return ChainSets(graph, finite, tuple(counts), None if finite else truncation)
+    return ChainSets(graph, finite, tuple(counts), truncation)
 
 
 @dataclass(frozen=True)
@@ -282,22 +286,19 @@ def chain_denominator(sets: ChainSets) -> tuple[int, ...]:
     return tuple(den)
 
 
-def hilbert_series(
-    sets: ChainSets, omega: MonomialSet, truncation: int = DEFAULT_TRUNCATION
-) -> HilbertSeries:
-    """Hilbert series of the monomial algebra defined by ``omega``, whose
-    chain sets are ``sets``, over the alphabet of their graph.
+def hilbert_series(sets: ChainSets) -> HilbertSeries:
+    """Hilbert series through degree N = ``sets.truncation`` of the monomial
+    algebra on the Omega of the chain graph of ``sets``.
 
     The coefficients always come from normal-word counting, and 1/D(t) must
     expand to them (CrossCheckError otherwise).  With finite chain sets D(t)
     is exact and becomes the closed form.  Otherwise the counts give D(t)
-    only modulo t^(N+1), N the truncation of the counts, and the identity is
-    checked through degree N.
+    only modulo t^(N+1), and the identity is checked through degree N.
     """
-    coeffs = omega.automaton.count_normal(sets.graph.alphabet.weights, truncation)
+    graph, top = sets.graph, sets.truncation
+    coeffs = graph.omega.automaton.count_normal(graph.alphabet.weights, top)
     den = chain_denominator(sets)
-    top = truncation if sets.finite else min(truncation, sets.truncation)
-    if expand_reciprocal(den, top) != coeffs[: top + 1]:
+    if expand_reciprocal(den, top) != coeffs:
         modulo = "" if sets.finite else f" mod t^{top + 1}"
         raise CrossCheckError(
             f"the chain denominator D(t){modulo} does not invert to the "
@@ -323,13 +324,11 @@ class Invariants:
         return self.sets.gldim
 
 
-def monomial_invariants(
-    omega: MonomialSet, graph: ChainGraph, truncation: int = DEFAULT_TRUNCATION
-) -> Invariants:
-    """The invariants of the monomial algebra on ``omega``; ``graph`` is its chain graph."""
-    growth = automaton_growth(omega, graph.alphabet)
+def monomial_invariants(graph: ChainGraph, truncation: int = DEFAULT_TRUNCATION) -> Invariants:
+    """The invariants of the monomial algebra on the Omega of ``graph``, its chain graph."""
+    growth = automaton_growth(graph.omega, graph.alphabet)
     sets = chain_sets(graph, truncation)
-    return Invariants(growth, sets, hilbert_series(sets, omega, truncation))
+    return Invariants(growth, sets, hilbert_series(sets))
 
 
 def product_form_decomposition(denominator: Iterable[int], m: int) -> list[int] | None:

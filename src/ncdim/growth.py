@@ -186,9 +186,8 @@ def automaton_growth(omega: MonomialSet, alphabet: Alphabet) -> GrowthClass:
     branching, degree = _classify([0], [e[:2] for e in edges])
     if branching is None:
         return GrowthClass(False, degree)
-    ell = max(omega.ell, 1)
-    witness = _two_cycles(edges, set(branching), ell)
-    _check_witness(omega, ell, witness)
+    witness = _two_cycles(edges, set(branching), max(omega.ell, 1))
+    _check_witness(omega, witness)
     return GrowthClass(True, None, witness)
 
 
@@ -241,7 +240,7 @@ def _two_cycles(edges, component: set, ell: int):
     return window, walk(()), walk(q)
 
 
-def _check_witness(omega: MonomialSet, ell: int, witness) -> None:
+def _check_witness(omega: MonomialSet, witness) -> None:
     """Certify a witness without the graph, by one normality query per loop.
 
     A loop's steps are all edges iff window + loop is normal, since every
@@ -250,6 +249,7 @@ def _check_witness(omega: MonomialSet, ell: int, witness) -> None:
     window by different letters make its strong component more than a cycle.
     """
     window, first, second = witness
+    ell = max(omega.ell, 1)
     for loop in (first, second):
         word = window + loop
         if len(window) != ell - 1 or not omega.is_normal(word):

@@ -183,8 +183,7 @@ def analyze(basis: GroebnerBasis, truncation: int = DEFAULT_TRUNCATION) -> Analy
     check_truncation(truncation)
     ensure_verified(basis)
     alphabet = basis.order.alphabet
-    omega = basis.omega
-    monomial = monomial_invariants(omega, build_chain_graph(omega, alphabet), truncation)
+    monomial = monomial_invariants(build_chain_graph(basis.omega, alphabet), truncation)
 
     lh_basis = tuple(leading_homogeneous(g, alphabet) for g in basis.elements)
     rees = rees_invariants(basis, truncation)

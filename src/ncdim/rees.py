@@ -36,7 +36,7 @@ from .chains import (
     monomial_invariants,
 )
 from .errors import CrossCheckError
-from .freealg import Alphabet, MonomialOrder, Poly, Word, leading_data
+from .freealg import Alphabet, MonomialOrder, Poly, Word
 from .render import word_str
 from .rewrite import GroebnerBasis, ensure_verified, verify_groebner
 
@@ -91,17 +91,12 @@ class HomogenizationOrder:
 
 
 def homogenize(f: Poly, order: HomogenizationOrder) -> Poly:
-    """Left-pad every term of ``f`` with T up to its leading weighted degree."""
-    alphabet, t = order.base.alphabet, order.homogenizer
-    lw, _ = leading_data(f, order.base)
-    p = alphabet.degree(lw)
-    terms = {}
-    for w, c in f.terms.items():
-        q = alphabet.degree(w)
-        if q > p:
-            raise ValueError("term exceeds the leading degree; order is not graded")
-        terms[(t,) * (p - q) + w] = c
-    return Poly(terms)
+    """Left-pad every term of ``f`` with T up to its largest weighted degree
+    p, which the graded base order makes the degree of the leading word."""
+    degree, t = order.base.alphabet.degree, order.homogenizer
+    degrees = [degree(w) for w in f.terms]
+    p = max(degrees)
+    return Poly({(t,) * (p - q) + w: c for (w, c), q in zip(f.terms.items(), degrees)})
 
 
 def tilde_basis(basis: GroebnerBasis) -> GroebnerBasis:
@@ -144,15 +139,15 @@ def _check_graph_embedding(rees: ReesInvariants, base: ChainGraph) -> None:
     graph, t_vertex = rees.graph, (rees.basis.order.homogenizer,)
     if set(graph.vertices) != set(base.vertices) | {t_vertex}:
         raise CrossCheckError("the Rees chain vertices are not the base ones plus T")
-    if graph.successors(t_vertex):
+    if graph.edges[t_vertex]:
         raise CrossCheckError("the T vertex of the Rees chain graph has out-edges")
     for v in base.vertices:
-        targets = set(graph.successors(v))
+        targets = set(graph.edges[v])
         if t_vertex not in targets:
             raise CrossCheckError(
                 f"Rees chain vertex {word_str(v, graph.alphabet)} has no edge to T"
             )
-        if targets != set(base.successors(v)) | {t_vertex}:
+        if targets != set(base.edges[v]) | {t_vertex}:
             raise CrossCheckError(
                 f"Rees chain vertex {word_str(v, graph.alphabet)} does not step "
                 "to its base successors"
@@ -161,14 +156,13 @@ def _check_graph_embedding(rees: ReesInvariants, base: ChainGraph) -> None:
 
 def _check_level_counts(tilde_sets: ChainSets, base_sets: ChainSets) -> None:
     """C~_i(t) = C_i(t) + t*C_{i-1}(t) on every counted level (T has weight
-    1), through the degree both sides were counted to."""
+    1), through the degree N both sides were counted to, when infinite."""
 
     def count(sets: ChainSets, i: int) -> tuple[int, ...]:
         if i == -1:
             return (1,)
         return sets.counts[i] if i < len(sets.counts) else ()
 
-    top = tilde_sets.truncation
     for i in range(max(len(tilde_sets.counts), len(base_sets.counts) + 1)):
         same, lower = count(base_sets, i), count(base_sets, i - 1)
         expected = [0] * max(len(same), len(lower) + 1)
@@ -176,8 +170,8 @@ def _check_level_counts(tilde_sets: ChainSets, base_sets: ChainSets) -> None:
             expected[d] += c
         for d, c in enumerate(lower):
             expected[d + 1] += c
-        if top is not None:
-            del expected[top + 1 :]
+        if not tilde_sets.finite:
+            del expected[tilde_sets.truncation + 1 :]
         while expected and expected[-1] == 0:
             expected.pop()
         if tuple(expected) != count(tilde_sets, i):
@@ -193,8 +187,7 @@ def rees_invariants(
     computed on the extended alphabet alone; :func:`check_transfer` compares
     them with the base."""
     tilded = tilde_basis(basis)
-    graph = build_chain_graph(tilded.omega, tilded.order.alphabet)
-    inv = monomial_invariants(tilded.omega, graph, truncation)
+    inv = monomial_invariants(build_chain_graph(tilded.omega, tilded.order.alphabet), truncation)
     return ReesInvariants(inv.growth, inv.sets, inv.hilbert, tilded)
 
 
@@ -217,7 +210,12 @@ def check_transfer(rees: ReesInvariants, monomial: Invariants) -> None:
     graph plus a sink T is the Rees one, equal finiteness, global
     dimension + 1, C~_i(t) = C_i(t) + t*C_{i-1}(t) on the counted levels,
     and GK degree + 1 for polynomial growth, exponential growth otherwise.
-    Both chain sets must be counted to the same truncation."""
+    Both chain sets must be counted to the same truncation; this is checked."""
+    if rees.sets.truncation != monomial.sets.truncation:
+        raise CrossCheckError(
+            f"the Rees chain sets are counted to degree {rees.sets.truncation}, "
+            f"the base ones to {monomial.sets.truncation}"
+        )
     _check_graph_embedding(rees, monomial.graph)
     if monomial.sets.finite != rees.sets.finite:
         raise CrossCheckError("Rees chain finiteness differs from the base")

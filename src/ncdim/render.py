@@ -110,12 +110,12 @@ def denominator_str(coeffs) -> str:
 
 def dot_digraph(name: str, graph) -> str:
     """DOT text of a graph with ``alphabet``, ``vertices`` and ``pairs``,
-    vertices and edges in sorted order (deterministic bytes)."""
+    which its builder gives in (length, word) order (deterministic bytes)."""
     text = vertex_names(graph)
     lines = [f"digraph {name} {{"]
-    for v in sorted(graph.vertices, key=lambda w: (len(w), w)):
+    for v in graph.vertices:
         lines.append(f'  "{text[v]}";')
-    for src, dst in sorted(graph.pairs, key=lambda e: ((len(e[0]), e[0]), (len(e[1]), e[1]))):
+    for src, dst in graph.pairs:
         lines.append(f'  "{text[src]}" -> "{text[dst]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

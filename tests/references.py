@@ -244,13 +244,13 @@ def listed_chain_words(sets):
     (length, word) order, under the budgets the package reads at call time:
     at most MAX_LISTED_LEVELS levels, and none that would take the listing
     over MAX_LISTED_CHAINS words."""
-    graph = sets.graph
+    edges = sets.graph.edges
     levels = []
-    routes = [(v, v) for v in graph.successors(ROOT)]  # (tail vertex, chain word)
+    routes = [(v, v) for v in edges[ROOT]]  # (tail vertex, chain word)
     room = ncdim.chains.MAX_LISTED_CHAINS - len(routes)
     while routes and room >= 0 and len(levels) < ncdim.chains.MAX_LISTED_LEVELS:
         levels.append(tuple(sorted((word for _, word in routes), key=lambda w: (len(w), w))))
-        following = ((s, word + s) for tail, word in routes for s in graph.successors(tail))
+        following = ((s, word + s) for tail, word in routes for s in edges[tail])
         routes = list(islice(following, room + 1))
         room -= len(routes)
     return tuple(levels)

@@ -197,16 +197,14 @@ class TestAcceptance:
                 t = inv.basis.order.homogenizer
                 # T is a sink, pure-base vertices step to T, the base graph
                 # embeds, and each level splits as C_i plus C_{i-1} T
-                assert inv.graph.successors((t,)) == ()
+                assert inv.graph.edges[(t,)] == ()
                 base_graph = build_chain_graph(omega, alphabet)
                 for v in inv.graph.vertices:
                     if v and v != (t,) and v[-1] != t:
-                        assert (t,) in inv.graph.successors(v)
+                        assert (t,) in inv.graph.edges[v]
                 for u in base_graph.vertices:
                     assert u in inv.graph.vertices
-                    assert set(base_graph.successors(u)) <= set(
-                        inv.graph.successors(u)
-                    )
+                    assert set(base_graph.edges[u]) <= set(inv.graph.edges[u])
                 for i, level in enumerate(inv.sets.levels):
                     expected = set(chain_level(sets, i)) | {
                         c + (t,) for c in chain_level(sets, i - 1)

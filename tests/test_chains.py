@@ -12,11 +12,11 @@ import ncdim.chains
 import ncdim.render
 from ncdim import (
     Alphabet,
-    ChainGraph,
     CrossCheckError,
     MonomialSet,
     analyze,
     build_chain_graph,
+    build_ufnarovski,
     chain_sets,
     hilbert_series,
     load_presentation,
@@ -30,6 +30,7 @@ from ncdim.chains import (
     expand_reciprocal,
 )
 from ncdim.cli import main
+from ncdim.growth import MAX_WINDOWS
 from ncdim.render import dot_digraph, word_str
 from ncdim.rewrite import FactorAutomaton
 from presets import commutation, heisenberg, power_family, weyl
@@ -57,7 +58,7 @@ def sets_of(omega, alphabet):
 
 
 def series(omega, alphabet, truncation=16):
-    return hilbert_series(sets_of(omega, alphabet), omega, truncation)
+    return hilbert_series(chain_sets(build_chain_graph(omega, alphabet), truncation))
 
 
 class TestBuildChainGraph:
@@ -67,19 +68,21 @@ class TestBuildChainGraph:
         assert graph.edges == {
             (): ((0,), (1,)),
             (0,): ((0, 1), (1, 1)),
+            (1,): (),
             (0, 1): ((1,),),
+            (1, 1): (),
         }
-        assert graph.successors((1,)) == ()
+        assert graph.edges[(1,)] == ()
 
     def test_skew_graph(self):
         graph = build_chain_graph(SKEW, AB)
         assert graph.vertices == ((), (0,), (1,))
-        assert graph.edges == {(): ((0,), (1,)), (1,): ((0,),)}
+        assert graph.edges == {(): ((0,), (1,)), (0,): (), (1,): ((0,),)}
 
     def test_root_edges_skip_dead_letters(self):
         graph = build_chain_graph(MonomialSet(((0,),)), AB)
         assert graph.vertices == ((), (1,))
-        assert graph.edges == {(): ((1,),)}
+        assert graph.edges == {(): ((1,),), (1,): ()}
 
     def test_no_live_letters(self):
         graph = build_chain_graph(MonomialSet(((0,), (1,))), AB)
@@ -189,7 +192,7 @@ def dfs_cycle_reachable(graph):
     reports a cycle as soon as it meets a vertex still on its path."""
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {v: WHITE for v in graph.vertices}
-    stack = [(ROOT, iter(graph.successors(ROOT)))]
+    stack = [(ROOT, iter(graph.edges[ROOT]))]
     color[ROOT] = GRAY
     while stack:
         v, it = stack[-1]
@@ -199,7 +202,7 @@ def dfs_cycle_reachable(graph):
                 return True
             if color[w] == WHITE:
                 color[w] = GRAY
-                stack.append((w, iter(graph.successors(w))))
+                stack.append((w, iter(graph.edges[w])))
                 advanced = True
                 break
         if not advanced:
@@ -282,10 +285,10 @@ class TestListingAgainstTheWordOnlyReference:
         monkeypatch.setattr(ncdim.render, "word_str", logged)
         listing = sets.listing
         assert len(listing.levels) == ncdim.chains.MAX_LISTED_LEVELS
-        through, tails = set(), set(sets.graph.successors(ROOT))
+        through, tails = set(), set(sets.graph.edges[ROOT])
         for _ in listing.levels:
             through |= tails
-            tails = {s for v in tails for s in sets.graph.successors(v)}
+            tails = {s for v in tails for s in sets.graph.edges[v]}
         assert sorted(named) == sorted(through) == [(0,), (0,) * 1023, (1,)]
 
 
@@ -316,7 +319,7 @@ class TestFinitenessAgainstDfs:
             alphabet, omega = _random_obstructions(rng)
             graph = self.agree(omega, alphabet)
             finite += not dfs_cycle_reachable(graph)
-            self_loops += any(v in graph.successors(v) for v in graph.vertices[1:])
+            self_loops += any(v in graph.edges[v] for v in graph.vertices[1:])
         assert 30 <= finite <= 270
         assert self_loops >= 30
 
@@ -325,7 +328,8 @@ class TestChainCounts:
     def test_down_up_counts(self):
         sets = chain_sets(build_chain_graph(DOWN_UP, AB))
         assert sets.counts == ((0, 2), (0, 0, 0, 2), (0, 0, 0, 0, 1))
-        assert sets.truncation is None
+        # N is kept for the series, though finite sets are counted exactly
+        assert sets.truncation == 16
 
     def test_weighted_counts(self):
         # C_0 = {x1, x2} of degrees 1 and 3, C_1 = {x2*x1} of degree 4
@@ -359,15 +363,19 @@ class TestChainCounts:
         alphabet = Alphabet(tuple(f"x{i + 1}" for i in range(20)), (1,) * 20)
         graph = build_chain_graph(commutation_omega(20), alphabet)
         steps = 0
-        original = ChainGraph.successors
 
-        def counted(self, v):
-            nonlocal steps
-            steps += 1
-            return original(self, v)
+        class Counted(dict):
+            def __getitem__(self, v):
+                nonlocal steps
+                steps += 1
+                return super().__getitem__(v)
 
-        monkeypatch.setattr(ChainGraph, "successors", counted)
-        sets = chain_sets(graph)
+            def get(self, v, default=None):
+                nonlocal steps
+                steps += 1
+                return super().get(v, default)
+
+        sets = chain_sets(replace(graph, edges=Counted(graph.edges)))
         assert sets.gldim == 20
         assert sets.counts == tuple(
             (0,) * (i + 1) + (math.comb(20, i + 1),) for i in range(20)
@@ -614,6 +622,51 @@ class TestProductForm:
             product_form_decomposition((1, -1), -1)
         with pytest.raises(ValueError):
             product_form_decomposition((2, -1), 1)
+
+
+class TestBuildersEmitLengthWordOrder:
+    """Both graph builders give ``vertices`` and ``pairs`` in (length, word)
+    order, so the DOT and listing outputs print them as they stand."""
+
+    @staticmethod
+    def check(omega, alphabet):
+        def by_length(w):
+            return (len(w), w)
+
+        graphs = [build_chain_graph(omega, alphabet)]
+        # x1^20 on two letters has 2^19 windows: its Ufnarovski graph is refused
+        if alphabet.n ** (max(omega.ell, 1) - 1) <= MAX_WINDOWS:
+            graphs.append(build_ufnarovski(omega, alphabet))
+        for graph in graphs:
+            assert list(graph.vertices) == sorted(graph.vertices, key=by_length)
+            assert list(graph.pairs) == sorted(
+                graph.pairs, key=lambda e: (by_length(e[0]), by_length(e[1]))
+            )
+        return len(graphs)
+
+    def test_seeded_antichains(self):
+        for alphabet, omega in random_antichains(300):
+            assert self.check(omega, alphabet) == 2
+
+    def test_pbw_and_its_rees_set(self):
+        for pres in (commutation(5), heisenberg(2)):
+            rees = tilde_basis(pres)
+            assert self.check(pres.omega, pres.order.alphabet) == 2
+            assert self.check(rees.omega, rees.order.alphabet) == 2
+
+    def test_powers(self):
+        assert self.check(MonomialSet(((0, 0),)), AB) == 2
+        assert self.check(MonomialSet(((0,) * 20,)), AB) == 1
+
+    def test_free_algebra_with_parallel_loops(self):
+        omega = MonomialSet.interreduce([])
+        assert build_ufnarovski(omega, AB).pairs == (((), ()), ((), ()))
+        assert self.check(omega, AB) == 2
+
+    def test_dead_letter_input(self):
+        basis = load_presentation(DEAD_LETTER_FILE)
+        assert basis.omega.dead_letters
+        assert self.check(basis.omega, basis.order.alphabet) == 2
 
 
 class TestDot:

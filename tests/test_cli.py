@@ -339,7 +339,7 @@ class TestLongObstructions:
         report = analyze(load_presentation(path))
         omega, alphabet = report.basis.omega, report.basis.order.alphabet
         window, p, q = witness = report.monomial.growth.witness
-        ncdim.growth._check_witness(omega, omega.ell, witness)
+        ncdim.growth._check_witness(omega, witness)
         shared = word_str(window, alphabet)
         c1, c2 = fmt_cycle(window, p, alphabet), fmt_cycle(window, q, alphabet)
         assert main(["growth", path]) == 0

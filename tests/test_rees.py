@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import ncdim.chains
+import ncdim.freealg
 import ncdim.pipeline
 import ncdim.rees
 from ncdim import (
@@ -20,11 +22,13 @@ from ncdim import (
     Poly,
     build_chain_graph,
     chain_sets,
+    check_transfer,
     extend_alphabet,
     hilbert_series,
     homogenize,
     leading_data,
     load_presentation,
+    monomial_invariants,
     parse_polynomial,
     rees_invariants,
     tilde_basis,
@@ -32,6 +36,7 @@ from ncdim import (
 from ncdim.chains import ChainSets
 from ncdim.cli import main
 from ncdim.rees import HomogenizationOrder
+from ncdim.rewrite import ensure_verified
 
 from presets import (
     commutation,
@@ -224,6 +229,26 @@ class TestTildeBasis:
         rp = tilde_basis(basis)
         assert set(rp.leading_words) == {(1, 0), (0, 2), (1, 2)}
 
+    def test_one_leading_data_call_per_rees_relation(self, monkeypatch):
+        # homogenizing reads the leading degree off the terms, so only the
+        # construction of G~ asks for each relation's leading word
+        basis = commutation(4)
+        ensure_verified(basis)
+        calls = 0
+        original = ncdim.freealg.leading_data
+
+        def counted(f, order):
+            nonlocal calls
+            calls += 1
+            return original(f, order)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "ncdim" and getattr(module, "leading_data", None) is original:
+                monkeypatch.setattr(module, "leading_data", counted)
+        tilded = tilde_basis(basis)
+        assert len(tilded) == len(basis) + 4
+        assert calls == len(tilded)
+
 
 class TestReesInvariants:
     def test_down_up(self):
@@ -279,10 +304,10 @@ class TestReesInvariants:
         for pres in (down_up(), ore_case_b(), commutation(3), power_family(2)):
             inv = rees_invariants(pres)
             t = inv.basis.order.homogenizer
-            assert inv.graph.successors((t,)) == ()
+            assert inv.graph.edges[(t,)] == ()
             for v in inv.graph.vertices:
                 if v and v != (t,) and v[-1] != t:
-                    assert (t,) in inv.graph.successors(v)
+                    assert (t,) in inv.graph.edges[v]
 
     def test_levels_decompose_as_base_plus_shifted_base(self):
         for pres in (down_up(), ore_case_a(), commutation(3)):
@@ -317,7 +342,7 @@ class TestReesInvariants:
             inv = rees_invariants(pres)
             omega = pres.omega
             sets = chain_sets(build_chain_graph(omega, pres.order.alphabet))
-            base = hilbert_series(sets, omega)
+            base = hilbert_series(sets)
             assert list(inv.hilbert.denominator) == poly_mul([1, -1], list(base.denominator))
 
 
@@ -330,10 +355,10 @@ def with_sets(inv, **changes):
 
 def with_graph(inv, vertices=(), edges=None):
     """The Rees invariants with chain sets on a changed chain graph: extra
-    vertices, and successor lists replaced per source vertex."""
+    vertices, as sinks, and successor lists replaced per source vertex."""
     graph = inv.graph
     return with_sets(inv, graph=replace(
-        graph, vertices=graph.vertices + vertices, edges={**graph.edges, **(edges or {})}
+        graph, edges={**graph.edges, **dict.fromkeys(vertices, ()), **(edges or {})}
     ))
 
 
@@ -401,6 +426,15 @@ class TestTransferCrossChecks:
     def test_report_exits_4(self, corrupted, capsys):
         assert main(["report", DOWN_UP_FILE]) == 4
         assert corrupted in capsys.readouterr().err
+
+
+def test_transfer_check_rejects_unequal_truncations():
+    # down_up has finite chain sets, so its level counts agree at any N
+    basis = down_up()
+    base = monomial_invariants(build_chain_graph(basis.omega, basis.order.alphabet), 16)
+    check_transfer(rees_invariants(basis, 16), base)
+    with pytest.raises(CrossCheckError, match="counted to degree 5, the base ones to 16"):
+        check_transfer(rees_invariants(basis, 5), base)
 
 
 class TestReesGrowthClassCrossCheck:
