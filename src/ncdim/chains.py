@@ -6,8 +6,8 @@ global dimension of the monomial algebra is the first level at which the
 chain sets vanish, and the Hilbert series denominator is the alternating
 sum of the chain-level generating polynomials.  Both need only the number
 of routes per level and degree, which a DP over the graph counts; words are
-listed for display only, under a budget.  Later stages read Omega, the
-alphabet, every vertex's successors and N off these two records alone.
+listed for display only, under a budget.  Later stages read Omega (with
+its alphabet), every vertex's successors and N off these two records alone.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from itertools import islice
 from typing import Iterable, NamedTuple
 
 from .errors import CrossCheckError, InputError
-from .freealg import Alphabet, Word
+from .freealg import Word
 from .growth import GrowthClass, automaton_growth, strong_components
 from .render import vertex_names
 from .rewrite import MonomialSet
@@ -71,7 +71,6 @@ class ChainGraph:
     """
 
     omega: MonomialSet
-    alphabet: Alphabet
     edges: dict[Word, tuple[Word, ...]]
     vertices: tuple[Word, ...] = field(init=False)
 
@@ -88,9 +87,9 @@ def _by_length(w: Word):
     return (len(w), w)
 
 
-def build_chain_graph(omega: MonomialSet, alphabet: Alphabet) -> ChainGraph:
+def build_chain_graph(omega: MonomialSet) -> ChainGraph:
     dead = omega.dead_letters
-    live = [i for i in range(alphabet.n) if i not in dead]
+    live = [i for i in range(omega.alphabet.n) if i not in dead]
     vertices = {ROOT}
     vertices.update((i,) for i in live)
     for w in omega.words:
@@ -104,7 +103,7 @@ def build_chain_graph(omega: MonomialSet, alphabet: Alphabet) -> ChainGraph:
             if not omega.is_normal(u + v[:-1]):
                 raise CrossCheckError("chain graph edge is not normal before its last letter")
         edges[u] = tuple(sorted(targets, key=_by_length))
-    return ChainGraph(omega, alphabet, edges)
+    return ChainGraph(omega, edges)
 
 
 class ChainListing(NamedTuple):
@@ -203,7 +202,7 @@ def _count_levels(graph: ChainGraph, truncation: int | None) -> list[tuple[int, 
     many levels as vertices means a missed cycle: CrossCheckError, no hang.
     """
     edges = graph.edges
-    degree = {v: graph.alphabet.degree(v) for v in graph.vertices}
+    degree = {v: graph.omega.alphabet.degree(v) for v in graph.vertices}
     current = {
         s: {degree[s]: 1}
         for s in edges[ROOT]
@@ -296,7 +295,7 @@ def hilbert_series(sets: ChainSets) -> HilbertSeries:
     only modulo t^(N+1), and the identity is checked through degree N.
     """
     graph, top = sets.graph, sets.truncation
-    coeffs = graph.omega.automaton.count_normal(graph.alphabet.weights, top)
+    coeffs = graph.omega.count_normal(top)
     den = chain_denominator(sets)
     if expand_reciprocal(den, top) != coeffs:
         modulo = "" if sets.finite else f" mod t^{top + 1}"
@@ -326,7 +325,7 @@ class Invariants:
 
 def monomial_invariants(graph: ChainGraph, truncation: int = DEFAULT_TRUNCATION) -> Invariants:
     """The invariants of the monomial algebra on the Omega of ``graph``, its chain graph."""
-    growth = automaton_growth(graph.omega, graph.alphabet)
+    growth = automaton_growth(graph.omega)
     sets = chain_sets(graph, truncation)
     return Invariants(growth, sets, hilbert_series(sets))
 

@@ -9,9 +9,9 @@ dimension is the largest number of cyclic strong components on one path of
 the condensation.
 
 The class, the degree and the witness cycles come from
-:func:`automaton_growth`, which applies the same rule to the Aho–Corasick
-automaton of the obstructions.  The Ufnarovski graph itself is built only to
-show it, and only up to :data:`MAX_WINDOWS` candidate vertices.
+:func:`automaton_growth`, which applies the same rule to the normal steps the
+obstruction set holds.  The Ufnarovski graph is built from those steps only
+to show it, and only up to :data:`MAX_WINDOWS` candidate vertices.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import CrossCheckError, InputError
-from .freealg import Alphabet, Word
+from .freealg import Word
 from .rewrite import MonomialSet
 
 # An edge is (source word, target word, appended letter); the letter keeps
@@ -34,8 +34,7 @@ MAX_WINDOWS = 2 ** 16
 
 @dataclass(frozen=True)
 class UfnarovskiGraph:
-    alphabet: Alphabet
-    ell: int
+    omega: MonomialSet
     vertices: tuple[Word, ...]
     edges: tuple[Edge, ...]
 
@@ -45,21 +44,19 @@ class UfnarovskiGraph:
         return tuple(e[:2] for e in self.edges)
 
 
-def build_ufnarovski(omega: MonomialSet, alphabet: Alphabet) -> UfnarovskiGraph:
-    ell = max(omega.ell, 1)
-    windows = alphabet.n ** (ell - 1)
+def build_ufnarovski(omega: MonomialSet) -> UfnarovskiGraph:
+    ell, n = max(omega.ell, 1), omega.alphabet.n
+    windows = n ** (ell - 1)
     if windows > MAX_WINDOWS:
         raise InputError(f"the Ufnarovski graph has {windows} candidate vertices "
-                         f"({alphabet.n}^{ell - 1}), over the limit of {MAX_WINDOWS}")
-    out = defaultdict(list)  # state -> its (letter, next state) normal steps
-    for src, dst, a in omega.automaton.normal_steps(alphabet.n):
-        out[src].append((a, dst))
+                         f"({n}^{ell - 1}), over the limit of {MAX_WINDOWS}")
+    out = omega.normal_steps
     # letters ascending keep (len, w) order, and the edges come in (v, w, a) order
     words = [((), 0)]  # (normal word, its automaton state)
     for _ in range(ell - 1):
         words = [(v + (a,), t) for v, s in words for a, t in out[s]]
     edges = [(v, (v + (a,))[1:], a) for v, s in words for a, _ in out[s]]
-    return UfnarovskiGraph(alphabet, ell, tuple(v for v, _ in words), tuple(edges))
+    return UfnarovskiGraph(omega, tuple(v for v, _ in words), tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -172,29 +169,29 @@ def classify_growth(graph: UfnarovskiGraph) -> GrowthClass:
     return GrowthClass(True) if branching is not None else GrowthClass(False, degree)
 
 
-def automaton_growth(omega: MonomialSet, alphabet: Alphabet) -> GrowthClass:
+def automaton_growth(omega: MonomialSet) -> GrowthClass:
     """Class, degree and witness read off the Aho–Corasick automaton of ``omega``.
 
-    Normal words are exactly the letter paths from the root along the
-    automaton's normal steps, all of which the root reaches.  This graph
+    Normal words are exactly the letter paths from the root along
+    ``omega.normal_steps``, all of which the root reaches.  This graph
     counts the normal words of each length by paths from the root, the
     Ufnarovski graph by paths from every vertex (lengths >= ell - 1), so the
     same component rule decides both.  The automaton has at most 1 + sum |w|
     states instead of up to n^(ell-1) vertices.
     """
-    edges = omega.automaton.normal_steps(alphabet.n)
-    branching, degree = _classify([0], [e[:2] for e in edges])
+    steps = omega.normal_steps
+    branching, degree = _classify([0], [(s, t) for s, out in steps.items() for _, t in out])
     if branching is None:
         return GrowthClass(False, degree)
-    witness = _two_cycles(edges, set(branching), max(omega.ell, 1))
+    witness = _two_cycles(steps, set(branching), max(omega.ell, 1))
     _check_witness(omega, witness)
     return GrowthClass(True, None, witness)
 
 
-def _two_cycles(edges, component: set, ell: int):
+def _two_cycles(steps: dict, component: set, ell: int):
     """A witness (window, loop1, loop2): two cycles of the Ufnarovski graph
     from one window, as the letters they read, read off a branching strong
-    component of the automaton.
+    component of the automaton, whose normal steps are ``steps``.
 
     The pivot is the smallest state with two internal out-letters a < b;
     p is a then a shortest path back to the pivot, q likewise from b.  From
@@ -202,11 +199,8 @@ def _two_cycles(edges, component: set, ell: int):
     cycle reads p's, the second q and then p's, each until it is back at W.
     Every word read is a factor of the normal word (root path) p^k q p^m.
     """
-    out: dict = defaultdict(list)  # internal (letter, target), by letter
-    for src, dst, a in edges:
-        if src in component and dst in component:
-            out[src].append((a, dst))
-    pivot = min((s for s in component if len(out[s]) >= 2), default=None)
+    internal = {s: [(a, t) for a, t in steps[s] if t in component] for s in component}
+    pivot = min((s for s in component if len(internal[s]) >= 2), default=None)
     if pivot is None:
         raise CrossCheckError("no branching state in an over-full strong component")
 
@@ -214,7 +208,7 @@ def _two_cycles(edges, component: set, ell: int):
         parent = {start: None}
         order = [start]
         for s in order:  # breadth first, letters in order
-            for c, t in out[s]:
+            for c, t in internal[s]:
                 if t not in parent:
                     parent[t] = (s, c)
                     order.append(t)
@@ -225,7 +219,7 @@ def _two_cycles(edges, component: set, ell: int):
             path.append(c)
         return (letter,) + tuple(reversed(path))
 
-    (a, first), (b, second) = out[pivot][:2]
+    (a, first), (b, second) = internal[pivot][:2]
     p, q = loop(a, first), loop(b, second)
     k = -(-(ell - 1) // len(p))
     window = (p * k)[len(p) * k - (ell - 1):]

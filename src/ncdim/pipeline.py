@@ -183,7 +183,7 @@ def analyze(basis: GroebnerBasis, truncation: int = DEFAULT_TRUNCATION) -> Analy
     check_truncation(truncation)
     ensure_verified(basis)
     alphabet = basis.order.alphabet
-    monomial = monomial_invariants(build_chain_graph(basis.omega, alphabet), truncation)
+    monomial = monomial_invariants(build_chain_graph(basis.omega), truncation)
 
     lh_basis = tuple(leading_homogeneous(g, alphabet) for g in basis.elements)
     rees = rees_invariants(basis, truncation)
@@ -372,7 +372,7 @@ def _text_report(report: AnalysisReport) -> str:
     if product_form is not None:
         lines.append(
             "  product form: "
-            + " ".join(f"(1 - t^{e})" if e != 1 else "(1 - t)" for e in product_form)
+            + (" ".join(f"(1 - t^{e})" if e != 1 else "(1 - t)" for e in product_form) or "1")
         )
     else:
         lines.append("  product form: none")
@@ -408,7 +408,7 @@ def report_graph(report: AnalysisReport, which: str) -> UfnarovskiGraph | ChainG
     """The graph ``which`` (a key of DOT_NAMES); the Ufnarovski graph is
     built here, on demand, since no invariant needs it."""
     if which == "uf":
-        return build_ufnarovski(report.basis.omega, report.basis.order.alphabet)
+        return build_ufnarovski(report.basis.omega)
     return {"chains": report.monomial.graph, "rees-chains": report.rees.graph}[which]
 
 

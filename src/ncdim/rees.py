@@ -145,11 +145,11 @@ def _check_graph_embedding(rees: ReesInvariants, base: ChainGraph) -> None:
         targets = set(graph.edges[v])
         if t_vertex not in targets:
             raise CrossCheckError(
-                f"Rees chain vertex {word_str(v, graph.alphabet)} has no edge to T"
+                f"Rees chain vertex {word_str(v, graph.omega.alphabet)} has no edge to T"
             )
         if targets != set(base.edges[v]) | {t_vertex}:
             raise CrossCheckError(
-                f"Rees chain vertex {word_str(v, graph.alphabet)} does not step "
+                f"Rees chain vertex {word_str(v, graph.omega.alphabet)} does not step "
                 "to its base successors"
             )
 
@@ -187,7 +187,7 @@ def rees_invariants(
     computed on the extended alphabet alone; :func:`check_transfer` compares
     them with the base."""
     tilded = tilde_basis(basis)
-    inv = monomial_invariants(build_chain_graph(tilded.omega, tilded.order.alphabet), truncation)
+    inv = monomial_invariants(build_chain_graph(tilded.omega), truncation)
     return ReesInvariants(inv.growth, inv.sets, inv.hilbert, tilded)
 
 

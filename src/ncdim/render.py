@@ -44,9 +44,9 @@ class _Names(dict):
 
 
 def vertex_names(graph) -> dict[Word, str]:
-    """The :func:`word_str` text of the vertices of a graph with
-    ``alphabet``, each named once, on its first lookup."""
-    return _Names(graph.alphabet)
+    """The :func:`word_str` text of the vertices of a graph on ``omega``,
+    each named once, on its first lookup."""
+    return _Names(graph.omega.alphabet)
 
 
 def word_pretty(word: Word, alphabet: Alphabet) -> str:
@@ -109,7 +109,7 @@ def denominator_str(coeffs) -> str:
 
 
 def dot_digraph(name: str, graph) -> str:
-    """DOT text of a graph with ``alphabet``, ``vertices`` and ``pairs``,
+    """DOT text of a graph with ``omega``, ``vertices`` and ``pairs``,
     which its builder gives in (length, word) order (deterministic bytes)."""
     text = vertex_names(graph)
     lines = [f"digraph {name} {{"]

@@ -1,10 +1,11 @@
 """Normal forms, reduced obstruction sets, and diamond-lemma verification.
 
 One Aho–Corasick automaton per obstruction set does all factor search:
-normality queries, the normal steps that growth and the normal-word counts
-read, the chain graph's overlap walk, the antichain and LM-reduction checks
-and the choice of each reduction step share the machine, and a basis shares
-it with its obstruction set.  The automaton's table is filled in one dict
+normality queries, the chain graph's overlap walk, the antichain and
+LM-reduction checks and the choice of each reduction step share the
+machine, and a basis shares it with its obstruction set.  That set carries
+its alphabet and builds, once, the normal steps that growth, both graphs and
+the normal-word counts read.  The automaton's table is filled in one dict
 merge per state.  Verification is by checking that the S-element of every
 overlap ambiguity reduces to zero; no completion is ever attempted.  A
 basis that extends a verified one, as the Rees basis G~ extends G, takes
@@ -19,6 +20,7 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from operator import itemgetter
 from typing import Iterable, NamedTuple
@@ -94,43 +96,6 @@ class FactorAutomaton:
                 found.append((k, end - len(words[k])))
         return found
 
-    def normal_steps(self, n_letters: int) -> list[tuple[int, int, int]]:
-        """The steps (state, next state, letter) between the non-terminal
-        states reached from the root, breadth first with letters ascending:
-        the words that avoid every pattern are their letter paths from the root."""
-        goto, out = self._goto, self._out
-        states, seen, steps = [0], {0}, []
-        for state in states:
-            for letter in range(n_letters):
-                nxt = goto[state].get(letter, 0)
-                if not out[nxt]:
-                    steps.append((state, nxt, letter))
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        states.append(nxt)
-        return steps
-
-    def count_normal(self, weights: tuple[int, ...], up_to: int) -> list[int]:
-        """Number of pattern-avoiding words per weighted degree 0..up_to
-        (weights positive), by paths along :meth:`normal_steps`; row d of the
-        per-state table is complete once the lower rows are spent, so a ring
-        of max(weights) + 1 rows is kept."""
-        if up_to < 0:
-            raise ValueError("up_to must be nonnegative")
-        steps = [(s, t, weights[a]) for s, t, a in self.normal_steps(len(weights))]
-        span, n_states = max(weights, default=0) + 1, len(self._goto)
-        ring = [[0] * n_states for _ in range(span)]
-        ring[0][0] = 1
-        counts = []
-        for d in range(up_to + 1):
-            row = ring[d % span]
-            counts.append(sum(row))
-            for state, nxt, w in steps:
-                if row[state] and d + w <= up_to:
-                    ring[(d + w) % span][nxt] += row[state]
-            ring[d % span] = [0] * n_states
-        return counts
-
     def overlap_tails(self, word: Word) -> list[Word]:
         """Every x such that ``word`` x ends with a pattern that starts inside
         ``word``, and ``word`` x minus its last letter matches nothing; the
@@ -160,19 +125,29 @@ def _divisions(automaton: FactorAutomaton, words: list[Word]) -> list[tuple[int,
     return [(a, b) for b, w in enumerate(words) for a, _ in automaton.matches(w) if a != b]
 
 
+def _check_words(words: list[Word], alphabet: Alphabet) -> None:
+    """Raise InputError for the identity word or a letter outside ``alphabet``."""
+    if not all(words):
+        raise InputError("obstruction sets must not contain the identity word")
+    outside = set().union(*words).difference(range(alphabet.n))
+    if outside:
+        raise InputError(f"letter {min(outside)} lies outside 0..{alphabet.n - 1}")
+
+
+@dataclass(init=False)
 class MonomialSet:
-    """A reduced antichain of nonempty words (an obstruction set).
+    """A reduced antichain of nonempty words over ``alphabet``, the obstruction
+    set of the monomial algebra K<X>/(Omega): no member divides (occurs as a
+    factor of) another member; use :meth:`interreduce` to build one from an
+    arbitrary collection."""
 
-    No member divides (occurs as a factor of) another member; use
-    :meth:`interreduce` to build one from an arbitrary collection.
-    """
+    words: tuple[Word, ...]
+    alphabet: Alphabet
+    automaton: FactorAutomaton = field(compare=False, repr=False)
 
-    __slots__ = ("words", "automaton")
-
-    def __init__(self, words: Iterable[Word]):
+    def __init__(self, words: Iterable[Word], alphabet: Alphabet):
         ws = sorted({tuple(w) for w in words}, key=lambda w: (len(w), w))
-        if any(not w for w in ws):
-            raise InputError("obstruction sets must not contain the identity word")
+        _check_words(ws, alphabet)
         automaton = FactorAutomaton(ws)
         divisions = _divisions(automaton, ws)
         if divisions:
@@ -181,16 +156,55 @@ class MonomialSet:
                 f"not an antichain: word {ws[a]} divides word {ws[b]}; interreduce first"
             )
         self.words = tuple(ws)
+        self.alphabet = alphabet
         self.automaton = automaton
 
     @classmethod
-    def interreduce(cls, words: Iterable[Word]) -> "MonomialSet":
+    def interreduce(cls, words: Iterable[Word], alphabet: Alphabet) -> "MonomialSet":
         """Drop every word that has a different input word as a factor."""
         ws = list({tuple(w) for w in words})
-        if not all(ws):
-            return cls(ws)  # rejects the identity word
+        _check_words(ws, alphabet)
         divided = {b for _, b in _divisions(FactorAutomaton(ws), ws)}
-        return cls(w for b, w in enumerate(ws) if b not in divided)
+        return cls((w for b, w in enumerate(ws) if b not in divided), alphabet)
+
+    @cached_property
+    def normal_steps(self) -> dict[int, list[tuple[int, int]]]:
+        """Each automaton state reached from the root by normal steps,
+        breadth first, to its steps (letter, next state), letters ascending:
+        the normal words are the letter paths from the root."""
+        goto, out = self.automaton._goto, self.automaton._out
+        states, steps = [0], {0: []}
+        for state in states:
+            found = steps[state] = []
+            for letter in range(self.alphabet.n):
+                nxt = goto[state].get(letter, 0)
+                if not out[nxt]:
+                    found.append((letter, nxt))
+                    if nxt not in steps:  # reached first: a key in breadth-first order
+                        steps[nxt] = []
+                        states.append(nxt)
+        return steps
+
+    def count_normal(self, up_to: int) -> list[int]:
+        """Number of normal words per weighted degree 0..up_to, by paths along
+        :attr:`normal_steps`; row d of the per-state table is complete once the
+        lower rows are spent, so a ring of max(weights) + 1 rows is kept."""
+        if up_to < 0:
+            raise ValueError("up_to must be nonnegative")
+        weights = self.alphabet.weights
+        steps = [(s, t, weights[a]) for s, out in self.normal_steps.items() for a, t in out]
+        span, n_states = max(weights) + 1, len(self.automaton._goto)
+        ring = [[0] * n_states for _ in range(span)]
+        ring[0][0] = 1
+        counts = []
+        for d in range(up_to + 1):
+            row = ring[d % span]
+            counts.append(sum(row))
+            for state, nxt, w in steps:
+                if row[state] and d + w <= up_to:
+                    ring[(d + w) % span][nxt] += row[state]
+            ring[d % span] = [0] * n_states
+        return counts
 
     @property
     def ell(self) -> int:
@@ -213,14 +227,6 @@ class MonomialSet:
 
     def __contains__(self, word):
         return tuple(word) in self.words
-
-    def __eq__(self, other):
-        return isinstance(other, MonomialSet) and self.words == other.words
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"MonomialSet({list(self.words)!r})"
 
 
 def _check_lm_reduced(leading: list[Word], alphabet: Alphabet) -> None:
@@ -271,7 +277,7 @@ class GroebnerBasis:
             elements.append(f)
             leading.append(lw)
         try:
-            omega = MonomialSet(leading)
+            omega = MonomialSet(leading, order.alphabet)
         except InputError:  # the identity word, or one leading word divides another
             _check_lm_reduced(leading, order.alphabet)
             raise  # a lone relation with a constant leading term

@@ -19,7 +19,9 @@
   per token that the one-pass ``parse_polynomial`` is tested against;
 - :func:`setdefault_automaton`, the Aho–Corasick table filled in one
   ``setdefault`` per letter, against which ``FactorAutomaton``'s merged
-  table is tested.
+  table is tested;
+- :func:`flat_normal_steps`, the flat list of an automaton's normal steps
+  that ``MonomialSet.normal_steps`` must flatten to, in the same order.
 """
 
 from bisect import insort
@@ -408,3 +410,20 @@ def setdefault_automaton(patterns):
         for letter, t in goto[f].items():
             goto[s].setdefault(letter, t)
     return goto, out
+
+
+def flat_normal_steps(automaton, n_letters):
+    """The steps (state, next state, letter) between the non-terminal
+    states reached from the root, breadth first with letters ascending:
+    the words that avoid every pattern are their letter paths from the root."""
+    goto, out = automaton._goto, automaton._out
+    states, seen, steps = [0], {0}, []
+    for state in states:
+        for letter in range(n_letters):
+            nxt = goto[state].get(letter, 0)
+            if not out[nxt]:
+                steps.append((state, nxt, letter))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    states.append(nxt)
+    return steps

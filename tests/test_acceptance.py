@@ -160,7 +160,7 @@ class TestAcceptance:
             # eventually zero and the growth degree is 0
             assert report.monomial.growth.is_polynomial and report.monomial.growth.degree == 0
             assert report.monomial.hilbert.coefficients == (1, 1) + (0,) * 15
-            oracle = report.basis.omega.automaton.count_normal(pres.order.alphabet.weights, 16)
+            oracle = report.basis.omega.count_normal(16)
             assert list(report.monomial.hilbert.coefficients) == oracle
             assert not report.applicable
             assert report_to_dict(report)["gldim_monomial"] == "infinity"
@@ -177,15 +177,13 @@ class TestAcceptance:
         with criterion(6, "random monomial oracles"):
             assert len(CASES) == 50
             for index, (alphabet, omega) in enumerate(CASES):
-                sets = capped_sets(build_chain_graph(omega, alphabet))
+                sets = capped_sets(build_chain_graph(omega))
                 if sets.finite:
                     den = chain_denominator(sets)
-                    assert expand_reciprocal(den, 12) == omega.automaton.count_normal(
-                        alphabet.weights, 12
-                    )
-                graph = build_ufnarovski(omega, alphabet)
+                    assert expand_reciprocal(den, 12) == omega.count_normal(12)
+                graph = build_ufnarovski(omega)
                 by_length, _ = brute_counts(index)
-                start = graph.ell - 1
+                start = max(graph.omega.ell, 1) - 1
                 for length in range(start, MAX_LEN + 1):
                     assert count_paths(graph, length - start) == by_length[length]
 
@@ -198,7 +196,7 @@ class TestAcceptance:
                 # T is a sink, pure-base vertices step to T, the base graph
                 # embeds, and each level splits as C_i plus C_{i-1} T
                 assert inv.graph.edges[(t,)] == ()
-                base_graph = build_chain_graph(omega, alphabet)
+                base_graph = build_chain_graph(omega)
                 for v in inv.graph.vertices:
                     if v and v != (t,) and v[-1] != t:
                         assert (t,) in inv.graph.edges[v]
@@ -213,17 +211,17 @@ class TestAcceptance:
 
     def test_criterion_7_exponential_growth_witnesses(self):
         with criterion(7, "exponential growth witnesses"):
-            three = MonomialSet(((0, 0),))
             alphabet3 = Alphabet(("x1", "x2", "x3"), (1, 1, 1))
-            growth = automaton_growth(three, alphabet3)
+            three = MonomialSet(((0, 0),), alphabet3)
+            growth = automaton_growth(three)
             assert growth.exponential
-            assert_valid_witness(build_ufnarovski(three, alphabet3), growth.witness)
+            assert_valid_witness(build_ufnarovski(three), growth.witness)
 
-            two = MonomialSet(())
             alphabet2 = Alphabet(("x1", "x2"), (1, 1))
-            growth2 = automaton_growth(two, alphabet2)
+            two = MonomialSet((), alphabet2)
+            growth2 = automaton_growth(two)
             assert growth2.exponential
-            assert_valid_witness(build_ufnarovski(two, alphabet2), growth2.witness)
+            assert_valid_witness(build_ufnarovski(two), growth2.witness)
 
     def test_criterion_8_order_and_reduction_laws(self):
         with criterion(8, "order and reduction laws"):

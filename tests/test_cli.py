@@ -168,6 +168,13 @@ class TestExitCodes:
         assert main(["growth", path]) == 2
         assert "relation 1:" in capsys.readouterr().err
 
+    def test_unknown_variable(self, tmp_path, capsys):
+        # the letters of Omega come from the parser, which names the stranger
+        assert main(["report", two_letters(tmp_path, "x1*z")]) == 2
+        assert capsys.readouterr().err == (
+            "error: relation 1: unknown variable 'z' (at position 3)\n"
+        )
+
     def test_non_reduced_relations(self, tmp_path, capsys):
         path = write(
             tmp_path,
@@ -656,6 +663,18 @@ class TestReport:
         assert main(["report", "--format", "dot-bundle", DOWN_UP]) == 0
         out = capsys.readouterr().out
         assert out.count("digraph") == 3
+
+    def test_empty_product_form(self, tmp_path, capsys):
+        # x = 0, y = 1: gl.dim 0 and D(t) = 1, the product of no factors
+        path = write(tmp_path, {"variables": [{"name": "x"}, {"name": "y"}],
+                                "relations": ["x", "y - 1"]})
+        assert main(["report", "--format", "json", path]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["gldim_monomial"], payload["product_form"]) == (0, [])
+        assert main(["report", "--format", "text", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "  product form: 1" in lines
+        assert [line for line in lines if line != line.rstrip()] == []
 
 
 def parser_calls(tmp_path):

@@ -72,6 +72,12 @@ def test_output_matches_reference(path, variant):
     assert run_cli(path, variant) == reference(path, variant).read_bytes()
 
 
+@pytest.mark.parametrize("path", INPUTS, ids=[p.stem for p in INPUTS])
+def test_text_report_lines_end_without_whitespace(path):
+    lines = run_cli(path, "report-text").decode("utf-8").splitlines()
+    assert [line for line in lines if line != line.rstrip()] == []
+
+
 if __name__ == "__main__":
     for path, variant in CASES:
         target = reference(path, variant)

@@ -38,7 +38,8 @@ from ncdim.chains import (
     expand_reciprocal,
 )
 from ncdim.growth import MAX_WINDOWS, _check_witness, _classify, _two_cycles
-from references import chain_level, contains_factor, count_paths
+from presets import commutation
+from references import chain_level, contains_factor, count_paths, flat_normal_steps
 
 MAX_LEN = 8
 MAX_DEG = 8
@@ -55,7 +56,7 @@ def _corpus():
             for _ in range(rng.randint(1, 4))
         ]
         alphabet = Alphabet(tuple(f"x{i + 1}" for i in range(n)), weights)
-        cases.append((alphabet, MonomialSet.interreduce(words)))
+        cases.append((alphabet, MonomialSet.interreduce(words, alphabet)))
     return cases
 
 
@@ -99,7 +100,7 @@ def capped_sets(graph):
 def test_corpus_is_mixed():
     assert {alphabet.n for alphabet, _ in CASES} == {2, 3}
     finite = sum(
-        capped_sets(build_chain_graph(omega, alphabet)).finite
+        capped_sets(build_chain_graph(omega)).finite
         for alphabet, omega in CASES
     )
     assert 10 <= finite <= 40
@@ -109,14 +110,14 @@ def test_corpus_is_mixed():
 def test_normal_word_counter_matches_enumeration(index):
     alphabet, omega = CASES[index]
     _, by_degree = brute_counts(index)
-    assert omega.automaton.count_normal(alphabet.weights, MAX_DEG) == by_degree
+    assert omega.count_normal(MAX_DEG) == by_degree
 
 
 @pytest.mark.parametrize("index", range(50))
 def test_chain_denominator_expands_to_normal_word_counts(index):
     # exact D(t) for finite chain sets, D(t) mod t^(MAX_DEG + 1) otherwise
     alphabet, omega = CASES[index]
-    sets = chain_sets(build_chain_graph(omega, alphabet), truncation=MAX_DEG)
+    sets = chain_sets(build_chain_graph(omega), truncation=MAX_DEG)
     _, by_degree = brute_counts(index)
     assert expand_reciprocal(chain_denominator(sets), MAX_DEG) == by_degree
 
@@ -124,9 +125,9 @@ def test_chain_denominator_expands_to_normal_word_counts(index):
 @pytest.mark.parametrize("index", range(50))
 def test_growth_graph_path_counts_match_enumeration(index):
     alphabet, omega = CASES[index]
-    graph = build_ufnarovski(omega, alphabet)
+    graph = build_ufnarovski(omega)
     by_length, _ = brute_counts(index)
-    start = graph.ell - 1
+    start = max(graph.omega.ell, 1) - 1
     for length in range(start, MAX_LEN + 1):
         assert count_paths(graph, length - start) == by_length[length]
 
@@ -154,20 +155,22 @@ def brute_chain_edges(omega, alphabet):
 
 def rees_omega(omega, alphabet):
     """The Rees set: Omega plus X_i T for every live letter."""
-    return extend_alphabet(alphabet), MonomialSet(
+    ext_alphabet = extend_alphabet(alphabet)
+    return ext_alphabet, MonomialSet(
         list(omega.words)
-        + [(i, alphabet.n) for i in range(alphabet.n) if (i,) not in omega]
+        + [(i, alphabet.n) for i in range(alphabet.n) if (i,) not in omega],
+        ext_alphabet,
     )
 
 
 @pytest.mark.parametrize("index", range(50))
 def test_chain_graph_edges_match_definition(index):
     alphabet, omega = CASES[index]
-    assert build_chain_graph(omega, alphabet).edges == brute_chain_edges(
+    assert build_chain_graph(omega).edges == brute_chain_edges(
         omega, alphabet
     )
     ext_alphabet, ext_omega = rees_omega(omega, alphabet)
-    assert build_chain_graph(ext_omega, ext_alphabet).edges == brute_chain_edges(
+    assert build_chain_graph(ext_omega).edges == brute_chain_edges(
         ext_omega, ext_alphabet
     )
 
@@ -198,7 +201,7 @@ def brute_chain_counts(omega, alphabet, top, levels):
 def test_chain_counts_match_enumeration(index):
     alphabet, omega = CASES[index]
     for letters, words in ((alphabet, omega), rees_omega(omega, alphabet)):
-        sets = chain_sets(build_chain_graph(words, letters), truncation=MAX_DEG)
+        sets = chain_sets(build_chain_graph(words), truncation=MAX_DEG)
         # one level more than counted shows a finite set that goes deeper
         top = None if sets.finite else MAX_DEG
         levels = len(sets.counts) + 1
@@ -216,7 +219,7 @@ def test_rees_invariants_and_level_decomposition(index, monkeypatch):
         inv = rees_invariants(basis, truncation=MAX_DEG)
         inv.sets.levels
     t = inv.basis.order.homogenizer
-    sets = capped_sets(build_chain_graph(omega, alphabet))
+    sets = capped_sets(build_chain_graph(omega))
 
     # T never starts a chain step, and every base-letter vertex can take one
     assert inv.graph.edges[(t,)] == ()
@@ -284,13 +287,16 @@ def reference_growth(omega, alphabet):
     branching, degree = _classify(states, [e[:2] for e in edges])
     if branching is None:
         return GrowthClass(False, degree)
-    witness = _two_cycles(edges, set(branching), max(omega.ell, 1))
+    steps = {s: [] for s in states}
+    for s, t, a in edges:
+        steps[s].append((a, t))
+    witness = _two_cycles(steps, set(branching), max(omega.ell, 1))
     _check_witness(omega, witness)
     return GrowthClass(True, None, witness)
 
 
-def reference_ufnarovski(omega, alphabet):
-    ell = max(omega.ell, 1)
+def reference_ufnarovski(omega):
+    alphabet, ell = omega.alphabet, max(omega.ell, 1)
     windows = alphabet.n ** (ell - 1)
     if windows > MAX_WINDOWS:
         raise InputError(f"the Ufnarovski graph has {windows} candidate vertices "
@@ -305,10 +311,11 @@ def reference_ufnarovski(omega, alphabet):
             w = v + (a,)
             if omega.is_normal(w):
                 edges.append((v, w[1:], a))
-    return UfnarovskiGraph(alphabet, ell, tuple(vertices), tuple(edges))
+    return UfnarovskiGraph(omega, tuple(vertices), tuple(edges))
 
 
-def reference_chain_graph(omega, alphabet):
+def reference_chain_graph(omega):
+    alphabet = omega.alphabet
     live = [i for i in range(alphabet.n) if (i,) not in omega]
     vertices = {ROOT}
     vertices.update((i,) for i in live)
@@ -325,12 +332,12 @@ def reference_chain_graph(omega, alphabet):
             if u[-k:] == w[:k] and omega.is_normal(u + w[k:-1])
         ]
         edges[u] = tuple(sorted(targets, key=_by_length))
-    return ChainGraph(omega, alphabet, edges)
+    return ChainGraph(omega, edges)
 
 
-def _outcome(build, omega, alphabet):
+def _outcome(build, omega):
     try:
-        return build(omega, alphabet)
+        return build(omega)
     except InputError as exc:
         return str(exc)
 
@@ -349,7 +356,7 @@ def seeded_sets(count, seed=60917):
             tuple(rng.randrange(n) for _ in range(rng.randint(1, 6)))
             for _ in range(rng.randint(0, 4))
         ]
-        cases.append((alphabet, MonomialSet.interreduce(words)))
+        cases.append((alphabet, MonomialSet.interreduce(words, alphabet)))
     return cases
 
 
@@ -365,8 +372,30 @@ def test_seeded_sets_are_mixed():
     assert sum(not omega.words for _, omega in cases) >= 5
     assert sum(omega.ell >= 5 for _, omega in cases) >= 50
     assert {alphabet.weights for alphabet, _ in cases if alphabet.n == 2} >= {(1, 2), (3, 1)}
-    growth = [automaton_growth(omega, alphabet) for alphabet, omega in cases]
+    growth = [automaton_growth(omega) for _, omega in cases]
     assert 50 <= sum(g.exponential for g in growth) <= 250
+
+
+def flat_steps(omega):
+    """``omega.normal_steps`` as one list of (state, next state, letter)."""
+    return [(s, t, a) for s, out in omega.normal_steps.items() for a, t in out]
+
+
+def _special_sets():
+    """PBW Omega and its Rees Omega~, x1^k, the free algebra and dead letters."""
+    ab = Alphabet(("x1", "x2"), (1, 1))
+    pbw = commutation(4)
+    return [pbw.omega, rees_invariants(pbw).basis.omega] + [
+        MonomialSet(words, ab)
+        for words in ([(0,) * 2], [(0,) * 20], [(0,) * 256], [], [(0,)], [(0,), (1,)])
+    ]
+
+
+def test_normal_steps_flatten_to_the_flat_walk():
+    # the witness and the Ufnarovski orders depend on this order
+    sets = [omega for cases in CORPORA.values() for _, omega in cases] + _special_sets()
+    for omega in sets:
+        assert flat_steps(omega) == flat_normal_steps(omega.automaton, omega.alphabet.n)
 
 
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
@@ -377,23 +406,21 @@ class TestAgainstReplacedRoutines:
     def test_count_normal(self, corpus):
         for alphabet, omega in CORPORA[corpus]:
             expected = reference_count_normal(omega.automaton, alphabet.weights, 14)
-            assert omega.automaton.count_normal(alphabet.weights, 14) == expected
+            assert omega.count_normal(14) == expected
 
     def test_growth(self, corpus):
         for alphabet, omega in CORPORA[corpus]:
             _, edges = reference_growth_search(omega, alphabet)
-            assert omega.automaton.normal_steps(alphabet.n) == edges
-            assert automaton_growth(omega, alphabet) == reference_growth(omega, alphabet)
+            assert flat_steps(omega) == edges
+            assert automaton_growth(omega) == reference_growth(omega, alphabet)
 
     def test_ufnarovski(self, corpus):
         for alphabet, omega in CORPORA[corpus]:
-            assert _outcome(build_ufnarovski, omega, alphabet) == _outcome(
-                reference_ufnarovski, omega, alphabet
-            )
+            assert _outcome(build_ufnarovski, omega) == _outcome(reference_ufnarovski, omega)
 
     def test_chain_graph(self, corpus):
         for alphabet, omega in CORPORA[corpus]:
-            graph = build_chain_graph(omega, alphabet)
-            reference = reference_chain_graph(omega, alphabet)
+            graph = build_chain_graph(omega)
+            reference = reference_chain_graph(omega)
             assert graph == reference
             assert list(graph.edges) == list(reference.edges)

@@ -6,6 +6,7 @@ import math
 import re
 import sys
 from dataclasses import replace
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,7 @@ from ncdim import (
 )
 from ncdim.chains import MAX_TRUNCATION
 from ncdim.cli import main
+from ncdim.pipeline import report_graph
 from ncdim.render import word_str
 from presets import (
     commutation,
@@ -387,10 +389,10 @@ class TestHomogenizerName:
         ]
 
 
-def one_degree_more(omega, alphabet):
+def one_degree_more(omega):
     """The growth of Omega with a polynomial degree raised by one, on the
     base and the Rees side alike, so the Rees degree stays base + 1."""
-    growth = automaton_growth(omega, alphabet)
+    growth = automaton_growth(omega)
     return growth if growth.exponential else replace(growth, degree=growth.degree + 1)
 
 
@@ -446,8 +448,8 @@ class TestLongObstructions:
         assert r.monomial.growth.exponential and r.monomial.growth.degree is None
         assert r.monomial.gldim is None
         assert r.rees.gldim is None
-        assert list(r.monomial.hilbert.coefficients) == r.basis.omega.automaton.count_normal(
-            r.basis.order.alphabet.weights, len(r.monomial.hilbert.coefficients) - 1
+        assert list(r.monomial.hilbert.coefficients) == r.basis.omega.count_normal(
+            len(r.monomial.hilbert.coefficients) - 1
         )
         render_report(r, "json")
 
@@ -488,11 +490,20 @@ class TestEachStageRunsOnce:
                     monkeypatch.setattr(module, name, counted)
         interreduce = MonomialSet.interreduce.__func__
 
-        def counted_interreduce(cls, words):
+        def counted_interreduce(cls, words, alphabet):
             counts["interreduce"] += 1
-            return interreduce(cls, words)
+            return interreduce(cls, words, alphabet)
 
         monkeypatch.setattr(MonomialSet, "interreduce", classmethod(counted_interreduce))
+        build_steps = MonomialSet.normal_steps.func
+
+        def counted_steps(omega):
+            counts["normal_steps"] += 1
+            return build_steps(omega)
+
+        steps = cached_property(counted_steps)
+        steps.__set_name__(MonomialSet, "normal_steps")
+        monkeypatch.setattr(MonomialSet, "normal_steps", steps)
         return counts
 
     @pytest.mark.parametrize("build", [lambda: commutation(4), lambda: power_family(3)],
@@ -502,6 +513,16 @@ class TestEachStageRunsOnce:
         analyze(pres)
         assert [counts[name] for name in self.STAGES] == [2, 2, 1, 2]
         assert counts["interreduce"] == 0
+
+    @pytest.mark.parametrize("build", [lambda: commutation(4), lambda: power_family(3)],
+                             ids=["pbw", "exponential"])
+    def test_normal_steps_built_once_per_obstruction_set(self, counts, build):
+        # once for Omega and once for the Rees Omega~; the growth graph
+        # reads Omega's steps again
+        report = analyze(build())
+        assert counts["normal_steps"] == 2
+        report_graph(report, "uf")
+        assert counts["normal_steps"] == 2
 
 
 class TestHilbertAgainstBinomials:

@@ -137,7 +137,7 @@ class TestNormalFormLaws:
     @given(data=st.data())
     def test_idempotent_and_fully_reduced(self, name, data):
         basis = BASES[name]
-        omega = MonomialSet.interreduce(basis.leading_words)
+        omega = MonomialSet.interreduce(basis.leading_words, basis.order.alphabet)
         f = data.draw(polys(basis.order.alphabet.n))
         nf = normal_form(f, basis)
         assert all(omega.is_normal(w) for w in nf.terms)
@@ -345,7 +345,7 @@ class TestFactorLaws:
     def test_interreduction_preserves_normal_words(self, data):
         n = data.draw(st.integers(1, 3))
         raw = data.draw(st.lists(words(n, 4, min_len=1), min_size=1, max_size=4))
-        omega = MonomialSet.interreduce(raw)
+        omega = MonomialSet.interreduce(raw, Alphabet(tuple(f"x{i}" for i in range(n)), (1,) * n))
         w = data.draw(words(n, 8))
         expected = not any(contains_factor(w, p) for p in raw)
         assert omega.is_normal(w) == expected

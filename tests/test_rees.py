@@ -313,8 +313,8 @@ class TestReesInvariants:
         for pres in (down_up(), ore_case_a(), commutation(3)):
             inv = rees_invariants(pres)
             t = inv.basis.order.homogenizer
-            omega = MonomialSet.interreduce(pres.leading_words)
-            base_sets = chain_sets(build_chain_graph(omega, pres.order.alphabet))
+            omega = MonomialSet.interreduce(pres.leading_words, pres.order.alphabet)
+            base_sets = chain_sets(build_chain_graph(omega))
             for i, level in enumerate(inv.sets.levels):
                 lower = {(),} if i == 0 else set(chain_level(base_sets, i - 1))
                 expected = set(chain_level(base_sets, i)) | {c + (t,) for c in lower}
@@ -329,9 +329,7 @@ class TestReesInvariants:
     def test_coefficients_match_normal_word_counts(self):
         for pres in (down_up(), ore_case_b(), power_family(2)):
             inv = rees_invariants(pres, truncation=10)
-            counts = inv.basis.omega.automaton.count_normal(
-                inv.basis.order.alphabet.weights, 10
-            )
+            counts = inv.basis.omega.count_normal(10)
             assert list(inv.hilbert.coefficients) == counts
 
     def test_denominator_gains_a_factor_of_one_minus_t(self):
@@ -341,7 +339,7 @@ class TestReesInvariants:
                       power_family(1), power_family(2), power_family(3)):
             inv = rees_invariants(pres)
             omega = pres.omega
-            sets = chain_sets(build_chain_graph(omega, pres.order.alphabet))
+            sets = chain_sets(build_chain_graph(omega))
             base = hilbert_series(sets)
             assert list(inv.hilbert.denominator) == poly_mul([1, -1], list(base.denominator))
 
@@ -431,7 +429,7 @@ class TestTransferCrossChecks:
 def test_transfer_check_rejects_unequal_truncations():
     # down_up has finite chain sets, so its level counts agree at any N
     basis = down_up()
-    base = monomial_invariants(build_chain_graph(basis.omega, basis.order.alphabet), 16)
+    base = monomial_invariants(build_chain_graph(basis.omega), 16)
     check_transfer(rees_invariants(basis, 16), base)
     with pytest.raises(CrossCheckError, match="counted to degree 5, the base ones to 16"):
         check_transfer(rees_invariants(basis, 5), base)
@@ -521,7 +519,7 @@ def random_antichains(count, seed=31337):
             tuple(rng.randrange(n) for _ in range(rng.randint(1, 4)))
             for _ in range(rng.randint(1, 4))
         ]
-        cases.append((alphabet, MonomialSet.interreduce(words)))
+        cases.append((alphabet, MonomialSet.interreduce(words, alphabet)))
     return cases
 
 
@@ -533,7 +531,7 @@ class TestEmbeddingAgainstWordChecks:
     def check(alphabet, omega):
         basis = GroebnerBasis([Poly.monomial(w) for w in omega.words], MonomialOrder(alphabet))
         inv = rees_invariants(basis, truncation=8)
-        base = chain_sets(build_chain_graph(omega, alphabet), truncation=8)
+        base = chain_sets(build_chain_graph(omega), truncation=8)
         t = alphabet.n
         ncdim.rees._check_graph_embedding(inv, base.graph)
         _check_level_decomposition(inv.sets, base, t)

@@ -71,20 +71,19 @@ class TestFactorAutomaton:
         assert auto.is_normal((1, 0, 0, 0))
 
     def test_count_normal_against_enumeration(self):
-        auto = FactorAutomaton(((0, 1, 1),))
-        counts = auto.count_normal((1, 2), 8)
-        omega = MonomialSet(((0, 1, 1),))
+        omega = MonomialSet(((0, 1, 1),), Alphabet(("a", "b"), (1, 2)))
+        counts = omega.count_normal(8)
         assert counts == brute_counts(omega, Alphabet(("a", "b"), (1, 2)), 8)
         with pytest.raises(ValueError):
-            auto.count_normal((1, 2), -1)
+            omega.count_normal(-1)
 
     def test_count_normal_keeps_a_ring_of_rows(self):
         # (ab)^20 a over two letters: 42 states and counts of nearly 1000
         # bits, so 1001 rows of them would take megabytes, and two rows do not
-        omega = MonomialSet([(0, 1) * 20 + (0,)])
+        omega = MonomialSet([(0, 1) * 20 + (0,)], AB)
         tracemalloc.start()
         try:
-            counts = omega.automaton.count_normal((1, 1), 1000)
+            counts = omega.count_normal(1000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -93,20 +92,17 @@ class TestFactorAutomaton:
 
     def test_normal_steps(self):
         # states: 0 = root, 1 = "0", 2 = "00" (terminal)
-        assert FactorAutomaton(((0, 0),)).normal_steps(2) == [(0, 1, 0), (0, 0, 1), (1, 0, 1)]
-        assert FactorAutomaton(((0,),)).normal_steps(1) == []
+        assert MonomialSet(((0, 0),), AB).normal_steps == {0: [(0, 1), (1, 0)], 1: [(1, 0)]}
+        assert MonomialSet(((0,),), Alphabet(("x",), (1,))).normal_steps == {0: []}
 
     def test_normal_steps_spell_the_normal_words(self):
-        patterns = ((0, 1, 1), (1, 0, 0, 1), (2, 2))
-        auto = FactorAutomaton(patterns)
-        out = {}
-        for src, dst, a in auto.normal_steps(3):
-            out.setdefault(src, []).append((a, dst))
+        omega = MonomialSet(((0, 1, 1), (1, 0, 0, 1), (2, 2)), Alphabet(("a", "b", "c"), (1,) * 3))
+        out = omega.normal_steps
         words = [((), 0)]
         for length in range(1, 7):
             words = [(w + (a,), t) for w, s in words for a, t in out.get(s, ())]
             assert [w for w, _ in words] == [
-                w for w in itertools.product(range(3), repeat=length) if auto.is_normal(w)
+                w for w in itertools.product(range(3), repeat=length) if omega.is_normal(w)
             ]
 
     def test_table_equals_the_setdefault_construction(self):
@@ -134,29 +130,45 @@ class TestFactorAutomaton:
 class TestMonomialSet:
     def test_antichain_enforced(self):
         with pytest.raises(InputError):
-            MonomialSet(((0,), (0, 1)))
+            MonomialSet(((0,), (0, 1)), AB)
 
     def test_empty_word_rejected(self):
         with pytest.raises(InputError):
-            MonomialSet(((),))
+            MonomialSet(((),), AB)
 
     def test_interreduce(self):
-        omega = MonomialSet.interreduce([(0, 1), (0, 1, 1), (0, 1), (1, 1)])
+        omega = MonomialSet.interreduce([(0, 1), (0, 1, 1), (0, 1), (1, 1)], AB)
         assert set(omega) == {(0, 1), (1, 1)}
-        assert MonomialSet.interreduce([(0, 0), (0, 0, 0)]).words == ((0, 0),)
+        assert MonomialSet.interreduce([(0, 0), (0, 0, 0)], AB).words == ((0, 0),)
 
     def test_ell_is_longest_member(self):
-        assert MonomialSet(((0, 1), (1, 1, 1))).ell == 3
-        assert MonomialSet.interreduce([]).ell == 0
+        assert MonomialSet(((0, 1), (1, 1, 1)), AB).ell == 3
+        assert MonomialSet.interreduce([], AB).ell == 0
 
     def test_membership(self):
-        omega = MonomialSet(((0, 1),))
+        omega = MonomialSet(((0, 1),), AB)
         assert (0, 1) in omega
         assert (1, 0) not in omega
         assert len(omega) == 1
 
+    @pytest.mark.parametrize("words", [[(2,)], [(-1,)], [(0, -1)], [(1, 5)]])
+    def test_letter_outside_the_alphabet_rejected(self, words):
+        # at 0..1 only: a letter past the end once read as the free algebra
+        for build in (MonomialSet, MonomialSet.interreduce):
+            with pytest.raises(InputError, match=r"lies outside 0\.\.1"):
+                build(words, AB)
+
+    def test_interreduce_rejects_a_letter_in_a_dropped_word(self):
+        with pytest.raises(InputError, match="letter 5 lies outside"):
+            MonomialSet.interreduce([(0,), (0, 5)], AB)
+
+    def test_equal_words_over_two_alphabets_differ(self):
+        assert MonomialSet(((0, 0),), AB) == MonomialSet(((0, 0),), AB)
+        assert MonomialSet(((0, 0),), AB) != MonomialSet(((0, 0),), Alphabet(("x1", "x2"), (1, 2)))
+        assert MonomialSet(((0, 0),), AB) != MonomialSet(((0, 0),), Alphabet(("a", "b"), (1, 1)))
+
     def test_is_normal(self):
-        omega = MonomialSet(((0, 0),))
+        omega = MonomialSet(((0, 0),), AB)
         assert omega.is_normal(())
         assert omega.is_normal((0, 1, 0))
         assert not omega.is_normal((1, 0, 0))
@@ -166,34 +178,33 @@ class TestMonomialSet:
 class TestCountNormalWords:
     def test_nilpotent_single_variable(self):
         one = Alphabet(("x",), (1,))
-        omega = MonomialSet(((0, 0),))
-        assert omega.automaton.count_normal(one.weights, 6) == [1, 1, 0, 0, 0, 0, 0]
+        omega = MonomialSet(((0, 0),), one)
+        assert omega.count_normal(6) == [1, 1, 0, 0, 0, 0, 0]
 
     def test_skew_commutative_counts(self):
         # avoiding x2*x1 leaves the words x1^a*x2^b: degree n has n+1 of them
-        omega = MonomialSet(((1, 0),))
-        assert omega.automaton.count_normal(AB.weights, 6) == [1, 2, 3, 4, 5, 6, 7]
+        omega = MonomialSet(((1, 0),), AB)
+        assert omega.count_normal(6) == [1, 2, 3, 4, 5, 6, 7]
 
     def test_square_free_counts_are_fibonacci(self):
-        omega = MonomialSet(((0, 0),))
-        assert omega.automaton.count_normal(AB.weights, 7) == [1, 2, 3, 5, 8, 13, 21, 34]
+        omega = MonomialSet(((0, 0),), AB)
+        assert omega.count_normal(7) == [1, 2, 3, 5, 8, 13, 21, 34]
 
     def test_empty_obstruction_set_counts_all_words(self):
-        omega = MonomialSet.interreduce([])
-        assert omega.automaton.count_normal(AB.weights, 5) == [1, 2, 4, 8, 16, 32]
+        assert MonomialSet.interreduce([], AB).count_normal(5) == [1, 2, 4, 8, 16, 32]
         one = Alphabet(("x",), (1,))
-        assert omega.automaton.count_normal(one.weights, 4) == [1, 1, 1, 1, 1]
+        assert MonomialSet.interreduce([], one).count_normal(4) == [1, 1, 1, 1, 1]
 
     def test_weighted_counts(self):
         # normal words x1^a*x2^b with d(x2)=3: count of n is #{(a,b): a+3b=n}
-        omega = MonomialSet(((1, 0),))
         ab = Alphabet(("x1", "x2"), (1, 3))
-        assert omega.automaton.count_normal(ab.weights, 6) == [1, 1, 1, 2, 2, 2, 3]
+        omega = MonomialSet(((1, 0),), ab)
+        assert omega.count_normal(6) == [1, 1, 1, 2, 2, 2, 3]
 
     def test_matches_enumeration(self):
         abc = Alphabet(("a", "b", "c"), (1, 1, 2))
-        omega = MonomialSet(((0, 1), (2, 2, 0)))
-        assert omega.automaton.count_normal(abc.weights, 7) == brute_counts(omega, abc, 7)
+        omega = MonomialSet(((0, 1), (2, 2, 0)), abc)
+        assert omega.count_normal(7) == brute_counts(omega, abc, 7)
 
 
 class TestGroebnerBasis:
@@ -253,7 +264,7 @@ class TestNormalForm:
 
     def test_fixed_points_are_exactly_normal_words(self):
         pres = down_up()
-        omega = MonomialSet(pres.leading_words)
+        omega = MonomialSet(pres.leading_words, pres.order.alphabet)
         for length in range(6):
             for word in itertools.product(range(2), repeat=length):
                 fixed = normal_form(Poly.monomial(word), pres) == Poly.monomial(word)
@@ -349,7 +360,7 @@ class TestVerification:
 class TestObstructionSet:
     def test_omega_is_the_leading_words(self):
         basis = down_up()
-        assert basis.omega == MonomialSet(basis.leading_words)
+        assert basis.omega == MonomialSet(basis.leading_words, basis.order.alphabet)
         assert not basis.omega.is_normal((0, 0, 1)) and basis.omega.is_normal((1, 0, 0))
 
     def test_empty_basis_reduces_nothing(self):
