@@ -145,8 +145,15 @@ class ChainSets:
     def listing(self) -> ChainListing:
         """Each chain word is a route v1 v2 ... vk out of the root, and its
         text the vertex names joined by '*', as :func:`word_str` prints it;
-        a vertex is named on its first use."""
+        a vertex is named on its first use.
+
+        When every vertex but the root has one length, the routes come out
+        of each level already in (length, word) order, and are not sorted:
+        the words of a level then all have one length, the level before is
+        in that order, and each tail's successors are too."""
+        vertices = self.graph.vertices
         edges, name = self.graph.edges, vertex_names(self.graph)
+        in_order = len(vertices) < 2 or len(vertices[1]) == len(vertices[-1])
         levels: list[tuple[Word, ...]] = []
         texts: list[tuple[str, ...]] = []
         # (len(chain word), chain word, tail vertex, text): sorted as it
@@ -154,7 +161,8 @@ class ChainSets:
         routes = [(len(v), v, v, name[v]) for v in edges[ROOT]]
         room = MAX_LISTED_CHAINS - len(routes)
         while routes and room >= 0 and len(levels) < MAX_LISTED_LEVELS:
-            routes.sort()
+            if not in_order:
+                routes.sort()
             levels.append(tuple([word for _, word, _, _ in routes]))
             texts.append(tuple([text for _, _, _, text in routes]))
             # build the next level lazily, one route past the room left at most

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _encode
 from pathlib import Path
 
 from .chains import (
@@ -223,8 +224,6 @@ def _growth_json(growth: GrowthClass) -> dict:
 
 
 def _hilbert_json(h: HilbertSeries) -> dict:
-    for c in (*(h.denominator or ()), *h.coefficients):
-        num_str(c)  # json.dumps converts them to text the same way
     return {
         "denominator": list(h.denominator) if h.denominator is not None else None,
         "coefficients": list(h.coefficients),
@@ -412,9 +411,60 @@ def report_graph(report: AnalysisReport, which: str) -> UfnarovskiGraph | ChainG
     return {"chains": report.monomial.graph, "rees-chains": report.rees.graph}[which]
 
 
+def _write_json(obj, indent: str, out: list[str]) -> None:
+    """Append to ``out`` the text of ``obj`` as ``json.dumps(obj, indent=2)``
+    lays it out; ``indent`` is the newline and spaces that open a line at
+    the depth of ``obj``.  Only the report's schema is handled: dicts with
+    string keys, lists, strings, ints, bools and None.  Strings go through
+    the C string encoder of the json module, and ints through
+    :func:`num_str`, so a number too long to print raises InputError."""
+    if obj.__class__ is str:
+        out.append(_encode(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif obj.__class__ is int:
+        out.append(num_str(obj))
+    elif obj.__class__ is dict:
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        opener = "{" + inner
+        for key, value in obj.items():
+            out.append(opener + _encode(key) + ": ")
+            _write_json(value, inner, out)
+            opener = "," + inner
+        out.append(indent + "}")
+    elif obj.__class__ is list:
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        try:  # a list of strings, such as one chain level, in one join
+            out.append("[" + inner + ("," + inner).join(map(_encode, obj)) + indent + "]")
+            return
+        except TypeError:  # an item is not a string
+            pass
+        opener = "[" + inner
+        for value in obj:
+            out.append(opener)
+            _write_json(value, inner, out)
+            opener = "," + inner
+        out.append(indent + "]")
+    else:
+        raise TypeError(f"{obj.__class__.__name__} is not in the report's JSON schema")
+
+
 def render_report(report: AnalysisReport, fmt: str = "json") -> bytes:
     if fmt == "json":
-        return (json.dumps(report_to_dict(report), indent=2) + "\n").encode("utf-8")
+        out: list[str] = []
+        _write_json(report_to_dict(report), "\n", out)
+        out.append("\n")
+        return "".join(out).encode("ascii")
     if fmt == "text":
         return _text_report(report).encode("utf-8")
     if fmt == "dot-bundle":

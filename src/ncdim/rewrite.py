@@ -266,11 +266,18 @@ class GroebnerBasis:
     def __init__(self, relations: Iterable[Poly], order: MonomialOrder):
         elements: list[Poly] = []
         leading: list[Word] = []
+        letters = range(order.alphabet.n)
         for k, f in enumerate(relations):
             if not isinstance(f, Poly):
                 raise InputError(f"relation {k + 1} is not a polynomial")
             if f.is_zero:
                 raise InputError(f"relation {k + 1} is zero")
+            outside = set().union(*f.terms).difference(letters)
+            if outside:
+                raise InputError(
+                    f"relation {k + 1}: letter {min(outside)} lies outside "
+                    f"0..{len(letters) - 1}"
+                )
             lw, lc = leading_data(f, order)
             if lc != 1:
                 f = (Fraction(1) / lc) * f

@@ -15,6 +15,8 @@
   :func:`chain_level` and :func:`poly_mul`;
 - :func:`listed_chain_words`, the word-only chain listing that the
   package's listing of words and texts is tested against;
+- :func:`json_report`, the JSON report as ``json.dumps(indent=2)`` lays it
+  out, that the report's one-pass writer is tested against;
 - :class:`_PolyParser`, the recursive-descent parser with one method call
   per token that the one-pass ``parse_polynomial`` is tested against;
 - :func:`setdefault_automaton`, the Aho–Corasick table filled in one
@@ -24,6 +26,7 @@
   that ``MonomialSet.normal_steps`` must flatten to, in the same order.
 """
 
+import json
 from bisect import insort
 from collections import deque
 from fractions import Fraction
@@ -32,7 +35,7 @@ from operator import itemgetter
 
 import ncdim.chains
 import ncdim.freealg
-from ncdim import Poly, VerificationResult, overlap_ambiguities
+from ncdim import Poly, VerificationResult, overlap_ambiguities, report_to_dict
 from ncdim.chains import ROOT
 from ncdim.errors import ParseError
 from ncdim.rees import HomogenizationOrder
@@ -256,6 +259,12 @@ def listed_chain_words(sets):
         routes = list(islice(following, room + 1))
         room -= len(routes)
     return tuple(levels)
+
+
+def json_report(report):
+    """The text of the JSON report, as the standard library's encoder lays
+    out the report dict with an indent of 2."""
+    return json.dumps(report_to_dict(report), indent=2) + "\n"
 
 
 def poly_mul(a, b):

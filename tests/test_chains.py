@@ -249,6 +249,42 @@ LISTING_CASES = {
 }
 
 
+def vertex_lengths(omega):
+    """The lengths of the chain graph's vertices other than the root."""
+    return {len(v) for v in build_chain_graph(omega).vertices[1:]}
+
+
+def seeded_long_antichains(count, seed=2718):
+    """Interreduced obstruction sets of words of 2-5 letters on 2-3
+    letters whose chain graphs have vertices of more than one length."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        n = rng.randint(2, 3)
+        alphabet = Alphabet(tuple(f"x{i + 1}" for i in range(n)), (1,) * n)
+        words = [
+            tuple(rng.randrange(n) for _ in range(rng.randint(2, 5)))
+            for _ in range(rng.randint(1, 4))
+        ]
+        omega = MonomialSet.interreduce(words, alphabet)
+        if len(vertex_lengths(omega)) > 1:
+            cases.append((alphabet, omega))
+    return cases
+
+
+# The listing sorts no level of the first cases, and every level of the second.
+def one_vertex_length():
+    return omega_cases(*(commutation(n) for n in range(1, 7))) + [
+        (AB, ALL_SQUARES), (AB, MonomialSet(((0, 0),), AB))
+    ]
+
+
+def mixed_vertex_lengths():
+    return [(AB, DOWN_UP)] + [
+        (AB, MonomialSet(((0,) * k,), AB)) for k in (3, 5, 9)
+    ] + seeded_long_antichains(100)
+
+
 class TestListingAgainstTheWordOnlyReference:
     """The listing keeps the words of the word-only reference, level by
     level in the same order, and each text is what word_str prints."""
@@ -262,7 +298,7 @@ class TestListingAgainstTheWordOnlyReference:
         assert len(listing.texts) == len(listing.levels)
         for words, texts in zip(listing.levels, listing.texts):
             assert texts == tuple(word_str(w, alphabet) for w in words)
-        return listing
+        return sets
 
     @pytest.mark.parametrize("case", list(LISTING_CASES))
     def test_cases(self, case):
@@ -271,8 +307,25 @@ class TestListingAgainstTheWordOnlyReference:
 
     def test_a_smaller_budget(self, monkeypatch):
         monkeypatch.setattr(ncdim.chains, "MAX_LISTED_CHAINS", 64)
-        listing = self.check(AB, ALL_SQUARES)
-        assert [len(words) for words in listing.levels] == [2, 4, 8, 16, 32]
+        sets = self.check(AB, ALL_SQUARES)
+        assert [len(words) for words in sets.levels] == [2, 4, 8, 16, 32]
+
+    @pytest.mark.parametrize("budget", [MAX_LISTED_CHAINS, 40, 7])
+    @pytest.mark.parametrize(
+        "cases,lengths", [(one_vertex_length, 1), (mixed_vertex_lengths, 2)],
+        ids=["one vertex length", "mixed vertex lengths"],
+    )
+    def test_levels_in_order_with_and_without_the_sort(
+        self, cases, lengths, budget, monkeypatch
+    ):
+        monkeypatch.setattr(ncdim.chains, "MAX_LISTED_CHAINS", budget)
+        cut = 0
+        for alphabet, omega in cases():
+            assert min(len(vertex_lengths(omega)), 2) == lengths
+            sets = self.check(alphabet, omega)
+            # the budget stopped the listing partway through building a level
+            cut += sets.truncated and len(sets.levels) < ncdim.chains.MAX_LISTED_LEVELS
+        assert cut or budget == MAX_LISTED_CHAINS
 
     def test_names_only_the_vertices_of_listed_routes(self, monkeypatch):
         # x1^1024: 1025 chain-graph vertices, but the routes of the 64 listed

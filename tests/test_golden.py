@@ -11,6 +11,7 @@ only from a commit whose output is trusted, with
 
 import contextlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -70,6 +71,14 @@ def test_inputs_cover_samples_and_exponential_cases():
 )
 def test_output_matches_reference(path, variant):
     assert run_cli(path, variant) == reference(path, variant).read_bytes()
+
+
+@pytest.mark.parametrize("path", INPUTS, ids=[p.stem for p in INPUTS])
+def test_json_report_reference_is_the_standard_library_layout(path):
+    # the references pin json.dumps(indent=2) itself, not only what the
+    # report's own writer prints
+    text = reference(path, "report-json").read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 @pytest.mark.parametrize("path", INPUTS, ids=[p.stem for p in INPUTS])

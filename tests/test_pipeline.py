@@ -15,8 +15,10 @@ import ncdim.chains
 import ncdim.pipeline
 from ncdim import (
     CrossCheckError,
+    GroebnerBasis,
     GroebnerVerificationError,
     InputError,
+    MonomialOrder,
     MonomialSet,
     Poly,
     analyze,
@@ -35,11 +37,16 @@ from presets import (
     commutation,
     down_up,
     free_algebra,
+    heisenberg,
     nilpotent,
     ore_case_a,
     ore_case_b,
     power_family,
+    weyl,
 )
+from references import json_report
+from test_golden import INPUTS
+from test_rees import random_antichains
 
 SAMPLES = Path(__file__).resolve().parent.parent / "presentations"
 
@@ -704,3 +711,75 @@ class TestRenderReport:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="unknown report format"):
             render_report(analyze(ore_case_a()), "yaml")
+
+
+PBW_RINGS = [(commutation, n) for n in range(1, 8)] + [
+    (weyl, 1), (weyl, 3), (heisenberg, 1), (heisenberg, 2)
+]
+
+
+def written(obj) -> str:
+    out = []
+    ncdim.pipeline._write_json(obj, "\n", out)
+    return "".join(out)
+
+
+class TestJsonWriterAgainstJsonDumps:
+    """The one-pass JSON writer prints the bytes json.dumps(indent=2) prints."""
+
+    @staticmethod
+    def agree(report):
+        assert render_report(report, "json") == json_report(report).encode("ascii")
+
+    @pytest.mark.parametrize("path", INPUTS, ids=[p.stem for p in INPUTS])
+    def test_golden_inputs(self, path):
+        self.agree(analyze(load_presentation(path)))
+
+    @pytest.mark.parametrize(
+        "make,n", PBW_RINGS, ids=[f"{make.__name__}({n})" for make, n in PBW_RINGS]
+    )
+    def test_pbw_rings(self, make, n):
+        self.agree(analyze(make(n)))
+
+    def test_seeded_antichains(self, monkeypatch):
+        # under a budget of 64 words some listings stop short
+        monkeypatch.setattr(ncdim.chains, "MAX_LISTED_CHAINS", 64)
+        shapes = collections.Counter()
+        for alphabet, omega in random_antichains(60, seed=5):
+            basis = GroebnerBasis([Poly.monomial(w) for w in omega.words], MonomialOrder(alphabet))
+            report = analyze(basis)
+            self.agree(report)
+            sets = report.monomial.sets
+            shapes["finite" if sets.finite else "infinite"] += 1
+            shapes["truncated"] += sets.truncated
+        assert min(shapes["finite"], shapes["infinite"], shapes["truncated"]) >= 5
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            ['"', "\\", "\n", "\t", "\x00", "\u00e9", "\U0001F600", 'a"b\\c\nd\x7f'],
+            {"": "", 'k"e\\y\n': ["\u00e9"], "\U0001F600": None},
+            {},
+            [],
+            {"a": {}, "b": [], "c": [[]], "d": [{}], "e": {"f": {}}},
+            [[1, 2], ["a", "b"], [[["x"]]], [], [[]]],
+            ["a", 1, "b", None],
+            [True, False, 1, 0, None, -5, 10 ** 150, -(10 ** 120)],
+            {"t": True, "one": 1, "f": False, "zero": 0, "n": None},
+            "a string",
+            -7,
+            None,
+            True,
+        ],
+    )
+    def test_synthetic_values(self, value):
+        assert written(value) == json.dumps(value, indent=2)
+
+    def test_values_outside_the_schema_rejected(self):
+        for value in (1.5, {1: "a"}, {"a": {1, 2}}, [b"x"], ("a",)):
+            with pytest.raises(TypeError):
+                written(value)
+
+    def test_number_too_long_to_print(self):
+        with pytest.raises(InputError, match="number too long to print"):
+            written({"coefficients": [1, 10 ** 4400]})

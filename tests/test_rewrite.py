@@ -222,6 +222,26 @@ class TestGroebnerBasis:
         with pytest.raises(InputError):
             GroebnerBasis(["x1"], MonomialOrder(AB))
 
+    @pytest.mark.parametrize(
+        "tail,weights,letter",
+        [
+            ((2,), (1, 1), 2),
+            ((0, -1), (1, 1), -1),
+            ((2,), (1, 2), 2),  # a letter past the weights
+        ],
+    )
+    def test_letter_outside_the_alphabet_in_a_lower_term_rejected(
+        self, tail, weights, letter, monkeypatch
+    ):
+        def refuse(*args):
+            raise AssertionError("leading_data ran on a relation with a foreign letter")
+
+        monkeypatch.setattr(ncdim.rewrite, "leading_data", refuse)
+        order = MonomialOrder(Alphabet(("x", "y"), weights))
+        relation = Poly({(0, 0): 1, tail: 1})
+        with pytest.raises(InputError, match=rf"^relation 1: letter {letter} lies outside 0\.\.1$"):
+            GroebnerBasis([relation], order)
+
     def test_lm_divisibility_rejected(self):
         order = MonomialOrder(Alphabet(("x",), (1,)))
         with pytest.raises(InputError):
