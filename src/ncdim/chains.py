@@ -12,14 +12,14 @@ its alphabet), every vertex's successors and N off these two records alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterable
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, NamedTuple
 
 from .errors import CrossCheckError, InputError
 from .freealg import Word
-from .growth import GrowthClass, automaton_growth, strong_components
+from .growth import automaton_growth, strong_components
 from .render import vertex_names
 from .rewrite import MonomialSet
 
@@ -46,7 +46,6 @@ def check_truncation(truncation: int, name: str = "truncation") -> None:
         raise InputError(f"{name} must be at most {MAX_TRUNCATION}")
 
 
-@dataclass(frozen=True)
 class ChainGraph:
     """Root 1, the live letters, and all proper suffixes of obstructions.
 
@@ -70,12 +69,33 @@ class ChainGraph:
     and successors in (length, word) order; ``vertices`` is its keys.
     """
 
-    omega: MonomialSet
-    edges: dict[Word, tuple[Word, ...]]
-    vertices: tuple[Word, ...] = field(init=False)
+    __slots__ = ("omega", "edges", "vertices")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.edges))
+    def __init__(self, omega: MonomialSet, edges: dict[Word, tuple[Word, ...]]):
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "vertices", tuple(edges))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.omega, self.edges, self.vertices)
+                == (other.omega, other.edges, other.vertices))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"ChainGraph(omega={self.omega!r}, edges={self.edges!r}, "
+                f"vertices={self.vertices!r})")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return (self.__class__, (self.omega, self.edges))
 
     @property
     def pairs(self) -> tuple[tuple[Word, Word], ...]:
@@ -106,15 +126,13 @@ def build_chain_graph(omega: MonomialSet) -> ChainGraph:
     return ChainGraph(omega, edges)
 
 
-class ChainListing(NamedTuple):
+class ChainListing(namedtuple("ChainListing", "levels texts")):
     """The chain words of the leading levels, each level in (length, word)
     order, and their texts in the same order."""
 
-    levels: tuple[tuple[Word, ...], ...]
-    texts: tuple[tuple[str, ...], ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class ChainSets:
     """Chain counts per level, and the chain words of the leading levels.
 
@@ -136,10 +154,36 @@ class ChainSets:
     MAX_LISTED_LEVELS for infinite ones.
     """
 
-    graph: ChainGraph
-    finite: bool
-    counts: tuple[tuple[int, ...], ...]
-    truncation: int
+    # __dict__ holds what the cached property caches
+    __slots__ = ("graph", "finite", "counts", "truncation", "__dict__")
+
+    def __init__(self, graph: ChainGraph, finite: bool,
+                 counts: tuple[tuple[int, ...], ...], truncation: int):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "finite", finite)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "truncation", truncation)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.graph, self.finite, self.counts, self.truncation)
+                == (other.graph, other.finite, other.counts, other.truncation))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"ChainSets(graph={self.graph!r}, finite={self.finite!r}, "
+                f"counts={self.counts!r}, truncation={self.truncation!r})")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return (self.__class__, (self.graph, self.finite, self.counts, self.truncation))
 
     @cached_property
     def listing(self) -> ChainListing:
@@ -248,8 +292,7 @@ def chain_sets(graph: ChainGraph, truncation: int = DEFAULT_TRUNCATION) -> Chain
     return ChainSets(graph, finite, tuple(counts), truncation)
 
 
-@dataclass(frozen=True)
-class HilbertSeries:
+class HilbertSeries(namedtuple("HilbertSeries", "denominator coefficients")):
     """Truncated expansion, with the closed form 1/D(t) when chains are finite.
 
     ``denominator`` is D as ascending integer coefficients (constant term 1),
@@ -257,8 +300,7 @@ class HilbertSeries:
     dimensions for weighted degrees 0..N.
     """
 
-    denominator: tuple[int, ...] | None
-    coefficients: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def closed_form(self) -> bool:
@@ -314,13 +356,10 @@ def hilbert_series(sets: ChainSets) -> HilbertSeries:
     return HilbertSeries(den if sets.finite else None, tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class Invariants:
+class Invariants(namedtuple("Invariants", "growth sets hilbert")):
     """Growth, chain sets and Hilbert series of the monomial algebra on one Omega."""
 
-    growth: GrowthClass
-    sets: ChainSets
-    hilbert: HilbertSeries
+    __slots__ = ()
 
     @property
     def graph(self) -> ChainGraph:

@@ -8,9 +8,8 @@ indices, with the empty tuple as the identity monomial.  Coefficients are
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .errors import InputError, ParseError
 
@@ -34,30 +33,49 @@ GREVLEX = "grevlex"
 ORDER_KINDS = (GRLEX, GREVLEX)
 
 
-@dataclass(frozen=True)
 class Alphabet:
     """Declared variable names together with their positive integer weights."""
 
-    names: tuple[str, ...]
-    weights: tuple[int, ...]
+    __slots__ = ("names", "weights")
 
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "weights", tuple(self.weights))
-        if not self.names:
+    def __init__(self, names: Iterable[str], weights: Iterable[int]):
+        names, weights = tuple(names), tuple(weights)
+        if not names:
             raise InputError("alphabet must declare at least one variable")
-        if len(self.weights) != len(self.names):
+        if len(weights) != len(names):
             raise InputError("need exactly one weight per variable")
-        for name in self.names:
+        for name in names:
             if not (isinstance(name, str) and _NAME.fullmatch(name)):
                 raise InputError(f"variable name {name!r} is not of the form {_NAME.pattern}")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise InputError("variable names must be distinct")
-        for name, w in zip(self.names, self.weights):
+        for name, w in zip(names, weights):
             if not isinstance(w, int) or isinstance(w, bool) or w < 1:
                 raise InputError(f"variable {name!r} needs a positive integer weight, got {w!r}")
             if w > MAX_WEIGHT:
                 raise InputError(f"variable {name!r} has a weight over the limit of {MAX_WEIGHT}")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "weights", weights)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.names, self.weights) == (other.names, other.weights)
+
+    def __hash__(self):
+        return hash((self.names, self.weights))
+
+    def __repr__(self):
+        return f"Alphabet(names={self.names!r}, weights={self.weights!r})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return (self.__class__, (self.names, self.weights))
 
     @property
     def n(self) -> int:
@@ -75,7 +93,6 @@ class Alphabet:
         return sum(weights[i] for i in word)
 
 
-@dataclass(frozen=True)
 class MonomialOrder:
     """Weighted-degree-first word order; ties broken (reverse) lexicographically.
 
@@ -86,27 +103,49 @@ class MonomialOrder:
     another, so the tie-break always finds a differing position.
     """
 
-    alphabet: Alphabet
-    kind: str = GRLEX
-    precedence: tuple[int, ...] | None = None
+    __slots__ = ("alphabet", "kind", "precedence", "_rank", "_identity", "_unit")
 
-    def __post_init__(self):
-        if self.kind not in ORDER_KINDS:
-            raise InputError(f"unknown order kind {self.kind!r}; expected one of {ORDER_KINDS}")
-        prec = self.precedence
-        prec = tuple(range(self.alphabet.n)) if prec is None else tuple(prec)
-        if sorted(prec) != list(range(self.alphabet.n)):
+    def __init__(self, alphabet: Alphabet, kind: str = GRLEX,
+                 precedence: Iterable[int] | None = None):
+        if kind not in ORDER_KINDS:
+            raise InputError(f"unknown order kind {kind!r}; expected one of {ORDER_KINDS}")
+        prec = tuple(range(alphabet.n)) if precedence is None else tuple(precedence)
+        if sorted(prec) != list(range(alphabet.n)):
             raise InputError("order precedence must be a permutation of the variables")
-        object.__setattr__(self, "precedence", prec)
-        rank = [0] * self.alphabet.n
+        rank = [0] * alphabet.n
         for pos, letter in enumerate(prec):
             rank[letter] = pos
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "precedence", prec)
         # the key's shortcuts, read off the order's own data: identity
         # precedence makes the tie the word itself, unit weights make the
         # degree the length
         object.__setattr__(self, "_rank", tuple(rank))
-        object.__setattr__(self, "_identity", prec == tuple(range(self.alphabet.n)))
-        object.__setattr__(self, "_unit", set(self.alphabet.weights) == {1})
+        object.__setattr__(self, "_identity", prec == tuple(range(alphabet.n)))
+        object.__setattr__(self, "_unit", set(alphabet.weights) == {1})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.alphabet, self.kind, self.precedence)
+                == (other.alphabet, other.kind, other.precedence))
+
+    def __hash__(self):
+        return hash((self.alphabet, self.kind, self.precedence))
+
+    def __repr__(self):
+        return (f"MonomialOrder(alphabet={self.alphabet!r}, kind={self.kind!r}, "
+                f"precedence={self.precedence!r})")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return (self.__class__, (self.alphabet, self.kind, self.precedence))
 
     def sort_key(self, word: Word):
         """Total-order key: ascending in the monomial order."""

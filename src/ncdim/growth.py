@@ -16,8 +16,7 @@ to show it, and only up to :data:`MAX_WINDOWS` candidate vertices.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 
 from .errors import CrossCheckError, InputError
 from .freealg import Word
@@ -32,11 +31,11 @@ Edge = tuple
 MAX_WINDOWS = 2 ** 16
 
 
-@dataclass(frozen=True)
-class UfnarovskiGraph:
-    omega: MonomialSet
-    vertices: tuple[Word, ...]
-    edges: tuple[Edge, ...]
+class UfnarovskiGraph(namedtuple("UfnarovskiGraph", "omega vertices edges")):
+    """The growth graph of ``omega``: its vertices, and its edges as
+    (source, target, letter)."""
+
+    __slots__ = ()
 
     @property
     def pairs(self) -> tuple[tuple[Word, Word], ...]:
@@ -59,8 +58,8 @@ def build_ufnarovski(omega: MonomialSet) -> UfnarovskiGraph:
     return UfnarovskiGraph(omega, tuple(v for v, _ in words), tuple(edges))
 
 
-@dataclass(frozen=True)
-class GrowthClass:
+class GrowthClass(namedtuple("GrowthClass", "exponential degree witness",
+                             defaults=(None, None))):
     """Either exponential, or polynomial of some degree m >= 0.
 
     m = 0 means the algebra is finite-dimensional (no cycles at all).  An
@@ -71,9 +70,7 @@ class GrowthClass:
     there; :func:`classify_growth` gives no witness.
     """
 
-    exponential: bool
-    degree: int | None = None
-    witness: tuple[Word, Word, Word] | None = None
+    __slots__ = ()
 
     @property
     def is_polynomial(self) -> bool:

@@ -11,9 +11,7 @@ inequality chain can be reported.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode
-from pathlib import Path
 
 from .chains import (
     DEFAULT_TRUNCATION,
@@ -87,9 +85,10 @@ def load_presentation_data(data) -> GroebnerBasis:
     if precedence_names is None:
         precedence = None
     else:
-        if not isinstance(precedence_names, list):
+        if not (isinstance(precedence_names, list)
+                and all(isinstance(n, str) for n in precedence_names)):
             raise InputError("'precedence' must list variable names, smallest first")
-        precedence = tuple(alphabet.index(str(n)) for n in precedence_names)
+        precedence = tuple(alphabet.index(n) for n in precedence_names)
     order = MonomialOrder(alphabet, kind, precedence)
 
     relations_data = data.get("relations", [])
@@ -108,7 +107,8 @@ def load_presentation_data(data) -> GroebnerBasis:
 
 def load_presentation(path) -> GroebnerBasis:
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            raw = file.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -133,16 +133,31 @@ def pbw_check(basis: GroebnerBasis) -> bool:
     return set(basis.omega.words) == expected
 
 
-@dataclass
 class AnalysisReport:
     """The records :func:`analyze` computed and checked; the conclusions
     are read off them."""
 
-    basis: GroebnerBasis  # verified; it holds Omega and the overlap count
-    monomial: Invariants  # of the monomial algebra on Omega
-    rees: ReesInvariants
-    lh_basis: tuple[Poly, ...]
-    pbw: bool
+    __slots__ = ("basis", "monomial", "rees", "lh_basis", "pbw")
+
+    def __init__(self, basis: GroebnerBasis, monomial: Invariants, rees: ReesInvariants,
+                 lh_basis: tuple[Poly, ...], pbw: bool):
+        self.basis = basis  # verified; it holds Omega and the overlap count
+        self.monomial = monomial  # of the monomial algebra on Omega
+        self.rees = rees
+        self.lh_basis = lh_basis
+        self.pbw = pbw
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.basis, self.monomial, self.rees, self.lh_basis, self.pbw)
+                == (other.basis, other.monomial, other.rees, other.lh_basis, other.pbw))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"AnalysisReport(basis={self.basis!r}, monomial={self.monomial!r}, "
+                f"rees={self.rees!r}, lh_basis={self.lh_basis!r}, pbw={self.pbw!r})")
 
     @property
     def applicable(self) -> bool:
@@ -276,10 +291,12 @@ def fmt_growth(growth: GrowthClass) -> str:
 
 def fmt_hilbert(h: HilbertSeries) -> tuple[str, str]:
     """The closed form (or why there is none) and the coefficient list."""
-    if h.closed_form:
-        closed = f"1/({denominator_str(h.denominator)})"
-    else:
+    if not h.closed_form:
         closed = "none (chain sets do not vanish)"
+    elif h.denominator == (1,):  # every letter is an obstruction: the series is 1
+        closed = "1"
+    else:
+        closed = f"1/({denominator_str(h.denominator)})"
     return closed, ", ".join(map(num_str, h.coefficients))
 
 

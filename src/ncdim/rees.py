@@ -25,7 +25,7 @@ G~; :func:`check_transfer` compares two such records, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .chains import (
     DEFAULT_TRUNCATION,
@@ -49,7 +49,6 @@ def extend_alphabet(base: Alphabet) -> Alphabet:
     return Alphabet(base.names + (t_name,), base.weights + (1,))
 
 
-@dataclass(frozen=True)
 class HomogenizationOrder:
     """Graded order on the extended alphabet keyed on the T-stripped word.
 
@@ -64,11 +63,32 @@ class HomogenizationOrder:
     and that X_i*T - T*X_i has leading word X_i*T.
     """
 
-    base: MonomialOrder
-    alphabet: Alphabet = field(init=False)  # the base alphabet extended by T
+    __slots__ = ("base", "alphabet")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alphabet", extend_alphabet(self.base.alphabet))
+    def __init__(self, base: MonomialOrder):
+        object.__setattr__(self, "base", base)
+        # the base alphabet extended by T
+        object.__setattr__(self, "alphabet", extend_alphabet(base.alphabet))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base, self.alphabet) == (other.base, other.alphabet)
+
+    def __hash__(self):
+        return hash((self.base, self.alphabet))
+
+    def __repr__(self):
+        return f"HomogenizationOrder(base={self.base!r}, alphabet={self.alphabet!r})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return (self.__class__, (self.base,))
 
     @property
     def homogenizer(self) -> int:
@@ -128,9 +148,10 @@ def tilde_basis(basis: GroebnerBasis) -> GroebnerBasis:
     return tilded
 
 
-@dataclass(frozen=True)
-class ReesInvariants(Invariants):
-    basis: GroebnerBasis  # the verified Rees basis G~
+class ReesInvariants(namedtuple("ReesInvariants", "growth sets hilbert basis"), Invariants):
+    """The invariants of the Rees algebra, plus ``basis``, the verified Rees basis G~."""
+
+    __slots__ = ()
 
 
 def _check_graph_embedding(rees: ReesInvariants, base: ChainGraph) -> None:

@@ -17,13 +17,12 @@ superposition word, is built only for an overlap that is reduced.
 from __future__ import annotations
 
 from bisect import insort
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from operator import itemgetter
-from typing import Iterable, NamedTuple
 
 from .errors import GroebnerVerificationError, InputError
 from .freealg import Alphabet, MonomialOrder, Poly, Word, leading_data
@@ -134,16 +133,15 @@ def _check_words(words: list[Word], alphabet: Alphabet) -> None:
         raise InputError(f"letter {min(outside)} lies outside 0..{alphabet.n - 1}")
 
 
-@dataclass(init=False)
 class MonomialSet:
     """A reduced antichain of nonempty words over ``alphabet``, the obstruction
     set of the monomial algebra K<X>/(Omega): no member divides (occurs as a
     factor of) another member; use :meth:`interreduce` to build one from an
-    arbitrary collection."""
+    arbitrary collection.  Equality compares ``words`` and ``alphabet``; the
+    ``automaton`` follows from them."""
 
-    words: tuple[Word, ...]
-    alphabet: Alphabet
-    automaton: FactorAutomaton = field(compare=False, repr=False)
+    # __dict__ holds what the cached property caches
+    __slots__ = ("words", "alphabet", "automaton", "__dict__")
 
     def __init__(self, words: Iterable[Word], alphabet: Alphabet):
         ws = sorted({tuple(w) for w in words}, key=lambda w: (len(w), w))
@@ -158,6 +156,16 @@ class MonomialSet:
         self.words = tuple(ws)
         self.alphabet = alphabet
         self.automaton = automaton
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.words, self.alphabet) == (other.words, other.alphabet)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"MonomialSet(words={self.words!r}, alphabet={self.alphabet!r})"
 
     @classmethod
     def interreduce(cls, words: Iterable[Word], alphabet: Alphabet) -> "MonomialSet":
@@ -489,17 +497,14 @@ def _reduce_terms(work: dict, basis: GroebnerBasis, applied: set | None = None) 
     return work
 
 
-class OverlapAmbiguity(NamedTuple):
+class OverlapAmbiguity(namedtuple("OverlapAmbiguity", "left_index right_index overlap word")):
     """A proper suffix of one leading word equals a proper prefix of another.
 
     ``word`` is the superposition: LM(left) and LM(right) overlap in it by
     ``overlap`` letters, at positions 0 and ``len(LM(left)) - overlap``.
     """
 
-    left_index: int
-    right_index: int
-    overlap: int
-    word: Word
+    __slots__ = ()
 
 
 def _overlaps(lws: tuple[Word, ...], lefts: range, rights: range) -> list[tuple[int, int, int]]:
@@ -551,14 +556,42 @@ def _s_terms(basis: GroebnerBasis, amb: OverlapAmbiguity) -> dict:
     return terms
 
 
-@dataclass(frozen=True)
 class VerificationResult:
-    ok: bool
-    checked: int
-    ambiguity: OverlapAmbiguity | None = None
-    remainder: Poly | None = None
-    # on success: per overlap (i, j, overlap), the relations its reduction applied
-    applied: dict | None = field(default=None, compare=False, repr=False)
+    """The outcome of :func:`verify_groebner`.  On success ``applied`` maps
+    each overlap (i, j, overlap) to the relations its reduction applied; it
+    is left out of equality and of the repr."""
+
+    __slots__ = ("ok", "checked", "ambiguity", "remainder", "applied")
+
+    def __init__(self, ok: bool, checked: int, ambiguity: OverlapAmbiguity | None = None,
+                 remainder: Poly | None = None, applied: dict | None = None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "ambiguity", ambiguity)
+        object.__setattr__(self, "remainder", remainder)
+        object.__setattr__(self, "applied", applied)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.ok, self.checked, self.ambiguity, self.remainder)
+                == (other.ok, other.checked, other.ambiguity, other.remainder))
+
+    def __hash__(self):
+        return hash((self.ok, self.checked, self.ambiguity, self.remainder))
+
+    def __repr__(self):
+        return (f"VerificationResult(ok={self.ok!r}, checked={self.checked!r}, "
+                f"ambiguity={self.ambiguity!r}, remainder={self.remainder!r})")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return (self.__class__, (self.ok, self.checked, self.ambiguity, self.remainder, self.applied))
 
 
 def _base_record(basis: GroebnerBasis, base: GroebnerBasis | None) -> dict | None:

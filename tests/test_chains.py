@@ -3,7 +3,6 @@ import json
 import re
 import math
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -26,6 +25,8 @@ from ncdim import (
 from ncdim.chains import (
     MAX_LISTED_CHAINS,
     ROOT,
+    ChainGraph,
+    ChainSets,
     chain_denominator,
     expand_reciprocal,
 )
@@ -432,7 +433,7 @@ class TestChainCounts:
                 steps += 1
                 return super().get(v, default)
 
-        sets = chain_sets(replace(graph, edges=Counted(graph.edges)))
+        sets = chain_sets(ChainGraph(graph.omega, Counted(graph.edges)))
         assert sets.gldim == 20
         assert sets.counts == tuple(
             (0,) * (i + 1) + (math.comb(20, i + 1),) for i in range(20)
@@ -599,7 +600,7 @@ class TestTruncatedIdentity:
             level = sets.counts[1]
             counts = list(sets.counts)
             counts[1] = level[:-1] + (level[-1] + 1,)
-            return replace(sets, counts=tuple(counts))
+            return ChainSets(sets.graph, sets.finite, tuple(counts), sets.truncation)
 
         monkeypatch.setattr(ncdim.chains, "chain_sets", one_more_chain)
         message = "the chain denominator D(t) mod t^17 does not invert"

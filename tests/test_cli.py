@@ -119,6 +119,18 @@ class TestExitCodes:
             f"(at position {position})\n"
         )
 
+    def test_precedence_entry_that_is_not_a_name(self, tmp_path, capsys):
+        # JSON true is no variable name, even beside a variable named "True"
+        path = write(tmp_path, {
+            "variables": [{"name": "True"}, {"name": "y"}],
+            "order": {"precedence": [True, "y"]},
+            "relations": ["y*True - True*y"],
+        })
+        assert main(["check-gb", path]) == 2
+        assert capsys.readouterr().err == (
+            "error: 'precedence' must list variable names, smallest first\n"
+        )
+
     def test_relation_word_at_the_bound(self, tmp_path, capsys):
         assert main(["check-gb", two_letters(tmp_path, "x1^1024")]) == 0
         assert capsys.readouterr().out == (
@@ -538,6 +550,18 @@ class TestHilbert:
         assert main(["hilbert", NILPOTENT]) == 0
         out = capsys.readouterr().out
         assert "closed form: none (chain sets do not vanish)" in out
+
+    def test_closed_form_one(self, tmp_path, capsys):
+        # every letter is an obstruction: D(t) = 1, printed as the series 1
+        path = write(tmp_path, {"variables": [{"name": "x"}], "relations": ["x"]})
+        assert main(["hilbert", path]) == 0
+        assert capsys.readouterr().out == "closed form: 1\ncoefficients: 1" + ", 0" * 16 + "\n"
+        assert main(["report", "--format", "text", path]) == 0
+        text = capsys.readouterr().out
+        assert "Hilbert series of the monomial algebra:\n  closed form: 1\n" in text
+        assert "1/(1)" not in text
+        assert main(["report", path]) == 0
+        assert json.loads(capsys.readouterr().out)["hilbert"]["denominator"] == [1]
 
 
 class TestRees:

@@ -1,11 +1,12 @@
 """End-to-end pipeline: loading, analysis, report rendering."""
 
 import collections
+import copy
 import json
 import math
+import pickle
 import re
 import sys
-from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
 
@@ -14,15 +15,21 @@ import pytest
 import ncdim.chains
 import ncdim.pipeline
 from ncdim import (
+    Alphabet,
     CrossCheckError,
     GroebnerBasis,
     GroebnerVerificationError,
+    GrowthClass,
+    HilbertSeries,
     InputError,
+    Invariants,
     MonomialOrder,
     MonomialSet,
     Poly,
+    VerificationResult,
     analyze,
     automaton_growth,
+    build_ufnarovski,
     load_presentation,
     load_presentation_data,
     pbw_check,
@@ -32,6 +39,7 @@ from ncdim import (
 from ncdim.chains import MAX_TRUNCATION
 from ncdim.cli import main
 from ncdim.pipeline import report_graph
+from ncdim.rees import HomogenizationOrder
 from ncdim.render import word_str
 from presets import (
     commutation,
@@ -371,6 +379,119 @@ class TestAnalyzeFrozen:
             analyze(down_up(), truncation=truncation)
 
 
+@pytest.fixture(scope="module")
+def records():
+    """One record of each kind, by class name: those of one analyze(down_up()),
+    the Ufnarovski graph of its Omega, and an alphabet and two orders."""
+    report = analyze(down_up())
+    alphabet = Alphabet(("x", "y"), (1, 2))
+    order = MonomialOrder(alphabet, "grevlex", (1, 0))
+    found = [alphabet, order, HomogenizationOrder(order), report.basis.omega,
+             report.basis.verification, build_ufnarovski(report.basis.omega),
+             report.monomial.growth, report.monomial.graph, report.monomial.sets,
+             report.monomial.hilbert, report.monomial, report.rees, report]
+    return {type(record).__name__: record for record in found}
+
+
+class TestRecords:
+    """The records keep their value semantics: the frozen ones refuse
+    assignment, equality and repr leave out the automaton and the applied
+    relations, and a record hashes when all its compared fields do."""
+
+    # a field, or a value derived from the others, of each frozen record
+    FROZEN = {
+        "Alphabet": "names",
+        "MonomialOrder": "kind",
+        "HomogenizationOrder": "alphabet",
+        "VerificationResult": "applied",
+        "UfnarovskiGraph": "edges",
+        "GrowthClass": "degree",
+        "ChainGraph": "vertices",
+        "ChainSets": "counts",
+        "HilbertSeries": "coefficients",
+        "Invariants": "growth",
+        "ReesInvariants": "basis",
+    }
+
+    NAMES = sorted([*FROZEN, "MonomialSet", "AnalysisReport"])
+
+    def test_every_record_is_here(self, records):
+        assert sorted(records) == self.NAMES
+
+    @pytest.mark.parametrize("name,field", sorted(FROZEN.items()))
+    def test_frozen_records_refuse_assignment(self, records, name, field):
+        record = records[name]
+        value = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, value)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert getattr(record, field) is value
+
+    def test_monomial_set_equality_leaves_out_the_automaton(self, records):
+        omega = records["MonomialSet"]
+        again = MonomialSet(omega.words, omega.alphabet)
+        assert again.automaton is not omega.automaton
+        assert again == omega
+        assert MonomialSet(omega.words[:1], omega.alphabet) != omega
+        assert MonomialSet(omega.words, Alphabet(("a", "b"), (1, 1))) != omega
+        assert repr(omega) == f"MonomialSet(words={omega.words!r}, alphabet={omega.alphabet!r})"
+
+    def test_verification_equality_leaves_out_the_applied_relations(self, records):
+        result = records["VerificationResult"]
+        assert result.ok and result.applied
+        assert VerificationResult(True, result.checked, applied={}) == result
+        assert VerificationResult(True, result.checked + 1, applied=result.applied) != result
+        assert repr(result) == (
+            f"VerificationResult(ok=True, checked={result.checked}, ambiguity=None, "
+            "remainder=None)"
+        )
+
+    def test_hashable_records(self, records):
+        alphabet = Alphabet(["x", "y"], [1, 2])
+        order = MonomialOrder(alphabet, "grevlex", [1, 0])
+        hilbert = records["HilbertSeries"]
+        twins = {
+            "Alphabet": alphabet,
+            "MonomialOrder": order,
+            "HomogenizationOrder": HomogenizationOrder(order),
+            "GrowthClass": GrowthClass(False, 3),
+            "HilbertSeries": HilbertSeries((1, -2, 0, 2, -1), hilbert.coefficients),
+        }
+        for name, twin in twins.items():
+            record = records[name]
+            assert twin is not record and twin == record
+            assert hash(twin) == hash(record)
+        assert MonomialOrder(alphabet) != order
+
+    @pytest.mark.parametrize("name", ["MonomialSet", "AnalysisReport"])
+    def test_unhashable_records(self, records, name):
+        with pytest.raises(TypeError):
+            hash(records[name])
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_repr_names_the_fields(self, records, name):
+        text = repr(records[name])
+        assert re.match(rf"{name}\(\w+=", text)
+        assert "automaton" not in text and "applied" not in text
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_copies_are_equal(self, records, name):
+        record = records[name]
+        assert copy.copy(record) == record
+        if name not in ("ReesInvariants", "AnalysisReport"):  # a basis equals only itself
+            assert pickle.loads(pickle.dumps(record)) == record
+
+    def test_rees_invariants_are_invariants(self, records):
+        rees = records["ReesInvariants"]
+        assert isinstance(rees, Invariants)
+        assert (rees.gldim, rees.graph) == (rees.sets.gldim, rees.sets.graph)
+
+    def test_pbw_is_a_bool(self, records):
+        assert analyze(commutation(2)).pbw is True
+        assert records["AnalysisReport"].pbw is False
+
+
 class TestHomogenizerName:
     """With a base letter named T the homogenizer is T_, and the report names
     it so."""
@@ -400,7 +521,7 @@ def one_degree_more(omega):
     """The growth of Omega with a polynomial degree raised by one, on the
     base and the Rees side alike, so the Rees degree stays base + 1."""
     growth = automaton_growth(omega)
-    return growth if growth.exponential else replace(growth, degree=growth.degree + 1)
+    return growth if growth.exponential else growth._replace(degree=growth.degree + 1)
 
 
 # One fault per exactness check of analyze() on down_up (2 letters, GK degree

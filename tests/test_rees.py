@@ -1,7 +1,6 @@
 import random
 import re
 import sys
-from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
 
@@ -33,7 +32,7 @@ from ncdim import (
     rees_invariants,
     tilde_basis,
 )
-from ncdim.chains import ChainSets
+from ncdim.chains import ChainGraph, ChainSets
 from ncdim.cli import main
 from ncdim.rees import HomogenizationOrder
 from ncdim.rewrite import ensure_verified
@@ -348,15 +347,19 @@ DOWN_UP_FILE = str(Path(__file__).resolve().parent.parent / "presentations" / "d
 
 
 def with_sets(inv, **changes):
-    return replace(inv, sets=replace(inv.sets, **changes))
+    """The Rees invariants with the fields ``changes`` names changed in their chain sets."""
+    sets = inv.sets
+    fields = {"graph": sets.graph, "finite": sets.finite, "counts": sets.counts,
+              "truncation": sets.truncation}
+    return inv._replace(sets=ChainSets(**{**fields, **changes}))
 
 
 def with_graph(inv, vertices=(), edges=None):
     """The Rees invariants with chain sets on a changed chain graph: extra
     vertices, as sinks, and successor lists replaced per source vertex."""
     graph = inv.graph
-    return with_sets(inv, graph=replace(
-        graph, edges={**graph.edges, **dict.fromkeys(vertices, ()), **(edges or {})}
+    return with_sets(inv, graph=ChainGraph(
+        graph.omega, {**graph.edges, **dict.fromkeys(vertices, ()), **(edges or {})}
     ))
 
 
@@ -400,7 +403,7 @@ CORRUPTIONS = {
         "Rees chain count C~_2(t) is not C_2(t) + t*C_1(t)",
     ),
     "GK degree + 1": (
-        lambda inv: replace(inv, growth=GrowthClass(False, inv.growth.degree + 1)),
+        lambda inv: inv._replace(growth=GrowthClass(False, inv.growth.degree + 1)),
         "Rees growth degree is not base + 1",
     ),
 }
@@ -441,8 +444,8 @@ class TestReesGrowthClassCrossCheck:
     @pytest.fixture
     def polynomial_rees(self, monkeypatch):
         original = ncdim.pipeline.rees_invariants
-        monkeypatch.setattr(ncdim.pipeline, "rees_invariants", lambda *args: replace(
-            original(*args), growth=GrowthClass(False, 2)))
+        monkeypatch.setattr(ncdim.pipeline, "rees_invariants", lambda *args: original(
+            *args)._replace(growth=GrowthClass(False, 2)))
 
     def test_analyze_raises(self, polynomial_rees):
         with pytest.raises(CrossCheckError, match="Rees growth is polynomial"):
