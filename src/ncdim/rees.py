@@ -17,7 +17,13 @@ applied are homogeneous, so that their rules in G~ are those of G, is
 resolved by that base reduction.  Reducing it under G~ would be the same
 computation: the same S-element, over T-free words only, which only base
 leading words match and which the extended order ranks as the base order
-does, so the same step in the same order to the same zero.
+does, so the same step in the same order to the same zero.  The overlap of
+relation k, whose leading word u*X_i ends in a live letter, with X_i T - T X_i
+is resolved by its one-step identity: with T moved to the front of each
+term, its S-element is -T*g~_k, which one step of relation k takes to zero.
+Where a term breaks the identity (a dead letter of a tail word stops T, or
+a commutator or tail was altered), the overlap is reduced as any other, so
+the verification's result is that of reducing every overlap.
 :func:`rees_invariants` gives the Rees side in the base's record type, plus
 G~; :func:`check_transfer` compares two such records, and
 :func:`check_associated_graded` checks that setting T = 0 in G~ gives lh(G).
@@ -63,12 +69,15 @@ class HomogenizationOrder:
     and that X_i*T - T*X_i has leading word X_i*T.
     """
 
-    __slots__ = ("base", "alphabet")
+    __slots__ = ("base", "alphabet", "homogenizer")
 
     def __init__(self, base: MonomialOrder):
         object.__setattr__(self, "base", base)
         # the base alphabet extended by T
         object.__setattr__(self, "alphabet", extend_alphabet(base.alphabet))
+        # the letter T, the last of ``alphabet``, which
+        # :func:`~ncdim.rewrite._reduce_terms` moves to the front of a word in one step
+        object.__setattr__(self, "homogenizer", base.alphabet.n)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -90,21 +99,15 @@ class HomogenizationOrder:
     def __reduce__(self):  # copy and pickle rebuild through __init__
         return (self.__class__, (self.base,))
 
-    @property
-    def homogenizer(self) -> int:
-        """The letter T, the last of ``alphabet``, which
-        :func:`~ncdim.rewrite._reduce_terms` moves to the front of a word in one step."""
-        return self.base.alphabet.n
-
     def sort_key(self, word: Word):
-        t = self.base.alphabet.n
+        t = self.homogenizer
         if t not in word:
             # equal (degree, base key) means equal stripped words and so
             # equal T counts, so a T-free word needs no placement
             base_key = self.base.sort_key(word)
             return (base_key[0], base_key, ())
-        stripped = tuple(i for i in word if i != t)
-        placement = tuple(0 if i == t else 1 for i in word)
+        stripped = tuple([i for i in word if i != t])
+        placement = tuple([0 if i == t else 1 for i in word])
         base_key = self.base.sort_key(stripped)
         # T has weight 1: the total degree is the stripped one plus the T count
         return (base_key[0] + len(word) - len(stripped), base_key, placement)
@@ -112,9 +115,10 @@ class HomogenizationOrder:
 
 def homogenize(f: Poly, order: HomogenizationOrder) -> Poly:
     """Left-pad every term of ``f`` with T up to its largest weighted degree
-    p, which the graded base order makes the degree of the leading word."""
-    degree, t = order.base.alphabet.degree, order.homogenizer
-    degrees = [degree(w) for w in f.terms]
+    p, which the graded base order makes the degree of the leading word.
+    Under unit weights a word's degree is its length."""
+    base, t = order.base, order.homogenizer
+    degrees = list(map(len if base._unit else base.alphabet.degree, f.terms))
     p = max(degrees)
     return Poly({(t,) * (p - q) + w: c for (w, c), q in zip(f.terms.items(), degrees)})
 

@@ -21,6 +21,7 @@ from collections import deque, namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd
 from operator import itemgetter
 
@@ -144,7 +145,7 @@ class MonomialSet:
     __slots__ = ("words", "alphabet", "automaton", "__dict__")
 
     def __init__(self, words: Iterable[Word], alphabet: Alphabet):
-        ws = sorted({tuple(w) for w in words}, key=lambda w: (len(w), w))
+        ws = sorted(sorted({tuple(w) for w in words}), key=len)  # (length, word), stable
         _check_words(ws, alphabet)
         automaton = FactorAutomaton(ws)
         divisions = _divisions(automaton, ws)
@@ -274,14 +275,14 @@ class GroebnerBasis:
     def __init__(self, relations: Iterable[Poly], order: MonomialOrder):
         elements: list[Poly] = []
         leading: list[Word] = []
-        letters = range(order.alphabet.n)
+        letters = frozenset(range(order.alphabet.n))
         for k, f in enumerate(relations):
             if not isinstance(f, Poly):
                 raise InputError(f"relation {k + 1} is not a polynomial")
             if f.is_zero:
                 raise InputError(f"relation {k + 1} is zero")
-            outside = set().union(*f.terms).difference(letters)
-            if outside:
+            if not letters.issuperset(chain.from_iterable(f.terms)):
+                outside = set().union(*f.terms).difference(letters)
                 raise InputError(
                     f"relation {k + 1}: letter {min(outside)} lies outside "
                     f"0..{len(letters) - 1}"
@@ -307,14 +308,16 @@ class GroebnerBasis:
         # leading words ending there, by the strategy; None where none ends
         relation = {w: k for k, w in enumerate(leading)}
         ranks = [(-len(w), relation[w]) for w in omega.words]
-        self._choice = [min((ranks[p] for p in hits), default=None)
+        self._choice = [min(map(ranks.__getitem__, hits)) if hits else None
                         for hits in omega.automaton._out]
         # per relation: (len(LM), its tail), the tail being the terms after
         # the leading one (coefficient 1) with engine coefficients
-        self._rules = tuple(
-            (len(lw), tuple((w, c) for w, c in _engine_terms(f).items() if w != lw))
-            for lw, f in zip(leading, elements)
-        )
+        rules = []
+        for lw, f in zip(leading, elements):
+            tail = _engine_terms(f)
+            del tail[lw]
+            rules.append((len(lw), tuple(tail.items())))
+        self._rules = tuple(rules)
         # (T, the letters T cannot cross) when the order has a homogenizer T:
         # T crosses exactly the letters X with X*T - T*X among the relations
         t = getattr(order, "homogenizer", None)
@@ -387,13 +390,12 @@ def _t_front(word: Word, t: int, stuck: frozenset) -> Word:
     X*T -> T*X, one letter at a time, end.  ``word`` itself when it is
     T-front already, or when a letter of ``stuck`` (one with no commutator)
     stands left of its last T."""
-    rest = tuple(i for i in word if i != t)
-    m = len(word) - len(rest)
-    if word[m:] == rest:
+    m = word.count(t)
+    if word[:m].count(t) == m:
         return word
     if stuck and not stuck.isdisjoint(word[: len(word) - word[::-1].index(t)]):
         return word
-    return (t,) * m + rest
+    return (t,) * m + tuple([i for i in word if i != t])
 
 
 def normal_form(f: Poly, basis: GroebnerBasis) -> Poly:
@@ -627,6 +629,31 @@ def _repeated_reductions(basis: GroebnerBasis, base: GroebnerBasis) -> dict:
             if key[0] in shared and key[1] in shared and used <= shared}
 
 
+def _one_step(basis: GroebnerBasis, k: int, terms: dict) -> bool:
+    """True when ``terms``, T-fronted term by term, is -T*g~_k, with g~_k
+    relation k as the engine holds it: ``terms`` then reduces to zero by the
+    one step of relation k at T*LM(g_k), the step :func:`_reduce_terms`
+    would take first.
+
+    ``terms`` is the S-element of the overlap of relation k with a
+    commutator X*T - T*X, as :func:`_s_terms` lists it: the commutator's
+    term, then g_k's tail, each times T.  That this gives the engine's
+    result needs T in front of no leading word (checked by the caller): the
+    leading words form an antichain, so T*LM(g_k) holds LM(g_k) alone, and
+    it is the largest word, since every tail word of g_k is below LM(g_k).
+    """
+    t, stuck = basis._front
+    tail = basis._rules[k][1]
+    if len(terms) != len(tail) + 1:
+        return False
+    expected = [((t,) + basis.leading_words[k], -1)]
+    expected += [((t,) + w, -c if c.__class__ is int else (-c[0], c[1])) for w, c in tail]
+    for (word, c), (want, wc) in zip(terms.items(), expected):
+        if c != wc or _t_front(word, t, stuck) != want:
+            return False
+    return True
+
+
 def verify_groebner(basis: GroebnerBasis, base: GroebnerBasis | None = None
                     ) -> VerificationResult:
     """Diamond-lemma check: every S-element must reduce to zero.
@@ -640,12 +667,25 @@ def verify_groebner(basis: GroebnerBasis, base: GroebnerBasis | None = None
     instead of being reduced again; it still counts as checked, and no
     ambiguity is built for it.
 
+    Under an order with a homogenizer T, as for G~ with the commutators
+    X_i*T - T*X_i after the first len(base) relations, the S-element of an
+    overlap of relation k with a later relation is first checked against
+    its one-step identity (:func:`_one_step`): T-fronted, it is -T*g~_k,
+    and relation k alone takes it to zero.  Where that holds, the overlap
+    applied {k}, as the engine would find; where it fails (a tail word of
+    g_k holds a letter T cannot cross, or a commutator or tail was
+    altered), the engine reduces it.  So the result, ``applied`` included,
+    is the engine's.
+
     On success the result is kept as ``basis.verification``; on failure it
     carries the first failing ambiguity (fixed enumeration order) and its
     remainder.
     """
     lws = basis.leading_words
     done = _base_record(basis, base)
+    # an overlap (i, j, o) with j from here tries the one-step identity: none
+    # does without a base record, or when T starts a leading word
+    commutators = len(lws)
     if done is None:
         overlaps = overlap_ambiguities(basis)
         repeated = {}
@@ -654,18 +694,25 @@ def verify_groebner(basis: GroebnerBasis, base: GroebnerBasis | None = None
         later = _overlaps(lws, range(r), range(r, n)) + _overlaps(lws, range(r, n), range(n))
         overlaps = sorted([*done, *later])  # two ascending runs: one merge
         repeated = _repeated_reductions(basis, base)
+        front = basis._front
+        if front is not None and all(w[0] != front[0] for w in lws):
+            commutators = r
     applied = {}
     for overlap in overlaps:
         key = overlap[:3]
         used = repeated.get(key)
         if used is None:
             # a key of base's record or a later overlap becomes an ambiguity
-            # only here, to be reduced
+            # only here, to be resolved
             amb = overlap if len(overlap) == 4 else _ambiguity(lws, *key)
-            used = set()
-            remainder = _reduce_terms(_s_terms(basis, amb), basis, used)
-            if remainder:
-                return VerificationResult(False, len(overlaps), amb, _poly(remainder))
+            terms = _s_terms(basis, amb)
+            if key[1] >= commutators and _one_step(basis, key[0], terms):
+                used = {key[0]}
+            else:
+                used = set()
+                remainder = _reduce_terms(terms, basis, used)
+                if remainder:
+                    return VerificationResult(False, len(overlaps), amb, _poly(remainder))
         applied[key] = used
     basis.verification = VerificationResult(True, len(overlaps), applied=applied)
     return basis.verification

@@ -21,6 +21,7 @@ from ncdim import (
     homogenize,
     leading_data,
     load_presentation,
+    load_presentation_data,
     normal_form,
     parse_polynomial,
     tilde_basis,
@@ -823,6 +824,99 @@ class TestReesOverlapsFromTheBaseRecord:
         assert failed >= 50
 
 
+def dead_letter_bases():
+    """Bases with a dead letter x in a tail word, which T cannot cross: the
+    S-element of their commutator overlap is not -T*g~_k once T-fronted."""
+    xy, xyz = [{"name": "x"}, {"name": "y"}], [{"name": "x"}, {"name": "y"}, {"name": "z"}]
+    inputs = [
+        {"variables": xy, "relations": ["x", "y*y - x*y"]},
+        {"variables": [{"name": "x"}, {"name": "y", "weight": 2}], "relations": ["x", "y*y - x*y"]},
+        {"variables": [{"name": "x"}, {"name": "y", "weight": 2}],
+         "relations": ["x", "y*y - x*y - x*x"]},
+        {"variables": xy, "order": {"kind": "grevlex"}, "relations": ["x", "y*y - x*y"]},
+        {"variables": xy, "relations": ["x", "y*y - y*x"]},
+        {"variables": xyz, "relations": ["x", "y*y - x*y", "z*y - y*z - x*z"]},
+    ]
+    return [load_presentation_data(data) for data in inputs]
+
+
+class TestCommutatorIdentity:
+    """The Rees verification resolves the overlap of relation k with a
+    commutator by its one-step identity where that holds, against the engine
+    reducing every such overlap."""
+
+    @staticmethod
+    def refused(monkeypatch):
+        """Make the identity check refuse every overlap; return the list of
+        the relations k it refused on the identity path so far."""
+        refusals = []
+        one_step = ncdim.rewrite._one_step
+
+        def logged(basis, k, terms):
+            found = one_step(basis, k, terms)
+            if not found:
+                refusals.append(k)
+            return found
+
+        monkeypatch.setattr(ncdim.rewrite, "_one_step", logged)
+        return refusals
+
+    def test_same_result_and_applied_as_the_engine(self, monkeypatch):
+        bases = [b for b in rees_test_bases() if verify_groebner(b).ok]
+        bases += TestReesOverlapsFromTheBaseRecord.pbw_rings() + [weyl(6)]
+        bases += dead_letter_bases()
+        assert all(verify_groebner(b).ok for b in bases) and len(bases) >= 115
+        refusals = self.refused(monkeypatch)
+        by_identity = [verify_groebner(unverified_rees_basis(b), b) for b in bases]
+        monkeypatch.setattr(ncdim.rewrite, "_one_step", lambda basis, k, terms: False)
+        commutator_overlaps = 0
+        for base, fast in zip(bases, by_identity):
+            slow = verify_groebner(unverified_rees_basis(base), base)
+            assert fast.ok and fast == slow
+            assert fast.applied == slow.applied
+            commutator_overlaps += sum(key[1] >= len(base) for key in fast.applied)
+        assert len(refusals) >= 5
+        assert commutator_overlaps >= 350
+
+    def test_a_dead_letter_in_a_tail_word_reaches_the_engine(self, monkeypatch):
+        refusals = self.refused(monkeypatch)
+        base = dead_letter_bases()[0]
+        rees = tilde_basis(base)
+        assert refusals == [1]
+        assert rees.verification.applied[(1, 2, 1)] == {0, 1, 2}
+
+    def test_an_altered_lower_term_falls_back_to_the_engine(self, monkeypatch):
+        refusals = self.refused(monkeypatch)
+        failed = reached = 0
+        for base in TestReesOverlapsFromTheBaseRecord.pbw_rings():
+            t = base.order.alphabet.n
+            for k in range(len(base)):
+                rees = unverified_rees_basis(base)
+                # a T appended to the first lower term that holds a base letter
+                length, tail = rees._rules[k]
+                i = next(i for i, (w, _) in enumerate(tail) if w.count(t) < len(w))
+                word, c = tail[i]
+                altered = (length, tail[:i] + ((word + (t,), c),) + tail[i + 1 :])
+                rees._rules = rees._rules[:k] + (altered,) + rees._rules[k + 1 :]
+                amb = next(amb for amb in overlap_ambiguities(rees)
+                           if amb.left_index == k and amb.right_index >= len(base))
+                assert not ncdim.rewrite._one_step(rees, k, ncdim.rewrite._s_terms(rees, amb))
+                refusals.clear()
+                keyed = verify_groebner(rees, base)
+                reached += k in refusals  # not when an earlier overlap failed
+                full = verify_groebner(rees)
+                assert keyed == full
+                if not full.ok:
+                    amb = keyed.ambiguity
+                    assert (amb.left_index, amb.right_index, amb.overlap, amb.word) == \
+                        tuple(full.ambiguity)
+                    assert list(keyed.remainder.terms) == list(full.remainder.terms)
+                    failed += 1
+                else:
+                    assert keyed.applied == full.applied
+        assert failed >= 40 and reached >= 100
+
+
 def engine_value(c):
     return Fraction(c) if type(c) is int else Fraction(*c)
 
@@ -917,3 +1011,28 @@ class TestNormalFormCounts:
         calls = self.counted_verify(monkeypatch, basis)
         assert calls["is_normal"] > 0
         assert calls["sort_key"] > tally["reducible"]
+
+    @pytest.mark.parametrize("ring", [(commutation, 13), (weyl, 6)],
+                             ids=["commutation(13)", "weyl(6)"])
+    def test_commutator_overlaps_make_no_find_reduction_call(self, ring, monkeypatch):
+        make, n = ring
+        base = make(n)
+        assert verify_groebner(base).ok
+        rees = unverified_rees_basis(base)
+        reduced, searched = [], []
+        s_terms, find = ncdim.rewrite._s_terms, GroebnerBasis.find_reduction
+
+        def logged_s_terms(basis, amb):
+            reduced.append(amb)
+            return s_terms(basis, amb)
+
+        def logged_find(basis, word):
+            searched.append(reduced[-1])
+            return find(basis, word)
+
+        monkeypatch.setattr(ncdim.rewrite, "_s_terms", logged_s_terms)
+        monkeypatch.setattr(GroebnerBasis, "find_reduction", logged_find)
+        assert verify_groebner(rees, base).ok
+        commutator_overlaps = [amb for amb in reduced if amb.right_index >= len(base)]
+        assert len(commutator_overlaps) == len(base)  # one per relation of G
+        assert [amb for amb in searched if amb.right_index >= len(base)] == []
