@@ -847,8 +847,8 @@ class TestCommutatorIdentity:
 
     @staticmethod
     def refused(monkeypatch):
-        """Make the identity check refuse every overlap; return the list of
-        the relations k it refused on the identity path so far."""
+        """From now on, log each relation k whose overlap with a commutator
+        fails the identity check; return the log."""
         refusals = []
         one_step = ncdim.rewrite._one_step
 
