@@ -15,6 +15,7 @@ from .errors import CrossCheckError, GroebnerVerificationError, InputError
 from .chains import DEFAULT_TRUNCATION, check_truncation
 from .pipeline import (
     DOT_NAMES,
+    AnalysisReport,
     analyze,
     fmt_cycle,
     fmt_dim,
@@ -63,97 +64,93 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_graph(graph) -> None:
+def _graph_lines(graph) -> list[str]:
     text, pairs = vertex_names(graph), graph.pairs
-    print(f"vertices ({len(graph.vertices)}):")
-    for v in graph.vertices:
-        print("  " + text[v])
-    print(f"edges ({len(pairs)}):")
-    for src, dst in pairs:
-        print(f"  {text[src]} -> {text[dst]}")
+    lines = [f"vertices ({len(graph.vertices)}):"]
+    lines += ["  " + text[v] for v in graph.vertices]
+    lines.append(f"edges ({len(pairs)}):")
+    lines += [f"  {text[src]} -> {text[dst]}" for src, dst in pairs]
+    return lines
 
 
-def _run(args) -> int:
+def _run(args) -> str:
+    """The output of the subcommand.  It reads only the fields of the
+    report that it prints, so only their stages and cross-checks run; the
+    output is returned whole, so a failing stage prints nothing."""
     basis = load_presentation(args.file)
     alphabet = basis.order.alphabet
 
     if args.command == "check-gb":
         result = ensure_verified(basis)
-        print(
+        return (
             f"ok: {len(basis)} relations verified "
-            f"({result.checked} overlap ambiguities reduce to zero)"
+            f"({result.checked} overlap ambiguities reduce to zero)\n"
         )
-        return 0
 
     terms = getattr(args, "terms", DEFAULT_TRUNCATION)
     check_truncation(terms, "--terms")
-    report = analyze(basis, truncation=terms)
+    if args.command == "report":
+        return render_report(analyze(basis, truncation=terms), args.format).decode("utf-8")
+    report = AnalysisReport(basis, terms)
+    lines: list[str] = []
 
     if args.command == "growth":
-        print("growth: " + fmt_growth(report.monomial.growth))
-        if report.monomial.growth.exponential:
-            window, *loops = report.monomial.growth.witness
+        growth = report.growth
+        lines.append("growth: " + fmt_growth(growth))
+        if growth.exponential:
+            window, *loops = growth.witness
             shared = word_str(window, alphabet)
             for k, loop in enumerate(loops, 1):
-                print(f"  cycle {k} through {shared}: {fmt_cycle(window, loop, alphabet)}")
-        return 0
+                lines.append(f"  cycle {k} through {shared}: {fmt_cycle(window, loop, alphabet)}")
 
-    if args.command == "gldim":
-        print("gl.dim of the monomial algebra: " + fmt_dim(report.monomial.gldim))
+    elif args.command == "gldim":
+        lines.append("gl.dim of the monomial algebra: " + fmt_dim(report.sets.gldim))
         if report.applicable:
-            print(f"gl.dim of the associated graded algebra: {report.gldim_assoc_graded}")
-            print(f"gl.dim of the Rees algebra: {report.rees.gldim}")
+            lines.append(f"gl.dim of the associated graded algebra: {report.gldim_assoc_graded}")
+            lines.append(f"gl.dim of the Rees algebra: {report.rees.gldim}")
         else:
-            print("exact transfer not applicable "
-                  "(needs polynomial growth and finite global dimension)")
-        return 0
+            lines.append("exact transfer not applicable "
+                         "(needs polynomial growth and finite global dimension)")
 
-    if args.command == "hilbert":
-        closed, coefficients = fmt_hilbert(report.monomial.hilbert)
-        print(f"closed form: {closed}")
-        print(f"coefficients: {coefficients}")
-        return 0
+    elif args.command == "hilbert":
+        closed, coefficients = fmt_hilbert(report.hilbert)
+        lines.append(f"closed form: {closed}")
+        lines.append(f"coefficients: {coefficients}")
 
-    if args.command == "rees":
-        print("relations:")
-        for g in fmt_rees_relations(report):
-            print("  " + g)
-        print("growth: " + fmt_growth(report.rees.growth))
-        print("gl.dim: " + fmt_dim(report.rees.gldim))
-        closed, coefficients = fmt_hilbert(report.rees.hilbert)
-        if report.rees.hilbert.closed_form:
-            print(f"hilbert: {closed}")
-        print(f"coefficients: {coefficients}")
-        return 0
+    elif args.command == "rees":
+        rees = report.rees
+        lines.append("relations:")
+        lines += ["  " + g for g in fmt_rees_relations(report)]
+        lines.append("growth: " + fmt_growth(rees.growth))
+        lines.append("gl.dim: " + fmt_dim(rees.gldim))
+        closed, coefficients = fmt_hilbert(rees.hilbert)
+        if rees.hilbert.closed_form:
+            lines.append(f"hilbert: {closed}")
+        lines.append(f"coefficients: {coefficients}")
 
-    if args.command == "pbw":
+    elif args.command == "pbw":
         if report.pbw:
             n = alphabet.n
-            print("yes: normal words are the ordered monomials")
-            print(f"gl.dim = {n}, Rees gl.dim = {n + 1} (cross-checked)")
+            lines.append("yes: normal words are the ordered monomials")
+            lines.append(f"gl.dim = {n}, Rees gl.dim = {n + 1} (cross-checked)")
         else:
-            print("no")
-        return 0
+            lines.append("no")
 
-    if args.command == "graph":
+    elif args.command == "graph":
         graph = report_graph(report, args.which)
         if args.dot:
-            print(dot_digraph(DOT_NAMES[args.which], graph), end="")
-        else:
-            _print_graph(graph)
-        return 0
+            return dot_digraph(DOT_NAMES[args.which], graph)
+        lines = _graph_lines(graph)
 
-    if args.command == "report":
-        sys.stdout.write(render_report(report, args.format).decode("utf-8"))
-        return 0
-
-    raise InputError(f"unknown command {args.command!r}")
+    else:
+        raise InputError(f"unknown command {args.command!r}")
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _run(args)
+        output = _run(args)
     except GroebnerVerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 3
@@ -163,6 +160,8 @@ def main(argv=None) -> int:
     except CrossCheckError as exc:
         print(f"internal cross-check violated: {exc}", file=sys.stderr)
         return 4
+    sys.stdout.write(output)
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,18 +1,22 @@
-"""Presentation loading, the full analysis pipeline, and report rendering.
+"""Presentation loading, the analysis pipeline, and report rendering.
 
 The pipeline follows one fixed procedure: verify the candidate basis, take
 the obstruction set from the leading words, classify growth, compute chain
 sets / global dimension / Hilbert series of the monomial algebra, build and
 verify the Rees basis, and finally decide whether the exact transfer theorems
 apply (polynomial growth and finite global dimension) or only the generic
-inequality chain can be reported.
+inequality chain can be reported.  :class:`AnalysisReport` runs each stage
+when its result is first read, so a caller pays only for what it reads;
+:func:`analyze` reads everything.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from json.encoder import encode_basestring_ascii as _encode
 
+from . import chains
 from .chains import (
     DEFAULT_TRUNCATION,
     ChainGraph,
@@ -21,7 +25,6 @@ from .chains import (
     Invariants,
     build_chain_graph,
     check_truncation,
-    monomial_invariants,
     product_form_decomposition,
 )
 from .errors import CrossCheckError, InputError
@@ -134,18 +137,35 @@ def pbw_check(basis: GroebnerBasis) -> bool:
 
 
 class AnalysisReport:
-    """The records :func:`analyze` computed and checked; the conclusions
-    are read off them."""
+    """The verified basis and the records read off it.
 
-    __slots__ = ("basis", "monomial", "rees", "lh_basis", "pbw")
+    Building the report checks the truncation and then verifies the basis,
+    so those errors come first.  Every other field is computed the first
+    time it is read, from the fields it needs, and kept:
 
-    def __init__(self, basis: GroebnerBasis, monomial: Invariants, rees: ReesInvariants,
-                 lh_basis: tuple[Poly, ...], pbw: bool):
+    - ``growth``, of the monomial algebra on Omega, from Omega's automaton
+      alone, with no chain graph;
+    - ``graph``, the chain graph of Omega; ``sets``, its chain sets counted
+      to ``truncation``; ``hilbert``, the Hilbert series read off them;
+      ``monomial``, the three invariants as one record;
+    - ``lh_basis``, the leading homogeneous parts lh(G);
+    - ``rees``, the Rees invariants, compared with ``monomial`` and
+      ``lh_basis`` when first read;
+    - ``applicable`` and ``pbw``, each with its cross-check.
+
+    A failing stage or cross-check raises at the read that runs it, and
+    again at the next read.  :func:`analyze` reads every field; equality
+    and repr read the records they name.
+    """
+
+    # __dict__ holds what the cached properties cache
+    __slots__ = ("basis", "truncation", "__dict__")
+
+    def __init__(self, basis: GroebnerBasis, truncation: int = DEFAULT_TRUNCATION):
+        check_truncation(truncation)
+        ensure_verified(basis)
         self.basis = basis  # verified; it holds Omega and the overlap count
-        self.monomial = monomial  # of the monomial algebra on Omega
-        self.rees = rees
-        self.lh_basis = lh_basis
-        self.pbw = pbw
+        self.truncation = truncation
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -159,22 +179,82 @@ class AnalysisReport:
         return (f"AnalysisReport(basis={self.basis!r}, monomial={self.monomial!r}, "
                 f"rees={self.rees!r}, lh_basis={self.lh_basis!r}, pbw={self.pbw!r})")
 
-    @property
+    # The base stages are looked up in chains, where monomial_invariants
+    # finds them for the Rees side, so both sides run the same functions.
+
+    @cached_property
+    def growth(self) -> GrowthClass:
+        return chains.automaton_growth(self.basis.omega)
+
+    @cached_property
+    def graph(self) -> ChainGraph:
+        return build_chain_graph(self.basis.omega)
+
+    @cached_property
+    def sets(self) -> ChainSets:
+        return chains.chain_sets(self.graph, self.truncation)
+
+    @cached_property
+    def hilbert(self) -> HilbertSeries:
+        return chains.hilbert_series(self.sets)
+
+    @cached_property
+    def monomial(self) -> Invariants:
+        """Of the monomial algebra on Omega."""
+        return Invariants(self.growth, self.sets, self.hilbert)
+
+    @cached_property
+    def lh_basis(self) -> tuple[Poly, ...]:
+        alphabet = self.basis.order.alphabet
+        return tuple(leading_homogeneous(g, alphabet) for g in self.basis.elements)
+
+    @cached_property
+    def rees(self) -> ReesInvariants:
+        """Checked against the base: the transfer identities, and T = 0
+        giving lh(G)."""
+        monomial, lh_basis = self.monomial, self.lh_basis
+        rees = rees_invariants(self.basis, self.truncation)
+        check_transfer(rees, monomial)
+        check_associated_graded(rees.basis, lh_basis)
+        return rees
+
+    @cached_property
     def applicable(self) -> bool:
         """Exactness transfers: polynomial growth and finite global dimension."""
-        return self.monomial.growth.is_polynomial and self.monomial.gldim is not None
+        growth, gldim = self.growth, self.sets.gldim
+        applicable = growth.is_polynomial and gldim is not None
+        # the equality below is a theorem, so a mismatch means a computation bug
+        if applicable and growth.degree != gldim:
+            raise CrossCheckError(
+                f"polynomial growth degree {growth.degree} differs from the "
+                f"monomial global dimension {gldim}"
+            )
+        return applicable
+
+    @cached_property
+    def pbw(self) -> bool:
+        """Ordered-monomial normal words; when true, the global dimensions
+        are checked to be n and n + 1."""
+        if not pbw_check(self.basis):
+            return False
+        n = self.basis.order.alphabet.n
+        if self.sets.gldim != n or self.rees.gldim != n + 1:
+            raise CrossCheckError(
+                "ordered-monomial (PBW) presentations must have global "
+                f"dimension {n} and Rees global dimension {n + 1}"
+            )
+        return True
 
     @property
     def gldim_assoc_graded(self) -> int | None:
         """None = not determined exactly."""
-        return self.monomial.gldim if self.applicable else None
+        return self.sets.gldim if self.applicable else None
 
     @property
     def product_form(self) -> list[int] | None:
-        hilbert = self.monomial.hilbert
-        if not (self.applicable and hilbert.closed_form):
+        if not (self.applicable and self.hilbert.closed_form):
             return None
-        return product_form_decomposition(hilbert.denominator, self.monomial.growth.degree)
+        return product_form_decomposition(self.hilbert.denominator, self.growth.degree)
 
     @property
     def warnings(self) -> tuple[str, ...]:
@@ -193,34 +273,14 @@ class AnalysisReport:
 
 
 def analyze(basis: GroebnerBasis, truncation: int = DEFAULT_TRUNCATION) -> AnalysisReport:
-    """Run the whole procedure once, each stage on the results of the
-    earlier ones; raises on verification or cross-check failure, and on a
-    truncation outside 0..MAX_TRUNCATION before any stage runs."""
-    check_truncation(truncation)
-    ensure_verified(basis)
-    alphabet = basis.order.alphabet
-    monomial = monomial_invariants(build_chain_graph(basis.omega), truncation)
-
-    lh_basis = tuple(leading_homogeneous(g, alphabet) for g in basis.elements)
-    rees = rees_invariants(basis, truncation)
-    check_transfer(rees, monomial)
-    check_associated_graded(rees.basis, lh_basis)
-
-    report = AnalysisReport(basis, monomial, rees, lh_basis, pbw_check(basis))
-    # exactness transfers; the equality below is a theorem, so a mismatch
-    # means a computation bug
-    if report.applicable and monomial.growth.degree != monomial.gldim:
-        raise CrossCheckError(
-            f"polynomial growth degree {monomial.growth.degree} differs from the "
-            f"monomial global dimension {monomial.gldim}"
-        )
-    if report.pbw:
-        n = alphabet.n
-        if monomial.gldim != n or rees.gldim != n + 1:
-            raise CrossCheckError(
-                "ordered-monomial (PBW) presentations must have global "
-                f"dimension {n} and Rees global dimension {n + 1}"
-            )
+    """The report with every field read, each stage once on the results of
+    the earlier ones; raises on a truncation outside 0..MAX_TRUNCATION before
+    any stage runs, then on verification or cross-check failure."""
+    report = AnalysisReport(basis, truncation)
+    # the order in which the stages and checks have always run, so the
+    # first failure is the same one
+    for field in ("graph", "monomial", "lh_basis", "rees", "applicable", "pbw"):
+        getattr(report, field)
     return report
 
 
@@ -425,7 +485,7 @@ def report_graph(report: AnalysisReport, which: str) -> UfnarovskiGraph | ChainG
     built here, on demand, since no invariant needs it."""
     if which == "uf":
         return build_ufnarovski(report.basis.omega)
-    return {"chains": report.monomial.graph, "rees-chains": report.rees.graph}[which]
+    return report.graph if which == "chains" else report.rees.graph
 
 
 def _write_json(obj, indent: str, out: list[str]) -> None:

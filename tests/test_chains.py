@@ -443,6 +443,22 @@ class TestChainCounts:
         assert steps <= MAX_LISTED_CHAINS + 3 * 21 * len(graph.vertices)
 
 
+def bounded_reads(graph):
+    """``graph`` with an ``edges`` mapping that raises AssertionError once
+    more than (|V| + 1)^2 successor lists are read: a level count that has
+    run past |V| levels fails instead of looping."""
+    bound, reads = (len(graph.vertices) + 1) ** 2, 0
+
+    class Bounded(dict):
+        def __getitem__(self, v):
+            nonlocal reads
+            reads += 1
+            assert reads <= bound, f"over {bound} successor reads: the level count loops"
+            return super().__getitem__(v)
+
+    return ChainGraph(graph.omega, Bounded(graph.edges))
+
+
 class TestWrongFinitenessVerdict:
     """Finite chain sets have fewer levels than the chain graph has
     vertices, so a missed cycle stops the count instead of looping."""
@@ -450,12 +466,15 @@ class TestWrongFinitenessVerdict:
     @pytest.fixture(autouse=True)
     def no_cycle_seen(self, monkeypatch):
         monkeypatch.setattr(ncdim.chains, "_cycle_reachable", lambda graph: False)
+        count = ncdim.chains.chain_sets
+        monkeypatch.setattr(ncdim.chains, "chain_sets",
+                            lambda graph, truncation: count(bounded_reads(graph), truncation))
 
     MESSAGE = "chain sets judged finite have as many levels as the chain graph has vertices"
 
     def test_chain_sets_raise(self):
         with pytest.raises(CrossCheckError, match=self.MESSAGE):
-            chain_sets(build_chain_graph(ALL_SQUARES))
+            chain_sets(bounded_reads(build_chain_graph(ALL_SQUARES)))
 
     def test_report_exits_4(self, tmp_path, capsys):
         path = write_presentation(tmp_path, ["x1^2", "x1*x2", "x2*x1", "x2^2"])
