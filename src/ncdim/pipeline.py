@@ -485,7 +485,11 @@ def report_graph(report: AnalysisReport, which: str) -> UfnarovskiGraph | ChainG
     built here, on demand, since no invariant needs it."""
     if which == "uf":
         return build_ufnarovski(report.basis.omega)
-    return report.graph if which == "chains" else report.rees.graph
+    if which == "chains":
+        return report.graph
+    if which == "rees-chains":
+        return report.rees.graph
+    raise ValueError(f"unknown graph {which!r}")
 
 
 def _write_json(obj, indent: str, out: list[str]) -> None:

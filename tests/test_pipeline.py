@@ -833,6 +833,11 @@ class TestRenderReport:
         with pytest.raises(ValueError, match="unknown report format"):
             render_report(analyze(ore_case_a()), "yaml")
 
+    def test_unknown_graph_rejected(self):
+        # DOT_NAMES maps "uf" to the DOT name "growth", which is no key
+        with pytest.raises(ValueError, match="unknown graph 'growth'"):
+            report_graph(analyze(ore_case_a()), "growth")
+
 
 PBW_RINGS = [(commutation, n) for n in range(1, 8)] + [
     (weyl, 1), (weyl, 3), (heisenberg, 1), (heisenberg, 2)
