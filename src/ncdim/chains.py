@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import islice
 
 from .errors import CrossCheckError, InputError
-from .freealg import Word
+from .freealg import Record, Word
 from .growth import automaton_growth, strong_components
 from .render import vertex_names
 from .rewrite import MonomialSet
@@ -46,7 +46,7 @@ def check_truncation(truncation: int, name: str = "truncation") -> None:
         raise InputError(f"{name} must be at most {MAX_TRUNCATION}")
 
 
-class ChainGraph:
+class ChainGraph(Record):
     """Root 1, the live letters, and all proper suffixes of obstructions.
 
     Edges from the root go exactly to every live letter (letters that are
@@ -70,32 +70,13 @@ class ChainGraph:
     """
 
     __slots__ = ("omega", "edges", "vertices")
+    _compared = ("omega", "edges", "vertices")
+    __hash__ = None
 
     def __init__(self, omega: MonomialSet, edges: dict[Word, tuple[Word, ...]]):
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "vertices", tuple(edges))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.omega, self.edges, self.vertices)
-                == (other.omega, other.edges, other.vertices))
-
-    __hash__ = None
-
-    def __repr__(self):
-        return (f"ChainGraph(omega={self.omega!r}, edges={self.edges!r}, "
-                f"vertices={self.vertices!r})")
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return (self.__class__, (self.omega, self.edges))
 
     @property
     def pairs(self) -> tuple[tuple[Word, Word], ...]:
@@ -133,7 +114,7 @@ class ChainListing(namedtuple("ChainListing", "levels texts")):
     __slots__ = ()
 
 
-class ChainSets:
+class ChainSets(Record):
     """Chain counts per level, and the chain words of the leading levels.
 
     ``counts[i]`` is the generating polynomial C_i(t) of level i, as
@@ -156,6 +137,8 @@ class ChainSets:
 
     # __dict__ holds what the cached property caches
     __slots__ = ("graph", "finite", "counts", "truncation", "__dict__")
+    _compared = ("graph", "finite", "counts", "truncation")
+    __hash__ = None
 
     def __init__(self, graph: ChainGraph, finite: bool,
                  counts: tuple[tuple[int, ...], ...], truncation: int):
@@ -163,27 +146,6 @@ class ChainSets:
         object.__setattr__(self, "finite", finite)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "truncation", truncation)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.graph, self.finite, self.counts, self.truncation)
-                == (other.graph, other.finite, other.counts, other.truncation))
-
-    __hash__ = None
-
-    def __repr__(self):
-        return (f"ChainSets(graph={self.graph!r}, finite={self.finite!r}, "
-                f"counts={self.counts!r}, truncation={self.truncation!r})")
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return (self.__class__, (self.graph, self.finite, self.counts, self.truncation))
 
     @cached_property
     def listing(self) -> ChainListing:

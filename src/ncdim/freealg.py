@@ -33,10 +33,52 @@ GREVLEX = "grevlex"
 ORDER_KINDS = (GRLEX, GREVLEX)
 
 
-class Alphabet:
+class Record:
+    """Value semantics for a frozen record, read off the field names it compares.
+
+    A subclass names in ``_compared`` the fields that equality, hashing and
+    the repr read, and writes its fields in its own ``__init__`` with
+    ``object.__setattr__``; after that, assignment and deletion raise.  Copy
+    and pickle rebuild a record through ``__init__``, whose parameters are
+    field names, and carry its instance ``__dict__``, where a
+    ``cached_property`` keeps what it computed.  A subclass with a compared
+    field that never hashes sets ``__hash__ = None``.
+    """
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._compared])
+        return f"{self.__class__.__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        code = self.__class__.__init__.__code__
+        args = tuple([getattr(self, name) for name in code.co_varnames[1:code.co_argcount]])
+        return (self.__class__, args, getattr(self, "__dict__", None) or None)
+
+
+class Alphabet(Record):
     """Declared variable names together with their positive integer weights."""
 
     __slots__ = ("names", "weights")
+    _compared = ("names", "weights")
 
     def __init__(self, names: Iterable[str], weights: Iterable[int]):
         names, weights = tuple(names), tuple(weights)
@@ -57,26 +99,6 @@ class Alphabet:
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "weights", weights)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.names, self.weights) == (other.names, other.weights)
-
-    def __hash__(self):
-        return hash((self.names, self.weights))
-
-    def __repr__(self):
-        return f"Alphabet(names={self.names!r}, weights={self.weights!r})"
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return (self.__class__, (self.names, self.weights))
-
     @property
     def n(self) -> int:
         return len(self.names)
@@ -93,7 +115,7 @@ class Alphabet:
         return sum(weights[i] for i in word)
 
 
-class MonomialOrder:
+class MonomialOrder(Record):
     """Weighted-degree-first word order; ties broken (reverse) lexicographically.
 
     ``precedence`` lists letter indices ascending (first entry is the smallest
@@ -104,6 +126,7 @@ class MonomialOrder:
     """
 
     __slots__ = ("alphabet", "kind", "precedence", "_rank", "_identity", "_unit")
+    _compared = ("alphabet", "kind", "precedence")
 
     def __init__(self, alphabet: Alphabet, kind: str = GRLEX,
                  precedence: Iterable[int] | None = None):
@@ -124,28 +147,6 @@ class MonomialOrder:
         object.__setattr__(self, "_rank", tuple(rank))
         object.__setattr__(self, "_identity", prec == tuple(range(alphabet.n)))
         object.__setattr__(self, "_unit", set(alphabet.weights) == {1})
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.alphabet, self.kind, self.precedence)
-                == (other.alphabet, other.kind, other.precedence))
-
-    def __hash__(self):
-        return hash((self.alphabet, self.kind, self.precedence))
-
-    def __repr__(self):
-        return (f"MonomialOrder(alphabet={self.alphabet!r}, kind={self.kind!r}, "
-                f"precedence={self.precedence!r})")
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return (self.__class__, (self.alphabet, self.kind, self.precedence))
 
     def sort_key(self, word: Word):
         """Total-order key: ascending in the monomial order."""

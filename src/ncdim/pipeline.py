@@ -32,6 +32,7 @@ from .freealg import (
     Alphabet,
     MonomialOrder,
     Poly,
+    Record,
     Word,
     leading_homogeneous,
     parse_polynomial,
@@ -136,7 +137,7 @@ def pbw_check(basis: GroebnerBasis) -> bool:
     return set(basis.omega.words) == expected
 
 
-class AnalysisReport:
+class AnalysisReport(Record):
     """The verified basis and the records read off it.
 
     Building the report checks the truncation and then verifies the basis,
@@ -160,24 +161,14 @@ class AnalysisReport:
 
     # __dict__ holds what the cached properties cache
     __slots__ = ("basis", "truncation", "__dict__")
+    _compared = ("basis", "monomial", "rees", "lh_basis", "pbw")
+    __hash__ = None
 
     def __init__(self, basis: GroebnerBasis, truncation: int = DEFAULT_TRUNCATION):
         check_truncation(truncation)
         ensure_verified(basis)
-        self.basis = basis  # verified; it holds Omega and the overlap count
-        self.truncation = truncation
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.basis, self.monomial, self.rees, self.lh_basis, self.pbw)
-                == (other.basis, other.monomial, other.rees, other.lh_basis, other.pbw))
-
-    __hash__ = None
-
-    def __repr__(self):
-        return (f"AnalysisReport(basis={self.basis!r}, monomial={self.monomial!r}, "
-                f"rees={self.rees!r}, lh_basis={self.lh_basis!r}, pbw={self.pbw!r})")
+        object.__setattr__(self, "basis", basis)  # verified; it holds Omega and the overlap count
+        object.__setattr__(self, "truncation", truncation)
 
     # The base stages are looked up in chains, where monomial_invariants
     # finds them for the Rees side, so both sides run the same functions.

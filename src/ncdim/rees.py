@@ -42,7 +42,7 @@ from .chains import (
     monomial_invariants,
 )
 from .errors import CrossCheckError
-from .freealg import Alphabet, MonomialOrder, Poly, Word
+from .freealg import Alphabet, MonomialOrder, Poly, Record, Word
 from .render import word_str
 from .rewrite import GroebnerBasis, ensure_verified, verify_groebner
 
@@ -55,7 +55,7 @@ def extend_alphabet(base: Alphabet) -> Alphabet:
     return Alphabet(base.names + (t_name,), base.weights + (1,))
 
 
-class HomogenizationOrder:
+class HomogenizationOrder(Record):
     """Graded order on the extended alphabet keyed on the T-stripped word.
 
     Words are compared by total weighted degree, then by the base order on
@@ -70,6 +70,7 @@ class HomogenizationOrder:
     """
 
     __slots__ = ("base", "alphabet", "homogenizer")
+    _compared = ("base", "alphabet")
 
     def __init__(self, base: MonomialOrder):
         object.__setattr__(self, "base", base)
@@ -78,26 +79,6 @@ class HomogenizationOrder:
         # the letter T, the last of ``alphabet``, which
         # :func:`~ncdim.rewrite._reduce_terms` moves to the front of a word in one step
         object.__setattr__(self, "homogenizer", base.alphabet.n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.base, self.alphabet) == (other.base, other.alphabet)
-
-    def __hash__(self):
-        return hash((self.base, self.alphabet))
-
-    def __repr__(self):
-        return f"HomogenizationOrder(base={self.base!r}, alphabet={self.alphabet!r})"
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return (self.__class__, (self.base,))
 
     def sort_key(self, word: Word):
         t = self.homogenizer

@@ -26,7 +26,7 @@ from math import gcd
 from operator import itemgetter
 
 from .errors import GroebnerVerificationError, InputError
-from .freealg import Alphabet, MonomialOrder, Poly, Word, leading_data
+from .freealg import Alphabet, MonomialOrder, Poly, Record, Word, leading_data
 from .render import poly_str, word_str
 
 
@@ -134,7 +134,7 @@ def _check_words(words: list[Word], alphabet: Alphabet) -> None:
         raise InputError(f"letter {min(outside)} lies outside 0..{alphabet.n - 1}")
 
 
-class MonomialSet:
+class MonomialSet(Record):
     """A reduced antichain of nonempty words over ``alphabet``, the obstruction
     set of the monomial algebra K<X>/(Omega): no member divides (occurs as a
     factor of) another member; use :meth:`interreduce` to build one from an
@@ -143,6 +143,8 @@ class MonomialSet:
 
     # __dict__ holds what the cached property caches
     __slots__ = ("words", "alphabet", "automaton", "__dict__")
+    _compared = ("words", "alphabet")
+    __hash__ = None
 
     def __init__(self, words: Iterable[Word], alphabet: Alphabet):
         ws = sorted(sorted({tuple(w) for w in words}), key=len)  # (length, word), stable
@@ -154,19 +156,9 @@ class MonomialSet:
             raise InputError(
                 f"not an antichain: word {ws[a]} divides word {ws[b]}; interreduce first"
             )
-        self.words = tuple(ws)
-        self.alphabet = alphabet
-        self.automaton = automaton
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.words, self.alphabet) == (other.words, other.alphabet)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"MonomialSet(words={self.words!r}, alphabet={self.alphabet!r})"
+        object.__setattr__(self, "words", tuple(ws))
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "automaton", automaton)
 
     @classmethod
     def interreduce(cls, words: Iterable[Word], alphabet: Alphabet) -> "MonomialSet":
@@ -558,12 +550,13 @@ def _s_terms(basis: GroebnerBasis, amb: OverlapAmbiguity) -> dict:
     return terms
 
 
-class VerificationResult:
+class VerificationResult(Record):
     """The outcome of :func:`verify_groebner`.  On success ``applied`` maps
     each overlap (i, j, overlap) to the relations its reduction applied; it
     is left out of equality and of the repr."""
 
     __slots__ = ("ok", "checked", "ambiguity", "remainder", "applied")
+    _compared = ("ok", "checked", "ambiguity", "remainder")
 
     def __init__(self, ok: bool, checked: int, ambiguity: OverlapAmbiguity | None = None,
                  remainder: Poly | None = None, applied: dict | None = None):
@@ -572,28 +565,6 @@ class VerificationResult:
         object.__setattr__(self, "ambiguity", ambiguity)
         object.__setattr__(self, "remainder", remainder)
         object.__setattr__(self, "applied", applied)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.ok, self.checked, self.ambiguity, self.remainder)
-                == (other.ok, other.checked, other.ambiguity, other.remainder))
-
-    def __hash__(self):
-        return hash((self.ok, self.checked, self.ambiguity, self.remainder))
-
-    def __repr__(self):
-        return (f"VerificationResult(ok={self.ok!r}, checked={self.checked!r}, "
-                f"ambiguity={self.ambiguity!r}, remainder={self.remainder!r})")
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return (self.__class__, (self.ok, self.checked, self.ambiguity, self.remainder, self.applied))
 
 
 def _base_record(basis: GroebnerBasis, base: GroebnerBasis | None) -> dict | None:

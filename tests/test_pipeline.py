@@ -2,6 +2,7 @@
 
 import collections
 import copy
+import inspect
 import json
 import math
 import pickle
@@ -38,6 +39,7 @@ from ncdim import (
 )
 from ncdim.chains import MAX_TRUNCATION
 from ncdim.cli import main
+from ncdim.freealg import Record
 from ncdim.pipeline import report_graph
 from ncdim.rees import HomogenizationOrder
 from ncdim.render import word_str
@@ -411,9 +413,11 @@ class TestRecords:
         "HilbertSeries": "coefficients",
         "Invariants": "growth",
         "ReesInvariants": "basis",
+        "MonomialSet": "automaton",
+        "AnalysisReport": "monomial",
     }
 
-    NAMES = sorted([*FROZEN, "MonomialSet", "AnalysisReport"])
+    NAMES = sorted(FROZEN)
 
     def test_every_record_is_here(self, records):
         assert sorted(records) == self.NAMES
@@ -481,6 +485,18 @@ class TestRecords:
         assert copy.copy(record) == record
         if name not in ("ReesInvariants", "AnalysisReport"):  # a basis equals only itself
             assert pickle.loads(pickle.dumps(record)) == record
+
+    def test_record_fields_are_readable(self, records):
+        # copy and pickle read the __init__ parameters off a record, and
+        # equality, hashing and the repr the compared fields
+        based = {name: record for name, record in records.items() if isinstance(record, Record)}
+        assert sorted(based) == ["Alphabet", "AnalysisReport", "ChainGraph", "ChainSets",
+                                 "HomogenizationOrder", "MonomialOrder", "MonomialSet",
+                                 "VerificationResult"]
+        for record in based.values():
+            parameters = list(inspect.signature(type(record).__init__).parameters)[1:]
+            for field in (*parameters, *record._compared):
+                getattr(record, field)
 
     def test_rees_invariants_are_invariants(self, records):
         rees = records["ReesInvariants"]
@@ -641,6 +657,21 @@ class TestEachStageRunsOnce:
         analyze(pres)
         assert [counts[name] for name in self.STAGES] == [2, 2, 1, 2]
         assert counts["interreduce"] == 0
+
+    def test_a_copy_runs_no_stage_again(self, counts):
+        report = analyze(down_up())
+        ran = collections.Counter(counts)
+        again = copy.copy(report)
+        assert again is not report and again == report
+        assert counts == ran
+
+    def test_a_copied_obstruction_set_keeps_its_steps(self, counts):
+        omega = analyze(down_up()).basis.omega
+        steps = omega.normal_steps
+        again = copy.copy(omega)
+        assert vars(again)["normal_steps"] is steps
+        assert pickle.loads(pickle.dumps(omega)).normal_steps == steps
+        assert counts["normal_steps"] == 2
 
     @pytest.mark.parametrize("build", [lambda: commutation(4), lambda: power_family(3)],
                              ids=["pbw", "exponential"])
