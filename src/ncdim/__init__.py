@@ -11,7 +11,6 @@ from .chains import (
     build_chain_graph,
     chain_sets,
     hilbert_series,
-    monomial_invariants,
     product_form_decomposition,
 )
 from .errors import (
@@ -45,7 +44,6 @@ from .pipeline import (
     report_to_dict,
 )
 from .rees import (
-    ReesInvariants,
     check_transfer,
     extend_alphabet,
     homogenize,

@@ -8,6 +8,8 @@ sum of the chain-level generating polynomials.  Both need only the number
 of routes per level and degree, which a DP over the graph counts; words are
 listed for display only, under a budget.  Later stages read Omega (with
 its alphabet), every vertex's successors and N off these two records alone.
+:class:`Invariants` computes each of them, and the growth, on first read,
+for a base algebra and its Rees algebra alike.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from itertools import islice
 
 from .errors import CrossCheckError, InputError
 from .freealg import Record, Word
-from .growth import automaton_growth, strong_components
+from .growth import GrowthClass, automaton_growth, strong_components
 from .render import vertex_names
-from .rewrite import MonomialSet
+from .rewrite import GroebnerBasis, MonomialSet
 
 DEFAULT_TRUNCATION = 16
 # Largest truncation.  The normal-word counts keep only max(weights) + 1 rows
@@ -318,25 +320,46 @@ def hilbert_series(sets: ChainSets) -> HilbertSeries:
     return HilbertSeries(den if sets.finite else None, tuple(coeffs))
 
 
-class Invariants(namedtuple("Invariants", "growth sets hilbert")):
-    """Growth, chain sets and Hilbert series of the monomial algebra on one Omega."""
+class Invariants(Record):
+    """Growth, chain graph, chain sets and Hilbert series of the monomial
+    algebra on the Omega of a verified basis, the chain sets counted to
+    ``truncation``; the base algebra and its Rees algebra alike.
 
-    __slots__ = ()
+    Each is computed the first time it is read, from the fields it needs,
+    and kept: ``growth`` from Omega's automaton alone, with no chain graph;
+    ``graph`` from Omega; ``sets`` from ``graph``; ``hilbert`` from
+    ``sets``.  Equality and the repr read ``growth``, ``sets`` and
+    ``hilbert``, as they compare the algebras.
+    """
 
-    @property
+    # __dict__ holds what the cached properties cache
+    __slots__ = ("basis", "truncation", "__dict__")
+    _compared = ("growth", "sets", "hilbert")
+    __hash__ = None
+
+    def __init__(self, basis: GroebnerBasis, truncation: int = DEFAULT_TRUNCATION):
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "truncation", truncation)
+
+    @cached_property
+    def growth(self) -> GrowthClass:
+        return automaton_growth(self.basis.omega)
+
+    @cached_property
     def graph(self) -> ChainGraph:
-        return self.sets.graph
+        return build_chain_graph(self.basis.omega)
+
+    @cached_property
+    def sets(self) -> ChainSets:
+        return chain_sets(self.graph, self.truncation)
+
+    @cached_property
+    def hilbert(self) -> HilbertSeries:
+        return hilbert_series(self.sets)
 
     @property
     def gldim(self) -> int | None:
         return self.sets.gldim
-
-
-def monomial_invariants(graph: ChainGraph, truncation: int = DEFAULT_TRUNCATION) -> Invariants:
-    """The invariants of the monomial algebra on the Omega of ``graph``, its chain graph."""
-    growth = automaton_growth(graph.omega)
-    sets = chain_sets(graph, truncation)
-    return Invariants(growth, sets, hilbert_series(sets))
 
 
 def product_form_decomposition(denominator: Iterable[int], m: int) -> list[int] | None:

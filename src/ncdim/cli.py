@@ -95,7 +95,7 @@ def _run(args) -> str:
     lines: list[str] = []
 
     if args.command == "growth":
-        growth = report.growth
+        growth = report.monomial.growth
         lines.append("growth: " + fmt_growth(growth))
         if growth.exponential:
             window, *loops = growth.witness
@@ -104,7 +104,7 @@ def _run(args) -> str:
                 lines.append(f"  cycle {k} through {shared}: {fmt_cycle(window, loop, alphabet)}")
 
     elif args.command == "gldim":
-        lines.append("gl.dim of the monomial algebra: " + fmt_dim(report.sets.gldim))
+        lines.append("gl.dim of the monomial algebra: " + fmt_dim(report.monomial.gldim))
         if report.applicable:
             lines.append(f"gl.dim of the associated graded algebra: {report.gldim_assoc_graded}")
             lines.append(f"gl.dim of the Rees algebra: {report.rees.gldim}")
@@ -113,7 +113,7 @@ def _run(args) -> str:
                          "(needs polynomial growth and finite global dimension)")
 
     elif args.command == "hilbert":
-        closed, coefficients = fmt_hilbert(report.hilbert)
+        closed, coefficients = fmt_hilbert(report.monomial.hilbert)
         lines.append(f"closed form: {closed}")
         lines.append(f"coefficients: {coefficients}")
 

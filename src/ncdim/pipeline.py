@@ -16,14 +16,13 @@ import json
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _encode
 
-from . import chains
 from .chains import (
     DEFAULT_TRUNCATION,
     ChainGraph,
     ChainSets,
     HilbertSeries,
     Invariants,
-    build_chain_graph,
+    build_chain_graph,  # unused here; bench/test_bench.py checks that this module binds it
     check_truncation,
     product_form_decomposition,
 )
@@ -40,12 +39,7 @@ from .freealg import (
 from .growth import GrowthClass, UfnarovskiGraph, build_ufnarovski
 from .render import denominator_str, dot_digraph, num_str, poly_str, word_str
 from .rewrite import GroebnerBasis, ensure_verified
-from .rees import (
-    ReesInvariants,
-    check_associated_graded,
-    check_transfer,
-    rees_invariants,
-)
+from .rees import check_associated_graded, check_transfer, extend_alphabet, rees_invariants
 
 
 def load_presentation_data(data) -> GroebnerBasis:
@@ -144,14 +138,11 @@ class AnalysisReport(Record):
     so those errors come first.  Every other field is computed the first
     time it is read, from the fields it needs, and kept:
 
-    - ``growth``, of the monomial algebra on Omega, from Omega's automaton
-      alone, with no chain graph;
-    - ``graph``, the chain graph of Omega; ``sets``, its chain sets counted
-      to ``truncation``; ``hilbert``, the Hilbert series read off them;
-      ``monomial``, the three invariants as one record;
+    - ``monomial``, the invariants of the monomial algebra on Omega, each
+      of which is again computed when first read;
     - ``lh_basis``, the leading homogeneous parts lh(G);
-    - ``rees``, the Rees invariants, compared with ``monomial`` and
-      ``lh_basis`` when first read;
+    - ``rees``, the invariants of the Rees algebra, compared with
+      ``monomial`` and ``lh_basis`` when first read;
     - ``applicable`` and ``pbw``, each with its cross-check.
 
     A failing stage or cross-check raises at the read that runs it, and
@@ -170,29 +161,9 @@ class AnalysisReport(Record):
         object.__setattr__(self, "basis", basis)  # verified; it holds Omega and the overlap count
         object.__setattr__(self, "truncation", truncation)
 
-    # The base stages are looked up in chains, where monomial_invariants
-    # finds them for the Rees side, so both sides run the same functions.
-
-    @cached_property
-    def growth(self) -> GrowthClass:
-        return chains.automaton_growth(self.basis.omega)
-
-    @cached_property
-    def graph(self) -> ChainGraph:
-        return build_chain_graph(self.basis.omega)
-
-    @cached_property
-    def sets(self) -> ChainSets:
-        return chains.chain_sets(self.graph, self.truncation)
-
-    @cached_property
-    def hilbert(self) -> HilbertSeries:
-        return chains.hilbert_series(self.sets)
-
     @cached_property
     def monomial(self) -> Invariants:
-        """Of the monomial algebra on Omega."""
-        return Invariants(self.growth, self.sets, self.hilbert)
+        return Invariants(self.basis, self.truncation)
 
     @cached_property
     def lh_basis(self) -> tuple[Poly, ...]:
@@ -200,7 +171,7 @@ class AnalysisReport(Record):
         return tuple(leading_homogeneous(g, alphabet) for g in self.basis.elements)
 
     @cached_property
-    def rees(self) -> ReesInvariants:
+    def rees(self) -> Invariants:
         """Checked against the base: the transfer identities, and T = 0
         giving lh(G)."""
         monomial, lh_basis = self.monomial, self.lh_basis
@@ -212,7 +183,7 @@ class AnalysisReport(Record):
     @cached_property
     def applicable(self) -> bool:
         """Exactness transfers: polynomial growth and finite global dimension."""
-        growth, gldim = self.growth, self.sets.gldim
+        growth, gldim = self.monomial.growth, self.monomial.gldim
         applicable = growth.is_polynomial and gldim is not None
         # the equality below is a theorem, so a mismatch means a computation bug
         if applicable and growth.degree != gldim:
@@ -229,7 +200,7 @@ class AnalysisReport(Record):
         if not pbw_check(self.basis):
             return False
         n = self.basis.order.alphabet.n
-        if self.sets.gldim != n or self.rees.gldim != n + 1:
+        if self.monomial.gldim != n or self.rees.gldim != n + 1:
             raise CrossCheckError(
                 "ordered-monomial (PBW) presentations must have global "
                 f"dimension {n} and Rees global dimension {n + 1}"
@@ -239,13 +210,14 @@ class AnalysisReport(Record):
     @property
     def gldim_assoc_graded(self) -> int | None:
         """None = not determined exactly."""
-        return self.sets.gldim if self.applicable else None
+        return self.monomial.gldim if self.applicable else None
 
     @property
     def product_form(self) -> list[int] | None:
-        if not (self.applicable and self.hilbert.closed_form):
+        monomial = self.monomial
+        if not (self.applicable and monomial.hilbert.closed_form):
             return None
-        return product_form_decomposition(self.hilbert.denominator, self.growth.degree)
+        return product_form_decomposition(monomial.hilbert.denominator, monomial.growth.degree)
 
     @property
     def warnings(self) -> tuple[str, ...]:
@@ -253,8 +225,7 @@ class AnalysisReport(Record):
         dead = ", ".join(alphabet.names[i] for i in self.basis.omega.dead_letters)
         if not dead:
             return ()
-        order = self.rees.basis.order
-        t_name = order.alphabet.names[order.homogenizer]
+        t_name = extend_alphabet(alphabet).names[-1]
         return (
             f"letters {dead} are obstructions; chain invariants are computed "
             "over the remaining letters",
@@ -270,8 +241,13 @@ def analyze(basis: GroebnerBasis, truncation: int = DEFAULT_TRUNCATION) -> Analy
     report = AnalysisReport(basis, truncation)
     # the order in which the stages and checks have always run, so the
     # first failure is the same one
-    for field in ("graph", "monomial", "lh_basis", "rees", "applicable", "pbw"):
-        getattr(report, field)
+    monomial = report.monomial
+    for field in ("graph", "growth", "sets", "hilbert"):
+        getattr(monomial, field)
+    report.lh_basis
+    report.rees.hilbert  # after the transfer checks that reading rees runs
+    report.applicable
+    report.pbw
     return report
 
 
@@ -448,8 +424,7 @@ def _text_report(report: AnalysisReport) -> str:
     for g in report.lh_basis:
         lines.append("  " + poly_str(g, basis.order))
     lines.append("")
-    order = report.rees.basis.order
-    t_name = order.alphabet.names[order.homogenizer]
+    t_name = extend_alphabet(alphabet).names[-1]
     lines.append(f"Rees algebra (homogenized presentation, {t_name} central of weight 1):")
     lines.extend("  " + g for g in fmt_rees_relations(report))
     lines.append("  growth: " + fmt_growth(report.rees.growth))
@@ -477,7 +452,7 @@ def report_graph(report: AnalysisReport, which: str) -> UfnarovskiGraph | ChainG
     if which == "uf":
         return build_ufnarovski(report.basis.omega)
     if which == "chains":
-        return report.graph
+        return report.monomial.graph
     if which == "rees-chains":
         return report.rees.graph
     raise ValueError(f"unknown graph {which!r}")

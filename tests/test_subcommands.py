@@ -18,9 +18,18 @@ import ncdim
 import ncdim.chains
 import ncdim.pipeline
 import ncdim.rees
-from ncdim import GrowthClass, InputError, analyze, load_presentation, render_report
+from ncdim import (
+    AnalysisReport,
+    GrowthClass,
+    InputError,
+    analyze,
+    load_presentation,
+    load_presentation_data,
+    render_report,
+)
 from ncdim.cli import main
 from test_golden import GOLDEN, INPUTS, VARIANTS
+from test_rees import computed
 
 BY_STEM = {path.stem: path for path in INPUTS}
 DOWN_UP, COMMUTATIVE3, X1_CUBED = (
@@ -49,6 +58,9 @@ STAGES = ("automaton_growth", "build_chain_graph", "chain_sets", "hilbert_series
 NOTHING = (0, 0, 0, 0, 0, 0, 0)
 # every stage of the base and of the Rees algebra, as analyze() runs them
 EVERYTHING = (2, 2, 2, 2, 1, 1, 0)
+# the Rees algebra checked against the base: the transfer checks read no
+# Hilbert series
+CHECKED_REES = (2, 2, 2, 0, 1, 1, 0)
 
 
 def expected_stages(variant: str, applicable: bool, pbw: bool) -> tuple[int, ...]:
@@ -57,14 +69,15 @@ def expected_stages(variant: str, applicable: bool, pbw: bool) -> tuple[int, ...
         "check-gb": NOTHING,
         "growth": (1, 0, 0, 0, 0, 0, 0),
         # the Rees gl.dim is printed only where the exact transfer applies
-        "gldim": EVERYTHING if applicable else (1, 1, 1, 0, 0, 0, 0),
+        "gldim": CHECKED_REES if applicable else (1, 1, 1, 0, 0, 0, 0),
         "hilbert": (0, 1, 1, 1, 0, 0, 0),
-        "rees": EVERYTHING,
+        # of the two Hilbert series, the Rees one only
+        "rees": (2, 2, 2, 1, 1, 1, 0),
         # "yes" prints the Rees gl.dim, cross-checked
-        "pbw": EVERYTHING if pbw else NOTHING,
+        "pbw": CHECKED_REES if pbw else NOTHING,
         "graph-uf": (0, 0, 0, 0, 0, 0, 1),
         "graph-chains": (0, 1, 0, 0, 0, 0, 0),
-        "graph-rees-chains": EVERYTHING,
+        "graph-rees-chains": CHECKED_REES,
         "report-json": EVERYTHING,
         "report-text": EVERYTHING,
         "report-dot-bundle": EVERYTHING[:-1] + (1,),
@@ -132,6 +145,14 @@ class TestStagesPerSubcommand:
         assert stage_calls["chain_sets"] == 1
         assert (stage_calls["tilde_basis"], stage_calls["rees_invariants"]) == (0, 0)
 
+    def test_warnings_build_no_rees_basis(self, stage_calls):
+        # T is a dead letter, and the homogenizer the warnings name is T_
+        report = AnalysisReport(load_presentation_data(
+            {"variables": [{"name": "x"}, {"name": "T"}], "relations": ["T"]}))
+        assert "their T_-commutators are omitted" in report.warnings[1]
+        # no stage ran, tilde_basis included
+        assert tuple(stage_calls[stage] for stage in STAGES) == NOTHING
+
 
 def swapped_homogenize(path):
     """The Rees fault of test_rees: the first two homogenized relations
@@ -149,7 +170,7 @@ def swapped_homogenize(path):
 
 def wrong_rees_growth(*args, _original=ncdim.pipeline.rees_invariants):
     """A Rees record of polynomial growth of degree 99, which matches no base."""
-    return _original(*args)._replace(growth=GrowthClass(False, 99))
+    return computed(_original(*args), growth=GrowthClass(False, 99))
 
 
 def over_cap(graph, truncation):
