@@ -109,11 +109,37 @@ def build_chain_graph(omega: MonomialSet) -> ChainGraph:
     return ChainGraph(omega, edges)
 
 
-class ChainListing(namedtuple("ChainListing", "levels texts")):
-    """The chain words of the leading levels, each level in (length, word)
-    order, and their texts in the same order."""
+class ChainListing(Record):
+    """The texts of the chain words of the leading levels of the chain sets
+    on ``graph``, each level in (length, word) order, as :func:`word_str`
+    prints them; ``levels`` holds the words, in the same order.
 
-    __slots__ = ()
+    Every listed level is whole, so the words are the routes out of the
+    root, level by level, one level per level of texts.  When the vertices
+    but the root have one length, the routes come out of each level in
+    that order and ``levels`` builds them on its first read; the sorted
+    walk of other graphs keeps the words it sorted by.
+    """
+
+    # __dict__ holds what the cached property caches
+    __slots__ = ("graph", "texts", "__dict__")
+    _compared = ("graph", "texts")
+    __hash__ = None
+
+    def __init__(self, graph: ChainGraph, texts: tuple[tuple[str, ...], ...]):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "texts", texts)
+
+    @cached_property
+    def levels(self) -> tuple[tuple[Word, ...], ...]:
+        edges = self.graph.edges
+        levels: list[tuple[Word, ...]] = []
+        routes = [(v, v) for v in edges[ROOT]]  # (tail vertex, chain word)
+        for _ in self.texts:
+            if levels:
+                routes = [(s, word + s) for tail, word in routes for s in edges[tail]]
+            levels.append(tuple([word for _, word in routes]))
+        return tuple(levels)
 
 
 class ChainSets(Record):
@@ -128,13 +154,12 @@ class ChainSets(Record):
     Infinite ones are counted in degrees up to N only; a chain of C_i has
     degree at least i + 1, so the levels past N have no chain there.
 
-    ``listing`` holds the words of C_i for the first ``len(levels)`` levels,
-    and the text of each, read off ``graph`` on first access only; ``levels``
-    is its words.  The listing stops after MAX_LISTED_LEVELS levels, and
-    before the level that would take it over MAX_LISTED_CHAINS words
-    (building at most one word more).  ``truncated`` reports that it
-    stopped short of a nonempty level of finite sets, or short of
-    MAX_LISTED_LEVELS for infinite ones.
+    ``listing`` holds the texts of the chain words of C_i for its first
+    levels, read off ``graph`` on first access only; ``levels`` is their
+    words.  The listing stops after MAX_LISTED_LEVELS levels, and before
+    the level that would take it over MAX_LISTED_CHAINS chains.
+    ``truncated`` reports that it stopped short of a nonempty level of
+    finite sets, or short of MAX_LISTED_LEVELS for infinite ones.
     """
 
     # __dict__ holds what the cached property caches
@@ -152,16 +177,37 @@ class ChainSets(Record):
     @cached_property
     def listing(self) -> ChainListing:
         """Each chain word is a route v1 v2 ... vk out of the root, and its
-        text the vertex names joined by '*', as :func:`word_str` prints it;
-        a vertex is named on its first use.
+        text the vertex names joined by '*'.
 
         When every vertex but the root has one length, the routes come out
-        of each level already in (length, word) order, and are not sorted:
-        the words of a level then all have one length, the level before is
-        in that order, and each tail's successors are too."""
-        vertices = self.graph.vertices
+        of each level already in (length, word) order: the words of a level
+        then all have one length, the level before is in that order, and
+        each tail's successors are too.  Each level is then built from
+        (tail vertex, text) pairs, with no chain word, once its size, the
+        sum of its tails' out-degrees, is known to fit.  Otherwise each
+        level is built with its words and sorted by them."""
+        graph = self.graph
+        vertices, edges = graph.vertices, graph.edges
+        if len(vertices) > 1 and len(vertices[1]) != len(vertices[-1]):
+            return self._sorted_listing()
+        name = vertex_names(graph)
+        # each vertex's successors with the text each adds to a route
+        links = {v: [(s, "*" + name[s]) for s in targets] for v, targets in edges.items()}
+        texts: list[tuple[str, ...]] = []
+        routes = [(v, name[v]) for v in edges[ROOT]]  # (tail vertex, text)
+        room = MAX_LISTED_CHAINS - len(routes)
+        while routes and room >= 0 and len(texts) < MAX_LISTED_LEVELS:
+            texts.append(tuple([text for _, text in routes]))
+            room -= sum([len(links[tail]) for tail, _ in routes])
+            if room >= 0:
+                routes = [(s, text + link) for tail, text in routes for s, link in links[tail]]
+        return ChainListing(graph, tuple(texts))
+
+    def _sorted_listing(self) -> ChainListing:
+        """The listing of a graph whose vertices have more than one length:
+        the routes of each level carry their words, to be sorted by, and a
+        vertex is named on its first use."""
         edges, name = self.graph.edges, vertex_names(self.graph)
-        in_order = len(vertices) < 2 or len(vertices[1]) == len(vertices[-1])
         levels: list[tuple[Word, ...]] = []
         texts: list[tuple[str, ...]] = []
         # (len(chain word), chain word, tail vertex, text): sorted as it
@@ -169,8 +215,7 @@ class ChainSets(Record):
         routes = [(len(v), v, v, name[v]) for v in edges[ROOT]]
         room = MAX_LISTED_CHAINS - len(routes)
         while routes and room >= 0 and len(levels) < MAX_LISTED_LEVELS:
-            if not in_order:
-                routes.sort()
+            routes.sort()
             levels.append(tuple([word for _, word, _, _ in routes]))
             texts.append(tuple([text for _, _, _, text in routes]))
             # build the next level lazily, one route past the room left at most
@@ -181,7 +226,9 @@ class ChainSets(Record):
             )
             routes = list(islice(following, room + 1))
             room -= len(routes)
-        return ChainListing(tuple(levels), tuple(texts))
+        listing = ChainListing(self.graph, tuple(texts))
+        listing.__dict__["levels"] = tuple(levels)
+        return listing
 
     @property
     def levels(self) -> tuple[tuple[Word, ...], ...]:
@@ -189,7 +236,8 @@ class ChainSets(Record):
 
     @property
     def truncated(self) -> bool:
-        return len(self.levels) < (len(self.counts) if self.finite else MAX_LISTED_LEVELS)
+        listed = len(self.listing.texts)
+        return listed < (len(self.counts) if self.finite else MAX_LISTED_LEVELS)
 
     @property
     def gldim(self) -> int | None:

@@ -21,7 +21,9 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 # Letters in one parsed word.  An exponent expands into that many letters,
 # and the later stages are super-quadratic in the word length: `report` on
-# x1^1024 over two letters takes 0.8-1.2 s (2 vCPUs, Python 3.11).
+# x1^1024 over two letters takes about 0.47 s in process and 0.58 s as a
+# fresh process (medians of 7 calls of `cli.main`, and of 7 processes;
+# 2 vCPUs, Python 3.11.7).
 MAX_WORD_LETTERS = 1024
 
 # Largest variable weight.  The chain counts and the normal-word table are
@@ -75,9 +77,10 @@ class Record:
 
 
 class Alphabet(Record):
-    """Declared variable names together with their positive integer weights."""
+    """Declared variable names together with their positive integer weights;
+    ``letter`` maps each name to its index."""
 
-    __slots__ = ("names", "weights")
+    __slots__ = ("names", "weights", "letter")
     _compared = ("names", "weights")
 
     def __init__(self, names: Iterable[str], weights: Iterable[int]):
@@ -98,6 +101,7 @@ class Alphabet(Record):
                 raise InputError(f"variable {name!r} has a weight over the limit of {MAX_WEIGHT}")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "letter", {name: i for i, name in enumerate(names)})
 
     @property
     def n(self) -> int:
@@ -105,8 +109,8 @@ class Alphabet(Record):
 
     def index(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self.letter[name]
+        except KeyError:
             raise InputError(f"unknown variable {name!r}") from None
 
     def degree(self, word: Word) -> int:
@@ -265,111 +269,116 @@ def leading_homogeneous(f: Poly, alphabet: Alphabet) -> Poly:
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN = re.compile(
-    rf"(?P<ws>\s+)|(?P<nat>\d+)|(?P<name>{_NAME.pattern})|(?P<op>[+\-*/^])"
+# One term, its leading sign (or the '+' or '-' before it) and the
+# whitespace after it included: sign, numerator, denominator and word.
+_FACTOR_TEXT = rf"{_NAME.pattern}(?:\s*\^\s*\d+)?"
+_TERM = re.compile(
+    r"\s*(?P<sign>[+-]?)\s*"
+    r"(?:(?P<num>\d+)\s*(?:/\s*(?P<den>\d+)\s*)?)?"
+    rf"(?:(?(num)\*\s*)(?P<word>{_FACTOR_TEXT}(?:\s*\*\s*{_FACTOR_TEXT})*)\s*)?"
 )
+# One factor of a matched word: its name and its exponent, if any.
+_FACTOR = re.compile(rf"({_NAME.pattern})(?:\s*\^\s*(\d+))?")
+# A character that starts no token (whitespace, a natural number, a name or
+# one of the operators + - * / ^).
+_UNEXPECTED = re.compile(r"[^\s\dA-Za-z_+\-*/^]")
+_SPACE = re.compile(r"\s*")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, position) of each token but whitespace, in one scan; an
-    operator's kind is the operator itself.  The first character that starts
-    no token is an error."""
-    tokens = []
-    pos = 0
-    for m in _TOKEN.finditer(text):
-        if m.start() != pos:
-            break
-        kind = m.lastgroup
-        if kind != "ws":
-            value = m.group()
-            tokens.append((value if kind == "op" else kind, value, pos))
-        pos = m.end()
-    if pos != len(text):
-        raise ParseError(f"unexpected character {text[pos]!r}", pos)
-    return tokens
+def _error(text: str, message: str, at: int) -> ParseError:
+    """The error to raise at position ``at``, unless the text has a character
+    that starts no token: then the first such character is the error."""
+    bad = _UNEXPECTED.search(text)
+    if bad is not None:
+        return ParseError(f"unexpected character {bad.group()!r}", bad.start())
+    return ParseError(message, at)
 
 
-def _natural(digits: str, at: int) -> int:
-    """The value of a natural-number token at position ``at``."""
+def _natural(text: str, at: int, digits: str) -> int:
+    """The value of the natural number ``digits`` at position ``at``."""
     try:
         return int(digits)
     except ValueError:  # over Python's limit on integer-string conversion
-        raise ParseError(f"integer of {len(digits)} digits is too long", at) from None
+        raise _error(text, f"integer of {len(digits)} digits is too long", at) from None
+
+
+def _letters(text: str, start: int, end: int, index: dict[str, int]) -> Word:
+    """The word between ``start`` and ``end``, read one factor at a time."""
+    letters: list[int] = []
+    for factor in _FACTOR.finditer(text, start, end):
+        name, exp = factor.groups()
+        at = factor.start()
+        letter = index.get(name)
+        if letter is None:
+            raise _error(text, f"unknown variable {name!r}", at)
+        count = 1
+        if exp is not None:
+            at = factor.start(2)
+            count = _natural(text, at, exp)
+        if len(letters) + count > MAX_WORD_LETTERS:
+            raise _error(text, f"word longer than {MAX_WORD_LETTERS} letters", at)
+        letters += (letter,) * count
+    return tuple(letters)
+
+
+def _stop(text: str, at: int, den: str | None, word: str | None) -> ParseError:
+    """The error at the character ``at`` that ended a term, one that is
+    neither '+' nor '-'."""
+    char, following = text[at], _SPACE.match(text, at + 1).end()
+    if char == "*":
+        return _error(text, "expected a variable name", following)
+    if char == "/" and den is None and word is None:
+        return _error(text, "expected a denominator", following)
+    if char == "^" and word is not None and "^" not in word.rpartition("*")[2]:
+        return _error(text, "expected an exponent", following)
+    return _error(text, "expected '+' or '-' between terms", at)
 
 
 def parse_polynomial(text: str, alphabet: Alphabet) -> Poly:
     """Parse an expression like ``"x2*x1 - 2*x1*x2 - x1^2"`` over ``alphabet``.
 
-    One pass over the tokens, by the grammar
-    poly := [sign] term (('+'|'-') term)*  with
+    The grammar is  poly := [sign] term (('+'|'-') term)*  with
     term := [coeff '*'] factor ('*' factor)* | coeff,
-    coeff := nat ['/' nat]  and  factor := name ['^' nat].
-    A coefficient stays an int unless it has a denominator.
+    coeff := nat ['/' nat]  and  factor := name ['^' nat],
+    whitespace allowed between tokens.  One match of ``_TERM`` reads a term
+    with the sign before it; a word with no exponent and no whitespace is
+    split at its '*'s.  A term stops at the first character it cannot take,
+    which is a grammar error unless it is '+', '-' or the end.  A character
+    that starts no token anywhere in the text is reported before any other
+    error.  A coefficient stays an int unless it has a denominator.
     """
-    end = len(text)
-    tokens = _tokenize(text)
-    tokens.append(("", "", end))  # the end of the text, where its errors point
-    index = {name: i for i, name in enumerate(alphabet.names)}
+    index, match = alphabet.letter, _TERM.match
     acc: dict[Word, Fraction | int] = {}
-    sign, k = 1, 0
-    if tokens[0][0] == "-":
-        sign, k = -1, 1
-    elif tokens[0][0] == "+":
-        k = 1
+    end, pos = len(text), 0
     while True:
-        kind, value, at = tokens[k]
-        if not kind:
-            raise ParseError("expected a term", end)
-        coeff, word = 1, None
-        if kind == "nat":
-            coeff = _natural(value, at)
-            k += 1
-            if tokens[k][0] == "/":
-                kind, value, at = tokens[k + 1]
-                if kind != "nat":
-                    raise ParseError("expected a denominator", at)
-                den = _natural(value, at)
-                if not den:
-                    raise ParseError("zero denominator in coefficient", at)
-                coeff = Fraction(coeff, den)
-                k += 2
-            if tokens[k][0] == "*":
-                k += 1
-            else:
-                word = ()  # a constant term
-        if word is None:
-            letters: list[int] = []
-            while True:
-                kind, value, at = tokens[k]
-                if kind != "name":
-                    raise ParseError("expected a variable name", at)
-                letter = index.get(value)
-                if letter is None:
-                    raise ParseError(f"unknown variable {value!r}", at)
-                exp = 1
-                if tokens[k + 1][0] == "^":
-                    kind, value, at = tokens[k + 2]
-                    if kind != "nat":
-                        raise ParseError("expected an exponent", at)
-                    exp = _natural(value, at)
-                    k += 2
-                if len(letters) + exp > MAX_WORD_LETTERS:
-                    raise ParseError(f"word longer than {MAX_WORD_LETTERS} letters", at)
-                letters += (letter,) * exp
-                k += 1
-                if tokens[k][0] != "*":
-                    break
-                k += 1
-            word = tuple(letters)
-        nc = acc.get(word, 0) + sign * coeff
+        m = match(text, pos)
+        sign, num, den, word = m.groups()
+        pos = m.end()
+        if num is None and word is None:
+            raise _error(text, "expected a term" if pos == end else "expected a variable name", pos)
+        coeff = 1
+        if num is not None:
+            coeff = _natural(text, m.start("num"), num)
+            if den is not None:
+                at = m.start("den")
+                denominator = _natural(text, at, den)
+                if not denominator:
+                    raise _error(text, "zero denominator in coefficient", at)
+                coeff = Fraction(coeff, denominator)
+        key = ()  # a constant term
+        if word is not None:
+            try:
+                key = tuple([index[name] for name in word.split("*")])
+            except KeyError:  # an exponent, whitespace or an unknown name
+                key = None
+            if key is None or len(key) > MAX_WORD_LETTERS:
+                key = _letters(text, m.start("word"), m.end("word"), index)
+        nc = acc.get(key, 0) + (-coeff if sign == "-" else coeff)
         if nc:
-            acc[word] = nc
+            acc[key] = nc
         else:
-            acc.pop(word, None)
-        kind, _, at = tokens[k]
-        if not kind:
+            acc.pop(key, None)
+        if pos == end:
             return Poly(acc)
-        if kind not in ("+", "-"):
-            raise ParseError("expected '+' or '-' between terms", at)
-        sign = -1 if kind == "-" else 1
-        k += 1
+        if text[pos] not in "+-":
+            raise _stop(text, pos, den, word)

@@ -369,19 +369,20 @@ def _text_report(report: AnalysisReport) -> str:
         + fmt_dim(monomial.gldim)
     )
     sets = monomial.sets
-    for i, texts in enumerate(sets.listing.texts):
+    listed = sets.listing.texts
+    for i, texts in enumerate(listed):
         lines.append(f"    C_{i} = {{" + ", ".join(texts) + "}")
     if sets.truncated:
         lines.append(
-            f"    ... listing stopped after {len(sets.levels)} levels, at "
-            f"{sum(map(len, sets.levels))} chain words"
+            f"    ... listing stopped after {len(listed)} levels, at "
+            f"{sum(map(len, listed))} chain words"
         )
     elif sets.finite:
-        lines.append(f"    C_{len(sets.levels)} = {{}}")
+        lines.append(f"    C_{len(listed)} = {{}}")
     else:
         lines.append(
             f"    ... not vanishing (enumeration stopped after "
-            f"{len(sets.levels)} levels)"
+            f"{len(listed)} levels)"
         )
     lines.append("(3) conclusions:")
     if report.applicable:

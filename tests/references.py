@@ -13,12 +13,16 @@
 - plain routines that only the tests need: :func:`compare` on sort keys,
   :func:`homogeneous_components`, :func:`dehomogenize`, :func:`count_paths`,
   :func:`chain_level` and :func:`poly_mul`;
-- :func:`listed_chain_words`, the word-only chain listing that the
-  package's listing of words and texts is tested against;
+- :func:`listed_chain_words`, the word-only chain listing, each level
+  sorted, that the package's listing is tested against: the words it
+  builds on the first read of ``levels`` (or keeps from its sorted walk)
+  and, through ``word_str``, its texts;
 - :func:`json_report`, the JSON report as ``json.dumps(indent=2)`` lays it
   out, that the report's one-pass writer is tested against;
 - :class:`_PolyParser`, the recursive-descent parser with one method call
-  per token that the one-pass ``parse_polynomial`` is tested against;
+  per token, over a token list made with its own copy of the token
+  pattern, that ``parse_polynomial``, which reads one term per regex
+  match, is tested against;
 - :func:`setdefault_automaton`, the Aho–Corasick table filled in one
   ``setdefault`` per letter, against which ``FactorAutomaton``'s merged
   table is tested;
@@ -27,6 +31,7 @@
 """
 
 import json
+import re
 from bisect import insort
 from collections import deque
 from fractions import Fraction
@@ -277,12 +282,17 @@ def poly_mul(a, b):
     return out
 
 
+# A token of a polynomial's text.  ``\s`` and ``\d`` keep their Unicode
+# meaning: a no-break space is whitespace and an Arabic-Indic digit a digit.
+_TOKEN = re.compile(r"(?P<ws>\s+)|(?P<nat>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[+\-*/^])")
+
+
 def _tokenize(text):
     """(kind, text, position) of each token but whitespace, one match per token."""
     tokens = []
     pos = 0
     while pos < len(text):
-        m = ncdim.freealg._TOKEN.match(text, pos)
+        m = _TOKEN.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
         if m.lastgroup != "ws":

@@ -12,7 +12,10 @@ import ncdim.render
 from ncdim import (
     Alphabet,
     CrossCheckError,
+    GroebnerBasis,
+    MonomialOrder,
     MonomialSet,
+    Poly,
     analyze,
     build_chain_graph,
     build_ufnarovski,
@@ -20,6 +23,7 @@ from ncdim import (
     hilbert_series,
     load_presentation,
     product_form_decomposition,
+    render_report,
     tilde_basis,
 )
 from ncdim.chains import (
@@ -35,7 +39,7 @@ from ncdim.growth import MAX_WINDOWS
 from ncdim.render import dot_digraph, word_str
 from ncdim.rewrite import FactorAutomaton
 from presets import commutation, heisenberg, power_family, weyl
-from references import chain_level, listed_chain_words, poly_mul
+from references import chain_level, json_report, listed_chain_words, poly_mul
 from test_rees import random_antichains
 
 DOWN_UP_FILE = str(Path(__file__).resolve().parent.parent / "presentations" / "down_up.json")
@@ -324,7 +328,7 @@ class TestListingAgainstTheWordOnlyReference:
         for alphabet, omega in cases():
             assert min(len(vertex_lengths(omega)), 2) == lengths
             sets = self.check(alphabet, omega)
-            # the budget stopped the listing partway through building a level
+            # the budget stopped the listing before a level it would not fit
             cut += sets.truncated and len(sets.levels) < ncdim.chains.MAX_LISTED_LEVELS
         assert cut or budget == MAX_LISTED_CHAINS
 
@@ -348,6 +352,48 @@ class TestListingAgainstTheWordOnlyReference:
             through |= tails
             tails = {s for v in tails for s in sets.graph.edges[v]}
         assert sorted(named) == sorted(through) == [(0,), (0,) * 1023, (1,)]
+
+
+class TestTextsWithoutChainWords:
+    """When every obstruction has at most two letters, the reports print the
+    chain texts and no chain word is built until ``levels`` is read."""
+
+    @pytest.mark.parametrize("budget", [MAX_LISTED_CHAINS, 64])
+    @pytest.mark.parametrize("case", ["commutation(6)", "all-squares"])
+    def test_reports_build_no_chain_word(self, case, budget, monkeypatch):
+        monkeypatch.setattr(ncdim.chains, "MAX_LISTED_CHAINS", budget)
+        if case == "commutation(6)":
+            report = analyze(commutation(6))
+        else:
+            squares = [Poly.monomial(w) for w in ALL_SQUARES.words]
+            report = analyze(GroebnerBasis(squares, MonomialOrder(AB)))
+        sets = report.monomial.sets
+        assert vertex_lengths(report.basis.omega) == {1}
+        assert render_report(report, "json") == json_report(report).encode("ascii")
+        render_report(report, "text")
+        assert "levels" not in vars(sets.listing)
+        assert sets.levels == listed_chain_words(sets)
+        assert "levels" in vars(sets.listing)
+        if case == "all-squares":  # 2^(i + 1) chains on level i, to the budget
+            assert len(sets.levels) == (5 if budget == 64 else 11) and sets.truncated
+        else:  # 63 chains
+            assert sum(map(len, sets.levels)) == 63 and not sets.truncated
+
+    def test_the_sorted_walk_keeps_its_words(self):
+        # down-up and x1^5 have vertices of two lengths
+        sets = sets_of(DOWN_UP)
+        assert sets.listing.texts == (("x1", "x2"), ("x1*x1*x2", "x1*x2*x2"), ("x1*x1*x2*x2",))
+        assert vars(sets.listing)["levels"] == (
+            ((0,), (1,)), ((0, 0, 1), (0, 1, 1)), ((0, 0, 1, 1),)
+        )
+        sets = sets_of(MonomialSet(((0,) * 5,), AB))
+        assert "levels" in vars(sets.listing)
+        # C_i is x1^(5k) for i = 2k - 1 and x1^(5k + 1) for i = 2k
+        assert sets.levels == (((0,), (1,)),) + tuple(
+            ((0,) * (5 * ((i + 1) // 2) + (i % 2 == 0)),) for i in range(1, 64)
+        )
+        assert sets.listing.texts[:3] == (("x1", "x2"), ("x1*" * 4 + "x1",), ("x1*" * 5 + "x1",))
+        assert sets.levels == listed_chain_words(sets)
 
 
 class TestFinitenessAgainstDfs:

@@ -333,10 +333,12 @@ def family_texts():
 def mutations(text, rng, count):
     """``count`` seeded one-character edits of ``text``: a replaced, an
     inserted or a deleted character, drawn from a few letters, digits and
-    operators and one character that starts no token."""
+    operators, one character that starts no token, and a tab, a no-break
+    space (U+00A0) and an Arabic-Indic one (U+0661), which the parser reads
+    as whitespace and as the digit 1."""
     for _ in range(count):
         pos = rng.randrange(len(text) + 1)
-        char = rng.choice("x1*^/+- 09@")
+        char = rng.choice("x1*^/+- 09@\t\u00a0\u0661")
         edit = rng.randrange(3)
         if edit == 0 and pos < len(text):
             yield text[:pos] + char + text[pos + 1 :]
@@ -374,4 +376,4 @@ class TestParserAgainstTheReference:
                     assert parse_outcome(parse_polynomial, text, alphabet) == expected, text
                     parsed += expected[0] == "poly"
                     errors += expected[0] == "error"
-        assert parsed >= 300 and errors >= 1700
+        assert parsed >= 900 and errors >= 2500
