@@ -169,6 +169,12 @@ class MonomialOrder(Record):
         return (degree, tie)
 
 
+# The int coefficients 1 and -1 as Fractions, built once: most coefficients
+# of a parsed relation are one of them, and a lookup costs about a quarter of
+# building a Fraction.
+_UNITS = {1: Fraction(1), -1: Fraction(-1)}
+
+
 class Poly:
     """Noncommutative polynomial: a finite map from words to nonzero rationals."""
 
@@ -180,7 +186,12 @@ class Poly:
         clean: dict[Word, Fraction] = {}
         if terms:
             for word, coeff in terms.items():
-                c = coeff if coeff.__class__ is Fraction else Fraction(coeff)
+                if coeff.__class__ is Fraction:
+                    c = coeff
+                elif coeff.__class__ is int:
+                    c = _UNITS.get(coeff) or Fraction(coeff)
+                else:
+                    c = Fraction(coeff)
                 if c:
                     clean[word if word.__class__ is tuple else tuple(word)] = c
         self.terms = clean

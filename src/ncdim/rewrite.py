@@ -7,11 +7,14 @@ machine, and a basis shares it with its obstruction set.  That set carries
 its alphabet and builds, once, the normal steps that growth, both graphs and
 the normal-word counts read.  The automaton's table is filled in one dict
 merge per state.  Verification is by checking that the S-element of every
-overlap ambiguity reduces to zero; no completion is ever attempted.  A
-basis that extends a verified one, as the Rees basis G~ extends G, takes
-the overlaps of the shared leading words from the base's record, as
-(i, j, overlap) keys, and enumerates only the rest; an ambiguity, with its
-superposition word, is built only for an overlap that is reduced.
+overlap ambiguity reduces to zero; no completion is ever attempted.  The
+overlap of three skew-commutations, c*b, b*a and c*a each rewritten to its
+reverse times a scalar, is resolved by a product identity instead of being
+reduced, where no homogenizer moves letters.  A basis that extends a
+verified one, as the Rees basis G~ extends G, takes the overlaps of the
+shared leading words from the base's record, as (i, j, overlap) keys, and
+enumerates only the rest; an ambiguity, with its superposition word, is
+built only for an overlap that is reduced.
 """
 
 from __future__ import annotations
@@ -627,6 +630,32 @@ def _one_step(basis: GroebnerBasis, k: int, terms: dict) -> bool:
     return True
 
 
+def _skew_triple(basis: GroebnerBasis, swap: dict, i: int, j: int) -> set | None:
+    """{i, j, r} when the overlap (i, j, 1) of LM(g_i) = c*b and LM(g_j) =
+    b*a reduces to zero by the skew-triple identity, r being the relation
+    of leading word c*a; None when it may not.
+
+    ``swap`` maps the leading word of each swap rule, a relation whose one
+    tail term is its leading word reversed, to its index; g_i, g_j and g_r
+    must be swap rules, a*c no leading word, a*b*c normal, and the order
+    must have no homogenizer.  The engine then takes
+    c*a*b ->(r) a*c*b ->(i) a*b*c and b*c*a ->(r) b*a*c ->(j) a*b*c:
+    a, b and c are distinct, as no swap rule reverses a square, so the five
+    words are, and each of them holds exactly one leading word as a factor
+    (the antichain rules out the longer ones).  The coefficients commute, so
+    both paths bring the same product to a*b*c, with opposite signs, and S
+    reduces to exactly 0."""
+    lws = basis.leading_words
+    if lws[i] not in swap or lws[j] not in swap:
+        return None
+    (c, b), a = lws[i], lws[j][1]
+    r = swap.get((c, a))
+    normal = basis.omega.automaton.is_normal
+    if r is None or not normal((a, c)) or not normal((a, b, c)):
+        return None
+    return {i, j, r}
+
+
 def verify_groebner(basis: GroebnerBasis, base: GroebnerBasis | None = None
                     ) -> VerificationResult:
     """Diamond-lemma check: every S-element must reduce to zero.
@@ -639,6 +668,17 @@ def verify_groebner(basis: GroebnerBasis, base: GroebnerBasis | None = None
     whose reduction would repeat base's is resolved by that reduction
     instead of being reduced again; it still counts as checked, and no
     ambiguity is built for it.
+
+    Under an order with no homogenizer, an overlap (i, j, 1) of LM(g_i) =
+    c*b and LM(g_j) = b*a is first checked for the skew-triple identity
+    (:func:`_skew_triple`): g_i, g_j and the relation r of leading word c*a
+    each rewrite their leading word to its reverse times a scalar, a*c is no
+    leading word and a*b*c is normal.  Its S-element then reduces to zero by
+    steps that follow from those conditions, applying {i, j, r}, and is not
+    built.  Under a homogenizer, words enter T-front and take other steps,
+    so the identity is not tried.  On a seed-7 ``pbw`` deck of the
+    benchmark it resolves 2750 of the 3081 base overlaps; the 331 left hold
+    a relation with lower terms (Weyl, Heisenberg, U(sl2)).
 
     Under an order with a homogenizer T, as for G~ with the commutators
     X_i*T - T*X_i after the first len(base) relations, the S-element of an
@@ -670,10 +710,17 @@ def verify_groebner(basis: GroebnerBasis, base: GroebnerBasis | None = None
         front = basis._front
         if front is not None and all(w[0] != front[0] for w in lws):
             commutators = r
+    # the swap rules by leading word, for the skew-triple identity; none
+    # under a homogenizer, where words enter T-front and take other steps
+    swap = {} if basis._front is not None else {
+        lw: k for k, (lw, (_, tail)) in enumerate(zip(lws, basis._rules))
+        if len(lw) == 2 and len(tail) == 1 and tail[0][0] == lw[::-1]}
     applied = {}
     for overlap in overlaps:
         key = overlap[:3]
         used = repeated.get(key)
+        if used is None and swap:
+            used = _skew_triple(basis, swap, key[0], key[1])
         if used is None:
             # a key of base's record or a later overlap becomes an ambiguity
             # only here, to be resolved

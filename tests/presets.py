@@ -101,3 +101,13 @@ def heisenberg(m: int) -> GroebnerBasis:
     # p1..pm, q1..qm, z: q_i*p_i - p_i*q_i = z with z central.
     names = [f"p{i + 1}" for i in range(m)] + [f"q{i + 1}" for i in range(m)] + ["z"]
     return _pbw(names, lambda i, j: "- z" if i < m and j == i + m else "")
+
+
+def sl2() -> GroebnerBasis:
+    # U(sl2) on e < f < h: [e,f] = h, [h,e] = 2e, [h,f] = -2f.
+    return load_presentation_data(
+        {
+            "variables": [{"name": "e"}, {"name": "f"}, {"name": "h"}],
+            "relations": ["f*e - e*f + h", "h*e - e*h - 2*e", "h*f - f*h + 2*f"],
+        }
+    )

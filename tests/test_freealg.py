@@ -138,8 +138,11 @@ class TestPoly:
 
     def test_keeps_fractions_and_tuples_and_converts_the_rest(self):
         half, word = Fraction(1, 2), (0, 1)
-        f = Poly({word: half, (1,): 3, (0, 0): "2/3", (0, 1, 1): 0.5})
-        assert f.terms == {word: half, (1,): 3, (0, 0): Fraction(2, 3), (0, 1, 1): half}
+        f = Poly({word: half, (1,): 3, (0, 0): "2/3", (0, 1, 1): 0.5,
+                  (1, 0): 1, (1, 1): -1, (0, 0, 0): True, (1, 1, 1): -1.0})
+        assert f.terms == {word: half, (1,): 3, (0, 0): Fraction(2, 3), (0, 1, 1): half,
+                           (1, 0): 1, (1, 1): -1, (0, 0, 0): 1, (1, 1, 1): -1}
+        assert all(type(c.numerator) is int for c in f.terms.values())
         (kept, c), *_ = f.terms.items()
         assert kept is word and c is half
         assert all(type(c) is Fraction for c in f.terms.values())

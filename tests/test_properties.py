@@ -1,5 +1,6 @@
 """Property-based checks of the algebraic laws the package relies on."""
 
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -27,9 +28,10 @@ from ncdim import (
     tilde_basis,
     verify_groebner,
 )
+from ncdim.cli import main
 from ncdim.rees import HomogenizationOrder
 from ncdim.rewrite import FactorAutomaton, overlap_ambiguities
-from presets import commutation, down_up, heisenberg, ore_case_a, weyl
+from presets import commutation, down_up, heisenberg, ore_case_a, sl2, weyl
 from references import (
     compare,
     contains_factor,
@@ -917,6 +919,144 @@ class TestCommutatorIdentity:
         assert failed >= 40 and reached >= 100
 
 
+def skew_bases(count):
+    """Seeded q-commutation rings, x_q*x_p - l*x_p*x_q for p < q with each l
+    a random nonzero rational, on 3-8 letters of weights 1-3 under grlex or
+    grevlex with shuffled precedence.  Every third drops one relation and
+    every third adds a lower term to one, which mostly breaks the Groebner
+    property."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        n = rng.randint(3, 8)
+        alphabet = Alphabet(tuple(f"x{i + 1}" for i in range(n)),
+                            tuple(rng.randint(1, 3) for _ in range(n)))
+        precedence = list(range(n))
+        rng.shuffle(precedence)
+        order = MonomialOrder(alphabet, rng.choice(["grlex", "grevlex"]), tuple(precedence))
+        relations = [{(q, p): 1, (p, q): Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                      * rng.choice((1, -1))}
+                     for q in range(n) for p in range(q)]
+        k = rng.randrange(len(relations))
+        if seed % 3 == 1:
+            del relations[k]
+        elif seed % 3 == 2:
+            # a letter of the pair, of lower degree than both words
+            relations[k][(rng.choice(list(relations[k])[0]),)] = Fraction(rng.randint(1, 9), 2)
+        yield GroebnerBasis([Poly(terms) for terms in relations], order)
+
+
+class TestSkewTripleIdentity:
+    """The base verification resolves an overlap of three swap rules by the
+    skew-triple identity where that holds, against the engine reducing
+    every overlap."""
+
+    @staticmethod
+    def bases():
+        """The seeded skew bases, and PBW rings that mix swap rules with
+        relations that have lower terms."""
+        return [*skew_bases(90), sl2(), *(weyl(m) for m in (1, 2, 3)),
+                *(heisenberg(m) for m in (1, 2, 3))]
+
+    @staticmethod
+    def logged(monkeypatch):
+        """From now on, log (basis, i, j, relations or None) of each overlap
+        the identity is tried on; return the log."""
+        log = []
+        skew_triple = ncdim.rewrite._skew_triple
+
+        def logged(basis, swap, i, j):
+            used = skew_triple(basis, swap, i, j)
+            log.append((basis, i, j, used))
+            return used
+
+        monkeypatch.setattr(ncdim.rewrite, "_skew_triple", logged)
+        return log
+
+    @staticmethod
+    def identity_off(monkeypatch):
+        monkeypatch.setattr(ncdim.rewrite, "_skew_triple", lambda basis, swap, i, j: None)
+
+    def test_each_resolved_overlap_reduces_to_zero_by_the_same_relations(self, monkeypatch):
+        log = self.logged(monkeypatch)
+        for basis in self.bases():
+            verify_groebner(basis)
+        resolved = refused = 0
+        for basis, i, j, used in log:
+            if used is None:
+                refused += 1
+                continue
+            amb = ncdim.rewrite._ambiguity(basis.leading_words, i, j, 1)
+            applied = set()
+            assert ncdim.rewrite._reduce_terms(ncdim.rewrite._s_terms(basis, amb),
+                                               basis, applied) == {}
+            assert applied == used and len(used) == 3
+            resolved += 1
+        assert resolved >= 800 and refused >= 80
+
+    def test_same_result_and_applied_as_the_engine(self, monkeypatch):
+        fast = [verify_groebner(b) for b in self.bases()]
+        self.identity_off(monkeypatch)
+        slow = [verify_groebner(b) for b in self.bases()]
+        for a, b in zip(fast, slow):
+            assert a == b and a.applied == b.applied
+            if not a.ok:
+                assert_same_remainder(a.remainder, b.remainder)
+        assert sum(not r.ok for r in fast) >= 40
+        assert sum(r.ok for r in fast) >= 30
+
+    def test_rees_bases_never_try_it(self, monkeypatch):
+        log = self.logged(monkeypatch)
+        for base in (commutation(4), rational_pbw(4, random.Random(3)), weyl(2)):
+            assert verify_groebner(base).ok
+            log.clear()
+            assert tilde_basis(base).verification.ok
+            assert verify_groebner(unverified_rees_basis(base)).ok
+            assert log == []
+
+    SKEW = ["x3*x2 - 2*x2*x3", "x2*x1 - 3*x1*x2"]
+    FAULTS = {
+        "no relation on c*a": SKEW,
+        "c*a has a lower term": SKEW + ["x3*x1 - 5*x1*x3 - x2"],
+        "c*a is no swap": SKEW + ["x3*x1 - x2^2"],
+        "a*c is a leading word": SKEW + ["x3*x1 - 5*x1*x3", "x1*x3 - x1*x2"],
+        "a*b*c holds a leading word": SKEW + ["x3*x1 - 5*x1*x3", "x1*x2*x3 - x1^3"],
+    }
+
+    @staticmethod
+    def triple(relations):
+        return {"variables": [{"name": f"x{i}"} for i in (1, 2, 3)], "relations": relations}
+
+    def test_the_complete_triple_is_resolved_with_no_reduction(self, monkeypatch):
+        basis = load_presentation_data(self.triple(self.SKEW + ["x3*x1 - 5*x1*x3"]))
+        monkeypatch.setattr(ncdim.rewrite, "_reduce_terms", None)  # any call fails
+        result = verify_groebner(basis)
+        assert result.ok and result.applied == {(0, 1, 1): {0, 1, 2}}
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_a_faulty_triple_falls_back_to_the_engine(self, fault, monkeypatch, tmp_path, capsys):
+        data = self.triple(self.FAULTS[fault])
+        basis = load_presentation_data(data)
+        log = self.logged(monkeypatch)
+        reduced = []
+        s_terms = ncdim.rewrite._s_terms
+        monkeypatch.setattr(ncdim.rewrite, "_s_terms",
+                            lambda basis, amb: reduced.append(amb[:3]) or s_terms(basis, amb))
+        fast = verify_groebner(basis)
+        # LM(x3*x2 - ...) = x3*x2 and LM(x2*x1 - ...) = x2*x1 overlap first
+        assert basis.leading_words[:2] == ((2, 1), (1, 0))
+        assert (basis, 0, 1, None) in log and reduced[0] == (0, 1, 1)
+        path = tmp_path / "triple.json"
+        path.write_text(json.dumps(data))
+        assert main(["check-gb", str(path)]) == 3
+        message = capsys.readouterr().err
+        self.identity_off(monkeypatch)
+        slow = verify_groebner(load_presentation_data(data))
+        assert not fast.ok and fast == slow
+        assert_same_remainder(fast.remainder, slow.remainder)
+        assert main(["check-gb", str(path)]) == 3
+        assert capsys.readouterr().err == message
+
+
 def engine_value(c):
     return Fraction(c) if type(c) is int else Fraction(*c)
 
@@ -1036,3 +1176,21 @@ class TestNormalFormCounts:
         commutator_overlaps = [amb for amb in reduced if amb.right_index >= len(base)]
         assert len(commutator_overlaps) == len(base)  # one per relation of G
         assert [amb for amb in searched if amb.right_index >= len(base)] == []
+
+    @pytest.mark.parametrize("make, reductions", [
+        (lambda: commutation(13), 0),
+        (lambda: rational_pbw(13, random.Random(13)), 0),
+        (lambda: weyl(6), 60),  # one per triple that holds a pair (x_i, d_i): 6 * 10
+    ], ids=["commutation(13)", "q-commutation(13)", "weyl(6)"])
+    def test_base_check_reduces_only_triples_with_lower_terms(self, make, reductions,
+                                                              monkeypatch):
+        base = make()
+        reduced = []
+        reduce_terms = ncdim.rewrite._reduce_terms
+        monkeypatch.setattr(ncdim.rewrite, "_reduce_terms",
+                            lambda work, basis, applied=None:
+                            reduced.append(work) or reduce_terms(work, basis, applied))
+        result = verify_groebner(base)
+        n = base.order.alphabet.n
+        assert result.ok and result.checked == n * (n - 1) * (n - 2) // 6
+        assert len(reduced) == reductions
