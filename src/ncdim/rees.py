@@ -19,11 +19,11 @@ computation: the same S-element, over T-free words only, which only base
 leading words match and which the extended order ranks as the base order
 does, so the same step in the same order to the same zero.  The overlap of
 relation k, whose leading word u*X_i ends in a live letter, with X_i T - T X_i
-is resolved by its one-step identity: with T moved to the front of each
-term, its S-element is -T*g~_k, which one step of relation k takes to zero.
-Where a term breaks the identity (a dead letter of a tail word stops T, or
-a commutator or tail was altered), the overlap is reduced as any other, so
-the verification's result is that of reducing every overlap.
+is resolved, with no S-element built, by its one-step identity: with T
+moved to the front of each term, its S-element is -T*g~_k, which one step
+of relation k takes to zero.  Where a rule breaks it (a dead letter of a
+tail word stops T, or a commutator or tail was altered), the overlap is
+reduced as any other, so the result is that of reducing every overlap.
 :func:`rees_invariants` gives the Rees side in the base's record type, on
 G~; :func:`check_transfer` compares two such records, and
 :func:`check_associated_graded` checks that setting T = 0 in G~ gives lh(G).

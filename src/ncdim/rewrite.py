@@ -7,14 +7,15 @@ machine, and a basis shares it with its obstruction set.  That set carries
 its alphabet and builds, once, the normal steps that growth, both graphs and
 the normal-word counts read.  The automaton's table is filled in one dict
 merge per state.  Verification is by checking that the S-element of every
-overlap ambiguity reduces to zero; no completion is ever attempted.  The
-overlap of three skew-commutations, c*b, b*a and c*a each rewritten to its
-reverse times a scalar, is resolved by a product identity instead of being
-reduced, where no homogenizer moves letters.  A basis that extends a
-verified one, as the Rees basis G~ extends G, takes the overlaps of the
-shared leading words from the base's record, as (i, j, overlap) keys, and
-enumerates only the rest; an ambiguity, with its superposition word, is
-built only for an overlap that is reduced.
+overlap ambiguity reduces to zero; no completion is ever attempted.  Two
+identities resolve an overlap from its relations' rules and the swap table
+that a basis builds once: three swap rules c*b, b*a and c*a, where no
+homogenizer moves letters, and a relation with a commutator X*T -> T*X.  A
+basis that extends a verified one, as the Rees basis G~ extends G, takes the
+overlaps of the shared leading words from the base's record, as (i, j,
+overlap) keys, and enumerates only the rest; an ambiguity, with its
+superposition word, and its S-element are built only for an overlap that is
+reduced.
 """
 
 from __future__ import annotations
@@ -265,7 +266,7 @@ class GroebnerBasis:
     """
 
     __slots__ = ("elements", "order", "leading_words", "omega", "verification",
-                 "_choice", "_rules", "_front")
+                 "_choice", "_rules", "_swaps", "_front")
 
     def __init__(self, relations: Iterable[Poly], order: MonomialOrder):
         elements: list[Poly] = []
@@ -313,14 +314,18 @@ class GroebnerBasis:
             del tail[lw]
             rules.append((len(lw), tuple(tail.items())))
         self._rules = tuple(rules)
+        # the swap rules by leading word: each relation x_q*x_p whose one tail
+        # term is x_p*x_q, that is x_q*x_p -> lambda*x_p*x_q
+        self._swaps = {lw: k for k, (lw, (_, tail)) in enumerate(zip(leading, rules))
+                       if len(lw) == 2 and len(tail) == 1 and tail[0][0] == lw[::-1]}
         # (T, the letters T cannot cross) when the order has a homogenizer T:
-        # T crosses exactly the letters X with X*T - T*X among the relations
+        # T crosses exactly the letters X of a swap rule X*T -> T*X
         t = getattr(order, "homogenizer", None)
         if t is None:
             self._front = None
         else:
-            crossed = {lw[0] for lw, f in zip(leading, elements)
-                       if len(lw) == 2 and lw[1] == t and f.terms == {lw: 1, (t, lw[0]): -1}}
+            crossed = {lw[0] for lw, k in self._swaps.items()
+                       if lw[1] == t and rules[k][1][0][1] == -1}
             self._front = (t, frozenset(range(order.alphabet.n)) - crossed - {t})
 
     def __len__(self):
@@ -605,51 +610,47 @@ def _repeated_reductions(basis: GroebnerBasis, base: GroebnerBasis) -> dict:
             if key[0] in shared and key[1] in shared and used <= shared}
 
 
-def _one_step(basis: GroebnerBasis, k: int, terms: dict) -> bool:
-    """True when ``terms``, T-fronted term by term, is -T*g~_k, with g~_k
-    relation k as the engine holds it: ``terms`` then reduces to zero by the
-    one step of relation k at T*LM(g_k), the step :func:`_reduce_terms`
-    would take first.
+def _one_step(basis: GroebnerBasis, k: int, j: int) -> bool:
+    """True when the overlap of relation k with relation j is resolved by
+    its one-step identity, decided from the two rules alone: relation j is
+    exactly X*T -> T*X, T crosses every letter of LM(g_k) = u*X, and every
+    tail word of g_k is T-front with letters that T crosses.  The caller
+    checks that T starts no leading word.
 
-    ``terms`` is the S-element of the overlap of relation k with a
-    commutator X*T - T*X, as :func:`_s_terms` lists it: the commutator's
-    term, then g_k's tail, each times T.  That this gives the engine's
-    result needs T in front of no leading word (checked by the caller): the
-    leading words form an antichain, so T*LM(g_k) holds LM(g_k) alone, and
-    it is the largest word, since every tail word of g_k is below LM(g_k).
+    Proof: with h the tail of g_k, the S-element u*(X*T - T*X) - g_k*T =
+    -u*T*X - h*T enters :func:`_reduce_terms` T-front as -T*u*X - T*h, that
+    is -T*g~_k, with distinct words.  The order is multiplicative, so
+    T*LM(g_k) is the largest, and the antichain makes LM(g_k) the one
+    leading word in it.  The engine's first step, relation k there, leaves
+    zero and applies {k} alone.
     """
     t, stuck = basis._front
-    tail = basis._rules[k][1]
-    if len(terms) != len(tail) + 1:
+    u = basis.leading_words[k]
+    if basis.leading_words[j] != (u[-1], t) or basis._rules[j] != (2, (((t, u[-1]), -1),)):
         return False
-    expected = [((t,) + basis.leading_words[k], -1)]
-    expected += [((t,) + w, -c if c.__class__ is int else (-c[0], c[1])) for w, c in tail]
-    for (word, c), (want, wc) in zip(terms.items(), expected):
-        if c != wc or _t_front(word, t, stuck) != want:
-            return False
-    return True
+    return t not in u and stuck.isdisjoint(u) and all(
+        t not in w[w.count(t):] and stuck.isdisjoint(w) for w, _ in basis._rules[k][1])
 
 
-def _skew_triple(basis: GroebnerBasis, swap: dict, i: int, j: int) -> set | None:
+def _skew_triple(basis: GroebnerBasis, i: int, j: int) -> set | None:
     """{i, j, r} when the overlap (i, j, 1) of LM(g_i) = c*b and LM(g_j) =
     b*a reduces to zero by the skew-triple identity, r being the relation
     of leading word c*a; None when it may not.
 
-    ``swap`` maps the leading word of each swap rule, a relation whose one
-    tail term is its leading word reversed, to its index; g_i, g_j and g_r
-    must be swap rules, a*c no leading word, a*b*c normal, and the order
-    must have no homogenizer.  The engine then takes
+    g_i, g_j and g_r must be swap rules (``basis._swaps``), each rewriting
+    its leading word to its reverse times a scalar, a*c no leading word,
+    a*b*c normal, and the order must have no homogenizer.  The engine then takes
     c*a*b ->(r) a*c*b ->(i) a*b*c and b*c*a ->(r) b*a*c ->(j) a*b*c:
     a, b and c are distinct, as no swap rule reverses a square, so the five
     words are, and each of them holds exactly one leading word as a factor
     (the antichain rules out the longer ones).  The coefficients commute, so
     both paths bring the same product to a*b*c, with opposite signs, and S
     reduces to exactly 0."""
-    lws = basis.leading_words
-    if lws[i] not in swap or lws[j] not in swap:
+    lws, swaps = basis.leading_words, basis._swaps
+    if lws[i] not in swaps or lws[j] not in swaps:
         return None
     (c, b), a = lws[i], lws[j][1]
-    r = swap.get((c, a))
+    r = swaps.get((c, a))
     normal = basis.omega.automaton.is_normal
     if r is None or not normal((a, c)) or not normal((a, b, c)):
         return None
@@ -680,59 +681,48 @@ def verify_groebner(basis: GroebnerBasis, base: GroebnerBasis | None = None
     benchmark it resolves 2750 of the 3081 base overlaps; the 331 left hold
     a relation with lower terms (Weyl, Heisenberg, U(sl2)).
 
-    Under an order with a homogenizer T, as for G~ with the commutators
-    X_i*T - T*X_i after the first len(base) relations, the S-element of an
-    overlap of relation k with a later relation is first checked against
-    its one-step identity (:func:`_one_step`): T-fronted, it is -T*g~_k,
-    and relation k alone takes it to zero.  Where that holds, the overlap
-    applied {k}, as the engine would find; where it fails (a tail word of
-    g_k holds a letter T cannot cross, or a commutator or tail was
-    altered), the engine reduces it.  So the result, ``applied`` included,
-    is the engine's.
+    With ``base`` and under an order with a homogenizer T that starts no
+    leading word, as for G~ with the commutators X_i*T - T*X_i after the
+    first len(base) relations, an overlap of relation k with relation j is
+    first checked for its one-step identity (:func:`_one_step`), from the
+    two relations' rules alone: relation j is exactly X*T -> T*X, and T
+    crosses LM(g_k) and g_k's tail words, which are T-front.  Its S-element
+    then reduces to zero by the one step of relation k, applying {k}, and
+    is not built.  Where a condition fails (a tail word of g_k holds a
+    letter T cannot cross, or a commutator or tail was altered), the engine
+    reduces it.  So the result, ``applied`` included, is the engine's.
 
     On success the result is kept as ``basis.verification``; on failure it
     carries the first failing ambiguity (fixed enumeration order) and its
     remainder.
     """
-    lws = basis.leading_words
+    lws, front = basis.leading_words, basis._front
     done = _base_record(basis, base)
-    # an overlap (i, j, o) with j from here tries the one-step identity: none
-    # does without a base record, or when T starts a leading word
-    commutators = len(lws)
     if done is None:
-        overlaps = overlap_ambiguities(basis)
-        repeated = {}
+        overlaps, repeated, one_step = overlap_ambiguities(basis), {}, False
     else:
         r, n = len(base), len(lws)
         later = _overlaps(lws, range(r), range(r, n)) + _overlaps(lws, range(r, n), range(n))
         overlaps = sorted([*done, *later])  # two ascending runs: one merge
         repeated = _repeated_reductions(basis, base)
-        front = basis._front
-        if front is not None and all(w[0] != front[0] for w in lws):
-            commutators = r
-    # the swap rules by leading word, for the skew-triple identity; none
-    # under a homogenizer, where words enter T-front and take other steps
-    swap = {} if basis._front is not None else {
-        lw: k for k, (lw, (_, tail)) in enumerate(zip(lws, basis._rules))
-        if len(lw) == 2 and len(tail) == 1 and tail[0][0] == lw[::-1]}
+        # the one-step identity needs a homogenizer T that starts no leading word
+        one_step = front is not None and all(w[0] != front[0] for w in lws)
     applied = {}
     for overlap in overlaps:
         key = overlap[:3]
         used = repeated.get(key)
-        if used is None and swap:
-            used = _skew_triple(basis, swap, key[0], key[1])
+        if used is None and front is None:  # no homogenizer moves letters
+            used = _skew_triple(basis, key[0], key[1])
+        elif used is None and one_step and _one_step(basis, key[0], key[1]):
+            used = {key[0]}
         if used is None:
             # a key of base's record or a later overlap becomes an ambiguity
-            # only here, to be resolved
+            # only here, to be reduced
             amb = overlap if len(overlap) == 4 else _ambiguity(lws, *key)
-            terms = _s_terms(basis, amb)
-            if key[1] >= commutators and _one_step(basis, key[0], terms):
-                used = {key[0]}
-            else:
-                used = set()
-                remainder = _reduce_terms(terms, basis, used)
-                if remainder:
-                    return VerificationResult(False, len(overlaps), amb, _poly(remainder))
+            used = set()
+            remainder = _reduce_terms(_s_terms(basis, amb), basis, used)
+            if remainder:
+                return VerificationResult(False, len(overlaps), amb, _poly(remainder))
         applied[key] = used
     basis.verification = VerificationResult(True, len(overlaps), applied=applied)
     return basis.verification

@@ -10,6 +10,9 @@
   at a time instead of moving to the front on entry;
 - conversions between ``Poly`` and the package engine's term dicts, for
   references that stand in for parts of that engine;
+- :func:`one_step`, the commutator overlap's one-step identity decided by
+  comparing its T-fronted S-element with -T*g~_k term by term, against
+  which the package's decision from the two relations' rules is tested;
 - plain routines that only the tests need: :func:`compare` on sort keys,
   :func:`homogeneous_components`, :func:`dehomogenize`, :func:`count_paths`,
   :func:`chain_level` and :func:`poly_mul`;
@@ -87,6 +90,22 @@ def t_front(word, t, crossed):
         if any(i != t and i not in crossed for i in word[:last]):
             return word
     return tuple(sorted(word, key=lambda i: i != t))  # stable: T's first
+
+
+def one_step(basis, k, terms):
+    """The one-step identity decided on the S-element: True when ``terms``,
+    the engine's S-element of the overlap of relation k with a commutator
+    X*T - T*X (its term, then g_k's tail, each times T), is -T*g~_k once
+    each word is T-fronted, term by term in that order, with g~_k relation k
+    as the engine holds it."""
+    t, crossed = t_front_moves(basis)
+    tail = basis._rules[k][1]
+    if len(terms) != len(tail) + 1:
+        return False
+    expected = [((t,) + basis.leading_words[k], -1)]
+    expected += [((t,) + w, -c if type(c) is int else (-c[0], c[1])) for w, c in tail]
+    return all(c == wc and t_front(word, t, crossed) == want
+               for (word, c), (want, wc) in zip(terms.items(), expected))
 
 
 def fraction_reduce_terms(work, basis, rules=None, front=True):

@@ -40,7 +40,9 @@ from references import (
     engine_terms,
     fraction_normal_form,
     fraction_verify,
+    one_step,
     s_element,
+    t_front_moves,
 )
 
 MANY = settings(max_examples=1000, derandomize=True, deadline=None)
@@ -628,6 +630,50 @@ def unverified_rees_basis(base):
     return GroebnerBasis(elements, order)
 
 
+ALTERED_COMMUTATORS = {
+    "X*T - T*X - X": lambda x, t: {(x, t): 1, (t, x): -1, (x,): -1},
+    "X*T - 2*T*X": lambda x, t: {(x, t): 1, (t, x): -2},
+    "X*T + T*X": lambda x, t: {(x, t): 1, (t, x): 1},
+}
+
+
+def rees_with_commutator(base, x, altered):
+    """G~ of ``base``, unverified, with the commutator of letter x given in
+    its element by ALTERED_COMMUTATORS[altered]."""
+    order = HomogenizationOrder(base.order)
+    t = order.homogenizer
+    elements = [homogenize(g, order) for g in base.elements]
+    elements += [Poly(ALTERED_COMMUTATORS[altered](i, t) if i == x else {(i, t): 1, (t, i): -1})
+                 for i in range(t) if i not in base.omega.dead_letters]
+    return GroebnerBasis(elements, order)
+
+
+def with_rule(rees, k, rule):
+    """``rees`` with relation k's engine rule replaced by ``rule``."""
+    rees._rules = rees._rules[:k] + (rule,) + rees._rules[k + 1 :]
+    return rees
+
+
+def altered_commutator(base, k):
+    """G~ of ``base`` with commutator k rewriting X*T -> T*X + X in its rule,
+    not T*X; its element is kept."""
+    rees = unverified_rees_basis(base)
+    length, ((word, c),) = rees._rules[k]
+    assert word[0] == rees.order.homogenizer
+    return with_rule(rees, k, (length, ((word, c), (word[1:], c))))
+
+
+def t_appended(base, k):
+    """G~ of ``base`` with a T appended, in relation k's rule, to the first
+    lower term that holds a base letter; its element is kept."""
+    rees = unverified_rees_basis(base)
+    t = rees.order.homogenizer
+    length, tail = rees._rules[k]
+    i = next(i for i, (w, _) in enumerate(tail) if w.count(t) < len(w))
+    word, c = tail[i]
+    return with_rule(rees, k, (length, tail[:i] + ((word + (t,), c),) + tail[i + 1 :]))
+
+
 def rees_test_bases():
     """The seeded bases, rational PBW rings with and without lower terms,
     Weyl, Heisenberg and the dead-letter golden input."""
@@ -682,6 +728,29 @@ class TestTFront:
         rees = tilde_basis(commutation(3))
         assert rees._front == (3, frozenset())
         assert tilde_basis(load_presentation(DEAD_LETTER))._front == (3, frozenset({0}))
+
+    def test_t_crosses_the_letters_of_the_commutators(self):
+        # the swap rules X*T -> T*X against the relations X*T - T*X
+        bases = [*rees_test_bases(), *TestReesOverlapsFromTheBaseRecord.pbw_rings(), weyl(6),
+                 *dead_letter_bases(), *skew_bases(60)]
+        for base in bases:
+            rees = unverified_rees_basis(base)
+            t, crossed = t_front_moves(rees)
+            assert rees._front == (t, frozenset(range(t)) - crossed)
+
+    @pytest.mark.parametrize("altered", sorted(ALTERED_COMMUTATORS))
+    def test_an_altered_commutator_leaves_its_letter_stuck(self, altered):
+        stuck = 0
+        for base in [*TestReesOverlapsFromTheBaseRecord.pbw_rings(), *dead_letter_bases()]:
+            t, dead = base.order.alphabet.n, set(base.omega.dead_letters)
+            live = [i for i in range(t) if i not in dead]
+            for x in live:
+                rees = rees_with_commutator(base, x, altered)
+                assert rees.leading_words[len(base) + live.index(x)] == (x, t)
+                assert rees._front == (t, frozenset(dead | {x}))
+                assert rees._front == (t, frozenset(range(t)) - t_front_moves(rees)[1])
+                stuck += 1
+        assert stuck >= 80
 
     def test_a_stuck_letter_keeps_the_word(self):
         # T crosses x1 and x3 but not the dead letter x2
@@ -761,7 +830,15 @@ class TestRepeatedReductions:
         monkeypatch.setattr(ncdim.rewrite, "_s_terms", logged)
         assert verify_groebner(rees, base).ok
         assert key in reduced
-        assert all(k in reduced for k in rees.verification.applied if 0 in k[:2])
+        assert all(k in reduced for k in rees.verification.applied
+                   if 0 in k[:2] and k[1] < len(base))
+        # a reordered tail is the same polynomial, so the one-step identity
+        # resolves relation 0's commutator overlap, as the engine does
+        (commutator,) = [k for k in rees.verification.applied if k[0] == 0 and k[1] >= len(base)]
+        assert commutator not in reduced
+        assert rees.verification.applied[commutator] == {0}
+        monkeypatch.setattr(ncdim.rewrite, "_one_step", lambda basis, k, j: False)
+        assert verify_groebner(rees, base).applied[commutator] == {0}
 
 
 class TestReesOverlapsFromTheBaseRecord:
@@ -800,7 +877,8 @@ class TestReesOverlapsFromTheBaseRecord:
             assert rees.verification.checked == len(full)
             assert list(rees.verification.applied) == [amb[:3] for amb in full]
             repeated = ncdim.rewrite._repeated_reductions(rees, base)
-            assert reduced == [amb for amb in full if amb[:3] not in repeated]
+            assert reduced == [amb for amb in full if amb[:3] not in repeated
+                               and not ncdim.rewrite._one_step(rees, amb[0], amb[1])]
             commutator_overlaps += sum(amb.right_index >= len(base) for amb in full)
         assert commutator_overlaps >= 300
 
@@ -809,12 +887,7 @@ class TestReesOverlapsFromTheBaseRecord:
         for base in self.pbw_rings():
             t = base.order.alphabet.n
             for k in range(len(base), len(base) + t):
-                rees = unverified_rees_basis(base)
-                # X*T -> T*X + X instead of T*X
-                length, ((word, c),) = rees._rules[k]
-                assert word[0] == t
-                altered = (length, ((word, c), (word[1:], c)))
-                rees._rules = rees._rules[:k] + (altered,) + rees._rules[k + 1 :]
+                rees = altered_commutator(base, k)
                 keyed, full = verify_groebner(rees, base), verify_groebner(rees)
                 assert keyed == full
                 if not full.ok:
@@ -854,9 +927,9 @@ class TestCommutatorIdentity:
         refusals = []
         one_step = ncdim.rewrite._one_step
 
-        def logged(basis, k, terms):
-            found = one_step(basis, k, terms)
-            if not found:
+        def logged(basis, k, j):
+            found = one_step(basis, k, j)
+            if not found and basis.leading_words[j][1:] == (basis.order.homogenizer,):
                 refusals.append(k)
             return found
 
@@ -870,7 +943,7 @@ class TestCommutatorIdentity:
         assert all(verify_groebner(b).ok for b in bases) and len(bases) >= 115
         refusals = self.refused(monkeypatch)
         by_identity = [verify_groebner(unverified_rees_basis(b), b) for b in bases]
-        monkeypatch.setattr(ncdim.rewrite, "_one_step", lambda basis, k, terms: False)
+        monkeypatch.setattr(ncdim.rewrite, "_one_step", lambda basis, k, j: False)
         commutator_overlaps = 0
         for base, fast in zip(bases, by_identity):
             slow = verify_groebner(unverified_rees_basis(base), base)
@@ -891,18 +964,11 @@ class TestCommutatorIdentity:
         refusals = self.refused(monkeypatch)
         failed = reached = 0
         for base in TestReesOverlapsFromTheBaseRecord.pbw_rings():
-            t = base.order.alphabet.n
             for k in range(len(base)):
-                rees = unverified_rees_basis(base)
-                # a T appended to the first lower term that holds a base letter
-                length, tail = rees._rules[k]
-                i = next(i for i, (w, _) in enumerate(tail) if w.count(t) < len(w))
-                word, c = tail[i]
-                altered = (length, tail[:i] + ((word + (t,), c),) + tail[i + 1 :])
-                rees._rules = rees._rules[:k] + (altered,) + rees._rules[k + 1 :]
+                rees = t_appended(base, k)
                 amb = next(amb for amb in overlap_ambiguities(rees)
                            if amb.left_index == k and amb.right_index >= len(base))
-                assert not ncdim.rewrite._one_step(rees, k, ncdim.rewrite._s_terms(rees, amb))
+                assert not ncdim.rewrite._one_step(rees, k, amb.right_index)
                 refusals.clear()
                 keyed = verify_groebner(rees, base)
                 reached += k in refusals  # not when an earlier overlap failed
@@ -917,6 +983,35 @@ class TestCommutatorIdentity:
                 else:
                     assert keyed.applied == full.applied
         assert failed >= 40 and reached >= 100
+
+    def test_the_rules_decide_as_the_s_element_does(self):
+        # the identity from the two relations' rules against the T-fronted
+        # S-element compared with -T*g~_k term by term, on every overlap of G~
+        rings = TestReesOverlapsFromTheBaseRecord.pbw_rings()
+        # y*x - y homogenizes to y*x - T*y, a commutator's tail under another
+        # leading word; x*y - y has no x in its tail, so x stuck fails LM(g_k) alone
+        xy = [{"name": "x"}, {"name": "y"}]
+        hand = [load_presentation_data({"variables": xy, "relations": relations})
+                for relations in (["y*x - y", "x*y*y - x*x*x"], ["x*y - y"])]
+        bases = [*rees_test_bases(), *rings, weyl(6), *dead_letter_bases(), *skew_bases(60), *hand]
+        reeses = [(unverified_rees_basis(b), b) for b in bases]
+        for base in [*rings, *hand]:
+            t = base.order.alphabet.n
+            # faults in the rules: X*T -> T*X + X, and a T appended to a lower term
+            reeses += [(altered_commutator(base, k), base) for k in range(len(base), len(base) + t)]
+            reeses += [(t_appended(base, k), base) for k in range(len(base))]
+            # a fault in an element: the altered letter is stuck, in LM(g_k) too
+            reeses += [(rees_with_commutator(base, x, altered), base)
+                       for altered in ALTERED_COMMUTATORS for x in range(t)]
+        decided = {}  # (with a commutator, identity holds) -> overlaps
+        for rees, base in reeses:
+            for amb in overlap_ambiguities(rees):
+                k, j = amb.left_index, amb.right_index
+                holds = one_step(rees, k, ncdim.rewrite._s_terms(rees, amb))
+                assert ncdim.rewrite._one_step(rees, k, j) == holds
+                decided[j >= len(base), holds] = decided.get((j >= len(base), holds), 0) + 1
+        assert decided[True, True] >= 6500 and decided[True, False] >= 1200
+        assert decided[False, False] >= 12000 and (False, True) not in decided
 
 
 def skew_bases(count):
@@ -964,8 +1059,8 @@ class TestSkewTripleIdentity:
         log = []
         skew_triple = ncdim.rewrite._skew_triple
 
-        def logged(basis, swap, i, j):
-            used = skew_triple(basis, swap, i, j)
+        def logged(basis, i, j):
+            used = skew_triple(basis, i, j)
             log.append((basis, i, j, used))
             return used
 
@@ -974,7 +1069,7 @@ class TestSkewTripleIdentity:
 
     @staticmethod
     def identity_off(monkeypatch):
-        monkeypatch.setattr(ncdim.rewrite, "_skew_triple", lambda basis, swap, i, j: None)
+        monkeypatch.setattr(ncdim.rewrite, "_skew_triple", lambda basis, i, j: None)
 
     def test_each_resolved_overlap_reduces_to_zero_by_the_same_relations(self, monkeypatch):
         log = self.logged(monkeypatch)
@@ -1173,9 +1268,32 @@ class TestNormalFormCounts:
         monkeypatch.setattr(ncdim.rewrite, "_s_terms", logged_s_terms)
         monkeypatch.setattr(GroebnerBasis, "find_reduction", logged_find)
         assert verify_groebner(rees, base).ok
-        commutator_overlaps = [amb for amb in reduced if amb.right_index >= len(base)]
-        assert len(commutator_overlaps) == len(base)  # one per relation of G
+        assert [amb for amb in reduced if amb.right_index >= len(base)] == []
         assert [amb for amb in searched if amb.right_index >= len(base)] == []
+        applied = rees.verification.applied
+        commutator_overlaps = [key for key in applied if key[1] >= len(base)]
+        assert len(commutator_overlaps) == len(base)  # one per relation of G
+        assert all(applied[key] == {key[0]} for key in commutator_overlaps)
+
+    @pytest.mark.parametrize("make, built", [
+        (lambda: commutation(13), 0),
+        (lambda: weyl(6), 60),
+        (lambda: heisenberg(3), 15),
+        (sl2, 1),
+    ], ids=["commutation(13)", "weyl(6)", "heisenberg(3)", "sl2"])
+    def test_the_rees_check_builds_only_what_it_reduces(self, make, built, monkeypatch):
+        base = make()
+        assert verify_groebner(base).ok
+        ambiguities, reduced = [], []
+        ambiguity, s_terms = ncdim.rewrite._ambiguity, ncdim.rewrite._s_terms
+        monkeypatch.setattr(ncdim.rewrite, "_ambiguity",
+                            lambda *args: ambiguities.append(args) or ambiguity(*args))
+        monkeypatch.setattr(ncdim.rewrite, "_s_terms",
+                            lambda basis, amb: reduced.append(amb) or s_terms(basis, amb))
+        rees = tilde_basis(base)
+        assert len(ambiguities) == len(reduced) == built
+        assert all(amb.right_index < len(base) for amb in reduced)
+        assert sum(key[1] >= len(base) for key in rees.verification.applied) == len(base)
 
     @pytest.mark.parametrize("make, reductions", [
         (lambda: commutation(13), 0),

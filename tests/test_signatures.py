@@ -4,7 +4,9 @@ monomial invariants is called from one place.
 
 An obstruction set Omega carries its alphabet, and through it the letter
 count and the weights, so no function in the package takes ``omega``
-together with one of them.
+together with one of them.  A Groebner basis carries each relation's rule,
+its swap rules and the letters a homogenizer crosses, so no function takes
+``basis`` together with one of them.
 
 ``freealg.Record`` gives every record its equality, hash, repr, freezing
 and copy, so no other class defines those methods; ``Poly`` keeps its own,
@@ -21,7 +23,8 @@ from pathlib import Path
 import pytest
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "ncdim").glob("*.py"))
-FIXED_BY_OMEGA = {"alphabet", "weights", "n_letters"}
+FIXED = {"omega": {"alphabet", "weights", "n_letters"},
+         "basis": {"swap", "swaps", "rules", "front", "stuck"}}
 RECORD_METHODS = {"__eq__", "__repr__", "__hash__", "__reduce__", "__setattr__", "__delattr__"}
 STAGES = ("automaton_growth", "build_chain_graph", "chain_sets", "hilbert_series")
 
@@ -31,16 +34,16 @@ def parameters(node):
     return {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
 
 
-def omega_and_what_it_fixes(path):
-    """The name of every function in ``path`` that takes ``omega`` and a
-    parameter of FIXED_BY_OMEGA."""
+def takes_what_it_fixes(path, holder):
+    """The name of every function in ``path`` that takes ``holder`` and a
+    parameter of FIXED[holder]."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     return [
         node.name
         for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and "omega" in parameters(node)
-        and parameters(node) & FIXED_BY_OMEGA
+        and holder in parameters(node)
+        and parameters(node) & FIXED[holder]
     ]
 
 
@@ -48,12 +51,26 @@ def test_the_guard_sees_a_redundant_parameter(tmp_path):
     path = tmp_path / "sample.py"
     path.write_text("def build(omega, alphabet):\n    pass\n\n"
                     "def count(omega, up_to):\n    pass\n", encoding="utf-8")
-    assert omega_and_what_it_fixes(path) == ["build"]
+    assert takes_what_it_fixes(path, "omega") == ["build"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_function_takes_omega_and_what_it_fixes(path):
-    assert omega_and_what_it_fixes(path) == []
+    assert takes_what_it_fixes(path, "omega") == []
+
+
+def test_the_guard_sees_a_parameter_the_basis_fixes(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("def triple(basis, swap, i, j):\n    pass\n\n"
+                    "def enter(word, t, stuck):\n    pass\n\n"
+                    "def reduce(work, basis, *, rules=None):\n    pass\n\n"
+                    "def step(basis, k, j):\n    pass\n", encoding="utf-8")
+    assert takes_what_it_fixes(path, "basis") == ["triple", "reduce"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_function_takes_a_basis_and_what_it_fixes(path):
+    assert takes_what_it_fixes(path, "basis") == []
 
 
 def record_methods(path):
