@@ -269,11 +269,15 @@ def leading_data(f: Poly, order: MonomialOrder) -> tuple[Word, Fraction]:
 
 
 def leading_homogeneous(f: Poly, alphabet: Alphabet) -> Poly:
-    """The homogeneous part of highest weighted degree."""
+    """The homogeneous part of highest weighted degree: ``f`` itself when it
+    is homogeneous, as a ``Poly`` is never changed.  Under unit weights a
+    word's degree is its length."""
     if f.is_zero:
         raise ValueError("the zero polynomial has no leading homogeneous part")
-    degrees = [alphabet.degree(w) for w in f.terms]
+    degrees = list(map(len if max(alphabet.weights) == 1 else alphabet.degree, f.terms))
     top = max(degrees)
+    if min(degrees) == top:
+        return f
     return Poly({w: c for (w, c), d in zip(f.terms.items(), degrees) if d == top})
 
 

@@ -12,18 +12,23 @@ t*C_{i-1}(t).  Each of these is checked at runtime, and a violation raises
 CrossCheckError.  G~ is verified overlap by overlap, but only the overlaps
 with a commutator are enumerated: the others are overlaps of base leading
 words, which G~ keeps, so they are read off the base's verification record.
-A base overlap whose two relations and every relation its base reduction
-applied are homogeneous, so that their rules in G~ are those of G, is
-resolved by that base reduction.  Reducing it under G~ would be the same
-computation: the same S-element, over T-free words only, which only base
-leading words match and which the extended order ranks as the base order
-does, so the same step in the same order to the same zero.  The overlap of
-relation k, whose leading word u*X_i ends in a live letter, with X_i T - T X_i
-is resolved, with no S-element built, by its one-step identity: with T
-moved to the front of each term, its S-element is -T*g~_k, which one step
-of relation k takes to zero.  Where a rule breaks it (a dead letter of a
-tail word stops T, or a commutator or tail was altered), the overlap is
-reduced as any other, so the result is that of reducing every overlap.
+A base overlap is resolved by its base reduction when its two relations and
+every relation that reduction applied keep their rules of G (homogeneous
+relations), or all have the rules of G with each lower term padded by T, and
+letters that T crosses.  Reducing it under G~ would be the same
+computation: its S-element, T-fronted, is the base one with each word w of
+degree q carried as T^(D - q)*w, D the degree of the overlap word; only base
+leading words match such words, after their T's, and the extended order
+ranks them by the stripped word as the base order does, so the same steps
+in the same order lead to the same zero.  Only a dead letter in a relation
+with lower terms, which T cannot cross, or an altered rule sends a base
+overlap to the engine.  The overlap of relation k, whose leading word
+u*X_i ends in a live letter, with X_i T - T X_i is resolved, with no
+S-element built, by its one-step identity: with T moved to the front of
+each term, its S-element is -T*g~_k, which one step of relation k takes to
+zero.  Where a rule breaks it (a dead letter of a tail word stops T, or a
+commutator or tail was altered), the overlap is reduced as any other, so
+the result is that of reducing every overlap.
 :func:`rees_invariants` gives the Rees side in the base's record type, on
 G~; :func:`check_transfer` compares two such records, and
 :func:`check_associated_graded` checks that setting T = 0 in G~ gives lh(G).
@@ -93,11 +98,14 @@ class HomogenizationOrder(Record):
 
 def homogenize(f: Poly, order: HomogenizationOrder) -> Poly:
     """Left-pad every term of ``f`` with T up to its largest weighted degree
-    p, which the graded base order makes the degree of the leading word.
+    p, which the graded base order makes the degree of the leading word;
+    ``f`` itself when it is homogeneous, as a ``Poly`` is never changed.
     Under unit weights a word's degree is its length."""
     base, t = order.base, order.homogenizer
     degrees = list(map(len if base._unit else base.alphabet.degree, f.terms))
     p = max(degrees)
+    if min(degrees) == p:
+        return f
     return Poly({(t,) * (p - q) + w: c for (w, c), q in zip(f.terms.items(), degrees)})
 
 
@@ -190,8 +198,9 @@ def check_associated_graded(rees_basis: GroebnerBasis, lh_basis: tuple[Poly, ...
     commutator X_i*T - T*X_i vanishes."""
     t = rees_basis.order.homogenizer
     for k, g in enumerate(rees_basis.elements):
-        at_zero = Poly({w: c for w, c in g.terms.items() if t not in w})
-        if at_zero != (lh_basis[k] if k < len(lh_basis) else Poly()):
+        if any(t in w for w in g.terms):
+            g = Poly({w: c for w, c in g.terms.items() if t not in w})
+        if g != (lh_basis[k] if k < len(lh_basis) else Poly()):
             raise CrossCheckError(
                 f"setting T = 0 in Rees relation {k + 1} does not give "
                 "the leading homogeneous part of G"

@@ -13,9 +13,11 @@ that a basis builds once: three swap rules c*b, b*a and c*a, where no
 homogenizer moves letters, and a relation with a commutator X*T -> T*X.  A
 basis that extends a verified one, as the Rees basis G~ extends G, takes the
 overlaps of the shared leading words from the base's record, as (i, j,
-overlap) keys, and enumerates only the rest; an ambiguity, with its
-superposition word, and its S-element are built only for an overlap that is
-reduced.
+overlap) keys, and enumerates only the rest.  A shared overlap whose
+relations keep their base rules, or under a homogenizer T their base rules
+padded with T, is resolved by the base's reduction, which the engine would
+repeat step for step.  An ambiguity, with its superposition word, and its
+S-element are built only for an overlap that is reduced.
 """
 
 from __future__ import annotations
@@ -589,25 +591,74 @@ def _base_record(basis: GroebnerBasis, base: GroebnerBasis | None) -> dict | Non
     return base.verification.applied
 
 
+def _leading_front(basis: GroebnerBasis) -> tuple[int, frozenset] | None:
+    """``basis._front``, (T, the letters T cannot cross), when the order has
+    a homogenizer T that starts no leading word; None otherwise."""
+    front = basis._front
+    if front is None or any(w[0] == front[0] for w in basis.leading_words):
+        return None
+    return front
+
+
 def _repeated_reductions(basis: GroebnerBasis, base: GroebnerBasis) -> dict:
     """The overlaps of ``basis`` whose reduction would repeat, step for step,
     one recorded by the successful verification of ``base``, each with the
     relations that reduction applied.
 
     ``basis`` must extend ``base`` as G~ extends G: its order restricts to
-    ``base.order`` on base words, and each relation after the first
-    len(base) has a leading word with a new letter.  When the first
-    len(base) leading words are base's, only those match a base word, with
-    base's ranks.  So if relations i and j and every relation the base
-    reduction applied keep base's rule, the S-element and every step are
-    base's, down to the same zero.
+    ``base.order`` on base words (under a homogenizer T it is the
+    :class:`~ncdim.rees.HomogenizationOrder` over ``base.order``), and each
+    relation after the first len(base) has a leading word with a new
+    letter.  When the first len(base) leading words are base's, only those
+    match a base word, with base's ranks.  An overlap (i, j, o) involves i,
+    j and every relation its base reduction applied, and is repeated when
+    either holds:
+
+    - every involved relation keeps base's rule.  Then the S-element and
+      every step are base's, down to the same zero;
+    - T starts no leading word, and every involved relation k has the
+      T-padded base rule, each base tail term (w, c) becoming
+      (T^(p - deg w)*w, c) with p = deg LM(g_k), and T crosses every
+      letter of LM(g_k) and of its tail words.
+
+    Proof of the second case.  Carry each base word w of degree at most
+    D = deg(overlap word) as T^(D - deg w)*w.  The S-element S~ is
+    homogeneous of degree D, and it enters :func:`_reduce_terms` T-front as
+    the carried image of base's S term by term: its letters all cross T,
+    and stripping T is injective on T-front words of degree D, so base's
+    cancellations are its cancellations, in the same dict order.  The order
+    ranks those words by the base key of the stripped word, so ``pending``
+    pops them in base's order.  :meth:`GroebnerBasis.find_reduction` reads
+    the T's from the root, where T starts nothing, and then walks base
+    letters, which reach only states whose leading words are base's, with
+    base's ranks: no X*T matches a T-front word.  So it finds base's
+    (k, pos) at (k, pos + D - deg w).  The step writes left*T^(p - deg u)*u
+    *right for each tail term (u, c) of g_k, whose letters, those of
+    involved relations, all cross T, so it T-fronts to the carried
+    left*u*right, base's new word.  By induction every step is base's,
+    ``applied`` is base's, and the remainder is zero.
     """
     done = _base_record(basis, base)
     if not done:
         return {}
-    shared = {k for k in range(len(base)) if basis._rules[k] == base._rules[k]}
+    rules, base_rules = basis._rules, base._rules
+    padded = set()
+    front = _leading_front(basis)
+    if front is not None:
+        t, stuck = front
+        alphabet = base.order.alphabet
+        degree = len if max(alphabet.weights) == 1 else alphabet.degree
+        for k, (lw, (length, tail)) in enumerate(zip(base.leading_words, base_rules)):
+            p = degree(lw)
+            if (stuck.isdisjoint(lw) and all(stuck.isdisjoint(w) for w, _ in tail)
+                    and rules[k] == (length, tuple([((t,) * (p - degree(w)) + w, c)
+                                                    for w, c in tail]))):
+                padded.add(k)
+    if len(padded) == len(base):  # every overlap qualifies, as in most G~
+        return done
+    shared = {k for k in range(len(base)) if rules[k] == base_rules[k]}
     return {key: used for key, used in done.items()
-            if key[0] in shared and key[1] in shared and used <= shared}
+            if (involved := {key[0], key[1], *used}) <= shared or involved <= padded}
 
 
 def _one_step(basis: GroebnerBasis, k: int, j: int) -> bool:
@@ -666,9 +717,10 @@ def verify_groebner(basis: GroebnerBasis, base: GroebnerBasis | None = None
     verified basis that ``basis`` extends (see :func:`_repeated_reductions`),
     only the overlaps with a relation after the first len(base) are
     enumerated: the others are base's, read off its record.  An overlap
-    whose reduction would repeat base's is resolved by that reduction
-    instead of being reduced again; it still counts as checked, and no
-    ambiguity is built for it.
+    whose reduction would repeat base's, with every relation involved
+    keeping its base rule or, under a homogenizer, its T-padded base rule,
+    is resolved by that reduction instead of being reduced again; it still
+    counts as checked, and no ambiguity is built for it.
 
     Under an order with no homogenizer, an overlap (i, j, 1) of LM(g_i) =
     c*b and LM(g_j) = b*a is first checked for the skew-triple identity
@@ -678,8 +730,9 @@ def verify_groebner(basis: GroebnerBasis, base: GroebnerBasis | None = None
     steps that follow from those conditions, applying {i, j, r}, and is not
     built.  Under a homogenizer, words enter T-front and take other steps,
     so the identity is not tried.  On a seed-7 ``pbw`` deck of the
-    benchmark it resolves 2750 of the 3081 base overlaps; the 331 left hold
-    a relation with lower terms (Weyl, Heisenberg, U(sl2)).
+    benchmark it resolves 2750 of the 3081 base overlaps; the engine
+    reduces the 331 left, which hold a relation with lower terms (Weyl,
+    Heisenberg, U(sl2)), and the Rees check reuses all 3081.
 
     With ``base`` and under an order with a homogenizer T that starts no
     leading word, as for G~ with the commutators X_i*T - T*X_i after the
@@ -705,8 +758,7 @@ def verify_groebner(basis: GroebnerBasis, base: GroebnerBasis | None = None
         later = _overlaps(lws, range(r), range(r, n)) + _overlaps(lws, range(r, n), range(n))
         overlaps = sorted([*done, *later])  # two ascending runs: one merge
         repeated = _repeated_reductions(basis, base)
-        # the one-step identity needs a homogenizer T that starts no leading word
-        one_step = front is not None and all(w[0] != front[0] for w in lws)
+        one_step = _leading_front(basis) is not None
     applied = {}
     for overlap in overlaps:
         key = overlap[:3]
